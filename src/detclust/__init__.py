@@ -17,7 +17,7 @@ from .epsapprox import (
     uniform_sample_approx,
     verify_set_approx,
 )
-from .errors import BudgetError, InputError, VerificationError
+from .errors import BudgetError, InputError
 from .geometry import (
     CenterSet,
     ClusteringParams,
@@ -84,7 +84,6 @@ __all__ = [
     "RingDecomposition",
     "SetApproximation",
     "SolveResult",
-    "VerificationError",
     "WeightedPointSet",
     "WitnessParams",
     "approx_solve",

@@ -31,8 +31,14 @@ _EVAL_CHUNK = 1 << 22
 
 DEFAULT_ALPHA = 50.0
 DEFAULT_MAX_CANDIDATES = 50_000
+# candidate budget of every call the library makes itself (ring seeding,
+# partition-coreset nodes, the bicriteria_solve fallback); direct calls of
+# candidate_centers, constant_factor_approx and bicriteria keep the larger
+# DEFAULT_MAX_CANDIDATES
+PIPELINE_MAX_CANDIDATES = 4096
 DEFAULT_DIM_THRESHOLD = 20
 DEFAULT_PROJECTION_SEEDS = 16
+SWAP_ROUNDS = 100
 
 
 @dataclass(frozen=True)
@@ -299,18 +305,17 @@ def constant_factor_approx(
     P,
     params,
     *,
-    candidates=None,
     alpha=DEFAULT_ALPHA,
     max_candidates=DEFAULT_MAX_CANDIDATES,
-    swap_rounds=100,
     zero_last_coord=False,
 ):
     """Deterministic k centers at constant-factor cost.
 
-    Gonzalez farthest-point seeding followed by single-swap local search over
-    the candidate family, accepting swaps while they improve the cost by a
-    factor (1 - 1/(100 k)). Returns the k centers; fewer than k input points
-    means every point becomes a center.
+    Gonzalez farthest-point seeding followed by at most SWAP_ROUNDS rounds
+    of single-swap local search over the candidate family built around the
+    seeds, accepting swaps while they improve the cost by a factor
+    (1 - 1/(100 k)). Returns the k centers; fewer than k input points means
+    every point becomes a center.
     """
     pts, w = _coerce_pointset(P)
     k, z = params.k, params.z
@@ -322,21 +327,19 @@ def constant_factor_approx(
         return CenterSet(out)
 
     centers = _gonzalez_seeds(pts, k, slice_mode=zero_last_coord)
-    if candidates is None:
-        candidates = candidate_centers(
-            P,
-            params,
-            centers,
-            alpha=alpha,
-            max_candidates=max_candidates,
-            zero_last_coord=zero_last_coord,
-        )
-    cand = candidates.points
+    cand = candidate_centers(
+        P,
+        params,
+        centers,
+        alpha=alpha,
+        max_candidates=max_candidates,
+        zero_last_coord=zero_last_coord,
+    ).points
     PC = _power_table(cand, pts, w, z)
     ctr_tbl = _power_table(centers, pts, w, z)  # (k, n)
     cost = float(ctr_tbl.min(axis=0).sum())
 
-    for _ in range(swap_rounds):
+    for _ in range(SWAP_ROUNDS):
         if cost == 0.0:
             break
         best = (cost, -1, -1)  # (new_cost, swap position, candidate)
@@ -445,6 +448,11 @@ def _bicriteria_lowdim(P, params, alpha_cap, max_candidates, oracle_opt, zero_la
     )
     cost_S0 = power_cost((pts, w), S0, params.z)
     alpha = _measure_alpha(cost_S0, alpha_cap, oracle_opt)
+    # not the family constant_factor_approx already built: that one is
+    # anchored at the Gonzalez seeds, this one at the swapped S0 (and at the
+    # measured alpha when oracle_opt is given). The families differ (422 vs
+    # 454, 283 vs 387 and 349 vs 449 candidates on the coreset-2d benchmark
+    # instances), so reusing the first would change the greedy output.
     cands = candidate_centers(
         P,
         params,
@@ -490,30 +498,29 @@ def bicriteria(
     *,
     alpha=DEFAULT_ALPHA,
     max_candidates=DEFAULT_MAX_CANDIDATES,
-    dim_threshold=DEFAULT_DIM_THRESHOLD,
-    projection_seeds=DEFAULT_PROJECTION_SEEDS,
-    projection_dim=None,
     oracle_opt=None,
     zero_last_coord=False,
 ):
     """Bicriteria solution: more than k centers, near-optimal cost.
 
-    Dimension at most dim_threshold: constant-factor seeds, lattice
-    candidates, greedy augmentation. Above it: scan sign-matrix projection
-    seeds, solve in each projected space, lift every solution back via
+    Dimension at most DEFAULT_DIM_THRESHOLD: constant-factor seeds, lattice
+    candidates, greedy augmentation. Above it: scan the first
+    DEFAULT_PROJECTION_SEEDS sign-matrix projection seeds into
+    DEFAULT_DIM_THRESHOLD dimensions (one fewer base dimension in slice
+    mode), solve in each projected space, lift every solution back via
     per-cluster 1-centers, and keep the (cost, seed)-lexicographic best.
     """
     pts, w = _coerce_pointset(P)
     d = pts.shape[1]
-    if d <= dim_threshold:
+    if d <= DEFAULT_DIM_THRESHOLD:
         return _bicriteria_lowdim(
             P, params, alpha, max_candidates, oracle_opt, zero_last_coord
         )
 
     base_dim = d - 1 if zero_last_coord else d
-    m = projection_dim if projection_dim is not None else min(base_dim, dim_threshold - (1 if zero_last_coord else 0))
+    m = min(base_dim, DEFAULT_DIM_THRESHOLD - (1 if zero_last_coord else 0))
     best = None
-    for seed in range(projection_seeds):
+    for seed in range(DEFAULT_PROJECTION_SEEDS):
         lin = seeded_projection_family(base_dim, m, seed)
         if zero_last_coord:
             proj = np.hstack([lin.apply(pts[:, :-1]), pts[:, -1:]])

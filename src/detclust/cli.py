@@ -22,14 +22,8 @@ import numpy as np
 from . import io as dio
 from .bicriteria import DEFAULT_ALPHA
 from .datasets import far_point_instance, gaussian_blobs, ring_mixture
-from .dimreduce import (
-    DEFAULT_MAX_COVER_STEPS,
-    DEFAULT_MAX_SUBSETS,
-    WitnessParams,
-    build_net,
-    cost_preserving_sketch,
-)
-from .errors import BudgetError, InputError, VerificationError
+from .dimreduce import WitnessParams, build_net, cost_preserving_sketch
+from .errors import BudgetError, InputError
 from .geometry import (
     ClusteringParams,
     ExtendedPointSet,
@@ -167,8 +161,6 @@ def _cmd_sketch_build(args):
         WitnessParams.defaults(params),
         params.epsilon,
         params.z,
-        max_subsets=DEFAULT_MAX_SUBSETS,
-        max_cover_steps=DEFAULT_MAX_COVER_STEPS,
     )
     dio.write_sketch(sk.map, net.points, params, cfg.out_path)
     cert = sk.map.certificate or {}
@@ -355,9 +347,6 @@ def cli_dispatch(argv=None):
     except BudgetError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3
-    except VerificationError as exc:
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return 4
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

@@ -346,41 +346,21 @@ class CostPreservingSketch:
         )
 
 
-def cost_preserving_sketch(
-    P,
-    params: ClusteringParams,
-    pc_params=None,
-    witness: WitnessParams = None,
-    *,
-    strategy="seed-scan",
-    jl_c=DEFAULT_JL_C,
-    max_seeds=DEFAULT_MAX_SEEDS,
-    max_subsets=DEFAULT_MAX_SUBSETS,
-    max_cover_steps=DEFAULT_MAX_COVER_STEPS,
-    max_candidates=4096,
-):
-    """Full sketch pipeline: partition coreset, witness net over its
-    representatives, a map preserving net distances within (1 +- eps/z),
-    and the assembled per-point sketch."""
+def cost_preserving_sketch(P, params: ClusteringParams, *, strategy="seed-scan"):
+    """Full sketch pipeline: the practical partition coreset, a witness
+    net over its representatives at WitnessParams.defaults (budgets
+    DEFAULT_MAX_SUBSETS and DEFAULT_MAX_COVER_STEPS), a map preserving net
+    distances within (1 +- eps/z) (DEFAULT_JL_C, DEFAULT_MAX_SEEDS), and
+    the assembled per-point sketch."""
     pts = _as_points(P, "points")
-    if witness is None:
-        witness = WitnessParams.defaults(params)
-    coreset = build(P, params, pc_params, max_candidates=max_candidates)
+    coreset = build(P, params)
     net = build_net(
         coreset.representatives,
-        witness,
+        WitnessParams.defaults(params),
         params.epsilon,
         params.z,
-        max_subsets=max_subsets,
-        max_cover_steps=max_cover_steps,
     )
-    lin = derandomized_jl(
-        net.points,
-        params.epsilon / params.z,
-        strategy=strategy,
-        c=jl_c,
-        max_seeds=max_seeds,
-    )
+    lin = derandomized_jl(net.points, params.epsilon / params.z, strategy=strategy)
     return CostPreservingSketch(
         map=lin, coreset=coreset, target_dim=lin.m + 1, points=pts
     )

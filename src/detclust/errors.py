@@ -1,7 +1,8 @@
 """Error taxonomy shared by the library and the CLI.
 
-The CLI maps these onto exit codes: InputError -> 2, BudgetError -> 3,
-VerificationError -> 4. Library code raises them directly.
+The CLI maps these onto exit codes: InputError -> 2, BudgetError -> 3.
+Library code raises them directly. A failed verification is not an
+exception: the verifiers return reports and the CLI exits with 4.
 """
 
 
@@ -20,12 +21,3 @@ class BudgetError(RuntimeError):
         super().__init__(message)
         self.required = required
         self.allowed = allowed
-
-
-class VerificationError(AssertionError):
-    """A verification oracle measured an error above its threshold."""
-
-    def __init__(self, message, measured=None, threshold=None):
-        super().__init__(message)
-        self.measured = measured
-        self.threshold = threshold

@@ -9,7 +9,7 @@ so permuting the rows of an input leaves every cost bit-identical.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bicriteria import bicriteria
+from .bicriteria import PIPELINE_MAX_CANDIDATES, bicriteria
 from .errors import InputError
 from .geometry import (
     ClusteringParams,
@@ -144,14 +144,12 @@ def build(
     P,
     params: ClusteringParams,
     pc_params: PartitionCoresetParams = None,
-    *,
-    max_candidates=4096,
-    dim_threshold=20,
 ):
     """Builds the extension partition coreset, breadth first.
 
     Nodes are processed in (depth, parent, child) order so the trace and the
-    representative numbering are deterministic. In practical mode a node
+    representative numbering are deterministic. Each node's split test runs
+    bicriteria with the PIPELINE_MAX_CANDIDATES budget. In practical mode a node
     spawning more than 64k children keeps the most expensive ones and stops
     the cheapest in place (collapse onto their own center), flagged as
     truncated in the trace.
@@ -193,9 +191,7 @@ def build(
             emit(idx, pool_m, depth, "leaf", cost_m, parent)
             continue
 
-        res = bicriteria(
-            C, node_params, max_candidates=max_candidates, dim_threshold=dim_threshold
-        )
+        res = bicriteria(C, node_params, max_candidates=PIPELINE_MAX_CANDIDATES)
         if cost_m - res.cost <= beta * cost_m:
             emit(idx, m, depth, "stable", cost_m, parent)
             continue

@@ -21,19 +21,13 @@ import numpy as np
 
 from .bicriteria import (
     DEFAULT_ALPHA,
-    _measure_alpha,
+    PIPELINE_MAX_CANDIDATES,
     assign_to_centers,
     bicriteria,
     candidate_centers,
     greedy_augment,
 )
-from .dimreduce import (
-    DEFAULT_JL_C,
-    DEFAULT_MAX_COVER_STEPS,
-    DEFAULT_MAX_SEEDS,
-    DEFAULT_MAX_SUBSETS,
-    cost_preserving_sketch,
-)
+from .dimreduce import cost_preserving_sketch
 from .epsapprox import (
     ball_test_family,
     halving_approx,
@@ -55,7 +49,6 @@ from .summation import tree_sum
 
 RING_ZERO = np.iinfo(np.int64).min  # bucket for zero-cost points
 PASSTHROUGH_DIM = 12
-DEFAULT_RING_CANDIDATES = 4096
 
 
 @dataclass(frozen=True)
@@ -136,58 +129,42 @@ class OffsetCoreset:
         )
 
 
-@dataclass(frozen=True)
-class RangeTestConfig:
-    generation: str = "from-data-distances"
-    max_ranges: int = 64
-    per_axis: int = 3
-
-
 def greedy_seeding(
     P,
     params,
     *,
     baseline=None,
     alpha=DEFAULT_ALPHA,
-    max_candidates=DEFAULT_RING_CANDIDATES,
-    dim_threshold=20,
-    oracle_opt=None,
     zero_last_coord=False,
 ):
     """Grow centers greedily from a constant-factor baseline A.
 
     Adds candidate centers while each drops the cost by the factor
     eps/(c_A k), stopping early once the cost falls to eps cost(A)/c_A
-    (status low-cost) and otherwise ending locally stable. baseline may be
-    a center array or a callable (P, params) -> centers; the default runs
-    the built-in bicriteria solver, which handles high dimension by
-    projection.
+    (status low-cost) and otherwise ending locally stable, with c_A =
+    alpha. baseline may be a center array; the default runs the built-in
+    bicriteria solver, which handles high dimension by projection. Either
+    way the candidate budget is PIPELINE_MAX_CANDIDATES.
     """
     if baseline is None:
         res = bicriteria(
             P,
             params,
             alpha=alpha,
-            max_candidates=max_candidates,
-            dim_threshold=dim_threshold,
-            oracle_opt=oracle_opt,
+            max_candidates=PIPELINE_MAX_CANDIDATES,
             zero_last_coord=zero_last_coord,
         )
     else:
-        A = baseline(P, params) if callable(baseline) else baseline
-        A = _coerce_centers(A)
-        pts, w = _coerce_pointset(P)
-        cost_A = power_cost((pts, w), A, params.z)
-        c_A = _measure_alpha(cost_A, alpha, oracle_opt)
+        A = _coerce_centers(baseline)
         cands = candidate_centers(
             P,
             params,
             A,
-            alpha=c_A,
-            max_candidates=max_candidates,
+            alpha=alpha,
+            max_candidates=PIPELINE_MAX_CANDIDATES,
             zero_last_coord=zero_last_coord,
         )
-        res = greedy_augment(P, A, cands, params, alpha=c_A)
+        res = greedy_augment(P, A, cands, params, alpha=alpha)
     status = "low-cost" if res.stopped_reason == "low-cost" else "locally-stable"
     return SeedingResult(
         centers=res.centers,
@@ -332,40 +309,28 @@ def ring_coreset(
     params,
     mode="deterministic",
     *,
-    test_config: RangeTestConfig = None,
     seed=0,
     delta=0.1,
-    baseline=None,
     alpha=DEFAULT_ALPHA,
-    max_candidates=DEFAULT_RING_CANDIDATES,
-    dim_threshold=20,
-    oracle_opt=None,
     zero_last_coord=False,
 ):
     """Full coreset-with-offset pipeline.
 
     Low-cost seedings return the centers weighted by served-point counts
     with F = 0. Otherwise each main ring is replaced by a set
-    approximation at epsilon_prime(z, eps): halving (deterministic mode)
-    or a seeded uniform sample (randomized mode, one derived seed per
-    ring), each kept point weighted |ring| / |kept|.
+    approximation at epsilon_prime(z, eps): halving against the default
+    ball_test_family (deterministic mode) or a seeded uniform sample
+    (randomized mode, one derived seed per ring), each kept point weighted
+    |ring| / |kept|.
     """
     if mode not in ("deterministic", "randomized"):
         raise InputError(f"unknown mode {mode!r}")
-    cfg = test_config if test_config is not None else RangeTestConfig()
     pts, w = _coerce_pointset(P)
     if (w != 1.0).any():
         raise InputError("ring coreset expects unit weights")
 
     seeding = greedy_seeding(
-        P,
-        params,
-        baseline=baseline,
-        alpha=alpha,
-        max_candidates=max_candidates,
-        dim_threshold=dim_threshold,
-        oracle_opt=oracle_opt,
-        zero_last_coord=zero_last_coord,
+        P, params, alpha=alpha, zero_last_coord=zero_last_coord
     )
     G = seeding.centers.centers
 
@@ -396,13 +361,7 @@ def ring_coreset(
 
     for t, ((i, j), idx) in enumerate(rings.main_rings()):
         ground = pts[idx]
-        fam = ball_test_family(
-            ground,
-            params.k,
-            cfg.generation,
-            max_ranges=cfg.max_ranges,
-            per_axis=cfg.per_axis,
-        )
+        fam = ball_test_family(ground, params.k)
         if mode == "deterministic":
             approx = halving_approx(ground, eps_p, fam)
         else:
@@ -504,57 +463,22 @@ class EuclideanPipelineResult:
         return self.coreset.points.shape[1]
 
 
-def euclidean_pipeline(
-    P,
-    params,
-    pc_params=None,
-    *,
-    mode="deterministic",
-    test_config: RangeTestConfig = None,
-    seed=0,
-    delta=0.1,
-    alpha=DEFAULT_ALPHA,
-    max_candidates=DEFAULT_RING_CANDIDATES,
-    passthrough_dim=PASSTHROUGH_DIM,
-    strategy="seed-scan",
-    jl_c=DEFAULT_JL_C,
-    max_seeds=DEFAULT_MAX_SEEDS,
-    max_subsets=DEFAULT_MAX_SUBSETS,
-    max_cover_steps=DEFAULT_MAX_COVER_STEPS,
-):
-    """Dimension-reduced coreset with offset.
+def euclidean_pipeline(P, params, *, alpha=DEFAULT_ALPHA):
+    """Dimension-reduced deterministic coreset with offset.
 
-    Low dimension (d <= passthrough_dim): the input is embedded at
+    Low dimension (d <= PASSTHROUGH_DIM): the input is embedded at
     extension 0 and the ring coreset runs directly. Otherwise the input is
-    first collapsed to its partition coreset and sketched, and the ring
-    coreset runs on the sketched extended rows; the sketch is returned so
-    solutions can be lifted back to the original space.
+    first collapsed to its partition coreset and sketched with the default
+    cost_preserving_sketch, and the ring coreset runs on the sketched
+    extended rows; the sketch is returned so solutions can be lifted back
+    to the original space.
     """
     pts = _as_points(P, "points")
-    common = dict(
-        mode=mode,
-        test_config=test_config,
-        seed=seed,
-        delta=delta,
-        alpha=alpha,
-        max_candidates=max_candidates,
-        zero_last_coord=True,
-    )
-    if pts.shape[1] <= passthrough_dim:
+    sk = None
+    if pts.shape[1] <= PASSTHROUGH_DIM:
         rows = np.hstack([pts, np.zeros((pts.shape[0], 1))])
-        core = ring_coreset(rows, params, **common)
-        return EuclideanPipelineResult(coreset=core, sketch=None, passthrough=True)
-    sk = cost_preserving_sketch(
-        pts,
-        params,
-        pc_params,
-        strategy=strategy,
-        jl_c=jl_c,
-        max_seeds=max_seeds,
-        max_subsets=max_subsets,
-        max_cover_steps=max_cover_steps,
-        max_candidates=max_candidates,
-    )
-    rows = sk.sketched_points().as_rows()
-    core = ring_coreset(rows, params, **common)
-    return EuclideanPipelineResult(coreset=core, sketch=sk, passthrough=False)
+    else:
+        sk = cost_preserving_sketch(pts, params)
+        rows = sk.sketched_points().as_rows()
+    core = ring_coreset(rows, params, alpha=alpha, zero_last_coord=True)
+    return EuclideanPipelineResult(coreset=core, sketch=sk, passthrough=sk is None)

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bicriteria import constant_factor_approx
-from .dimreduce import (
-    DEFAULT_JL_C,
-    DEFAULT_MAX_COVER_STEPS,
-    DEFAULT_MAX_SEEDS,
-    DEFAULT_MAX_SUBSETS,
-)
+from .bicriteria import DEFAULT_ALPHA, PIPELINE_MAX_CANDIDATES, constant_factor_approx
 from .errors import BudgetError, InputError
 from .geometry import (
     CenterSet,
@@ -35,13 +29,7 @@ from .geometry import (
     solve_1center,
     solve_1center_constrained,
 )
-from .rings import (
-    DEFAULT_ALPHA,
-    DEFAULT_RING_CANDIDATES,
-    PASSTHROUGH_DIM,
-    RangeTestConfig,
-    euclidean_pipeline,
-)
+from .rings import euclidean_pipeline
 
 ENUM_MAX_N = 14
 ENUM_MAX_K = 4
@@ -343,20 +331,14 @@ def _polish(pts, w, C, z, rounds):
     return C, cost
 
 
-def bicriteria_solve(
-    P,
-    params,
-    *,
-    polish_rounds=DEFAULT_POLISH_ROUNDS,
-    subset_cap=DEFAULT_SUBSET_CAP,
-    alpha=DEFAULT_ALPHA,
-    max_candidates=DEFAULT_RING_CANDIDATES,
-):
+def bicriteria_solve(P, params, *, alpha=DEFAULT_ALPHA):
     """Exactly k centers from the constant-factor machinery plus polish.
 
-    Initializations: the swap-search solution, and every k-subset of
-    distinct input points when there are at most subset_cap of them. Each
-    is polished by assign/recenter rounds; winner by (cost, init order).
+    Initializations: the swap-search solution (candidate budget
+    PIPELINE_MAX_CANDIDATES), and every k-subset of distinct input points
+    when there are at most DEFAULT_SUBSET_CAP of them. Each is polished by
+    up to DEFAULT_POLISH_ROUNDS assign/recenter rounds; winner by (cost,
+    init order).
     """
     pts, w = _coerce_pointset(P)
     n, k, z = pts.shape[0], params.k, params.z
@@ -370,17 +352,17 @@ def bicriteria_solve(
         )
     inits = [
         constant_factor_approx(
-            P, params, alpha=alpha, max_candidates=max_candidates
+            P, params, alpha=alpha, max_candidates=PIPELINE_MAX_CANDIDATES
         ).centers
     ]
     _, first = np.unique(pts, axis=0, return_index=True)
     distinct = np.sort(first)
-    if distinct.size >= k and math.comb(distinct.size, k) <= subset_cap:
+    if distinct.size >= k and math.comb(distinct.size, k) <= DEFAULT_SUBSET_CAP:
         for combo in itertools.combinations(distinct.tolist(), k):
             inits.append(pts[list(combo)])
     best = None
     for C0 in inits:
-        C, cost = _polish(pts, w, C0, z, polish_rounds)
+        C, cost = _polish(pts, w, C0, z, DEFAULT_POLISH_ROUNDS)
         if best is None or cost < best[0]:
             best = (cost, C)
     C = CenterSet(best[1])
@@ -392,63 +374,23 @@ def bicriteria_solve(
     )
 
 
-def approx_solve(
-    P,
-    params,
-    pc_params=None,
-    *,
-    mode="deterministic",
-    test_config: RangeTestConfig = None,
-    seed=0,
-    delta=0.1,
-    alpha=DEFAULT_ALPHA,
-    max_candidates=DEFAULT_RING_CANDIDATES,
-    passthrough_dim=PASSTHROUGH_DIM,
-    strategy="seed-scan",
-    jl_c=DEFAULT_JL_C,
-    max_seeds=DEFAULT_MAX_SEEDS,
-    max_subsets=DEFAULT_MAX_SUBSETS,
-    max_cover_steps=DEFAULT_MAX_COVER_STEPS,
-    polish_rounds=DEFAULT_POLISH_ROUNDS,
-    full_output=False,
-):
+def approx_solve(P, params, *, alpha=DEFAULT_ALPHA, full_output=False):
     """Near-optimal solve via the coreset pipeline.
 
-    Builds the offset coreset, enumerates its clusterings with extension-0
-    centers, assigns the original points by the winning sketched centers,
-    and re-solves each induced cluster in the original space. A coreset
-    too large for the enumeration budget downgrades to bicriteria_solve.
+    Builds the deterministic offset coreset with euclidean_pipeline,
+    enumerates its clusterings with extension-0 centers, assigns the
+    original points by the winning sketched centers, and re-solves each
+    induced cluster in the original space. A coreset too large for the
+    enumeration budget downgrades to bicriteria_solve.
 
     full_output also returns a dict with the pipeline result, the winning
     partition, the sketched-space centers, and the induced labels.
     """
     pts, _ = _coerce_pointset(P)
-    pipe = euclidean_pipeline(
-        P,
-        params,
-        pc_params,
-        mode=mode,
-        test_config=test_config,
-        seed=seed,
-        delta=delta,
-        alpha=alpha,
-        max_candidates=max_candidates,
-        passthrough_dim=passthrough_dim,
-        strategy=strategy,
-        jl_c=jl_c,
-        max_seeds=max_seeds,
-        max_subsets=max_subsets,
-        max_cover_steps=max_cover_steps,
-    )
+    pipe = euclidean_pipeline(P, params, alpha=alpha)
     core = pipe.coreset
     if core.size > ENUM_MAX_N or params.k > ENUM_MAX_K:
-        fb = bicriteria_solve(
-            P,
-            params,
-            polish_rounds=polish_rounds,
-            alpha=alpha,
-            max_candidates=max_candidates,
-        )
+        fb = bicriteria_solve(P, params, alpha=alpha)
         res = SolveResult(
             centers=fb.centers,
             cost=fb.cost,

@@ -1,0 +1,109 @@
+"""Golden SHA-256 digests of the deterministic pipeline's outputs.
+
+Each case runs one entry point on a small fixed instance and hashes the
+bytes of its result: points, exact weight numerators and denominators,
+centers, and the offset and cost as ``float.hex``. ``tests/test_golden.py``
+recomputes every case and requires the stored digest, so a refactor that
+claims to keep outputs can show it bit for bit.
+
+The digests pin float64 results of this numpy build on this CPU class; a
+different BLAS, numpy release or instruction set may round differently and
+then needs a deliberate regeneration, with the changed cases named in
+CHANGES.md. Regenerate with
+
+    PYTHONPATH=src python tests/regen_golden.py
+"""
+
+import hashlib
+import json
+from pathlib import Path
+
+import numpy as np
+
+from detclust.bicriteria import bicriteria
+from detclust.datasets import gaussian_blobs
+from detclust.dimreduce import cost_preserving_sketch
+from detclust.geometry import ClusteringParams
+from detclust.partition import build
+from detclust.rings import ring_coreset
+from detclust.solve import approx_solve, bicriteria_solve, exact_solve
+
+GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
+
+
+def digest(*parts):
+    """SHA-256 over arrays (shape, little-endian bytes), floats (hex) and
+    strings, each part length-delimited by its type tag."""
+    h = hashlib.sha256()
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            arr = np.ascontiguousarray(part)
+            kind = "<i8" if arr.dtype.kind in "iu" else "<f8"
+            h.update(f"array{arr.shape}{kind}".encode())
+            h.update(arr.astype(kind).tobytes())
+        elif isinstance(part, float):
+            h.update(b"float" + part.hex().encode())
+        else:
+            h.update(b"str" + str(part).encode())
+        h.update(b"\x00")
+    return h.hexdigest()
+
+
+def _blobs(n, d, seed):
+    return gaussian_blobs(n, d, blobs=2, seed=seed, separation=6)
+
+
+def _coreset(mode):
+    pts = _blobs(200, 2, 1)
+    params = ClusteringParams(k=2, z=2, epsilon=0.3)
+    core = ring_coreset(pts, params, mode=mode, seed=5, alpha=2.0)
+    return digest(core.points, core.weight_num, core.weight_den, float(core.offset))
+
+
+def _solve(solver):
+    pts = _blobs(8, 2, 3)
+    res = solver(pts, ClusteringParams(k=2, z=2, epsilon=0.3))
+    return digest(res.method, str(res.downgraded), res.centers.centers, float(res.cost))
+
+
+def _bicriteria_projection():
+    pts = _blobs(24, 30, 2)
+    res = bicriteria(pts, ClusteringParams(k=2, z=2, epsilon=0.3), max_candidates=4096)
+    return digest(
+        res.centers.centers, float(res.cost), str(res.projection_seed), res.stopped_reason
+    )
+
+
+def _partition_build():
+    pts = _blobs(8, 30, 4)
+    res = build(pts, ClusteringParams(k=2, z=2, epsilon=0.3))
+    return digest(res.representatives, res.rep_index, res.extensions)
+
+
+def _sketch():
+    pts = _blobs(8, 30, 4)
+    sk = cost_preserving_sketch(pts, ClusteringParams(k=2, z=2, epsilon=0.3))
+    return digest(sk.map.matrix, sk.sketched_points().as_rows())
+
+
+CASES = {
+    "ring_coreset_det_n200_d2": lambda: _coreset("deterministic"),
+    "ring_coreset_rand_n200_d2": lambda: _coreset("randomized"),
+    "exact_solve_n8": lambda: _solve(exact_solve),
+    "approx_solve_n8": lambda: _solve(approx_solve),
+    "bicriteria_solve_n8": lambda: _solve(bicriteria_solve),
+    "bicriteria_projection_n24_d30": _bicriteria_projection,
+    "partition_build_n8_d30": _partition_build,
+    "cost_preserving_sketch_n8_d30": _sketch,
+}
+
+
+def main():
+    digests = {name: case() for name, case in CASES.items()}
+    GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
+    for name, value in digests.items():
+        print(f"{name}: {value}")
+
+
+if __name__ == "__main__":
+    main()
