@@ -17,12 +17,15 @@ import numpy as np
 from .errors import InputError
 from .geometry import (
     CenterSet,
+    RowPool,
     _coerce_centers,
     _coerce_pointset,
     _power_from_sq,
+    min_power_dists,
     power_cost,
     solve_1center,
     solve_1center_constrained,
+    sq_dist_matrix,
     ExtendedPointSet,
 )
 from .linmap import LinearMap
@@ -109,11 +112,6 @@ def seeded_projection_family(d, m, seed, seed_bits=16):
 # ---------------- candidate family ----------------
 
 
-def _quant_keys(points, quantum):
-    q = np.round(points / quantum).astype(np.int64)
-    return [tuple(row) for row in q]
-
-
 def ball_lattice(center, radius, spacing):
     """Origin-anchored lattice of the given spacing, trimmed to the ball.
 
@@ -183,20 +181,16 @@ def candidate_centers(
     total_w = float(w.sum())
     delta = power_cost((pts, w), anchor_c, z) / total_w if total_w > 0 else 0.0
 
-    points_out = []
+    pool = RowPool(1e-9 * max(1.0, float(np.abs(pts).max())))
     prov_point = []
     prov_level = []
-    seen = {}
-    scale_ref = max(1.0, float(np.abs(pts).max()))
-    quantum = 1e-9 * scale_ref
 
     def _push(arr, pidx, level):
-        for row, key in zip(arr, _quant_keys(arr, quantum)):
-            if key not in seen:
-                seen[key] = True
-                points_out.append(row)
-                prov_point.append(pidx)
-                prov_level.append(level)
+        before = len(pool.rows)
+        pool.add(arr)
+        added = len(pool.rows) - before
+        prov_point.extend([pidx] * added)
+        prov_level.extend([level] * added)
 
     inputs = _with_slice(base)
     for i in range(n):
@@ -239,7 +233,7 @@ def candidate_centers(
                 _push(_with_slice(cand), pidx, level)
 
     return CandidateCenters(
-        points=np.array(points_out),
+        points=np.array(pool.rows),
         provenance_point=np.array(prov_point, dtype=np.int64),
         provenance_level=np.array(prov_level, dtype=np.int64),
         spacing_scale=spacing_scale,
@@ -250,22 +244,8 @@ def candidate_centers(
 
 
 def _power_table(cand_pts, pts, w, z):
-    """(C, n) table of w_p * ||c - p||^z, chunked over candidates."""
-    C = cand_pts.shape[0]
-    n = pts.shape[0]
-    out = np.empty((C, n))
-    rows = max(1, int(_EVAL_CHUNK // max(1, n * pts.shape[1])))
-    for i in range(0, C, rows):
-        diff = cand_pts[i : i + rows, None, :] - pts[None, :, :]
-        sq = np.einsum("ijk,ijk->ij", diff, diff, optimize=False)
-        out[i : i + rows] = _power_from_sq(sq, z) * w[None, :]
-    return out
-
-
-def _serve_costs(centers, pts, w, z):
-    """(n,) weighted cost of serving each point by its nearest center."""
-    tbl = _power_table(np.atleast_2d(centers), pts, w, z)
-    return tbl.min(axis=0)
+    """(C, n) table of w_p * ||c - p||^z."""
+    return _power_from_sq(sq_dist_matrix(cand_pts, pts), z) * w[None, :]
 
 
 def _scores_all(PC, cur):
@@ -378,7 +358,7 @@ def greedy_augment(P, S0, candidates, params, *, alpha=DEFAULT_ALPHA, full_outpu
     S0c = _coerce_centers(S0)
     cand = candidates.points if isinstance(candidates, CandidateCenters) else np.asarray(candidates)
 
-    cur = _serve_costs(S0c, pts, w, z)
+    cur = min_power_dists(pts, S0c, z)[0] * w
     cost0 = float(cur.sum())
     cost = cost0
     low_threshold = (eps / alpha) * cost0
@@ -465,14 +445,6 @@ def _bicriteria_lowdim(P, params, alpha_cap, max_candidates, oracle_opt, zero_la
     return res
 
 
-def assign_to_centers(pts, centers):
-    """Nearest-center labels, ties to the lowest center index."""
-    diff_sq = np.empty((pts.shape[0], centers.shape[0]))
-    for j in range(centers.shape[0]):
-        diff_sq[:, j] = ((pts - centers[j]) ** 2).sum(axis=1)
-    return np.argmin(diff_sq, axis=1)
-
-
 def lift_by_clusters(P, labels, z, *, slice_mode=False):
     """Per-cluster optimal centers in the original space.
 
@@ -529,7 +501,7 @@ def bicriteria(
         res = _bicriteria_lowdim(
             (proj, w), params, alpha, max_candidates, oracle_opt, zero_last_coord
         )
-        labels = assign_to_centers(proj, res.centers.centers)
+        _, labels = min_power_dists(proj, res.centers.centers, params.z)
         lifted = lift_by_clusters((pts, w), labels, params.z, slice_mode=zero_last_coord)
         cost = power_cost((pts, w), lifted, params.z)
         if best is None or cost < best[0]:

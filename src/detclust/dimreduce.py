@@ -17,7 +17,7 @@ import numpy as np
 
 from .bicriteria import seeded_projection_family
 from .errors import BudgetError, InputError
-from .geometry import ClusteringParams, ExtendedPointSet, _as_points
+from .geometry import ClusteringParams, ExtendedPointSet, RowPool, _as_points
 from .linmap import LinearMap, identity_map, pair_distortions
 from .partition import PartitionCoresetResult, build
 
@@ -73,6 +73,14 @@ def _compositions(total, parts):
         yield out
 
 
+def _pairwise_diameter(S):
+    """Largest pairwise distance among the rows of S (0.0 for one row)."""
+    diam = 0.0
+    for a in range(S.shape[0] - 1):
+        diam = max(diam, float(np.sqrt(((S[a + 1 :] - S[a]) ** 2).sum(axis=1)).max()))
+    return diam
+
+
 def hull_cover(S, spacing, max_steps=None):
     """Points covering conv(S) to within `spacing`.
 
@@ -87,9 +95,7 @@ def hull_cover(S, spacing, max_steps=None):
         return S.copy()
     if spacing <= 0:
         raise InputError("spacing must be positive")
-    diam = 0.0
-    for a in range(j - 1):
-        diam = max(diam, float(np.sqrt(((S[a + 1 :] - S[a]) ** 2).sum(axis=1)).max()))
+    diam = _pairwise_diameter(S)
     if diam == 0.0:
         return S[:1].copy()
     G = max(1, math.ceil((j - 1) * diam / spacing))
@@ -148,46 +154,31 @@ def build_net(
         )
 
     eps_prime = eps / (4.0 * witness.D * z)
-    scale = max(1.0, float(np.abs(reps).max(initial=0.0)))
-    quantum = 1e-12 * scale
-    seen = {}
-    points = []
+    pool = RowPool(1e-12 * max(1.0, float(np.abs(reps).max(initial=0.0))))
     sources = []
 
-    def push(row, sid, kind):
-        key = tuple(np.round(row / quantum).astype(np.int64))
-        if key not in seen:
-            seen[key] = len(points)
-            points.append(row)
-            sources.append((sid, kind))
+    def push(rows, sid, kind):
+        before = len(pool.rows)
+        pool.add(rows)
+        sources.extend([(sid, kind)] * (len(pool.rows) - before))
 
-    push(np.zeros(reps.shape[1]), -1, "origin")
+    push(np.zeros((1, reps.shape[1])), -1, "origin")
     sid = 0
     for j in range(1, min(witness.R, T) + 1):
         for combo in itertools.combinations(range(T), j):
             S = reps[list(combo)]
-            if j == 1:
-                cover = S.copy()
-            else:
-                diam = 0.0
-                for a in range(j - 1):
-                    diam = max(
-                        diam,
-                        float(np.sqrt(((S[a + 1 :] - S[a]) ** 2).sum(axis=1)).max()),
-                    )
-                cover = (
-                    S[:1].copy()
-                    if diam == 0.0
-                    else hull_cover(S, eps_prime * diam, max_steps=max_cover_steps)
-                )
-            for row in cover:
-                push(row, sid, "cover")
-            for row in _pivoted_orthobasis(S):
-                push(row, sid, "basis")
+            diam = _pairwise_diameter(S)
+            cover = (
+                S[:1]
+                if diam == 0.0
+                else hull_cover(S, eps_prime * diam, max_steps=max_cover_steps)
+            )
+            push(cover, sid, "cover")
+            push(_pivoted_orthobasis(S), sid, "basis")
             sid += 1
 
     return WitnessNet(
-        points=np.array(points),
+        points=np.array(pool.rows),
         sources=tuple(sources),
         subset_size=witness.R,
         spacing_param=eps_prime,

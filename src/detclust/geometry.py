@@ -1,9 +1,10 @@
 """Core geometric types and primitives for (k, z)-clustering.
 
 Costs are powers of Euclidean distances: serving point p from center s costs
-w(p) * ||p - s||^z. Everything here is deterministic; reductions use a
-canonical point order and fixed-shape pairwise summation (see summation.py),
-so permuting the rows of an input leaves every cost bit-identical.
+w(p) * ||p - s||^z. Everything here is deterministic. power_cost and
+partition_cost sum in a canonical point order with fixed-shape pairwise
+summation (see summation.py), so permuting the rows of an input leaves
+those two costs bit-identical.
 """
 
 from __future__ import annotations
@@ -196,21 +197,56 @@ def _coerce_centers(S):
 
 
 def sq_dist_matrix(X, C):
-    """(n, m) squared Euclidean distances, chunked, ufunc-only (no BLAS)."""
+    """(n, m) squared Euclidean distances, chunked, ufunc-only (no BLAS).
+
+    The package's only rows-by-centers distance table: one einsum fixes how
+    every table entry is rounded. Distances from many rows to a single
+    center stay ((X - c) ** 2).sum(axis=1), which rounds differently in the
+    last bit at d >= 3, so the two forms are not interchangeable.
+    """
     X = np.asarray(X, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
     n, d = X.shape
     m = C.shape[0]
-    out = np.empty((n, m))
     rows = max(1, int(_CHUNK // max(1, m * d)))
+    if rows >= n:
+        diff = X[:, None, :] - C[None, :, :]
+        return np.einsum("ijk,ijk->ij", diff, diff, optimize=False)
+    out = np.empty((n, m))
     for i in range(0, n, rows):
         diff = X[i : i + rows, None, :] - C[None, :, :]
         out[i : i + rows] = np.einsum("ijk,ijk->ij", diff, diff, optimize=False)
     return out
 
 
+class RowPool:
+    """Rows deduplicated up to coordinate quantization, first seen kept.
+
+    Two rows are one when they round to the same multiple of `quantum` in
+    every coordinate. rows lists the kept rows in first-seen order.
+    """
+
+    def __init__(self, quantum):
+        self.quantum = quantum
+        self.rows = []
+        self._index = {}
+
+    def add(self, rows):
+        """Pool index of each row of the (r, d) array `rows`."""
+        keys = np.round(rows / self.quantum).astype(np.int64).tolist()
+        out = []
+        for row, key in zip(rows, map(tuple, keys)):
+            i = self._index.setdefault(key, len(self.rows))
+            if i == len(self.rows):
+                self.rows.append(row)
+            out.append(i)
+        return out
+
+
 def min_power_dists(X, C, z):
-    """min_s ||x - s||^z per row of X, plus the argmin index (lowest wins)."""
+    """min_s ||x - s||^z per row of X, plus the argmin index (lowest wins).
+
+    The package's only nearest-center labeler."""
     sq = sq_dist_matrix(X, C)
     idx = np.argmin(sq, axis=1)  # first minimum = lowest center index
     best = sq[np.arange(sq.shape[0]), idx]
@@ -300,12 +336,8 @@ def _solve_center(base, ext, w, z, tol, max_iter):
         best_f = math.inf
         best_i = -1
         for lo in range(0, cand.size, 256):
-            rows = base[cand[lo : lo + 256]]
-            dq = rows[:, None, :] - base[None, :, :]
-            dq = np.sqrt(
-                np.einsum("qij,qij->qi", dq, dq, optimize=False)
-                + ext_sq[None, :]
-            )
+            sq = sq_dist_matrix(base[cand[lo : lo + 256]], base)
+            dq = np.sqrt(sq + ext_sq[None, :])
             fq = np.einsum("qi,i->q", dq, w, optimize=False)
             i = int(np.argmin(fq))
             if float(fq[i]) < best_f:

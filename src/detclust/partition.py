@@ -20,8 +20,11 @@ from .errors import InputError
 from .geometry import (
     ClusteringParams,
     ExtendedPointSet,
+    RowPool,
     _coerce_centers,
     _coerce_pointset,
+    _power_from_sq,
+    min_power_dists,
     power_cost,
     solve_1center,
     sq_dist_matrix,
@@ -124,22 +127,6 @@ class PartitionCoresetResult:
         )
 
 
-class _RepPool:
-    """Deduplicates representatives by coordinate quantization."""
-
-    def __init__(self, scale):
-        self.quantum = 1e-12 * max(1.0, scale)
-        self.rows = []
-        self.index = {}
-
-    def add(self, m):
-        key = tuple(np.round(m / self.quantum).astype(np.int64))
-        if key not in self.index:
-            self.index[key] = len(self.rows)
-            self.rows.append(np.asarray(m, dtype=np.float64))
-        return self.index[key]
-
-
 def build(
     P,
     params: ClusteringParams,
@@ -166,14 +153,13 @@ def build(
     z = params.z
     node_params = ClusteringParams(k=params.k, z=z, epsilon=min(beta, 1.0 / 3.0))
 
-    pool = _RepPool(scale=float(np.abs(pts).max(initial=0.0)))
+    pool = RowPool(1e-12 * max(1.0, float(np.abs(pts).max(initial=0.0))))
     rep_index = np.full(n, -1, dtype=np.int64)
     extensions = np.zeros(n)
     trace = []
 
     def emit(idx, m, depth, reason, cost_m, parent, truncated=False):
-        r = pool.add(m)
-        rep_index[idx] = r
+        rep_index[idx] = pool.add(m[None, :])[0]
         d = np.sqrt(((pts[idx] - m) ** 2).sum(axis=1))
         extensions[idx] = d if reason == "stable" else 0.0
         trace.append(NodeTrace(len(idx), depth, reason, cost_m, parent, truncated))
@@ -200,8 +186,7 @@ def build(
             continue
 
         centers = res.centers.centers
-        sq = sq_dist_matrix(C, centers)
-        labels = np.argmin(sq, axis=1)
+        _, labels = min_power_dists(C, centers, z)
         me = len(trace)
         trace.append(NodeTrace(len(idx), depth, "split", cost_m, parent))
 
@@ -238,21 +223,24 @@ class VerificationReport:
     witness: tuple = None  # (partition labels, center tuple) of the worst case
 
 
-def _partitions_up_to_k(n, k):
-    """Restricted-growth strings over {0..k-1}, canonical order."""
-    out = []
+def _restricted_growth_strings(n, k):
+    """Every partition of n items into at most k nonempty parts, once each.
+
+    Lazily yields restricted-growth strings over {0..k-1} as tuples, in
+    lexicographic order: item 0 is in part 0, and each later item joins an
+    earlier part or opens the next one.
+    """
     rgs = [0] * n
 
     def grow(i, mx):
         if i == n:
-            out.append(tuple(rgs))
+            yield tuple(rgs)
             return
         for v in range(min(mx + 1, k - 1) + 1):
             rgs[i] = v
-            grow(i + 1, max(mx, v))
+            yield from grow(i + 1, max(mx, v))
 
-    grow(1, 0)
-    return out
+    return grow(1, 0)
 
 
 def verify_partition_coreset(
@@ -287,17 +275,12 @@ def verify_partition_coreset(
     sq_orig = sq_dist_matrix(pts, grid)
     reps = result.representatives[result.rep_index]
     sq_core = sq_dist_matrix(reps, grid) + result.extensions[:, None] ** 2
-    if z == 2:
-        D_orig, D_core = sq_orig, sq_core
-    elif z == 1:
-        D_orig, D_core = np.sqrt(sq_orig), np.sqrt(sq_core)
-    else:
-        D_orig, D_core = np.sqrt(sq_orig) ** z, np.sqrt(sq_core) ** z
+    D_orig, D_core = _power_from_sq(sq_orig, z), _power_from_sq(sq_core, z)
 
     if all_partitions:
         if n > 12 or k > 3:
             raise InputError("exhaustive verification needs |P| <= 12 and k <= 3")
-        partitions = _partitions_up_to_k(n, k)
+        partitions = _restricted_growth_strings(n, k)
     else:
         rng = np.random.default_rng(seed)
         partitions = [tuple(rng.integers(0, k, size=n)) for _ in range(samples)]

@@ -22,7 +22,6 @@ import numpy as np
 from .bicriteria import (
     DEFAULT_ALPHA,
     PIPELINE_MAX_CANDIDATES,
-    assign_to_centers,
     bicriteria,
     candidate_centers,
     greedy_augment,
@@ -42,6 +41,7 @@ from .geometry import (
     _coerce_centers,
     _coerce_pointset,
     _power_from_sq,
+    min_power_dists,
     power_cost,
 )
 from .partition import VerificationReport
@@ -203,7 +203,9 @@ def ring_decompose(P, seeding: SeedingResult, params):
     if seeding.status != "locally-stable":
         raise InputError("low-cost seedings skip the ring stage")
     G = seeding.centers.centers
-    labels = assign_to_centers(pts, G)
+    _, labels = min_power_dists(pts, G, params.z)
+    # per-point form, not the table's einsum: the two round differently in
+    # the last bit at d >= 3, and these costs feed the rings and F
     sq = ((pts - G[labels]) ** 2).sum(axis=1)
     costs = _power_from_sq(sq, params.z)
     t_in, t_out = ring_thresholds(params.z, params.epsilon)
@@ -335,7 +337,7 @@ def ring_coreset(
     G = seeding.centers.centers
 
     if seeding.status == "low-cost":
-        labels = assign_to_centers(pts, G)
+        _, labels = min_power_dists(pts, G, params.z)
         counts = np.bincount(labels, minlength=G.shape[0])
         kept = np.flatnonzero(counts > 0)
         return OffsetCoreset(
@@ -361,9 +363,8 @@ def ring_coreset(
 
     for t, ((i, j), idx) in enumerate(rings.main_rings()):
         ground = pts[idx]
-        fam = ball_test_family(ground, params.k)
         if mode == "deterministic":
-            approx = halving_approx(ground, eps_p, fam)
+            approx = halving_approx(ground, eps_p, ball_test_family(ground, params.k))
         else:
             approx = uniform_sample_approx(
                 ground,

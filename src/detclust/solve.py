@@ -28,7 +28,9 @@ from .geometry import (
     power_cost,
     solve_1center,
     solve_1center_constrained,
+    sq_dist_matrix,
 )
+from .partition import _restricted_growth_strings
 from .rings import euclidean_pipeline
 
 ENUM_MAX_N = 14
@@ -82,21 +84,10 @@ def enumerate_partitions(n, k):
             required=partition_count(n, min(k, n)),
             allowed=partition_count(ENUM_MAX_N, ENUM_MAX_K),
         )
-
-    def gen():
-        a = [0] * n
-
-        def rec(i, mx):
-            if i == n:
-                yield Partition(np.array(a, dtype=np.int64), k)
-                return
-            for v in range(min(mx + 1, k - 1) + 1):
-                a[i] = v
-                yield from rec(i + 1, max(mx, v))
-
-        yield from rec(1, 0)
-
-    return gen()
+    return (
+        Partition(np.array(a, dtype=np.int64), k)
+        for a in _restricted_growth_strings(n, k)
+    )
 
 
 def _cached_part(cache, base, ext, w, z, idx):
@@ -141,10 +132,7 @@ def _all_subset_costs(base, ext, w, z):
     if z == 1:
         # the 1-median can sit exactly on a data point, where Weiszfeld
         # stalls; centers at the points themselves give an exact candidate
-        pd = base[:, None, :] - base[None, :, :]
-        D = np.sqrt(
-            np.einsum("jid,jid->ji", pd, pd, optimize=False) + ext_sq[:, None]
-        )
+        D = np.sqrt(sq_dist_matrix(base, base) + ext_sq[:, None])
     for lo in range(1, M, _MASK_CHUNK):
         hi = min(lo + _MASK_CHUNK, M)
         ids = np.arange(lo, hi, dtype=np.int64)
@@ -154,8 +142,7 @@ def _all_subset_costs(base, ext, w, z):
         tw_safe = np.where(tw > 0.0, tw, 1.0)
         c = np.einsum("mi,id->md", W, base, optimize=False) / tw_safe[:, None]
         if z == 2:
-            diff = base[None, :, :] - c[:, None, :]
-            sq = np.einsum("mid,mid->mi", diff, diff, optimize=False)
+            sq = sq_dist_matrix(c, base)
             costs[lo:hi] = np.einsum(
                 "mi,mi->m", W, sq + ext_sq[None, :], optimize=False
             )
@@ -169,8 +156,7 @@ def _all_subset_costs(base, ext, w, z):
 
         def _iterate(Wm, cm, rounds):
             for _ in range(rounds):
-                diff = base[None, :, :] - cm[:, None, :]
-                sq = np.einsum("mid,mid->mi", diff, diff, optimize=False)
+                sq = sq_dist_matrix(cm, base)
                 delta = np.maximum(np.sqrt(sq + ext_sq[None, :]), floor)
                 coef = Wm / delta
                 den = coef.sum(axis=1)
@@ -188,9 +174,7 @@ def _all_subset_costs(base, ext, w, z):
             # the hull diameter bounds its gap to the optimum, or when the
             # cheapest member point passes the subgradient optimality test
             # (then the snapped point cost is exact)
-            diff = base[None, :, :] - cm[:, None, :]
-            sq = np.einsum("mid,mid->mi", diff, diff, optimize=False)
-            d_true = np.sqrt(sq + ext_sq[None, :])
+            d_true = np.sqrt(sq_dist_matrix(cm, base) + ext_sq[None, :])
             wcost = np.einsum("mi,mi->m", Wm, d_true, optimize=False)
             v = np.minimum(wcost, PCm.min(axis=1))
             coef = Wm / np.maximum(d_true, floor)

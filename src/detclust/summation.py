@@ -1,10 +1,13 @@
 """Reproducible floating-point reductions.
 
-Every cost accumulation in the package goes through tree_sum: a fixed-shape
-pairwise reduction whose association order depends only on the length of the
-input, never on threading or chunking. Combined with a canonical ordering of
-the summands this makes costs bit-identical across reruns and across
-permutations of the same multiset.
+tree_sum is a fixed-shape pairwise reduction whose association order
+depends only on the length of the input, never on threading or chunking.
+It sums power_cost, partition_cost, the ring deltas and the offset F, and
+the 1-center objectives. power_cost and partition_cost also sort the
+summands canonically, so they are bit-identical across permutations too.
+Other sums (.sum, einsum) round in numpy's own order; those that drive
+decisions (the swap and greedy scores, solve._cached_part and
+solve._all_subset_costs) are pinned by the golden digests, not tree_sum.
 """
 
 import numpy as np
@@ -26,22 +29,6 @@ def tree_sum(values):
             s = np.append(s, a[-1])
         a = s
     return float(a[0])
-
-
-def tree_sum_axis(values, axis=-1):
-    """tree_sum along one axis of an nd-array (same association order)."""
-    a = np.asarray(values, dtype=np.float64)
-    a = np.moveaxis(a, axis, -1)
-    if a.shape[-1] == 0:
-        return np.zeros(a.shape[:-1])
-    while a.shape[-1] > 1:
-        n = a.shape[-1]
-        half = n // 2
-        s = a[..., 0 : 2 * half : 2] + a[..., 1 : 2 * half : 2]
-        if n % 2:
-            s = np.concatenate([s, a[..., -1:]], axis=-1)
-        a = s
-    return a[..., 0]
 
 
 def canonical_order(points, weights=None):

@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from detclust.bicriteria import bicriteria
-from detclust.datasets import gaussian_blobs
-from detclust.dimreduce import cost_preserving_sketch
+from detclust.bicriteria import PIPELINE_MAX_CANDIDATES, bicriteria, candidate_centers
+from detclust.datasets import far_point_instance, gaussian_blobs
+from detclust.dimreduce import WitnessParams, build_net, cost_preserving_sketch
 from detclust.geometry import ClusteringParams
 from detclust.partition import build
-from detclust.rings import ring_coreset
+from detclust.rings import greedy_seeding, ring_coreset, ring_decompose
 from detclust.solve import approx_solve, bicriteria_solve, exact_solve
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
@@ -53,16 +53,16 @@ def _blobs(n, d, seed):
     return gaussian_blobs(n, d, blobs=2, seed=seed, separation=6)
 
 
-def _coreset(mode):
+def _coreset(mode, z=2):
     pts = _blobs(200, 2, 1)
-    params = ClusteringParams(k=2, z=2, epsilon=0.3)
+    params = ClusteringParams(k=2, z=z, epsilon=0.3)
     core = ring_coreset(pts, params, mode=mode, seed=5, alpha=2.0)
     return digest(core.points, core.weight_num, core.weight_den, float(core.offset))
 
 
-def _solve(solver):
+def _solve(solver, z=2):
     pts = _blobs(8, 2, 3)
-    res = solver(pts, ClusteringParams(k=2, z=2, epsilon=0.3))
+    res = solver(pts, ClusteringParams(k=2, z=z, epsilon=0.3))
     return digest(res.method, str(res.downgraded), res.centers.centers, float(res.cost))
 
 
@@ -86,6 +86,34 @@ def _sketch():
     return digest(sk.map.matrix, sk.sketched_points().as_rows())
 
 
+def _candidates():
+    pts = _blobs(200, 2, 1)
+    cc = candidate_centers(
+        pts,
+        ClusteringParams(k=2, z=2, epsilon=0.3),
+        pts[:2],
+        alpha=2.0,
+        max_candidates=PIPELINE_MAX_CANDIDATES,
+    )
+    return digest(cc.points, cc.provenance_point, cc.provenance_level, str(cc.spacing_scale))
+
+
+def _witness_net():
+    pts = _blobs(8, 30, 4)
+    params = ClusteringParams(k=2, z=2, epsilon=0.3)
+    reps = build(pts, params).representatives
+    net = build_net(reps, WitnessParams.defaults(params), params.epsilon, params.z)
+    return digest(net.points, str(net.sources))
+
+
+def _ring_decompose():
+    pts = far_point_instance(150, 4, seed=4, distance=50)
+    params = ClusteringParams(k=2, z=2, epsilon=0.3)
+    seeding = greedy_seeding(pts, params, alpha=2.0)
+    rings = ring_decompose(pts, seeding, params)
+    return digest(rings.costs, rings.labels, rings.deltas)
+
+
 CASES = {
     "ring_coreset_det_n200_d2": lambda: _coreset("deterministic"),
     "ring_coreset_rand_n200_d2": lambda: _coreset("randomized"),
@@ -95,6 +123,11 @@ CASES = {
     "bicriteria_projection_n24_d30": _bicriteria_projection,
     "partition_build_n8_d30": _partition_build,
     "cost_preserving_sketch_n8_d30": _sketch,
+    "ring_coreset_det_z1_n200_d2": lambda: _coreset("deterministic", z=1),
+    "exact_solve_z1_n8": lambda: _solve(exact_solve, z=1),
+    "candidate_centers_n200_d2": _candidates,
+    "build_net_n8_d30": _witness_net,
+    "ring_decompose_far_n150_d4": _ring_decompose,
 }
 
 
