@@ -476,7 +476,11 @@ def _solve_center(base, ext, w, z, tol, max_iter):
             if gnorm == 0.0:
                 info["iterations"] = it
                 return c, info
-            t = scale / gnorm  # normalized initial step, then backtrack
+            # backtrack from a normalized first step, later from twice the
+            # last accepted one: restarting at scale / gnorm every time only
+            # ever accepts steps of scale * 2^-j, which cycle just above
+            # tol * scale near the optimum
+            t = scale / gnorm if it == 1 else 2.0 * t
             for _ in range(60):
                 c_new = c - t * grad
                 f_new = _center_objective(base, ext_sq, w, c_new, z)

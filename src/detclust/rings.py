@@ -349,11 +349,8 @@ def ring_coreset(
         )
 
     rings = ring_decompose(P, seeding, params)
-    _, F = build_instance_IG(P, rings, seeding)
-    removed = np.zeros(G.shape[0], dtype=np.int64)
-    for key, idx in rings.buckets.items():
-        if rings.classes[key] != "main":
-            removed[key[0]] += idx.size
+    IG, F = build_instance_IG(P, rings, seeding)
+    removed = IG.weights[: G.shape[0]]  # points collapsed onto each center
 
     eps_p = epsilon_prime(params.z, params.epsilon)
     rows = [G[i] for i in np.flatnonzero(removed > 0)]

@@ -16,7 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bicriteria import DEFAULT_ALPHA, PIPELINE_MAX_CANDIDATES, constant_factor_approx
+from .bicriteria import (
+    DEFAULT_ALPHA,
+    PIPELINE_MAX_CANDIDATES,
+    constant_factor_approx,
+    lift_by_clusters,
+)
 from .errors import BudgetError, InputError
 from .geometry import (
     CenterSet,
@@ -90,49 +95,82 @@ def enumerate_partitions(n, k):
     )
 
 
-def _cached_part(cache, base, ext, w, z, idx):
-    """(cost, center) of one part, memoized on the index bitmask."""
-    mask = 0
-    for i in idx:
-        mask |= 1 << int(i)
-    hit = cache.get(mask)
-    if hit is None:
-        if ext is None:
-            c = solve_1center((base[idx], w[idx]), z)
-            sq = ((base[idx] - c) ** 2).sum(axis=1)
-        else:
-            E = ExtendedPointSet(base[idx], ext[idx], weights=w[idx])
-            c = solve_1center_constrained(E, z)
-            sq = ((base[idx] - c) ** 2).sum(axis=1) + ext[idx] ** 2
-        cost = float((w[idx] * _power_from_sq(sq, z)).sum())
-        hit = (cost, c)
-        cache[mask] = hit
-    return hit
+def _part_center(base, ext, w, z, idx):
+    """(center, cost) of the part idx through the canonical 1-center solver.
+
+    ext None is the plain 1-center; otherwise the center sits at extension
+    0 and every member pays its extension too."""
+    if ext is None:
+        c = solve_1center((base[idx], w[idx]), z)
+        sq = ((base[idx] - c) ** 2).sum(axis=1)
+    else:
+        E = ExtendedPointSet(base[idx], ext[idx], weights=w[idx])
+        c = solve_1center_constrained(E, z)
+        sq = ((base[idx] - c) ** 2).sum(axis=1) + ext[idx] ** 2
+    return c, float((w[idx] * _power_from_sq(sq, z)).sum())
 
 
 _MASK_CHUNK = 2048
 
 
-def _all_subset_costs(base, ext, w, z):
-    """1-center cost of every index subset at once, indexed by bitmask.
+def _batched_subset_costs(base, ext_sq, w, z, costs):
+    """Fill costs[mask] for z in {1, 2}, batched over masks.
 
-    Supports z in {1, 2} (closed form and smoothed Weiszfeld batched over
-    masks); the tiny smoothing floor perturbs costs far below the ranking
-    gaps the enumeration cares about. Returns None for other z.
+    z = 2 is the closed-form centroid. z = 1 runs smoothed Weiszfeld on
+    every mask at once; the tiny smoothing floor perturbs costs far below
+    the ranking gaps the enumeration cares about. Returns the masks whose
+    z = 1 value could not be certified.
     """
-    if z not in (1, 2):
-        return None
     n = base.shape[0]
-    ext_sq = ext**2 if ext is not None else np.zeros(n)
     M = 1 << n
-    costs = np.zeros(M)
     bits = np.arange(n, dtype=np.int64)
-    diam = float(np.sqrt(((base.max(0) - base.min(0)) ** 2).sum())) if n else 0.0
-    scale = max(diam, float(np.sqrt(ext_sq.max())) if n else 0.0)
+    diam = float(np.sqrt(((base.max(0) - base.min(0)) ** 2).sum()))
+    scale = max(diam, float(np.sqrt(ext_sq.max())))
+    floor = 1e-12 * scale
     if z == 1:
         # the 1-median can sit exactly on a data point, where Weiszfeld
         # stalls; centers at the points themselves give an exact candidate
         D = np.sqrt(sq_dist_matrix(base, base) + ext_sq[:, None])
+
+    def _iterate(Wm, cm, rounds):
+        for _ in range(rounds):
+            sq = sq_dist_matrix(cm, base)
+            delta = np.maximum(np.sqrt(sq + ext_sq[None, :]), floor)
+            coef = Wm / delta
+            den = coef.sum(axis=1)
+            den = np.where(den > 0.0, den, 1.0)
+            c_new = np.einsum("mi,id->md", coef, base, optimize=False)
+            c_new /= den[:, None]
+            step = float(np.abs(c_new - cm).max())
+            cm = c_new
+            if step < 1e-13 * scale:
+                break
+        return cm
+
+    def _certify(Wm, cm, PCm):
+        # a mask is certified when the iterate's gradient norm times the
+        # hull diameter bounds its gap to the optimum, or when the cheapest
+        # member point passes the subgradient optimality test (then the
+        # snapped point cost is exact)
+        d_true = np.sqrt(sq_dist_matrix(cm, base) + ext_sq[None, :])
+        wcost = np.einsum("mi,mi->m", Wm, d_true, optimize=False)
+        v = np.minimum(wcost, PCm.min(axis=1))
+        coef = Wm / np.maximum(d_true, floor)
+        g = cm * coef.sum(axis=1)[:, None]
+        g -= np.einsum("mi,id->md", coef, base, optimize=False)
+        gn = np.sqrt((g**2).sum(axis=1))
+        ok = gn * diam <= 1e-10 * scale * float(w.sum())
+        j = np.argmin(np.where(Wm > 0.0, PCm, np.inf), axis=1)
+        Dq = D[:, j].T
+        atq = Dq < 1e-12 * scale
+        coefq = np.where(atq, 0.0, Wm / np.maximum(Dq, floor))
+        gq = base[j] * coefq.sum(axis=1)[:, None]
+        gq -= np.einsum("mi,id->md", coefq, base, optimize=False)
+        w_at = np.where(atq, Wm, 0.0).sum(axis=1)
+        ok |= np.sqrt((gq**2).sum(axis=1)) <= w_at
+        return v, ok
+
+    unsure = []
     for lo in range(1, M, _MASK_CHUNK):
         hi = min(lo + _MASK_CHUNK, M)
         ids = np.arange(lo, hi, dtype=np.int64)
@@ -152,46 +190,6 @@ def _all_subset_costs(base, ext, w, z):
                 "mi,i->m", W, np.sqrt(ext_sq), optimize=False
             )
             continue
-        floor = 1e-12 * scale
-
-        def _iterate(Wm, cm, rounds):
-            for _ in range(rounds):
-                sq = sq_dist_matrix(cm, base)
-                delta = np.maximum(np.sqrt(sq + ext_sq[None, :]), floor)
-                coef = Wm / delta
-                den = coef.sum(axis=1)
-                den = np.where(den > 0.0, den, 1.0)
-                c_new = np.einsum("mi,id->md", coef, base, optimize=False)
-                c_new /= den[:, None]
-                step = float(np.abs(c_new - cm).max())
-                cm = c_new
-                if step < 1e-13 * scale:
-                    break
-            return cm
-
-        def _certify(Wm, cm, PCm):
-            # a mask is certified when the iterate's gradient norm times
-            # the hull diameter bounds its gap to the optimum, or when the
-            # cheapest member point passes the subgradient optimality test
-            # (then the snapped point cost is exact)
-            d_true = np.sqrt(sq_dist_matrix(cm, base) + ext_sq[None, :])
-            wcost = np.einsum("mi,mi->m", Wm, d_true, optimize=False)
-            v = np.minimum(wcost, PCm.min(axis=1))
-            coef = Wm / np.maximum(d_true, floor)
-            g = cm * coef.sum(axis=1)[:, None]
-            g -= np.einsum("mi,id->md", coef, base, optimize=False)
-            gn = np.sqrt((g**2).sum(axis=1))
-            ok = gn * diam <= 1e-10 * scale * float(w.sum())
-            j = np.argmin(np.where(Wm > 0.0, PCm, np.inf), axis=1)
-            Dq = D[:, j].T
-            atq = Dq < 1e-12 * scale
-            coefq = np.where(atq, 0.0, Wm / np.maximum(Dq, floor))
-            gq = base[j] * coefq.sum(axis=1)[:, None]
-            gq -= np.einsum("mi,id->md", coefq, base, optimize=False)
-            w_at = np.where(atq, Wm, 0.0).sum(axis=1)
-            ok |= np.sqrt((gq**2).sum(axis=1)) <= w_at
-            return v, ok
-
         c = _iterate(W, c, 120)
         PC = np.einsum("mj,ji->mi", W, D, optimize=False)
         v, ok = _certify(W, c, PC)
@@ -199,73 +197,61 @@ def _all_subset_costs(base, ext, w, z):
         bad = ~ok
         if not bad.any():
             continue
-        # slow masks get a much longer batched run, and whatever is still
-        # uncertified after that (flat-valley medians) goes to the
+        # slow masks get a much longer batched run; whatever is still
+        # uncertified after that (flat-valley medians) is left to the
         # canonical per-part solver
         c2 = _iterate(W[bad], c[bad], 3000)
         v2, ok2 = _certify(W[bad], c2, PC[bad])
         costs[lo:hi][bad] = np.minimum(v[bad], v2)
-        for m in ids[bad][~ok2]:
-            idx = np.flatnonzero((int(m) >> bits) & 1)
-            if ext is None:
-                ctr = solve_1center((base[idx], w[idx]), 1)
-                d_i = np.sqrt(((base[idx] - ctr) ** 2).sum(axis=1))
-            else:
-                E = ExtendedPointSet(base[idx], ext[idx], weights=w[idx])
-                ctr = solve_1center_constrained(E, 1)
-                d_i = np.sqrt(
-                    ((base[idx] - ctr) ** 2).sum(axis=1) + ext_sq[idx]
-                )
-            costs[m] = min(costs[m], float((w[idx] * d_i).sum()))
+        unsure.extend(ids[bad][~ok2].tolist())
+    return unsure
+
+
+def _all_subset_costs(base, ext, w, z):
+    """Optimal 1-center cost of every index subset, indexed by bitmask.
+
+    Every z is tabulated. For z in {1, 2} the batched passes fill the
+    table, and the canonical per-part solver (_part_center) solves the
+    z = 1 masks they cannot certify, keeping the smaller value. For
+    z >= 3 every mask goes to the per-part solver. Entry 0 is 0.
+    """
+    n = base.shape[0]
+    M = 1 << n
+    costs = np.full(M, np.inf)
+    costs[0] = 0.0
+    if z in (1, 2):
+        ext_sq = ext**2 if ext is not None else np.zeros(n)
+        unsure = _batched_subset_costs(base, ext_sq, w, z, costs)
+    else:
+        unsure = range(1, M)
+    bits = np.arange(n, dtype=np.int64)
+    for m in unsure:
+        idx = np.flatnonzero((m >> bits) & 1)
+        costs[m] = min(costs[m], _part_center(base, ext, w, z, idx)[1])
     return costs
 
 
-_RERANK_WIDTH = 16
-
-
 def _best_partition(n, k, base, ext, w, z):
-    """Scan all partitions; winner is lexicographic by (cost, rank).
+    """Scan all partitions against the subset-cost table.
 
-    With a batched cost table the scan keeps the leading candidates and
-    re-ranks them through the canonical per-part solver, so the table's
-    iterative noise cannot flip a near-tie.
+    A partition's total is the left-to-right sum of its parts' table
+    entries. The winner has the smallest total, ties going to the lowest
+    rank in restricted-growth order (the first one seen). Only the
+    winner's parts are re-solved for their centers, by _part_center.
     """
+    partitions = enumerate_partitions(n, k)  # budget check before the table
     table = _all_subset_costs(base, ext, w, z)
-    cache = {}
-    keep = _RERANK_WIDTH if table is not None else 1
-    kept = []  # (total, rank, part), rank ascending within equal totals
-    cutoff = math.inf
+    best, best_total = None, math.inf
     examined = 0
-    for part in enumerate_partitions(n, k):
+    for part in partitions:
         examined += 1
         total = 0.0
         for _, idx in part.parts():
-            if table is not None:
-                mask = int(np.bitwise_or.reduce(np.int64(1) << idx))
-                total += table[mask]
-            else:
-                total += _cached_part(cache, base, ext, w, z, idx)[0]
-            if total >= cutoff:
-                break
-        if total < cutoff:
-            kept.append((total, examined, part))
-            if len(kept) > keep:
-                kept.sort(key=lambda t: (t[0], t[1]))
-                kept = kept[:keep]
-                cutoff = kept[-1][0]
-    # the canonical per-part solver re-ranks the survivors
-    rescored = []
-    for _, rank, part in kept:
-        total = 0.0
-        for _, idx in part.parts():
-            total += _cached_part(cache, base, ext, w, z, idx)[0]
-        rescored.append((total, rank, part))
-    _, _, best_part = min(rescored, key=lambda t: (t[0], t[1]))
-    centers = [
-        _cached_part(cache, base, ext, w, z, idx)[1]
-        for _, idx in best_part.parts()
-    ]
-    return np.vstack(centers), best_part, examined
+            total += table[int(np.bitwise_or.reduce(np.int64(1) << idx))]
+        if total < best_total:
+            best, best_total = part, total
+    centers = [_part_center(base, ext, w, z, idx)[0] for _, idx in best.parts()]
+    return np.vstack(centers), best, examined
 
 
 def exact_solve(P, params):
@@ -369,12 +355,17 @@ def approx_solve(P, params, *, alpha=DEFAULT_ALPHA, full_output=False):
 
     full_output also returns a dict with the pipeline result, the winning
     partition, the sketched-space centers, and the induced labels.
+
+    P may be an array, a (points, weights) pair or a WeightedPointSet, but
+    every weight must be 1: the ring coreset counts points.
     """
-    pts, _ = _coerce_pointset(P)
-    pipe = euclidean_pipeline(P, params, alpha=alpha)
+    pts, w = _coerce_pointset(P)
+    if (w != 1.0).any():
+        raise InputError("approx_solve needs unit weights")
+    pipe = euclidean_pipeline(pts, params, alpha=alpha)
     core = pipe.coreset
     if core.size > ENUM_MAX_N or params.k > ENUM_MAX_K:
-        fb = bicriteria_solve(P, params, alpha=alpha)
+        fb = bicriteria_solve(pts, params, alpha=alpha)
         res = SolveResult(
             centers=fb.centers,
             cost=fb.cost,
@@ -401,15 +392,10 @@ def approx_solve(P, params, *, alpha=DEFAULT_ALPHA, full_output=False):
         all_base = pipe.sketch.sketched_points().as_rows()[:, :-1]
     _, labels = min_power_dists(all_base, centers_sk, params.z)
 
-    lifted = []
-    for t in range(centers_sk.shape[0]):
-        idx = np.flatnonzero(labels == t)
-        if idx.size:
-            lifted.append(solve_1center(pts[idx], params.z))
-    C = CenterSet(np.vstack(lifted))
+    C = CenterSet(lift_by_clusters(pts, labels, params.z))
     res = SolveResult(
         centers=C,
-        cost=power_cost(P, C, params.z),
+        cost=power_cost(pts, C, params.z),
         method="ptas",
         enumeration_stats=examined,
     )

@@ -6,8 +6,9 @@ It sums power_cost, partition_cost, the ring deltas and the offset F, and
 the 1-center objectives. power_cost and partition_cost also sort the
 summands canonically, so they are bit-identical across permutations too.
 Other sums (.sum, einsum) round in numpy's own order; those that drive
-decisions (the swap and greedy scores, solve._cached_part and
-solve._all_subset_costs) are pinned by the golden digests, not tree_sum.
+decisions (the swap and greedy scores, and the subset-cost table that
+solve._all_subset_costs fills, per-part entries from solve._part_center
+included) are pinned by the golden digests, not tree_sum.
 """
 
 import numpy as np

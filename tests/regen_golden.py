@@ -9,13 +9,20 @@ claims to keep outputs can show it bit for bit.
 The digests pin float64 results of this numpy build on this CPU class; a
 different BLAS, numpy release or instruction set may round differently and
 then needs a deliberate regeneration, with the changed cases named in
-CHANGES.md. Regenerate with
+CHANGES.md. Regenerate every case with
 
     PYTHONPATH=src python tests/regen_golden.py
+
+or only the named ones, keeping every other stored digest as it is, with
+
+    PYTHONPATH=src python tests/regen_golden.py exact_solve_z3_n8 ...
+
+A re-bless that names its cases cannot silently move another one.
 """
 
 import hashlib
 import json
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -60,9 +67,9 @@ def _coreset(mode, z=2):
     return digest(core.points, core.weight_num, core.weight_den, float(core.offset))
 
 
-def _solve(solver, z=2):
+def _solve(solver, z=2, k=2):
     pts = _blobs(8, 2, 3)
-    res = solver(pts, ClusteringParams(k=2, z=z, epsilon=0.3))
+    res = solver(pts, ClusteringParams(k=k, z=z, epsilon=0.3))
     return digest(res.method, str(res.downgraded), res.centers.centers, float(res.cost))
 
 
@@ -128,15 +135,22 @@ CASES = {
     "candidate_centers_n200_d2": _candidates,
     "build_net_n8_d30": _witness_net,
     "ring_decompose_far_n150_d4": _ring_decompose,
+    "exact_solve_k3_n8": lambda: _solve(exact_solve, k=3),
+    "approx_solve_z1_n8": lambda: _solve(approx_solve, z=1),
+    "exact_solve_z3_n8": lambda: _solve(exact_solve, z=3),
 }
 
 
-def main():
-    digests = {name: case() for name, case in CASES.items()}
+def main(names):
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden cases: {', '.join(unknown)}")
+    digests = json.loads(GOLDEN_PATH.read_text()) if names else {}
+    for name in names or CASES:
+        digests[name] = CASES[name]()
+        print(f"{name}: {digests[name]}")
     GOLDEN_PATH.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
-    for name, value in digests.items():
-        print(f"{name}: {value}")
 
 
 if __name__ == "__main__":
-    main()
+    main(sys.argv[1:])

@@ -15,6 +15,7 @@ from detclust import (
     solve_1center_constrained,
     tree_sum,
 )
+from detclust.datasets import gaussian_blobs
 from detclust.geometry import center_grid, min_power_dists
 
 from oracles import grid_search_1center, naive_power_cost
@@ -141,6 +142,15 @@ def test_solve_1center_high_z_descends():
         cands = [naive_power_cost(pts, [p], z) for p in pts]
         cands.append(naive_power_cost(pts, [pts.mean(axis=0)], z))
         assert obj <= min(cands) + 1e-9 * min(cands)
+
+
+def test_solve_1center_high_z_converges_near_optimum():
+    # restarting every backtracking search at scale / |grad| cycled just
+    # above the step tolerance here until the iteration cap
+    pts = gaussian_blobs(8, 2, blobs=2, seed=3, separation=6)
+    _, info = solve_1center(pts[[0, 1, 2, 6]], 3, full_output=True)
+    assert info["converged"]
+    assert info["iterations"] < 100
 
 
 def test_solve_1center_identical_points():

@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from detclust.errors import BudgetError, InputError
-from detclust.geometry import CenterSet, ClusteringParams, power_cost
+from detclust.geometry import (
+    CenterSet,
+    ClusteringParams,
+    WeightedPointSet,
+    power_cost,
+)
 from detclust.solve import (
     ENUM_MAX_K,
     ENUM_MAX_N,
@@ -102,10 +107,13 @@ def test_exact_trivial_when_k_covers_points():
 
 def test_exact_two_line_pairs():
     pts = np.array([[0.0], [1.0], [10.0], [11.0]])
-    res = exact_solve(pts, ClusteringParams(k=2, z=2, epsilon=0.3))
-    assert res.cost == pytest.approx(1.0, abs=1e-12)
-    assert sorted(res.centers.centers.ravel().tolist()) == pytest.approx([0.5, 10.5])
-    assert res.enumeration_stats == partition_count(4, 2)
+    for z in (2, 3):
+        res = exact_solve(pts, ClusteringParams(k=2, z=z, epsilon=0.3))
+        assert res.cost == pytest.approx(4 * 0.5**z, abs=1e-12)
+        assert sorted(res.centers.centers.ravel().tolist()) == pytest.approx(
+            [0.5, 10.5]
+        )
+        assert res.enumeration_stats == partition_count(4, 2)
 
 
 def test_exact_matches_brute_oracle_squared():
@@ -121,11 +129,12 @@ def test_exact_matches_brute_oracle_squared():
 def test_exact_matches_brute_oracle_median():
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((7, 2)) * 1.5
-    res = exact_solve(pts, ClusteringParams(k=2, z=1, epsilon=0.3))
-    ref = exact_kz_cost(pts.tolist(), 2, 1)
-    # both sides solve 1-medians iteratively, so allow a small band
-    assert res.cost <= ref + 1e-7
-    assert res.cost >= ref * (1.0 - 1e-7) - 1e-9
+    for k in (2, 3):
+        res = exact_solve(pts, ClusteringParams(k=k, z=1, epsilon=0.3))
+        ref = exact_kz_cost(pts.tolist(), k, 1)
+        # both sides solve 1-medians iteratively, so allow a small band
+        assert res.cost <= ref + 1e-7
+        assert res.cost >= ref * (1.0 - 1e-7) - 1e-9
 
 
 def test_exact_weighted_equals_expanded():
@@ -153,6 +162,22 @@ def test_approx_identical_blobs_is_exactly_zero():
     assert res.method == "ptas"
     assert not res.downgraded
     assert res.cost == 0.0
+
+
+def test_approx_accepts_unit_weight_forms_and_rejects_weights():
+    rng = np.random.default_rng(11)
+    pts = rng.standard_normal((10, 2)) * 2.0
+    p = ClusteringParams(k=2, z=2, epsilon=0.3)
+    ref = approx_solve(pts, p)
+    for P in (WeightedPointSet(pts), (pts, np.ones(10))):
+        res = approx_solve(P, p)
+        assert res.cost == ref.cost
+        assert np.array_equal(res.centers.centers, ref.centers.centers)
+    w = np.ones(10)
+    w[3] = 2.0
+    for P in (WeightedPointSet(pts, w), (pts, w)):
+        with pytest.raises(InputError):
+            approx_solve(P, p)
 
 
 def test_approx_sandwich_on_generic_small_instance():
