@@ -112,26 +112,42 @@ def seeded_projection_family(d, m, seed, seed_bits=16):
 # ---------------- candidate family ----------------
 
 
-def ball_lattice(center, radius, spacing):
-    """Origin-anchored lattice of the given spacing, trimmed to the ball.
+def ball_lattice(centers, radii, spacing):
+    """Origin-anchored lattice of the given spacing, trimmed to each ball.
+
+    One pass over the m balls B(centers[b], radii[b]) of one spacing.
+    Returns (rows, owner): the kept lattice points and, per row, the index
+    b of the ball that generated it. Rows come in ball order and, within a
+    ball, in np.meshgrid(..., indexing="ij") order (last axis fastest), so
+    owner is sorted. A lattice point inside two balls appears once per ball.
 
     Together with the ball's own center this is a (spacing * sqrt(d))-cover
-    of B(center, radius): any target in the ball has a kept lattice point
-    within spacing * sqrt(d) (boundary targets may lose their nearest cell
-    to trimming, but a cell nearer the center survives).
+    of each ball: any target in the ball has a kept lattice point within
+    spacing * sqrt(d) (boundary targets may lose their nearest cell to
+    trimming, but a cell nearer the center survives).
     """
-    p = np.asarray(center, dtype=np.float64)
-    if radius < 0 or spacing <= 0:
-        raise InputError("need radius >= 0 and spacing > 0")
-    los = np.ceil((p - radius) / spacing).astype(np.int64)
-    his = np.floor((p + radius) / spacing).astype(np.int64)
-    if (his < los).any():
-        return np.empty((0, p.shape[0]))
-    axes = [np.arange(los[j], his[j] + 1) for j in range(p.shape[0])]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    cand = np.stack([m.ravel() for m in mesh], axis=1) * spacing
-    keep = ((cand - p) ** 2).sum(axis=1) <= radius * radius * (1.0 + 1e-12)
-    return cand[keep]
+    P = np.asarray(centers, dtype=np.float64)
+    r = np.asarray(radii, dtype=np.float64)
+    if P.ndim != 2 or r.shape != (P.shape[0],):
+        raise InputError("need (m, d) centers and m radii")
+    if (r < 0).any() or spacing <= 0:
+        raise InputError("need radii >= 0 and spacing > 0")
+    d = P.shape[1]
+    los = np.ceil((P - r[:, None]) / spacing).astype(np.int64)
+    his = np.floor((P + r[:, None]) / spacing).astype(np.int64)
+    counts = np.maximum(his - los + 1, 0)  # an empty axis empties the box
+    sizes = counts.prod(axis=1)
+    owner = np.repeat(np.arange(P.shape[0]), sizes)
+    # mixed-radix decode of each cell's rank inside its ball's box
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cells = np.empty((owner.size, d), dtype=np.int64)
+    for j in range(d - 1, -1, -1):
+        radix = counts[owner, j]
+        cells[:, j] = los[owner, j] + rank % radix
+        rank //= radix
+    cand = cells * spacing
+    keep = ((cand - P[owner]) ** 2).sum(axis=1) <= (r * r * (1.0 + 1e-12))[owner]
+    return cand[keep], owner[keep]
 
 
 def candidate_centers(
@@ -151,8 +167,14 @@ def candidate_centers(
     Delta^(1/z), Delta the anchor's average cost. Every input point is always
     a candidate. If the lattice estimate exceeds max_candidates the spacing
     is doubled (deterministically) until it fits; spacing_scale records the
-    factor. Duplicates are merged by coordinate quantization, first
-    generator wins.
+    factor.
+
+    Generation order: the n input points in index order, then one
+    ball_lattice pass per radius level (lowest level first) over the balls
+    of all input points, in point order. Duplicates are merged by
+    coordinate quantization; a merged row keeps its first occurrence in
+    that order, and its provenance is the point and level of that first
+    occurrence.
 
     zero_last_coord restricts candidates to the slice {last coordinate = 0}
     (balls are intersected with the slice; input points are projected).
@@ -185,16 +207,14 @@ def candidate_centers(
     prov_point = []
     prov_level = []
 
-    def _push(arr, pidx, level):
+    def _push(arr, owner, level):
         before = len(pool.rows)
-        pool.add(arr)
-        added = len(pool.rows) - before
-        prov_point.extend([pidx] * added)
-        prov_level.extend([level] * added)
+        idx, first = np.unique(pool.add(arr), return_index=True)
+        new = first[idx >= before]  # pool indices grow in first-seen order
+        prov_point.extend(owner[new].tolist())
+        prov_level.extend([level] * new.size)
 
-    inputs = _with_slice(base)
-    for i in range(n):
-        _push(inputs[i : i + 1], i, CandidateCenters.LEVEL_INPUT)
+    _push(_with_slice(base), np.arange(n), CandidateCenters.LEVEL_INPUT)
 
     spacing_scale = 1
     if delta > 0:
@@ -226,11 +246,9 @@ def candidate_centers(
         for level, r in zip(levels, radii):
             s = (eps / z) * r / np.sqrt(lat_dim) * spacing_scale
             eff_sq = r * r - lift_ext**2
-            for pidx in range(n):
-                if eff_sq[pidx] < 0:
-                    continue
-                cand = ball_lattice(base[pidx], np.sqrt(eff_sq[pidx]), s)
-                _push(_with_slice(cand), pidx, level)
+            live = np.flatnonzero(eff_sq >= 0)  # balls that reach the slice
+            cand, owner = ball_lattice(base[live], np.sqrt(eff_sq[live]), s)
+            _push(_with_slice(cand), live[owner], level)
 
     return CandidateCenters(
         points=np.array(pool.rows),

@@ -83,14 +83,20 @@ def range_membership(p, range_: BallRange):
 
 
 def _membership_matrix(points, tests):
-    """(n_ranges, n_points) boolean membership table."""
-    rows = []
-    for r in tests.ranges:
-        if r.centers.shape[1] != points.shape[1]:
-            raise InputError("range centers dimension does not match points")
-        dmin = np.sqrt(sq_dist_matrix(points, r.centers)).min(axis=1)
-        rows.append(dmin >= r.radius)
-    return np.array(rows)
+    """(n_ranges, n_points) boolean membership table.
+
+    One distance table against the centers of every range; each range
+    then takes the minimum over its own columns."""
+    if any(r.centers.shape[1] != points.shape[1] for r in tests.ranges):
+        raise InputError("range centers dimension does not match points")
+    dist = np.sqrt(sq_dist_matrix(points, np.vstack([r.centers for r in tests.ranges])))
+    bounds = np.cumsum([0] + [r.centers.shape[0] for r in tests.ranges])
+    return np.array(
+        [
+            dist[:, lo:hi].min(axis=1) >= r.radius
+            for r, lo, hi in zip(tests.ranges, bounds[:-1], bounds[1:])
+        ]
+    )
 
 
 def ball_test_family(

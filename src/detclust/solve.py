@@ -237,19 +237,23 @@ def _best_partition(n, k, base, ext, w, z):
     A partition's total is the left-to-right sum of its parts' table
     entries. The winner has the smallest total, ties going to the lowest
     rank in restricted-growth order (the first one seen). Only the
-    winner's parts are re-solved for their centers, by _part_center.
+    winner's parts are re-solved for their centers, by _part_center. At
+    k = 1 the whole set is the winner and no table is built.
     """
     partitions = enumerate_partitions(n, k)  # budget check before the table
-    table = _all_subset_costs(base, ext, w, z)
-    best, best_total = None, math.inf
-    examined = 0
-    for part in partitions:
-        examined += 1
-        total = 0.0
-        for _, idx in part.parts():
-            total += table[int(np.bitwise_or.reduce(np.int64(1) << idx))]
-        if total < best_total:
-            best, best_total = part, total
+    if k == 1:  # the whole set is the only partition: no table to build
+        best, examined = next(partitions), 1
+    else:
+        table = _all_subset_costs(base, ext, w, z)
+        best, best_total = None, math.inf
+        examined = 0
+        for part in partitions:
+            examined += 1
+            total = 0.0
+            for _, idx in part.parts():
+                total += table[int(np.bitwise_or.reduce(np.int64(1) << idx))]
+            if total < best_total:
+                best, best_total = part, total
     centers = [_part_center(base, ext, w, z, idx)[0] for _, idx in best.parts()]
     return np.vstack(centers), best, examined
 

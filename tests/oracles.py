@@ -7,6 +7,8 @@ re-enumerations that share no code with the library paths they check.
 import itertools
 import math
 
+import numpy as np
+
 
 def naive_power_cost(points, centers, z, weights=None):
     """Double-loop clustering cost, no numpy reductions."""
@@ -310,3 +312,87 @@ def planar_two_means_opt(points):
             order = sorted(range(n), key=lambda i: (ux * pts[i][0] + uy * pts[i][1], i))
             best = min(best, split_best(order))
     return best
+
+
+def meshgrid_ball(center, radius, spacing):
+    """Origin-anchored lattice cells of one ball in np.meshgrid "ij" order,
+    trimmed to the ball; also whether the ball's box holds no cell."""
+    los = np.ceil((center - radius) / spacing).astype(np.int64)
+    his = np.floor((center + radius) / spacing).astype(np.int64)
+    mesh = np.meshgrid(*[np.arange(a, b + 1) for a, b in zip(los, his)], indexing="ij")
+    cand = np.stack([m.ravel() for m in mesh], axis=1) * spacing
+    keep = ((cand - center) ** 2).sum(axis=1) <= radius * radius * (1.0 + 1e-12)
+    return cand[keep], bool((his < los).any())
+
+
+def per_ball_candidates(pts, anchor_cost, z, eps, alpha, max_candidates, zero_last_coord):
+    """Candidate family built one ball at a time, the way the lattice family
+    was first generated: a meshgrid per (point, level) ball, trimmed by
+    ((cand - p) ** 2).sum(axis=1), pushed row by row through a first-seen
+    dict keyed by 1e-9-quantized coordinates. anchor_cost is the anchor's
+    total power cost over the unit-weight points.
+
+    Returns (points, provenance_point, provenance_level, spacing_scale,
+    missed, empty): missed counts balls that never reach the slice, empty
+    counts balls whose lattice box holds no cell.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    n = pts.shape[0]
+    base = pts[:, :-1] if zero_last_coord else pts
+    ext = pts[:, -1] if zero_last_coord else np.zeros(n)
+    lat_dim = base.shape[1]
+    quantum = 1e-9 * max(1.0, float(np.abs(pts).max()))
+    seen, rows, prov_point, prov_level = {}, [], [], []
+    missed = empty = 0
+
+    def push(row, owner, level):
+        key = tuple(np.round(row / quantum).astype(np.int64).tolist())
+        if key not in seen:
+            seen[key] = len(rows)
+            rows.append(row)
+            prov_point.append(owner)
+            prov_level.append(level)
+
+    for i in range(n):
+        push(np.append(base[i], 0.0) if zero_last_coord else base[i], i, np.iinfo(np.int64).min)
+
+    delta = anchor_cost / n
+    scale = 1
+    if delta > 0:
+        lo = int(np.floor(np.log2(eps / (alpha * z))))
+        hi = int(np.ceil(np.log2(max(n, 1) / alpha)))
+        levels = list(range(lo, hi + 1))
+        radii = [2.0 ** (i / z) * delta ** (1.0 / z) for i in levels]
+
+        def estimate(scale):
+            total = 0.0
+            for r in radii:
+                s = (eps / z) * r / np.sqrt(lat_dim) * scale
+                eff = np.sqrt(np.maximum(0.0, r * r - ext**2))
+                per_axis = np.floor(base / s + eff[:, None] / s) - np.ceil(base / s - eff[:, None] / s) + 1.0
+                total += float(np.minimum(np.prod(np.maximum(per_axis, 0.0), axis=1), 1e18).sum())
+                if total > 1e17:
+                    return total
+            return total
+
+        while estimate(scale) > max_candidates and scale < (1 << 40):
+            scale *= 2
+        for level, r in zip(levels, radii):
+            s = (eps / z) * r / np.sqrt(lat_dim) * scale
+            for i in range(n):
+                eff_sq = r * r - ext[i] ** 2
+                if eff_sq < 0:
+                    missed += 1
+                    continue
+                cand, empty_box = meshgrid_ball(base[i], np.sqrt(eff_sq), s)
+                empty += empty_box
+                for row in cand:
+                    push(np.append(row, 0.0) if zero_last_coord else row, i, level)
+    return (
+        np.array(rows),
+        np.array(prov_point, dtype=np.int64),
+        np.array(prov_level, dtype=np.int64),
+        scale,
+        missed,
+        empty,
+    )

@@ -105,6 +105,19 @@ def _candidates():
     return digest(cc.points, cc.provenance_point, cc.provenance_level, str(cc.spacing_scale))
 
 
+def _candidates_slice():
+    pts = _blobs(60, 3, 2)
+    cc = candidate_centers(
+        pts,
+        ClusteringParams(k=2, z=2, epsilon=0.3),
+        pts[:2],
+        alpha=2.0,
+        max_candidates=PIPELINE_MAX_CANDIDATES,
+        zero_last_coord=True,
+    )
+    return digest(cc.points, cc.provenance_point, cc.provenance_level, str(cc.spacing_scale))
+
+
 def _witness_net():
     pts = _blobs(8, 30, 4)
     params = ClusteringParams(k=2, z=2, epsilon=0.3)
@@ -138,6 +151,7 @@ CASES = {
     "exact_solve_k3_n8": lambda: _solve(exact_solve, k=3),
     "approx_solve_z1_n8": lambda: _solve(approx_solve, z=1),
     "exact_solve_z3_n8": lambda: _solve(exact_solve, z=3),
+    "candidate_centers_slice_n60_d3": _candidates_slice,
 }
 
 

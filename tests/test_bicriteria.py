@@ -18,7 +18,13 @@ from detclust.bicriteria import (
 )
 from detclust.linmap import pair_distortions
 
-from oracles import exact_kz_cost, grid_search_1center, naive_power_cost
+from oracles import (
+    exact_kz_cost,
+    grid_search_1center,
+    meshgrid_ball,
+    naive_power_cost,
+    per_ball_candidates,
+)
 
 
 class P:
@@ -37,15 +43,76 @@ def blobs(rng, centers, per, spread):
 
 
 def test_ball_lattice_1d_example():
-    got = ball_lattice([0.0], 1.0, 0.5)
-    assert sorted(got[:, 0].tolist()) == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    rows, owner = ball_lattice([[0.0]], [1.0], 0.5)
+    assert rows[:, 0].tolist() == [-1.0, -0.5, 0.0, 0.5, 1.0]
+    assert owner.tolist() == [0] * 5
 
 
 def test_ball_lattice_rejects_bad_args():
     with pytest.raises(InputError):
-        ball_lattice([0.0], -1.0, 0.5)
+        ball_lattice([[0.0]], [-1.0], 0.5)
     with pytest.raises(InputError):
-        ball_lattice([0.0], 1.0, 0.0)
+        ball_lattice([[0.0]], [1.0], 0.0)
+    with pytest.raises(InputError):
+        ball_lattice([[0.0], [1.0]], [1.0], 0.5)  # one radius per ball
+    with pytest.raises(InputError):
+        ball_lattice([0.0], [1.0], 0.5)  # centers must be (m, d)
+
+
+def test_ball_lattice_batched_rows_follow_per_ball_meshgrid():
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3, 5):
+        centers = rng.standard_normal((9, d)) * 2.0
+        radii = rng.uniform(0.0, 1.5, 9)
+        radii[2] = 0.0  # a lone cell at most
+        radii[5] = 1e-3  # box almost surely empty
+        spacing = 0.37
+        rows, owner = ball_lattice(centers, radii, spacing)
+        assert rows.shape == (owner.size, d)
+        assert (np.diff(owner) >= 0).all()
+        empty = 0
+        for b in range(9):
+            cand, empty_box = meshgrid_ball(centers[b], radii[b], spacing)
+            empty += empty_box
+            assert rows[owner == b].tobytes() == cand.tobytes()
+        assert empty >= 1
+    rows, owner = ball_lattice(np.empty((0, 2)), np.empty(0), 0.5)
+    assert rows.shape == (0, 2) and owner.shape == (0,)
+
+
+def _slice_and_empty_cases():
+    rng = np.random.default_rng(21)
+    for d in (1, 2, 3, 5, 20):
+        pts = rng.standard_normal((12, d)) * 2.0
+        pts[3, -1] = 25.0  # far off the slice: its small balls miss it
+        for z in (1, 2, 3):
+            for zero_last_coord in (False, True) if d >= 2 else (False,):
+                yield pts, z, zero_last_coord, 3000
+    pts = rng.standard_normal((10, 2))
+    yield pts, 2, False, 40  # a tight budget forces spacing doubling
+
+
+def test_candidate_centers_match_per_ball_oracle():
+    seen_missed = seen_empty = seen_scaled = 0
+    for pts, z, zero_last_coord, budget in _slice_and_empty_cases():
+        params = P(k=2, z=z, epsilon=0.3)
+        anchor = pts[:2]
+        cc = candidate_centers(
+            pts, params, anchor, alpha=2.0, max_candidates=budget,
+            zero_last_coord=zero_last_coord,
+        )
+        points, prov_point, prov_level, scale, missed, empty = per_ball_candidates(
+            pts, power_cost(pts, anchor, z), z, 0.3, 2.0, budget, zero_last_coord
+        )
+        assert cc.points.tobytes() == points.tobytes()
+        assert cc.points.shape == points.shape
+        assert np.array_equal(cc.provenance_point, prov_point)
+        assert np.array_equal(cc.provenance_level, prov_level)
+        assert cc.spacing_scale == scale
+        seen_missed += missed > 0
+        seen_empty += empty > 0
+        seen_scaled += scale > 1
+    assert seen_missed and seen_empty and seen_scaled
 
 
 def test_candidates_include_every_input_point():

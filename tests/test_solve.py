@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 
 from detclust.errors import BudgetError, InputError
+from detclust import solve
+from detclust.datasets import gaussian_blobs
 from detclust.geometry import (
     CenterSet,
     ClusteringParams,
@@ -30,6 +32,7 @@ from detclust.solve import (
 
 from oracles import (
     exact_kz_cost,
+    grid_search_1center,
     naive_power_cost,
     planar_two_means_opt,
     stirling_partial_sum,
@@ -154,6 +157,27 @@ def test_exact_enumeration_stats_counts_partitions():
     pts = rng.standard_normal((7, 2))
     res = exact_solve(pts, ClusteringParams(k=2, z=2, epsilon=0.3))
     assert res.enumeration_stats == partition_count(7, 2)
+
+
+def test_exact_k1_solves_one_part_only(monkeypatch):
+    # one partition exists at k=1, so no subset table: one 1-center solve
+    pts = gaussian_blobs(10, 2, blobs=2, seed=1, separation=6)
+    calls = []
+    part_center = solve._part_center
+
+    def counted(*args):
+        calls.append(args[-1])
+        return part_center(*args)
+
+    monkeypatch.setattr(solve, "_part_center", counted)
+    res = exact_solve(pts, ClusteringParams(k=1, z=3, epsilon=0.3))
+    assert len(calls) == 1 and calls[0].tolist() == list(range(10))
+    assert res.enumeration_stats == 1
+    assert res.centers.centers.shape == (1, 2)
+    assert res.cost == power_cost(pts, res.centers, 3)
+    _, ref = grid_search_1center(pts.tolist(), 3)
+    assert res.cost <= ref * (1 + 1e-9)
+    assert res.cost >= ref * (1 - 1e-6)
 
 
 def test_approx_identical_blobs_is_exactly_zero():
