@@ -166,8 +166,9 @@ def candidate_centers(
     spacing (eps/z) * r_i / sqrt(d) inside B(p, r_i), r_i = 2^(i/z) *
     Delta^(1/z), Delta the anchor's average cost. Every input point is always
     a candidate. If the lattice estimate exceeds max_candidates the spacing
-    is doubled (deterministically) until it fits; spacing_scale records the
-    factor.
+    is doubled (deterministically) until it fits, at most 40 times; the
+    fitting power of two is found by a galloping search on the exponent,
+    and spacing_scale records it.
 
     Generation order: the n input points in index order, then one
     ball_lattice pass per radius level (lowest level first) over the balls
@@ -222,13 +223,14 @@ def candidate_centers(
         hi = int(np.ceil(np.log2(max(n, 1) / alpha)))
         levels = list(range(lo, hi + 1)) if hi >= lo else []
         radii = [2.0 ** (i / z) * delta ** (1.0 / z) for i in levels]
+        # slice mode: a ball only reaches the slice where r >= ext
+        eff_sq = [r * r - lift_ext**2 for r in radii]
+        effs = [np.sqrt(np.maximum(0.0, e)) for e in eff_sq]
 
         def _estimate(scale):
             total = 0.0
-            for r in radii:
+            for r, eff in zip(radii, effs):
                 s = (eps / z) * r / np.sqrt(lat_dim) * scale
-                # slice mode: the ball only reaches the slice where r >= ext
-                eff = np.sqrt(np.maximum(0.0, r * r - lift_ext**2))
                 per_axis = (
                     np.floor(base / s + eff[:, None] / s)
                     - np.ceil(base / s - eff[:, None] / s)
@@ -240,14 +242,28 @@ def candidate_centers(
                     return total
             return total
 
-        while _estimate(spacing_scale) > max_candidates and spacing_scale < (1 << 40):
-            spacing_scale *= 2
+        # first exponent e <= 40 with _estimate(2^e) <= max_candidates. The
+        # estimate never grows with the scale (the 2s-lattice is a
+        # sublattice of the s-lattice, and a power-of-two scale divides
+        # every base / s and eff / s exactly in float), so galloping over
+        # e = 0, 1, 3, 7, ... and then bisecting finds the same first fit
+        # as doubling one step at a time. Every e < lo_e overflows; hi_e
+        # fits or is the cap.
+        lo_e, hi_e = 0, 0
+        while hi_e < 40 and _estimate(1 << hi_e) > max_candidates:
+            lo_e, hi_e = hi_e + 1, min(2 * hi_e + 1, 40)
+        while lo_e < hi_e:
+            mid = (lo_e + hi_e) // 2
+            if _estimate(1 << mid) > max_candidates:
+                lo_e = mid + 1
+            else:
+                hi_e = mid
+        spacing_scale = 1 << hi_e
 
-        for level, r in zip(levels, radii):
+        for level, r, e_sq, eff in zip(levels, radii, eff_sq, effs):
             s = (eps / z) * r / np.sqrt(lat_dim) * spacing_scale
-            eff_sq = r * r - lift_ext**2
-            live = np.flatnonzero(eff_sq >= 0)  # balls that reach the slice
-            cand, owner = ball_lattice(base[live], np.sqrt(eff_sq[live]), s)
+            live = np.flatnonzero(e_sq >= 0)  # balls that reach the slice
+            cand, owner = ball_lattice(base[live], eff[live], s)
             _push(_with_slice(cand), live[owner], level)
 
     return CandidateCenters(

@@ -111,15 +111,89 @@ def _part_center(base, ext, w, z, idx):
 
 
 _MASK_CHUNK = 2048
+_WEISZFELD_ROUNDS = 120
+_NEWTON_ROUNDS = 50
+
+
+def _newton_medians(W, c, base, ext_sq, floor, certified):
+    """Damped Newton on the smoothed 1-median objective, one row per mask.
+
+    Row m minimizes sum_i W[m, i] sqrt(|c - b_i|^2 + e_i^2 + floor^2),
+    starting from c[m]: per-row d x d Hessians, one batched
+    eigendecomposition, Armijo backtracking per row. A row leaves once
+    certified(W, c, true_distances) accepts it or once its step stops
+    descending; a singular or ill-conditioned Hessian (collinear parts,
+    flat valleys) leaves the row where it is. Returns the new centers.
+    """
+    d = base.shape[1]
+    c = c.copy()
+    s2 = ext_sq + floor * floor
+    live = np.arange(c.shape[0])
+    for _ in range(_NEWTON_ROUNDS):
+        Wl, cl = W[live], c[live]
+        sq = sq_dist_matrix(cl, base)
+        r2 = sq + s2
+        r = np.sqrt(r2)
+        coef = Wl / r
+        diff = cl[:, None, :] - base[None, :, :]
+        g = np.einsum("mi,mid->md", coef, diff, optimize=False)
+        H = coef.sum(axis=1)[:, None, None] * np.eye(d)
+        H -= np.einsum("mi,mid,mie->mde", coef / r2, diff, diff, optimize=False)
+        lam, V = np.linalg.eigh(H)
+        well = lam[:, 0] > 1e-12 * lam[:, -1]
+        lam = np.where(well[:, None], lam, 1.0)
+        step = -np.einsum(
+            "mde,me->md", V, np.einsum("mde,md->me", V, g) / lam, optimize=False
+        )
+        gd = np.einsum("md,md->m", g, step, optimize=False)
+        pend = well & (gd < 0.0) & ~certified(Wl, cl, np.sqrt(sq + ext_sq))
+        f0 = np.einsum("mi,mi->m", Wl, r, optimize=False)
+        t = np.ones(live.size)
+        moved = np.zeros(live.size, dtype=bool)
+        for _ in range(40):
+            rows = np.flatnonzero(pend)
+            if not rows.size:
+                break
+            c_try = cl[rows] + t[rows, None] * step[rows]
+            f_try = np.einsum(
+                "mi,mi->m",
+                Wl[rows],
+                np.sqrt(sq_dist_matrix(c_try, base) + s2),
+                optimize=False,
+            )
+            # near the optimum the decrease drops below f's rounding, so a
+            # full step may gain up to 1e-13 relative; a damped step must
+            # lower f strictly, or rows creep by invisible steps
+            lim = f0[rows] + 0.25 * t[rows] * gd[rows]
+            acc = np.where(
+                t[rows] == 1.0,
+                f_try <= lim + 1e-13 * f0[rows],
+                (f_try <= lim) & (f_try < f0[rows]),
+            )
+            c[live[rows[acc]]] = c_try[acc]
+            moved[rows[acc]] = True
+            pend[rows[acc]] = False
+            t[rows[~acc]] *= 0.5
+        live = live[moved]
+        if not live.size:
+            break
+    return c
 
 
 def _batched_subset_costs(base, ext_sq, w, z, costs):
     """Fill costs[mask] for z in {1, 2}, batched over masks.
 
-    z = 2 is the closed-form centroid. z = 1 runs smoothed Weiszfeld on
-    every mask at once; the tiny smoothing floor perturbs costs far below
-    the ranking gaps the enumeration cares about. Returns the masks whose
-    z = 1 value could not be certified.
+    z = 2 is the closed-form centroid. z = 1 runs 120 rounds of smoothed
+    Weiszfeld on every mask at once, then certifies each mask: its
+    gradient norm times the hull diameter bounds the gap to the optimum,
+    or its cheapest member point passes the subgradient optimality test.
+    The masks left uncertified get a batched damped Newton on the smoothed
+    objective sum_i w_i sqrt(|c - b_i|^2 + e_i^2 + floor^2)
+    (_newton_medians) and are certified again. Every entry is the cost of
+    a real center, the smaller of the iterate's cost and the cheapest
+    member point's; the tiny smoothing floor perturbs costs far below the
+    ranking gaps the enumeration cares about. Returns the masks whose
+    z = 1 value is still uncertified.
     """
     n = base.shape[0]
     M = 1 << n
@@ -132,8 +206,8 @@ def _batched_subset_costs(base, ext_sq, w, z, costs):
         # stalls; centers at the points themselves give an exact candidate
         D = np.sqrt(sq_dist_matrix(base, base) + ext_sq[:, None])
 
-    def _iterate(Wm, cm, rounds):
-        for _ in range(rounds):
+    def _iterate(Wm, cm):
+        for _ in range(_WEISZFELD_ROUNDS):
             sq = sq_dist_matrix(cm, base)
             delta = np.maximum(np.sqrt(sq + ext_sq[None, :]), floor)
             coef = Wm / delta
@@ -147,19 +221,22 @@ def _batched_subset_costs(base, ext_sq, w, z, costs):
                 break
         return cm
 
-    def _certify(Wm, cm, PCm):
-        # a mask is certified when the iterate's gradient norm times the
-        # hull diameter bounds its gap to the optimum, or when the cheapest
-        # member point passes the subgradient optimality test (then the
-        # snapped point cost is exact)
-        d_true = np.sqrt(sq_dist_matrix(cm, base) + ext_sq[None, :])
-        wcost = np.einsum("mi,mi->m", Wm, d_true, optimize=False)
-        v = np.minimum(wcost, PCm.min(axis=1))
+    def _grad_ok(Wm, cm, d_true):
+        # gradient norm times hull diameter bounds the gap to the optimum
         coef = Wm / np.maximum(d_true, floor)
         g = cm * coef.sum(axis=1)[:, None]
         g -= np.einsum("mi,id->md", coef, base, optimize=False)
         gn = np.sqrt((g**2).sum(axis=1))
-        ok = gn * diam <= 1e-10 * scale * float(w.sum())
+        return gn * diam <= 1e-10 * scale * float(w.sum())
+
+    def _certify(Wm, cm, PCm):
+        # a mask is certified by the iterate's gradient, or when the
+        # cheapest member point passes the subgradient optimality test
+        # (then the snapped point cost is exact)
+        d_true = np.sqrt(sq_dist_matrix(cm, base) + ext_sq[None, :])
+        wcost = np.einsum("mi,mi->m", Wm, d_true, optimize=False)
+        v = np.minimum(wcost, PCm.min(axis=1))
+        ok = _grad_ok(Wm, cm, d_true)
         j = np.argmin(np.where(Wm > 0.0, PCm, np.inf), axis=1)
         Dq = D[:, j].T
         atq = Dq < 1e-12 * scale
@@ -190,17 +267,14 @@ def _batched_subset_costs(base, ext_sq, w, z, costs):
                 "mi,i->m", W, np.sqrt(ext_sq), optimize=False
             )
             continue
-        c = _iterate(W, c, 120)
+        c = _iterate(W, c)
         PC = np.einsum("mj,ji->mi", W, D, optimize=False)
         v, ok = _certify(W, c, PC)
         costs[lo:hi] = v
         bad = ~ok
         if not bad.any():
             continue
-        # slow masks get a much longer batched run; whatever is still
-        # uncertified after that (flat-valley medians) is left to the
-        # canonical per-part solver
-        c2 = _iterate(W[bad], c[bad], 3000)
+        c2 = _newton_medians(W[bad], c[bad], base, ext_sq, floor, _grad_ok)
         v2, ok2 = _certify(W[bad], c2, PC[bad])
         costs[lo:hi][bad] = np.minimum(v[bad], v2)
         unsure.extend(ids[bad][~ok2].tolist())
@@ -236,24 +310,34 @@ def _best_partition(n, k, base, ext, w, z):
 
     A partition's total is the left-to-right sum of its parts' table
     entries. The winner has the smallest total, ties going to the lowest
-    rank in restricted-growth order (the first one seen). Only the
+    rank in restricted-growth order (the first one seen). A partition
+    stops summing once its running total reaches the best total so far:
+    the entries are >= 0 and adding them never lowers a float sum, so it
+    cannot win. Every partition still counts as examined. Only the
     winner's parts are re-solved for their centers, by _part_center. At
     k = 1 the whole set is the winner and no table is built.
     """
-    partitions = enumerate_partitions(n, k)  # budget check before the table
+    enumerate_partitions(n, k)  # raises past the budget, before the table
     if k == 1:  # the whole set is the only partition: no table to build
-        best, examined = next(partitions), 1
+        best, examined = (0,) * n, 1
     else:
-        table = _all_subset_costs(base, ext, w, z)
+        table = _all_subset_costs(base, ext, w, z).tolist()
+        bit = [1 << i for i in range(n)]
         best, best_total = None, math.inf
         examined = 0
-        for part in partitions:
+        for rgs in _restricted_growth_strings(n, k):
             examined += 1
+            masks = [0] * k
+            for i, j in enumerate(rgs):
+                masks[j] |= bit[i]
             total = 0.0
-            for _, idx in part.parts():
-                total += table[int(np.bitwise_or.reduce(np.int64(1) << idx))]
+            for m in masks:  # labels past the last part add table[0] = 0
+                total += table[m]
+                if total >= best_total:  # entries are >= 0: it cannot win
+                    break
             if total < best_total:
-                best, best_total = part, total
+                best, best_total = rgs, total
+    best = Partition(np.array(best, dtype=np.int64), k)
     centers = [_part_center(base, ext, w, z, idx)[0] for _, idx in best.parts()]
     return np.vstack(centers), best, examined
 
@@ -287,8 +371,12 @@ def exact_solve(P, params):
     )
 
 
-def _polish(pts, w, C, z, rounds):
-    """Alternate assign / per-cluster recenter; monotone, early stop."""
+def _polish(pts, w, C, z, rounds, centers):
+    """Alternate assign / per-cluster recenter; monotone, early stop.
+
+    centers memoizes solve_1center per cluster, keyed by the member
+    indices' bytes; the solver is deterministic in (pts[idx], w[idx], z),
+    so one dict can serve every init and round on the same pts, w, z."""
     C = np.array(C, dtype=np.float64)
     cost = power_cost((pts, w), C, z)
     for _ in range(rounds):
@@ -297,7 +385,10 @@ def _polish(pts, w, C, z, rounds):
         for t in range(C.shape[0]):
             idx = np.flatnonzero(lbl == t)
             if idx.size:
-                new[t] = solve_1center((pts[idx], w[idx]), z)
+                key = idx.tobytes()
+                if key not in centers:
+                    centers[key] = solve_1center((pts[idx], w[idx]), z)
+                new[t] = centers[key]
         new_cost = power_cost((pts, w), new, z)
         if new_cost >= cost * (1.0 - 1e-12):
             break
@@ -312,7 +403,9 @@ def bicriteria_solve(P, params, *, alpha=DEFAULT_ALPHA):
     PIPELINE_MAX_CANDIDATES), and every k-subset of distinct input points
     when there are at most DEFAULT_SUBSET_CAP of them. Each is polished by
     up to DEFAULT_POLISH_ROUNDS assign/recenter rounds; winner by (cost,
-    init order).
+    init order). One memo of per-cluster 1-center solutions, keyed by
+    member indices, is shared by every init and round, so each distinct
+    cluster is solved once per call.
     """
     pts, w = _coerce_pointset(P)
     n, k, z = pts.shape[0], params.k, params.z
@@ -335,8 +428,9 @@ def bicriteria_solve(P, params, *, alpha=DEFAULT_ALPHA):
         for combo in itertools.combinations(distinct.tolist(), k):
             inits.append(pts[list(combo)])
     best = None
+    centers = {}
     for C0 in inits:
-        C, cost = _polish(pts, w, C0, z, DEFAULT_POLISH_ROUNDS)
+        C, cost = _polish(pts, w, C0, z, DEFAULT_POLISH_ROUNDS, centers)
         if best is None or cost < best[0]:
             best = (cost, C)
     C = CenterSet(best[1])

@@ -129,6 +129,64 @@ def weiszfeld_1median(points, weights=None, iters=2000):
     return c
 
 
+def newton_1median(points, weights, c, iters=60):
+    """Newton polish of a weighted 1-median start c on the exact objective.
+
+    Weiszfeld creeps when the median sits near a data point; Newton steps
+    (Gaussian elimination, halved until the cost drops strictly) finish the
+    job. Stops on a data point, a singular Hessian or a step that no longer
+    lowers the cost.
+    """
+    pts = [list(map(float, p)) for p in points]
+    d = len(c)
+
+    def obj(x):
+        return sum(
+            w * math.sqrt(sum((a - b) ** 2 for a, b in zip(p, x)))
+            for w, p in zip(weights, pts)
+        )
+
+    c = list(map(float, c))
+    f = obj(c)
+    for _ in range(iters):
+        g = [0.0] * d
+        H = [[0.0] * d for _ in range(d)]
+        for w, p in zip(weights, pts):
+            diff = [a - b for a, b in zip(c, p)]
+            r = math.sqrt(sum(x * x for x in diff))
+            if r == 0.0:
+                return c
+            for j in range(d):
+                g[j] += w * diff[j] / r
+                for k in range(d):
+                    H[j][k] += w * ((j == k) / r - diff[j] * diff[k] / r**3)
+        # solve H step = -g by elimination with partial pivoting
+        A = [row[:] + [-gj] for row, gj in zip(H, g)]
+        big = max(abs(x) for row in H for x in row)
+        for j in range(d):
+            piv = max(range(j, d), key=lambda i: abs(A[i][j]))
+            if abs(A[piv][j]) <= 1e-14 * big:
+                return c
+            A[j], A[piv] = A[piv], A[j]
+            for i in range(j + 1, d):
+                m = A[i][j] / A[j][j]
+                A[i] = [a - m * b for a, b in zip(A[i], A[j])]
+        step = [0.0] * d
+        for j in range(d - 1, -1, -1):
+            step[j] = (A[j][d] - sum(A[j][k] * step[k] for k in range(j + 1, d))) / A[j][j]
+        t = 1.0
+        while t > 1e-12:
+            trial = [a + t * b for a, b in zip(c, step)]
+            f_try = obj(trial)
+            if f_try < f:
+                break
+            t /= 2
+        else:
+            return c
+        c, f = trial, f_try
+    return c
+
+
 def part_cost(points, weights, z):
     """Optimal 1-center cost of one part, independent solvers per z."""
     if not points:
@@ -144,7 +202,7 @@ def part_cost(points, weights, z):
             for w, p in zip(weights, points)
         )
     if z == 1:
-        c = weiszfeld_1median(points, weights)
+        c = newton_1median(points, weights, weiszfeld_1median(points, weights, iters=300))
         f = naive_power_cost(points, [c], 1, weights)
         # a data point can be the median; Weiszfeld may stall short of it
         best = min(naive_power_cost(points, [q], 1, weights) for q in points)
@@ -325,6 +383,42 @@ def meshgrid_ball(center, radius, spacing):
     return cand[keep], bool((his < los).any())
 
 
+def linear_spacing_scale(pts, anchor_cost, z, eps, alpha, max_candidates, zero_last_coord):
+    """Lattice spacing factor by plain doubling: 1, 2, 4, ... until the
+    per-level cell estimate fits max_candidates, stopping at 2**40.
+    anchor_cost is the anchor's total power cost over the unit-weight
+    points. Returns (scale, levels, radii); no levels when that cost is 0.
+    """
+    pts = np.asarray(pts, dtype=np.float64)
+    n = pts.shape[0]
+    base = pts[:, :-1] if zero_last_coord else pts
+    ext = pts[:, -1] if zero_last_coord else np.zeros(n)
+    lat_dim = base.shape[1]
+    delta = anchor_cost / n
+    if delta <= 0:
+        return 1, [], []
+    lo = int(np.floor(np.log2(eps / (alpha * z))))
+    hi = int(np.ceil(np.log2(max(n, 1) / alpha)))
+    levels = list(range(lo, hi + 1))
+    radii = [2.0 ** (i / z) * delta ** (1.0 / z) for i in levels]
+
+    def estimate(scale):
+        total = 0.0
+        for r in radii:
+            s = (eps / z) * r / np.sqrt(lat_dim) * scale
+            eff = np.sqrt(np.maximum(0.0, r * r - ext**2))
+            per_axis = np.floor(base / s + eff[:, None] / s) - np.ceil(base / s - eff[:, None] / s) + 1.0
+            total += float(np.minimum(np.prod(np.maximum(per_axis, 0.0), axis=1), 1e18).sum())
+            if total > 1e17:
+                return total
+        return total
+
+    scale = 1
+    while estimate(scale) > max_candidates and scale < (1 << 40):
+        scale *= 2
+    return scale, levels, radii
+
+
 def per_ball_candidates(pts, anchor_cost, z, eps, alpha, max_candidates, zero_last_coord):
     """Candidate family built one ball at a time, the way the lattice family
     was first generated: a meshgrid per (point, level) ball, trimmed by
@@ -356,38 +450,20 @@ def per_ball_candidates(pts, anchor_cost, z, eps, alpha, max_candidates, zero_la
     for i in range(n):
         push(np.append(base[i], 0.0) if zero_last_coord else base[i], i, np.iinfo(np.int64).min)
 
-    delta = anchor_cost / n
-    scale = 1
-    if delta > 0:
-        lo = int(np.floor(np.log2(eps / (alpha * z))))
-        hi = int(np.ceil(np.log2(max(n, 1) / alpha)))
-        levels = list(range(lo, hi + 1))
-        radii = [2.0 ** (i / z) * delta ** (1.0 / z) for i in levels]
-
-        def estimate(scale):
-            total = 0.0
-            for r in radii:
-                s = (eps / z) * r / np.sqrt(lat_dim) * scale
-                eff = np.sqrt(np.maximum(0.0, r * r - ext**2))
-                per_axis = np.floor(base / s + eff[:, None] / s) - np.ceil(base / s - eff[:, None] / s) + 1.0
-                total += float(np.minimum(np.prod(np.maximum(per_axis, 0.0), axis=1), 1e18).sum())
-                if total > 1e17:
-                    return total
-            return total
-
-        while estimate(scale) > max_candidates and scale < (1 << 40):
-            scale *= 2
-        for level, r in zip(levels, radii):
-            s = (eps / z) * r / np.sqrt(lat_dim) * scale
-            for i in range(n):
-                eff_sq = r * r - ext[i] ** 2
-                if eff_sq < 0:
-                    missed += 1
-                    continue
-                cand, empty_box = meshgrid_ball(base[i], np.sqrt(eff_sq), s)
-                empty += empty_box
-                for row in cand:
-                    push(np.append(row, 0.0) if zero_last_coord else row, i, level)
+    scale, levels, radii = linear_spacing_scale(
+        pts, anchor_cost, z, eps, alpha, max_candidates, zero_last_coord
+    )
+    for level, r in zip(levels, radii):
+        s = (eps / z) * r / np.sqrt(lat_dim) * scale
+        for i in range(n):
+            eff_sq = r * r - ext[i] ** 2
+            if eff_sq < 0:
+                missed += 1
+                continue
+            cand, empty_box = meshgrid_ball(base[i], np.sqrt(eff_sq), s)
+            empty += empty_box
+            for row in cand:
+                push(np.append(row, 0.0) if zero_last_coord else row, i, level)
     return (
         np.array(rows),
         np.array(prov_point, dtype=np.int64),

@@ -67,8 +67,8 @@ def _coreset(mode, z=2):
     return digest(core.points, core.weight_num, core.weight_den, float(core.offset))
 
 
-def _solve(solver, z=2, k=2):
-    pts = _blobs(8, 2, 3)
+def _solve(solver, z=2, k=2, n=8):
+    pts = _blobs(n, 2, 3)
     res = solver(pts, ClusteringParams(k=k, z=z, epsilon=0.3))
     return digest(res.method, str(res.downgraded), res.centers.centers, float(res.cost))
 
@@ -152,6 +152,8 @@ CASES = {
     "approx_solve_z1_n8": lambda: _solve(approx_solve, z=1),
     "exact_solve_z3_n8": lambda: _solve(exact_solve, z=3),
     "candidate_centers_slice_n60_d3": _candidates_slice,
+    "bicriteria_solve_z1_n8": lambda: _solve(bicriteria_solve, z=1),
+    "exact_solve_k4_n9": lambda: _solve(exact_solve, k=4, n=9),
 }
 
 

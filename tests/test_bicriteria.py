@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from detclust.linmap import pair_distortions
 from oracles import (
     exact_kz_cost,
     grid_search_1center,
+    linear_spacing_scale,
     meshgrid_ball,
     naive_power_cost,
     per_ball_candidates,
@@ -113,6 +115,33 @@ def test_candidate_centers_match_per_ball_oracle():
         seen_empty += empty > 0
         seen_scaled += scale > 1
     assert seen_missed and seen_empty and seen_scaled
+
+
+def test_spacing_scale_search_matches_linear_doubling():
+    # the exponent search must stop where plain doubling stops: at 1 when
+    # the first lattice fits, at the 2**40 cap when none does, and at the
+    # first fitting power of two in between
+    rng = np.random.default_rng(5)
+    seen = set()
+    for d, z, zero_last_coord in itertools.product((2, 3), (1, 2), (False, True)):
+        pts = rng.standard_normal((10, d)) * 3.0
+        if zero_last_coord:
+            pts[:, -1] = np.abs(pts[:, -1]) * 0.2
+        anchor = pts[:2]
+        anchor_cost = power_cost(pts, anchor, z)
+        for budget in (1, 30, 300, 3000, 10**4):
+            cc = candidate_centers(
+                pts, P(k=2, z=z, epsilon=0.3), anchor, alpha=2.0,
+                max_candidates=budget, zero_last_coord=zero_last_coord,
+            )
+            scale, _, _ = linear_spacing_scale(
+                pts, anchor_cost, z, 0.3, 2.0, budget, zero_last_coord
+            )
+            assert cc.spacing_scale == scale
+            seen.add((zero_last_coord, "one" if scale == 1 else
+                      "cap" if scale == 1 << 40 else "between"))
+    assert seen == {(s, kind) for s in (False, True)
+                    for kind in ("one", "cap", "between")}
 
 
 def test_candidates_include_every_input_point():

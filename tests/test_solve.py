@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from detclust.errors import BudgetError, InputError
-from detclust import solve
+from detclust import geometry, solve
 from detclust.datasets import gaussian_blobs
 from detclust.geometry import (
     CenterSet,
@@ -34,6 +34,7 @@ from oracles import (
     exact_kz_cost,
     grid_search_1center,
     naive_power_cost,
+    part_cost,
     planar_two_means_opt,
     stirling_partial_sum,
 )
@@ -123,7 +124,7 @@ def test_exact_matches_brute_oracle_squared():
     for seed in (5, 6):
         rng = np.random.default_rng(seed)
         pts = rng.standard_normal((7, 2)) * 1.5
-        for k in (2, 3):
+        for k in (2, 3, 4):
             res = exact_solve(pts, ClusteringParams(k=k, z=2, epsilon=0.3))
             ref = exact_kz_cost(pts.tolist(), k, 2)
             assert res.cost == pytest.approx(ref, rel=1e-9)
@@ -153,10 +154,12 @@ def test_exact_weighted_equals_expanded():
 
 
 def test_exact_enumeration_stats_counts_partitions():
+    # the scan's early exit skips the rest of a partition, never the count
     rng = np.random.default_rng(2)
     pts = rng.standard_normal((7, 2))
-    res = exact_solve(pts, ClusteringParams(k=2, z=2, epsilon=0.3))
-    assert res.enumeration_stats == partition_count(7, 2)
+    for k in (2, 3, 4):
+        res = exact_solve(pts, ClusteringParams(k=k, z=2, epsilon=0.3))
+        assert res.enumeration_stats == partition_count(7, k)
 
 
 def test_exact_k1_solves_one_part_only(monkeypatch):
@@ -178,6 +181,88 @@ def test_exact_k1_solves_one_part_only(monkeypatch):
     _, ref = grid_search_1center(pts.tolist(), 3)
     assert res.cost <= ref * (1 + 1e-9)
     assert res.cost >= ref * (1 - 1e-6)
+
+
+def _line_points(seed, noise):
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.standard_normal(8)) * 3.0
+    return t[:, None] * np.array([1.0, 2.0]) + noise * rng.standard_normal((8, 2))
+
+
+def _z1_table_cases():
+    yield "blobs seed 1", gaussian_blobs(8, 2, blobs=2, seed=1, separation=6), None
+    yield "blobs seed 7", gaussian_blobs(8, 2, blobs=2, seed=7, separation=6), None
+    # even counts on a line: flat valleys with singular Hessians
+    yield "collinear", _line_points(0, 0.0) + np.array([0.5, -1.0]), None
+    # near-collinear: the Newton meets ill-conditioned Hessians here, and
+    # two masks fall back to the per-part solver
+    yield "near-collinear", _line_points(2, 1e-3), None
+    dup = np.repeat(gaussian_blobs(4, 2, blobs=2, seed=4, separation=6), 2, axis=0)
+    yield "duplicates", dup, None
+    ext = np.abs(np.random.default_rng(0).standard_normal(8))
+    yield "extended", gaussian_blobs(8, 2, blobs=2, seed=2, separation=6), ext
+
+
+def test_z1_subset_table_matches_part_cost_oracle():
+    # an extended point (b, e) against an extension-0 center is the pair
+    # (b, +e), (b, -e) at half weight each: by symmetry the unconstrained
+    # median of the mirrored pairs has last coordinate 0
+    for name, pts, ext in _z1_table_cases():
+        n = pts.shape[0]
+        table = solve._all_subset_costs(pts, ext, np.ones(n), 1)
+        for mask in range(1, 1 << n):
+            idx = [i for i in range(n) if mask >> i & 1]
+            if ext is None:
+                ref = part_cost(pts[idx].tolist(), None, 1)
+            else:
+                mirrored = [list(pts[i]) + [s * ext[i]] for i in idx for s in (1, -1)]
+                ref = part_cost(mirrored, [0.5] * len(mirrored), 1)
+            assert table[mask] == pytest.approx(ref, rel=1e-9, abs=1e-12), (name, mask)
+
+
+def test_z1_subset_table_certifies_slow_masks_in_few_passes(monkeypatch):
+    # the slow masks used to run 3000 lockstep Weiszfeld rounds, one
+    # distance table each (3123 tables for this instance), and still left
+    # 48 masks to the per-part solver
+    tables, parts = [], []
+    kernel, part_center = geometry.sq_dist_matrix, solve._part_center
+
+    def counted_kernel(*args):
+        tables.append(1)
+        return kernel(*args)
+
+    def counted_part(*args):
+        parts.append(args[-1])
+        return part_center(*args)
+
+    monkeypatch.setattr(solve, "sq_dist_matrix", counted_kernel)
+    monkeypatch.setattr(geometry, "sq_dist_matrix", counted_kernel)
+    monkeypatch.setattr(solve, "_part_center", counted_part)
+    pts = gaussian_blobs(8, 2, blobs=2, seed=1, separation=6)
+    solve._all_subset_costs(pts, None, np.ones(8), 1)
+    assert 0 < len(tables) < 1000
+    assert parts == []
+
+
+def test_newton_medians_leaves_singular_rows_and_solves_the_rest():
+    base = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0],
+                     [0.0, 1.0], [2.0, 3.0]])
+    W = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0],   # collinear: singular
+                  [1.0, 0.0, 1.0, 0.0, 1.0, 1.0]])
+    c = np.array([[0.5, 0.0], W[1] @ base / W[1].sum()])
+    ext_sq = np.zeros(6)
+    floor = 1e-12 * 5.0
+
+    def certified(Wm, cm, d_true):
+        coef = Wm / np.maximum(d_true, floor)
+        g = cm * coef.sum(axis=1)[:, None] - coef @ base
+        return np.sqrt((g**2).sum(axis=1)) <= 1e-12
+
+    out = solve._newton_medians(W, c, base, ext_sq, floor, certified)
+    assert out[0].tobytes() == c[0].tobytes()
+    assert certified(W[1:], out[1:], np.sqrt(((base - out[1]) ** 2).sum(axis=1))[None])[0]
+    cost = np.sqrt(((base[W[1] > 0] - out[1]) ** 2).sum(axis=1)).sum()
+    assert cost == pytest.approx(part_cost(base[W[1] > 0].tolist(), None, 1), rel=1e-12)
 
 
 def test_approx_identical_blobs_is_exactly_zero():
@@ -267,6 +352,25 @@ def test_bicriteria_returns_exactly_k_and_counts_inits():
     assert res.method == "bicriteria"
     assert res.centers.k == 3
     assert res.enumeration_stats == 1 + math.comb(7, 3)
+
+
+def test_bicriteria_solves_each_distinct_cluster_once(monkeypatch):
+    # the polish of every init recenters on the same few clusters; one
+    # memo per call keeps it to one 1-center solve per member set
+    calls = []
+    solver = solve.solve_1center
+
+    def recorded(P, z):
+        calls.append((P[0].tobytes(), P[1].tobytes(), z))
+        return solver(P, z)
+
+    monkeypatch.setattr(solve, "solve_1center", recorded)
+    for seed, k in ((3, 2), (1, 2), (2, 3)):
+        pts = gaussian_blobs(8, 2, blobs=2, seed=seed, separation=6)
+        calls.clear()
+        res = bicriteria_solve(pts, ClusteringParams(k=k, z=1, epsilon=0.3))
+        assert calls and len(calls) == len(set(calls))
+        assert res.enumeration_stats == 1 + math.comb(8, k)
 
 
 def test_lift_never_costs_more_than_sketched_centers():
