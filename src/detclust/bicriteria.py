@@ -23,8 +23,7 @@ from .geometry import (
     _power_from_sq,
     min_power_dists,
     power_cost,
-    solve_1center,
-    solve_1center_constrained,
+    solve_1centers,
     sq_dist_matrix,
     ExtendedPointSet,
 )
@@ -480,22 +479,19 @@ def _bicriteria_lowdim(P, params, alpha_cap, max_candidates, oracle_opt, zero_la
 
 
 def lift_by_clusters(P, labels, z, *, slice_mode=False):
-    """Per-cluster optimal centers in the original space.
+    """Per-cluster optimal centers in the original space, in label order.
 
     slice_mode treats the last coordinate as an extension and solves the
     constrained 1-center on the base coordinates (center extension 0).
+    One solve_1centers call covers every cluster.
     """
     pts, w = _coerce_pointset(P)
-    out = []
-    for lbl in np.unique(labels):
-        idx = np.flatnonzero(labels == lbl)
-        if slice_mode:
-            E = ExtendedPointSet(pts[idx, :-1], extensions=pts[idx, -1], weights=w[idx])
-            c = solve_1center_constrained(E, z)
-            out.append(np.append(c, 0.0))
-        else:
-            out.append(solve_1center((pts[idx], w[idx]), z))
-    return np.array(out)
+    members = labels[None, :] == np.unique(labels)[:, None]
+    if not slice_mode:
+        return solve_1centers(pts, None, w, members, z)[0]
+    E = ExtendedPointSet(pts[:, :-1], extensions=pts[:, -1], weights=w)
+    c = solve_1centers(E.points, E.extensions, E.weights, members, z)[0]
+    return np.hstack([c, np.zeros((c.shape[0], 1))])
 
 
 def bicriteria(

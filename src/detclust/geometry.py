@@ -9,13 +9,12 @@ those two costs bit-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
-from .summation import canonical_order, tree_sum
+from .summation import canonical_order, tree_sum, tree_sum_rows
 
 _CHUNK = 1 << 22  # max temp elements for distance matrices
 
@@ -279,296 +278,264 @@ def power_cost(P, S, z):
     return tree_sum((w * costs)[order])
 
 
-def _diameter(pts):
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
-    return float(np.sqrt(((hi - lo) ** 2).sum()))
+_WEISZFELD_ROUNDS = 20  # lockstep z = 1 warm-up rounds before the Newton
+_NEWTON_ROUNDS = 50
+# members nearest the z = 1 iterate scored as centers; at least the
+# enumeration's ENUM_MAX_N, so a subset-table row scores all its members
+_POINT_CANDIDATES = 16
 
 
-def _center_objective(base, ext_sq, w, c, z):
-    sq = ((base - c) ** 2).sum(axis=1) + ext_sq
-    return tree_sum(w * _power_from_sq(sq, z))
+def solve_1centers(base, ext, w, members, z):
+    """Optimal 1-center of each of many member sets of one point set.
 
+    Row r of the boolean (m, n) matrix members picks a set R; its center
+    minimizes f_r(c) = sum_{i in R} w_i (|b_i - c|^2 + e_i^2)^(z/2) over
+    c in R^d. ext None means e = 0, the plain 1-center; otherwise the center
+    sits at extension 0 and every member pays its extension too. Returns
+    (centers, costs, certified), one row per set, costs[r] = f_r(centers[r]).
 
-def _solve_center(base, ext, w, z, tol, max_iter):
-    """Shared solver for min_c sum_i w_i (||b_i - c||^2 + e_i^2)^(z/2).
-
-    Returns (center, info). The unconstrained 1-center is the special case
-    e = 0. z = 2 is closed form; z = 1 uses damped Weiszfeld with the
-    Vardi-Zhang fix at data points; z >= 3 uses gradient descent with
-    backtracking. Stops when the step norm drops below tol * diameter.
+    z = 2 is the closed-form centroid, whose denominator is the tree_sum of
+    the members' weights. Otherwise every row starts at its centroid; z = 1
+    takes _WEISZFELD_ROUNDS smoothed Weiszfeld rounds, and the rows not yet
+    certified then run _newton_centers. A row is certified when its
+    gradient norm times its members' hull diameter, which bounds the gap to
+    the optimum, is at most 1e-12 scale^z sum(w), scale being the larger of
+    that diameter and the largest extension; at z = 1 also when its
+    _median_point passes the same test with its smallest subgradient. At
+    z = 1 that member point is the center whenever it costs less than the
+    iterate. A row's bytes depend on that row alone, never on the rest of
+    the batch. A set of total weight 0 gets its members' mean.
     """
-    n, d = base.shape
-    ext_sq = ext**2
-    wsum = tree_sum(w)
-    info = {"converged": True, "iterations": 0, "residual": 0.0}
+    m, n = members.shape
+    ext_sq = np.zeros(n) if ext is None else ext**2
+    W = np.where(members, w, 0.0)
+    first = np.argsort(~members, axis=1, kind="stable")  # members first
+    wsum = tree_sum_rows(np.take_along_axis(W, first, axis=1))
+    empty = wsum == 0.0
+    c = np.einsum("mi,id->md", np.where(empty[:, None], members, W), base, optimize=False)
+    c /= np.where(empty, members.sum(axis=1), wsum)[:, None]
+    certified = np.ones(m, dtype=bool)
+    if z != 2:
+        box = members[:, :, None]
+        lo = np.where(box, base, np.inf).min(axis=1)
+        hi = np.where(box, base, -np.inf).max(axis=1)
+        diam = np.sqrt(((hi - lo) ** 2).sum(axis=1))
+        scale = np.maximum(diam, np.sqrt(np.where(members, ext_sq, 0.0).max(axis=1)))
+        flat = scale == 0.0  # every member on one point: that point
+        c[flat] = base[np.argmax(members[flat], axis=1)]
+        live = np.flatnonzero(~flat & ~empty)
+        if live.size:
+            c[live], certified[live] = _descend(
+                base, ext_sq, W[live], members[live], c[live],
+                diam[live], scale[live], wsum[live], z,
+            )
+    sq = sq_dist_matrix(c, base) + ext_sq
+    costs = np.einsum("mi,mi->m", W, _power_from_sq(sq, z), optimize=False)
+    return c, costs, certified
 
-    if wsum == 0.0:
-        return base.mean(axis=0), info
-    if z == 2:
-        c = np.einsum("i,ij->j", w, base, optimize=False) / wsum
-        return c, info
 
-    diam = _diameter(base)
-    scale = max(diam, float(np.sqrt(ext_sq.max())) if n else 0.0)
-    if scale == 0.0:
-        return base[0].copy(), info
-
-    c = np.einsum("i,ij->j", w, base, optimize=False) / wsum
-    eps_sing = 1e-12 * scale
-    step = np.inf
-
-    def _grad_certified(c, delta_c):
-        # gradient norm times hull diameter bounds the gap to the optimum
-        coef = w / np.maximum(delta_c, eps_sing)
-        g = np.einsum("i,ij->j", coef, c - base, optimize=False)
-        return float(np.sqrt((g**2).sum())) * diam <= 1e-12 * scale * wsum
-
-    def _point_scan(delta_c):
-        # exact cost of centering on each zero-extension data point
-        zero_ext = ext_sq <= (eps_sing**2)
-        if not zero_ext.any():
-            return -1, math.inf
-        cand = np.flatnonzero(zero_ext)
-        if cand.size > 2048:
-            order = np.argsort(delta_c[cand], kind="stable")
-            cand = cand[order[:64]]
-        best_f = math.inf
-        best_i = -1
-        for lo in range(0, cand.size, 256):
-            sq = sq_dist_matrix(base[cand[lo : lo + 256]], base)
-            dq = np.sqrt(sq + ext_sq[None, :])
-            fq = np.einsum("qi,i->q", dq, w, optimize=False)
-            i = int(np.argmin(fq))
-            if float(fq[i]) < best_f:
-                best_f = float(fq[i])
-                best_i = int(cand[lo + i])
-        return best_i, best_f
-
-    def _point_optimal(qi):
-        # subgradient condition: the point is a global 1-median optimum
-        q = base[qi]
-        dq = np.sqrt(((base - q) ** 2).sum(axis=1) + ext_sq)
-        at = dq < eps_sing
-        far = ~at
-        if not far.any():
-            return True
-        g = np.einsum("i,ij->j", w[far] / dq[far], q - base[far], optimize=False)
-        return float(np.sqrt((g**2).sum())) <= tree_sum(w[at])
-
-    def _newton_polish_2d(c):
-        # Weiszfeld stalls in nearly flat valleys (close-to-balanced
-        # medians); damped Newton on the smoothed objective cuts through
-        # them. Planar only: the 2x2 solve stays closed form.
-        s2 = eps_sing**2
-        fc = None
-        for _ in range(50):
-            dvec = c - base
-            r2 = (dvec**2).sum(axis=1) + ext_sq + s2
-            r = np.sqrt(r2)
-            cw = w / r
-            g = np.einsum("i,ij->j", cw, dvec, optimize=False)
-            gn = float(np.sqrt((g**2).sum()))
-            if gn * diam <= 1e-12 * scale * wsum:
-                return c, True
-            c3 = cw / r2
-            tr = tree_sum(cw)
-            hxx = tr - tree_sum(c3 * dvec[:, 0] ** 2)
-            hyy = tr - tree_sum(c3 * dvec[:, 1] ** 2)
-            hxy = -tree_sum(c3 * dvec[:, 0] * dvec[:, 1])
-            det = hxx * hyy - hxy * hxy
-            if det <= 0.0:
-                return c, False
-            dx = -(hyy * g[0] - hxy * g[1]) / det
-            dy = -(hxx * g[1] - hxy * g[0]) / det
-            gd = g[0] * dx + g[1] * dy
-            if gd >= 0.0:
-                return c, False
-            if fc is None:
-                fc = tree_sum(w * r)
-            t = 1.0
-            accepted = False
-            for _ in range(40):
-                c_try = c + t * np.array([dx, dy])
-                d2 = ((base - c_try) ** 2).sum(axis=1) + ext_sq + s2
-                f_try = tree_sum(w * np.sqrt(d2))
-                if f_try <= fc + 0.25 * t * gd:
-                    c, fc = c_try, f_try
-                    accepted = True
-                    break
-                t *= 0.5
-            if not accepted:
-                return c, False
-        return c, False
-
-    def _finish_median(c):
-        # Weiszfeld creeps when the optimum sits on a data point or in a
-        # nearly flat valley (close-to-collinear weighted medians), so the
-        # final iterate is only trusted when its gradient certifies a
-        # negligible gap. Otherwise the zero-extension data points are
-        # scored exactly and the cheapest candidate wins.
-        delta_c = np.sqrt(((base - c) ** 2).sum(axis=1) + ext_sq)
-        if _grad_certified(c, delta_c):
-            return c
-        best_i, best_f = _point_scan(delta_c)
-        if best_i >= 0 and best_f <= tree_sum(w * delta_c):
-            return base[best_i].copy()
-        return c
-
+def _descend(base, ext_sq, W, members, c, diam, scale, wsum, z):
+    """(centers, certified) of the z != 2 rows of solve_1centers."""
+    floor = 1e-12 * scale
     if z == 1:
-        tried_newton = False
-        for it in range(1, max_iter + 1):
-            delta = np.sqrt(((base - c) ** 2).sum(axis=1) + ext_sq)
-            at = delta < eps_sing
-            if at.any():
-                # c sits on a data point with zero extension: subgradient test
-                w_at = tree_sum(w[at])
-                far = ~at
-                if not far.any():
-                    info["iterations"] = it
-                    return c, info
-                g = np.einsum(
-                    "i,ij->j", w[far] / delta[far], c - base[far], optimize=False
-                )
-                gnorm = float(np.sqrt((g**2).sum()))
-                if gnorm <= w_at:
-                    info["iterations"] = it
-                    return c, info
-                # Vardi-Zhang: shrink the Weiszfeld step toward the stuck point
-                t = np.einsum(
-                    "i,ij->j", w[far] / delta[far], base[far], optimize=False
-                ) / tree_sum(w[far] / delta[far])
-                lam = min(1.0, w_at / gnorm)
-                c_new = (1.0 - lam) * t + lam * c
-            else:
-                c_new = np.einsum("i,ij->j", w / delta, base, optimize=False) / tree_sum(
-                    w / delta
-                )
-            step = float(np.sqrt(((c_new - c) ** 2).sum()))
-            c = c_new
-            if step < tol * scale:
-                info["iterations"] = it
-                return _finish_median(c), info
-            if it % 150 == 0:
-                # periodic escape hatch for creeping runs: accept a
-                # certified iterate or a provably optimal data point
-                delta_c = np.sqrt(((base - c) ** 2).sum(axis=1) + ext_sq)
-                if _grad_certified(c, delta_c):
-                    info["iterations"] = it
-                    return c, info
-                qi, _ = _point_scan(delta_c)
-                if qi >= 0 and _point_optimal(qi):
-                    info["iterations"] = it
-                    return base[qi].copy(), info
-                if d == 2 and not tried_newton:
-                    tried_newton = True
-                    c, certified = _newton_polish_2d(c)
-                    if certified:
-                        info["iterations"] = it
-                        return c, info
-    else:
-        f = _center_objective(base, ext_sq, w, c, z)
-        for it in range(1, max_iter + 1):
-            sq = ((base - c) ** 2).sum(axis=1) + ext_sq
-            coef = w * z * _power_from_sq(sq, z - 2)
-            grad = np.einsum("i,ij->j", coef, c - base, optimize=False)
-            gnorm = float(np.sqrt((grad**2).sum()))
-            if gnorm == 0.0:
-                info["iterations"] = it
-                return c, info
-            # backtrack from a normalized first step, later from twice the
-            # last accepted one: restarting at scale / gnorm every time only
-            # ever accepts steps of scale * 2^-j, which cycle just above
-            # tol * scale near the optimum
-            t = scale / gnorm if it == 1 else 2.0 * t
-            for _ in range(60):
-                c_new = c - t * grad
-                f_new = _center_objective(base, ext_sq, w, c_new, z)
-                if f_new <= f - 0.3 * t * gnorm**2:
-                    break
-                t *= 0.5
-            step = float(np.sqrt(((c_new - c) ** 2).sum()))
-            c, f = c_new, f_new
-            if step < tol * scale:
-                info["iterations"] = it
-                return c, info
+        for _ in range(_WEISZFELD_ROUNDS):
+            delta = np.sqrt(sq_dist_matrix(c, base) + ext_sq)
+            coef = W / np.maximum(delta, floor[:, None])
+            c = np.einsum("mi,id->md", coef, base, optimize=False)
+            c /= coef.sum(axis=1)[:, None]
 
-    info["converged"] = False
-    info["iterations"] = max_iter
-    info["residual"] = step / scale
+    def gap_ok(rows, c_rows, sq):
+        g = _gradient_norm(W[rows], c_rows, sq, base, floor[rows], z)
+        return g * diam[rows] <= 1e-12 * scale[rows] ** z * wsum[rows]
+
+    def certify(rows):
+        ok = gap_ok(rows, c[rows], sq_dist_matrix(c[rows], base) + ext_sq)
+        if z == 1:
+            point[rows], point_cost[rows], excess = _median_point(
+                W[rows], members[rows], c[rows], base, ext_sq, floor[rows]
+            )
+            ok |= excess * diam[rows] <= 1e-12 * scale[rows] * wsum[rows]
+        return ok
+
+    point = np.zeros(c.shape[0], dtype=np.int64)
+    point_cost = np.zeros(c.shape[0])
+    ok = certify(np.arange(c.shape[0]))
+    rows = np.flatnonzero(~ok)
+    if rows.size:
+        c[rows] = _newton_centers(
+            W[rows], c[rows], base, ext_sq, floor[rows], z,
+            lambda live, cl, sq: gap_ok(rows[live], cl, sq),
+        )
+        ok[rows] = certify(rows)
     if z == 1:
-        return _finish_median(c), info
-    return c, info
+        sq = sq_dist_matrix(c, base) + ext_sq
+        snap = point_cost < np.einsum("mi,mi->m", W, np.sqrt(sq), optimize=False)
+        c[snap] = base[point[snap]]
+    return c, ok
 
 
-def solve_1center(P, z, tol=1e-9, max_iter=10_000, full_output=False):
+def _gradient_norm(W, c, sq, base, floor, z):
+    """|grad f| per row at c; sq holds the squared distances from c to the
+    points, extensions in, and distances below floor count as floor."""
+    r = np.sqrt(np.maximum(sq, (floor * floor)[:, None]))
+    coef = W * r ** (z - 2)
+    g = c * coef.sum(axis=1)[:, None]
+    g -= np.einsum("mi,id->md", coef, base, optimize=False)
+    return z * np.sqrt((g**2).sum(axis=1))
+
+
+def _median_point(W, members, c, base, ext_sq, floor):
+    """The cheapest of each row's _POINT_CANDIDATES members nearest c, as a
+    z = 1 center: (point index, cost, norm of its smallest subgradient).
+
+    The members within floor of the point put a ball of radius w_at, their
+    weight, into the subdifferential there; the smallest subgradient is
+    max(0, |g| - w_at), g the pull of the other members. Times the hull
+    diameter it bounds the point's gap to the optimum, as the gradient
+    norm does for an iterate, so a point that meets the optimality
+    condition |g| <= w_at with equality passes despite rounding.
+    """
+    rows = np.arange(W.shape[0])
+    dist = np.where(members, sq_dist_matrix(c, base), np.inf)
+    near = np.argsort(dist, axis=1, kind="stable")[:, :_POINT_CANDIDATES]
+    J = np.unique(near)
+    DJ = np.sqrt(sq_dist_matrix(base[J], base) + ext_sq)
+    PC = np.einsum("mi,ji->mj", W, DJ, optimize=False)
+    allowed = np.zeros(PC.shape, dtype=bool)
+    allowed[rows[:, None], np.searchsorted(J, near)] = np.take_along_axis(
+        members, near, axis=1
+    )
+    col = np.argmin(np.where(allowed, PC, np.inf), axis=1)
+    Dq = DJ[col]
+    at = members & (Dq < floor[:, None])
+    pull = np.divide(W, Dq, out=np.zeros_like(W), where=members & ~at)
+    g = base[J[col]] * pull.sum(axis=1)[:, None]
+    g -= np.einsum("mi,id->md", pull, base, optimize=False)
+    w_at = np.where(at, W, 0.0).sum(axis=1)
+    return J[col], PC[rows, col], np.maximum(np.sqrt((g**2).sum(axis=1)) - w_at, 0.0)
+
+
+def _newton_centers(W, c, base, ext_sq, floor, z, certified):
+    """Damped Newton on the smoothed objective, one row per set.
+
+    Row m minimizes sum_i W[m, i] rho_i^z from c[m], where
+    rho_i = sqrt(|c - b_i|^2 + e_i^2 + floor[m]^2). Its gradient is
+    z sum_i W rho^(z-2) (c - b_i), its Hessian
+    z sum_i W rho^(z-2) I + z (z-2) sum_i W rho^(z-4) (c - b_i)(c - b_i)^T:
+    per-row d x d Hessians, one batched eigendecomposition, Armijo
+    backtracking per row. A row leaves once certified(live rows, centers,
+    squared distances) accepts it or once its step stops descending; a
+    singular or ill-conditioned Hessian (z = 1 on collinear sets, flat
+    valleys) leaves the row where it is. Returns the new centers.
+    """
+    d = base.shape[1]
+    c = c.copy()
+    s2 = ext_sq + (floor * floor)[:, None]
+    live = np.arange(c.shape[0])
+    for _ in range(_NEWTON_ROUNDS):
+        Wl, cl, s2l = W[live], c[live], s2[live]
+        sq = sq_dist_matrix(cl, base)
+        r = np.sqrt(sq + s2l)
+        coef = Wl * r ** (z - 2)
+        diff = cl[:, None, :] - base[None, :, :]
+        g = z * np.einsum("mi,mid->md", coef, diff, optimize=False)
+        H = coef.sum(axis=1)[:, None, None] * np.eye(d)
+        H += (z - 2) * np.einsum("mi,mid,mie->mde", coef / r**2, diff, diff, optimize=False)
+        lam, V = np.linalg.eigh(z * H)
+        well = lam[:, 0] > 1e-12 * lam[:, -1]
+        lam = np.where(well[:, None], lam, 1.0)
+        step = -np.einsum(
+            "mde,me->md", V, np.einsum("mde,md->me", V, g) / lam, optimize=False
+        )
+        gd = np.einsum("md,md->m", g, step, optimize=False)
+        pend = well & (gd < 0.0) & ~certified(live, cl, sq + ext_sq)
+        f0 = np.einsum("mi,mi->m", Wl, r**z, optimize=False)
+        t = np.ones(live.size)
+        moved = np.zeros(live.size, dtype=bool)
+        for _ in range(40):
+            rows = np.flatnonzero(pend)
+            if not rows.size:
+                break
+            c_try = cl[rows] + t[rows, None] * step[rows]
+            r_try = np.sqrt(sq_dist_matrix(c_try, base) + s2l[rows])
+            f_try = np.einsum("mi,mi->m", Wl[rows], r_try**z, optimize=False)
+            # near the optimum the decrease drops below f's rounding, so a
+            # full step may gain up to 1e-13 relative; a damped step must
+            # lower f strictly, or rows creep by invisible steps
+            lim = f0[rows] + 0.25 * t[rows] * gd[rows]
+            acc = np.where(
+                t[rows] == 1.0,
+                f_try <= lim + 1e-13 * f0[rows],
+                (f_try <= lim) & (f_try < f0[rows]),
+            )
+            c[live[rows[acc]]] = c_try[acc]
+            moved[rows[acc]] = True
+            pend[rows[acc]] = False
+            t[rows[~acc]] *= 0.5
+        live = live[moved]
+        if not live.size:
+            break
+    return c
+
+
+def solve_1center(P, z, full_output=False):
     """Optimal single center of a weighted point set under the z-th power cost.
 
-    Args:
-        P: WeightedPointSet or array (weights default to 1).
-        z: integer power >= 1.
-        tol: relative step tolerance (times the data diameter).
-        max_iter: iteration cap; hitting it flags non-convergence instead of
-            raising, with the last relative step as residual.
-        full_output: also return the solver info dict.
+    The one-set case of solve_1centers. P is a WeightedPointSet or an array
+    (weights default to 1); full_output also returns an info dict whose
+    "converged" is the solver's certificate.
     """
     pts, w = _coerce_pointset(P)
-    c, info = _solve_center(pts, np.zeros(pts.shape[0]), w, int(z), tol, max_iter)
-    return (c, info) if full_output else c
+    c, _, ok = solve_1centers(pts, None, w, np.ones((1, pts.shape[0]), dtype=bool), int(z))
+    return (c[0], {"converged": bool(ok[0])}) if full_output else c[0]
 
 
-def solve_1center_constrained(E, z, tol=1e-9, max_iter=10_000, full_output=False):
+def solve_1center_constrained(E, z, full_output=False):
     """Optimal center at extension 0 for an extended point set.
 
     Minimizes sum_i w_i (||b_i - c||^2 + e_i^2)^(z/2) over c in R^d: the
-    1-center constrained to the zero-extension slice.
+    1-center constrained to the zero-extension slice. full_output as in
+    solve_1center.
     """
     if not isinstance(E, ExtendedPointSet):
         raise InputError("solve_1center_constrained expects an ExtendedPointSet")
-    c, info = _solve_center(E.points, E.extensions, E.weights, int(z), tol, max_iter)
-    return (c, info) if full_output else c
+    members = np.ones((1, E.n), dtype=bool)
+    c, _, ok = solve_1centers(E.points, E.extensions, E.weights, members, int(z))
+    return (c[0], {"converged": bool(ok[0])}) if full_output else c[0]
 
 
-def partition_cost(P, partition, z, tol=1e-9, max_iter=10_000, full_output=False):
+def partition_cost(P, partition, z, full_output=False):
     """Cost of a partition: each part pays its optimal 1-center cost.
 
     Accepts WeightedPointSet or ExtendedPointSet; extended parts use the
-    extension-0 constrained center. Solver non-convergence is propagated as
-    a flag in the info dict (full_output=True), never as an exception.
+    extension-0 constrained center. One solve_1centers call covers every
+    part. full_output also returns {"converged": every part certified,
+    "part_costs": per nonempty part, in label order}.
     """
-    extended = isinstance(P, ExtendedPointSet)
-    if extended:
-        pts, w = P.points, P.weights
-        ext = P.extensions
+    if isinstance(P, ExtendedPointSet):
+        pts, w, ext = P.points, P.weights, P.extensions
     else:
         pts, w = _coerce_pointset(P)
         ext = np.zeros(pts.shape[0])
     if isinstance(partition, Partition):
-        part_iter = list(partition.parts())
+        a = partition.assignment
     else:
         a = np.asarray(partition, dtype=np.int64)
-        if a.shape != (pts.shape[0],):
-            raise InputError("assignment length must match number of points")
-        part_iter = [
-            (j, np.flatnonzero(a == j)) for j in np.unique(a) if (a == j).any()
-        ]
+    if a.shape != (pts.shape[0],):
+        raise InputError("assignment length must match number of points")
+    members = a[None, :] == np.unique(a)[:, None]
+    centers, _, ok = solve_1centers(pts, ext, w, members, int(z))
     per_part = []
-    infos = []
-    for _, idx in part_iter:
-        c, info = _solve_center(pts[idx], ext[idx], w[idx], int(z), tol, max_iter)
+    for c, row in zip(centers, members):
+        idx = np.flatnonzero(row)
         sq = ((pts[idx] - c) ** 2).sum(axis=1) + ext[idx] ** 2
         costs = w[idx] * _power_from_sq(sq, z)
         order = canonical_order(pts[idx], w[idx])
         per_part.append(tree_sum(costs[order]))
-        infos.append(info)
     total = tree_sum(per_part)
     if not full_output:
         return total
-    return total, {
-        "converged": all(i["converged"] for i in infos),
-        "part_costs": per_part,
-        "residuals": [i["residual"] for i in infos],
-    }
+    return total, {"converged": bool(ok.all()), "part_costs": per_part}
 
 
 def power_triangle_bound(d_ab, d_ac, d_bc, z, eps):

@@ -3,12 +3,13 @@
 tree_sum is a fixed-shape pairwise reduction whose association order
 depends only on the length of the input, never on threading or chunking.
 It sums power_cost, partition_cost, the ring deltas and the offset F, and
-the 1-center objectives. power_cost and partition_cost also sort the
-summands canonically, so they are bit-identical across permutations too.
-Other sums (.sum, einsum) round in numpy's own order; those that drive
-decisions (the swap and greedy scores, and the subset-cost table that
-solve._all_subset_costs fills, per-part entries from solve._part_center
-included) are pinned by the golden digests, not tree_sum.
+the member weights behind every 1-center centroid (tree_sum_rows, one row
+per set in geometry.solve_1centers). power_cost and partition_cost also
+sort the summands canonically, so they are bit-identical across
+permutations too. Other sums (.sum, einsum) round in numpy's own order;
+those that drive decisions (the swap and greedy scores, and the
+subset-cost table that solve._all_subset_costs fills through
+solve_1centers) are pinned by the golden digests, not tree_sum.
 """
 
 import numpy as np
@@ -30,6 +31,23 @@ def tree_sum(values):
             s = np.append(s, a[-1])
         a = s
     return float(a[0])
+
+
+def tree_sum_rows(rows):
+    """tree_sum of every row of a 2-d array, one pass per tree level.
+
+    Trailing zeros leave a row's sum bit-identical (an odd element paired
+    with 0 is the carried element), so the rows are zero-padded to a
+    power-of-two width, and rows of different lengths can be summed
+    together, each padded on the right."""
+    a = np.asarray(rows, dtype=np.float64)
+    m, n = a.shape
+    width = 1 << max(n - 1, 0).bit_length()
+    if width > n:
+        a = np.hstack([a, np.zeros((m, width - n))])
+    while a.shape[1] > 1:
+        a = a[:, 0::2] + a[:, 1::2]
+    return a[:, 0]
 
 
 def canonical_order(points, weights=None):

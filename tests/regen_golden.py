@@ -73,9 +73,16 @@ def _solve(solver, z=2, k=2, n=8):
     return digest(res.method, str(res.downgraded), res.centers.centers, float(res.cost))
 
 
-def _bicriteria_projection():
+def _bicriteria_projection(zero_last_coord=False):
     pts = _blobs(24, 30, 2)
-    res = bicriteria(pts, ClusteringParams(k=2, z=2, epsilon=0.3), max_candidates=4096)
+    if zero_last_coord:  # slice mode reads the last coordinate as an extension
+        pts[:, -1] = np.abs(pts[:, -1])
+    res = bicriteria(
+        pts,
+        ClusteringParams(k=2, z=2, epsilon=0.3),
+        max_candidates=4096,
+        zero_last_coord=zero_last_coord,
+    )
     return digest(
         res.centers.centers, float(res.cost), str(res.projection_seed), res.stopped_reason
     )
@@ -154,6 +161,8 @@ CASES = {
     "candidate_centers_slice_n60_d3": _candidates_slice,
     "bicriteria_solve_z1_n8": lambda: _solve(bicriteria_solve, z=1),
     "exact_solve_k4_n9": lambda: _solve(exact_solve, k=4, n=9),
+    "bicriteria_projection_slice_n24_d30": lambda: _bicriteria_projection(True),
+    "bicriteria_solve_z3_n8": lambda: _solve(bicriteria_solve, z=3),
 }
 
 

@@ -15,8 +15,9 @@ from detclust import (
     solve_1center_constrained,
     tree_sum,
 )
+from detclust import geometry
 from detclust.datasets import gaussian_blobs
-from detclust.geometry import center_grid, min_power_dists
+from detclust.geometry import center_grid, min_power_dists, solve_1centers
 
 from oracles import grid_search_1center, naive_power_cost
 
@@ -147,10 +148,11 @@ def test_solve_1center_high_z_descends():
 def test_solve_1center_high_z_converges_near_optimum():
     # restarting every backtracking search at scale / |grad| cycled just
     # above the step tolerance here until the iteration cap
-    pts = gaussian_blobs(8, 2, blobs=2, seed=3, separation=6)
-    _, info = solve_1center(pts[[0, 1, 2, 6]], 3, full_output=True)
+    pts = gaussian_blobs(8, 2, blobs=2, seed=3, separation=6)[[0, 1, 2, 6]]
+    c, info = solve_1center(pts, 3, full_output=True)
     assert info["converged"]
-    assert info["iterations"] < 100
+    _, ref = grid_search_1center(pts, 3)
+    assert naive_power_cost(pts, [c], 3) <= ref * (1 + 1e-12)
 
 
 def test_solve_1center_identical_points():
@@ -202,17 +204,65 @@ def test_partition_cost_weighted_equals_duplicated():
         assert got == pytest.approx(want, rel=1e-9)
 
 
-def test_partition_cost_full_output_flags():
+def test_partition_cost_full_output_flags(monkeypatch):
     pts = np.random.default_rng(8).normal(size=(6, 2))
     total, info = partition_cost(pts, np.zeros(6, dtype=int), 1, full_output=True)
     assert info["converged"]
     assert total == pytest.approx(sum(info["part_costs"]))
-    # starving the solver flags, does not raise
-    total2, info2 = partition_cost(
-        pts, np.zeros(6, dtype=int), 1, max_iter=1, full_output=True
-    )
+    # a solver stopped at the centroid flags the uncertified part, no raise
+    monkeypatch.setattr(geometry, "_WEISZFELD_ROUNDS", 0)
+    monkeypatch.setattr(geometry, "_NEWTON_ROUNDS", 0)
+    total2, info2 = partition_cost(pts, np.zeros(6, dtype=int), 1, full_output=True)
     assert not info2["converged"]
-    assert info2["residuals"][0] > 0
+    assert total2 > total
+
+
+def _random_batch(seed, m=40, n=9, d=3):
+    rng = np.random.default_rng(seed)
+    base = rng.standard_normal((n, d)) * 2.0
+    ext = np.abs(rng.standard_normal(n))
+    w = rng.uniform(0.2, 3.0, n)
+    members = rng.random((m, n)) < 0.5
+    members[np.arange(m), rng.integers(0, n, m)] = True
+    return base, ext, w, members
+
+
+def test_solve_1centers_rows_do_not_depend_on_their_batch():
+    # each row stops on its own certificate, so solving a row inside a
+    # batch or alone gives the same bytes
+    for z in (1, 2, 3):
+        for seed in (1, 2):
+            base, ext, w, members = _random_batch(seed)
+            for e in (None, ext):
+                together = solve_1centers(base, e, w, members, z)
+                for r in range(members.shape[0]):
+                    alone = solve_1centers(base, e, w, members[r : r + 1], z)
+                    for a, b in zip(together, alone):
+                        assert a[r].tobytes() == b[0].tobytes(), (z, seed, r)
+                assert together[2].all()
+
+
+def test_solve_1centers_z2_matches_the_scalar_centroid():
+    # the centroid divides by the members' tree_sum: the rounding of the
+    # one-set solve, so a subset-table row equals its part's own solve
+    base, ext, w, members = _random_batch(3, d=2)
+    centers, costs, certified = solve_1centers(base, ext, w, members, 2)
+    assert certified.all()
+    for r, row in enumerate(members):
+        E = ExtendedPointSet(base[row], ext[row], weights=w[row])
+        assert centers[r].tobytes() == solve_1center_constrained(E, 2).tobytes()
+
+
+def test_z1_point_optimality_passes_with_equality():
+    # medians sitting on a data point where the pull of the other members
+    # equals the point's weight: |g| = w_at holds only up to rounding
+    t = 3.0 * np.sort(np.random.default_rng(1).standard_normal(8))[:4]
+    zero = np.zeros(4)
+    pts = np.vstack([np.stack([t, zero], axis=1), np.stack([zero, t], axis=1)])
+    masks = np.arange(1, 256)
+    members = ((masks[:, None] >> np.arange(8)) & 1).astype(bool)
+    _, _, certified = solve_1centers(pts, None, np.ones(8), members, 1)
+    assert certified.all(), masks[~certified]
 
 
 def test_power_triangle_bounds_random_triples():

@@ -162,19 +162,26 @@ def test_exact_enumeration_stats_counts_partitions():
         assert res.enumeration_stats == partition_count(7, k)
 
 
+def _record_solves(monkeypatch):
+    # every 1-center solve of the solve module goes through solve_1centers
+    calls = []
+    solver = solve.solve_1centers
+
+    def recorded(base, ext, w, members, z):
+        out = solver(base, ext, w, members, z)
+        calls.append((members.copy(), out[2]))
+        return out
+
+    monkeypatch.setattr(solve, "solve_1centers", recorded)
+    return calls
+
+
 def test_exact_k1_solves_one_part_only(monkeypatch):
     # one partition exists at k=1, so no subset table: one 1-center solve
     pts = gaussian_blobs(10, 2, blobs=2, seed=1, separation=6)
-    calls = []
-    part_center = solve._part_center
-
-    def counted(*args):
-        calls.append(args[-1])
-        return part_center(*args)
-
-    monkeypatch.setattr(solve, "_part_center", counted)
+    calls = _record_solves(monkeypatch)
     res = exact_solve(pts, ClusteringParams(k=1, z=3, epsilon=0.3))
-    assert len(calls) == 1 and calls[0].tolist() == list(range(10))
+    assert len(calls) == 1 and calls[0][0].tolist() == [[True] * 10]
     assert res.enumeration_stats == 1
     assert res.centers.centers.shape == (1, 2)
     assert res.cost == power_cost(pts, res.centers, 3)
@@ -195,7 +202,7 @@ def _z1_table_cases():
     # even counts on a line: flat valleys with singular Hessians
     yield "collinear", _line_points(0, 0.0) + np.array([0.5, -1.0]), None
     # near-collinear: the Newton meets ill-conditioned Hessians here, and
-    # two masks fall back to the per-part solver
+    # one z=1 mask stays uncertified (its cost still meets the oracle)
     yield "near-collinear", _line_points(2, 1e-3), None
     dup = np.repeat(gaussian_blobs(4, 2, blobs=2, seed=4, separation=6), 2, axis=0)
     yield "duplicates", dup, None
@@ -220,49 +227,77 @@ def test_z1_subset_table_matches_part_cost_oracle():
             assert table[mask] == pytest.approx(ref, rel=1e-9, abs=1e-12), (name, mask)
 
 
+def test_z3_subset_table_matches_grid_oracle():
+    # a sample of masks per instance against the coarse-to-fine grid; the
+    # extended case uses the mirrored half-weight pairs, whose z=3 center
+    # has last coordinate 0 by symmetry, as at z=1
+    masks = [3, 77, 150, 201, 255]
+    for name, pts, ext in _z1_table_cases():
+        n = pts.shape[0]
+        table = solve._all_subset_costs(pts, ext, np.ones(n), 3)
+        for mask in masks:
+            idx = [i for i in range(n) if mask >> i & 1]
+            if ext is None:
+                _, ref = grid_search_1center(pts[idx].tolist(), 3)
+            else:
+                mirrored = [list(pts[i]) + [s * ext[i]] for i in idx for s in (1, -1)]
+                _, ref = grid_search_1center(
+                    mirrored, 3, [0.5] * len(mirrored), resolution=1e-3
+                )
+            assert table[mask] <= ref * (1 + 1e-12), (name, mask)
+            assert table[mask] == pytest.approx(ref, rel=1e-6), (name, mask)
+
+
 def test_z1_subset_table_certifies_slow_masks_in_few_passes(monkeypatch):
     # the slow masks used to run 3000 lockstep Weiszfeld rounds, one
-    # distance table each (3123 tables for this instance), and still left
-    # 48 masks to the per-part solver
-    tables, parts = [], []
-    kernel, part_center = geometry.sq_dist_matrix, solve._part_center
+    # distance table each (3123 tables for this instance); now every mask
+    # is certified, with no per-mask solve
+    tables = []
+    kernel = geometry.sq_dist_matrix
 
     def counted_kernel(*args):
         tables.append(1)
         return kernel(*args)
 
-    def counted_part(*args):
-        parts.append(args[-1])
-        return part_center(*args)
-
-    monkeypatch.setattr(solve, "sq_dist_matrix", counted_kernel)
     monkeypatch.setattr(geometry, "sq_dist_matrix", counted_kernel)
-    monkeypatch.setattr(solve, "_part_center", counted_part)
+    calls = _record_solves(monkeypatch)
     pts = gaussian_blobs(8, 2, blobs=2, seed=1, separation=6)
     solve._all_subset_costs(pts, None, np.ones(8), 1)
     assert 0 < len(tables) < 1000
-    assert parts == []
+    assert len(calls) == 1 and calls[0][1].all()
 
 
 def test_newton_medians_leaves_singular_rows_and_solves_the_rest():
     base = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0], [3.0, 0.0],
                      [0.0, 1.0], [2.0, 3.0]])
-    W = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0],   # collinear: singular
+    W = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0],   # collinear
                   [1.0, 0.0, 1.0, 0.0, 1.0, 1.0]])
     c = np.array([[0.5, 0.0], W[1] @ base / W[1].sum()])
     ext_sq = np.zeros(6)
-    floor = 1e-12 * 5.0
+    floor = np.full(2, 1e-12 * 5.0)
 
-    def certified(Wm, cm, d_true):
-        coef = Wm / np.maximum(d_true, floor)
-        g = cm * coef.sum(axis=1)[:, None] - coef @ base
-        return np.sqrt((g**2).sum(axis=1)) <= 1e-12
+    def certified(z):
+        def gap_ok(live, cm, sq):
+            g = geometry._gradient_norm(W[live], cm, sq, base, floor[live], z)
+            return g <= 1e-12
 
-    out = solve._newton_medians(W, c, base, ext_sq, floor, certified)
+        return gap_ok
+
+    def sq_at(cm):
+        return geometry.sq_dist_matrix(cm, base) + ext_sq
+
+    # z=1: the collinear row's Hessian is singular, and it stays in place
+    out = geometry._newton_centers(W, c, base, ext_sq, floor, 1, certified(1))
     assert out[0].tobytes() == c[0].tobytes()
-    assert certified(W[1:], out[1:], np.sqrt(((base - out[1]) ** 2).sum(axis=1))[None])[0]
+    assert certified(1)(np.array([1]), out[1:], sq_at(out[1:]))[0]
     cost = np.sqrt(((base[W[1] > 0] - out[1]) ** 2).sum(axis=1)).sum()
     assert cost == pytest.approx(part_cost(base[W[1] > 0].tolist(), None, 1), rel=1e-12)
+    # z=3: the same collinear row is strictly convex, and the Newton solves it
+    out = geometry._newton_centers(W, c, base, ext_sq, floor, 3, certified(3))
+    assert certified(3)(np.arange(2), out, sq_at(out)).all()
+    _, ref = grid_search_1center(base[:4].tolist(), 3)
+    assert (np.sqrt(sq_at(out[:1])[0, :4]) ** 3).sum() <= ref * (1 + 1e-12)
+    assert out[0, 1] == 0.0
 
 
 def test_approx_identical_blobs_is_exactly_zero():
@@ -357,19 +392,13 @@ def test_bicriteria_returns_exactly_k_and_counts_inits():
 def test_bicriteria_solves_each_distinct_cluster_once(monkeypatch):
     # the polish of every init recenters on the same few clusters; one
     # memo per call keeps it to one 1-center solve per member set
-    calls = []
-    solver = solve.solve_1center
-
-    def recorded(P, z):
-        calls.append((P[0].tobytes(), P[1].tobytes(), z))
-        return solver(P, z)
-
-    monkeypatch.setattr(solve, "solve_1center", recorded)
+    calls = _record_solves(monkeypatch)
     for seed, k in ((3, 2), (1, 2), (2, 3)):
         pts = gaussian_blobs(8, 2, blobs=2, seed=seed, separation=6)
         calls.clear()
         res = bicriteria_solve(pts, ClusteringParams(k=k, z=1, epsilon=0.3))
-        assert calls and len(calls) == len(set(calls))
+        sets = [row.tobytes() for members, _ in calls for row in members]
+        assert sets and len(sets) == len(set(sets))
         assert res.enumeration_stats == 1 + math.comb(8, k)
 
 
