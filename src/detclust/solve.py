@@ -129,27 +129,29 @@ def _best_partition(n, k, base, ext, w, z):
     """
     enumerate_partitions(n, k)  # raises past the budget, before the table
     if k == 1:  # the whole set is the only partition: no table to build
-        whole = np.ones((1, n), dtype=bool)
-        return solve_1centers(base, ext, w, whole, z)[0], Partition(np.zeros(n), 1), 1
-    centers = np.empty((1 << n, base.shape[1]))
-    table = _all_subset_costs(base, ext, w, z, centers).tolist()
-    bit = [1 << i for i in range(n)]
-    best, best_masks, best_total = None, None, math.inf
-    examined = 0
-    for rgs in _restricted_growth_strings(n, k):
-        examined += 1
-        masks = [0] * k
-        for i, j in enumerate(rgs):
-            masks[j] |= bit[i]
-        total = 0.0
-        for m in masks:  # labels past the last part add table[0] = 0
-            total += table[m]
-            if total >= best_total:  # entries are >= 0: it cannot win
-                break
-        if total < best_total:
-            best, best_masks, best_total = rgs, masks, total
-    parts = [m for m in best_masks if m]  # the nonempty parts, in label order
-    return centers[parts], Partition(np.array(best, dtype=np.int64), k), examined
+        best, examined = (0,) * n, 1
+        centers = solve_1centers(base, ext, w, np.ones((1, n), dtype=bool), z)[0]
+    else:
+        mask_centers = np.empty((1 << n, base.shape[1]))
+        table = _all_subset_costs(base, ext, w, z, mask_centers).tolist()
+        bit = [1 << i for i in range(n)]
+        best, best_masks, best_total = None, None, math.inf
+        examined = 0
+        for rgs in _restricted_growth_strings(n, k):
+            examined += 1
+            masks = [0] * k
+            for i, j in enumerate(rgs):
+                masks[j] |= bit[i]
+            total = 0.0
+            for m in masks:  # labels past the last part add table[0] = 0
+                total += table[m]
+                if total >= best_total:  # entries are >= 0: it cannot win
+                    break
+            if total < best_total:
+                best, best_masks, best_total = rgs, masks, total
+        # restricted growth: the nonempty parts are labels 0 .. p-1
+        centers = mask_centers[[m for m in best_masks if m]]
+    return centers, Partition(np.array(best, dtype=np.int64), k), examined
 
 
 def exact_solve(P, params):

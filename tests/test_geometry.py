@@ -18,6 +18,7 @@ from detclust import (
 from detclust import geometry
 from detclust.datasets import gaussian_blobs
 from detclust.geometry import center_grid, min_power_dists, solve_1centers
+from detclust.summation import tree_sum_rows
 
 from oracles import grid_search_1center, naive_power_cost
 
@@ -30,6 +31,20 @@ def test_tree_sum_matches_math_fsum():
         a = rng.normal(size=n) * 10.0**rng.integers(-3, 3, size=n)
         assert tree_sum(a) == pytest.approx(math.fsum(a), rel=1e-14)
     assert tree_sum([]) == 0.0
+
+
+def test_tree_sum_rows_is_tree_sum_of_each_zero_padded_row():
+    # trailing zeros leave a tree sum's bits alone, so rows of different
+    # lengths, padded on the right, sum together
+    rng = np.random.default_rng(1)
+    for n in range(0, 40):
+        rows = rng.normal(size=(3, n)) * 10.0 ** rng.integers(-8, 8, size=(3, n))
+        lengths = rng.integers(0, n + 1, size=3)
+        for r, length in enumerate(lengths):
+            rows[r, length:] = 0.0
+        got = tree_sum_rows(rows)
+        for r, length in enumerate(lengths):
+            assert got[r].tobytes() == np.float64(tree_sum(rows[r, :length])).tobytes()
 
 
 def test_types_validate():
