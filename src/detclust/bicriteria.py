@@ -30,6 +30,7 @@ from .geometry import (
 from .linmap import LinearMap
 
 _EVAL_CHUNK = 1 << 22
+_LIFT_POINTS = 128  # points per lift_by_clusters solve call
 
 DEFAULT_ALPHA = 50.0
 DEFAULT_MAX_CANDIDATES = 50_000
@@ -483,15 +484,33 @@ def lift_by_clusters(P, labels, z, *, slice_mode=False):
 
     slice_mode treats the last coordinate as an extension and solves the
     constrained 1-center on the base coordinates (center extension 0).
-    One solve_1centers call covers every cluster.
+    One solve_1centers call covers each run of whole clusters, in label
+    order, holding at most _LIFT_POINTS points (a larger cluster is a run
+    of its own), on those points alone: a call's (clusters, points) tables
+    stay small however many clusters there are. A run keeps the points in
+    input order, so up to _LIFT_POINTS points the call is the whole set.
     """
     pts, w = _coerce_pointset(P)
-    members = labels[None, :] == np.unique(labels)[:, None]
-    if not slice_mode:
-        return solve_1centers(pts, None, w, members, z)[0]
-    E = ExtendedPointSet(pts[:, :-1], extensions=pts[:, -1], weights=w)
-    c = solve_1centers(E.points, E.extensions, E.weights, members, z)[0]
-    return np.hstack([c, np.zeros((c.shape[0], 1))])
+    ext = None
+    if slice_mode:
+        E = ExtendedPointSet(pts[:, :-1], extensions=pts[:, -1], weights=w)
+        pts, ext = E.points, E.extensions
+    order = np.argsort(labels, kind="stable")
+    ids, starts = np.unique(labels[order], return_index=True)
+    ends = np.append(starts[1:], labels.size)
+    out = []
+    lo = 0
+    while lo < ids.size:
+        hi = lo + 1
+        while hi < ids.size and ends[hi] - starts[lo] <= _LIFT_POINTS:
+            hi += 1
+        cols = np.sort(order[starts[lo] : ends[hi - 1]])
+        members = labels[cols][None, :] == ids[lo:hi, None]
+        sub_ext = None if ext is None else ext[cols]
+        out.append(solve_1centers(pts[cols], sub_ext, w[cols], members, z)[0])
+        lo = hi
+    c = np.vstack(out)
+    return np.hstack([c, np.zeros((c.shape[0], 1))]) if slice_mode else c
 
 
 def bicriteria(

@@ -316,9 +316,10 @@ def solve_1centers(base, ext, w, members, z):
     c /= np.where(empty, members.sum(axis=1), wsum)[:, None]
     certified = np.ones(m, dtype=bool)
     if z != 2:
-        box = members[:, :, None]
-        lo = np.where(box, base, np.inf).min(axis=1)
-        hi = np.where(box, base, -np.inf).max(axis=1)
+        lo, hi = np.empty((2, m, base.shape[1]))
+        for j, col in enumerate(base.T):  # (m, n) temporaries, not (m, n, d)
+            lo[:, j] = np.where(members, col, np.inf).min(axis=1)
+            hi[:, j] = np.where(members, col, -np.inf).max(axis=1)
         diam = np.sqrt(((hi - lo) ** 2).sum(axis=1))
         scale = np.maximum(diam, np.sqrt(np.where(members, ext_sq, 0.0).max(axis=1)))
         flat = scale == 0.0  # every member on one point: that point
@@ -361,11 +362,14 @@ def _descend(base, ext_sq, W, members, c, diam, scale, wsum, z):
     point_cost = np.zeros(c.shape[0])
     ok = certify(np.arange(c.shape[0]))
     rows = np.flatnonzero(~ok)
-    if rows.size:
-        c[rows] = _newton_centers(
-            W[rows], c[rows], base, ext_sq, floor[rows], z,
-            lambda live, cl, sq: gap_ok(rows[live], cl, sq),
+    per = max(1, _CHUNK // base.size)  # the Newton's (rows, n, d) temporaries
+    for i in range(0, rows.size, per):
+        blk = rows[i : i + per]
+        c[blk] = _newton_centers(
+            W[blk], c[blk], base, ext_sq, floor[blk], z,
+            lambda live, cl, sq: gap_ok(blk[live], cl, sq),
         )
+    if rows.size:
         ok[rows] = certify(rows)
     if z == 1:
         sq = sq_dist_matrix(c, base) + ext_sq

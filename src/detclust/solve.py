@@ -94,25 +94,23 @@ def enumerate_partitions(n, k):
 _MASK_CHUNK = 2048
 
 
-def _all_subset_costs(base, ext, w, z, centers=None):
-    """Optimal 1-center cost of every index subset, indexed by bitmask.
+def _all_subset_costs(base, ext, w, z):
+    """Optimal 1-center (costs, centers) of every index subset, by bitmask.
 
     One solve_1centers call per _MASK_CHUNK masks, for every z; entry 0,
-    the empty set, is 0. centers, a (2^n, d) array if given, receives
-    each mask's center.
+    the empty set, costs 0 (its center row is zeros).
     """
     n = base.shape[0]
     M = 1 << n
     costs = np.zeros(M)
+    centers = np.zeros((M, base.shape[1]))
     bits = np.arange(n, dtype=np.int64)
     for lo in range(1, M, _MASK_CHUNK):
         hi = min(lo + _MASK_CHUNK, M)
         ids = np.arange(lo, hi, dtype=np.int64)
         members = ((ids[:, None] >> bits) & 1).astype(bool)
-        c, costs[lo:hi], _ = solve_1centers(base, ext, w, members, z)
-        if centers is not None:
-            centers[lo:hi] = c
-    return costs
+        centers[lo:hi], costs[lo:hi], _ = solve_1centers(base, ext, w, members, z)
+    return costs, centers
 
 
 def _best_partition(n, k, base, ext, w, z):
@@ -132,8 +130,8 @@ def _best_partition(n, k, base, ext, w, z):
         best, examined = (0,) * n, 1
         centers = solve_1centers(base, ext, w, np.ones((1, n), dtype=bool), z)[0]
     else:
-        mask_centers = np.empty((1 << n, base.shape[1]))
-        table = _all_subset_costs(base, ext, w, z, mask_centers).tolist()
+        table, mask_centers = _all_subset_costs(base, ext, w, z)
+        table = table.tolist()
         bit = [1 << i for i in range(n)]
         best, best_masks, best_total = None, None, math.inf
         examined = 0

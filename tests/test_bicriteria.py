@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from detclust import InputError
-from detclust.geometry import ClusteringParams, power_cost
+from detclust.geometry import ClusteringParams, power_cost, solve_1center
 from detclust.bicriteria import (
     BicriteriaResult,
     CandidateCenters,
@@ -14,6 +14,7 @@ from detclust.bicriteria import (
     candidate_centers,
     constant_factor_approx,
     greedy_augment,
+    lift_by_clusters,
     seeded_projection_family,
     _gonzalez_seeds,
 )
@@ -361,3 +362,36 @@ def test_projection_seed_scan_finds_good_map():
         if best <= 0.4:
             break
     assert best <= 0.4
+
+
+def test_lift_solves_runs_of_few_points(monkeypatch):
+    # 300 points in 250 clusters: each solve call sees a run of whole
+    # clusters of at most _LIFT_POINTS points, and each center is that
+    # cluster's own 1-center (z = 2 bit for bit at d >= 2)
+    import importlib
+
+    bic = importlib.import_module("detclust.bicriteria")
+    widths = []
+    solver = bic.solve_1centers
+
+    def recorded(base, ext, w, members, z):
+        widths.append(members.shape[1])
+        return solver(base, ext, w, members, z)
+
+    monkeypatch.setattr(bic, "solve_1centers", recorded)
+    rng = np.random.default_rng(4)
+    pts = rng.standard_normal((300, 3))
+    w = rng.random(300) + 0.5
+    labels = rng.integers(0, 250, 300)
+    ids = np.unique(labels)
+    for z in (1, 2, 3):
+        widths.clear()
+        got = lift_by_clusters((pts, w), labels, z)
+        assert 1 < len(widths) and max(widths) <= bic._LIFT_POINTS
+        for c, j in zip(got, ids):
+            idx = labels == j
+            ref = solve_1center((pts[idx], w[idx]), z)
+            if z == 2:
+                assert np.array_equal(c, ref)
+            else:
+                assert np.allclose(c, ref, rtol=1e-9, atol=1e-12)

@@ -161,8 +161,7 @@ def test_solve_1center_high_z_descends():
 
 
 def test_solve_1center_high_z_converges_near_optimum():
-    # restarting every backtracking search at scale / |grad| cycled just
-    # above the step tolerance here until the iteration cap
+    # the solver certifies its center, and no grid center costs less
     pts = gaussian_blobs(8, 2, blobs=2, seed=3, separation=6)[[0, 1, 2, 6]]
     c, info = solve_1center(pts, 3, full_output=True)
     assert info["converged"]

@@ -216,7 +216,7 @@ def test_z1_subset_table_matches_part_cost_oracle():
     # median of the mirrored pairs has last coordinate 0
     for name, pts, ext in _z1_table_cases():
         n = pts.shape[0]
-        table = solve._all_subset_costs(pts, ext, np.ones(n), 1)
+        table = solve._all_subset_costs(pts, ext, np.ones(n), 1)[0]
         for mask in range(1, 1 << n):
             idx = [i for i in range(n) if mask >> i & 1]
             if ext is None:
@@ -227,6 +227,13 @@ def test_z1_subset_table_matches_part_cost_oracle():
             assert table[mask] == pytest.approx(ref, rel=1e-9, abs=1e-12), (name, mask)
 
 
+def test_median_point_scores_every_member_of_a_table_row():
+    # _median_point scores a row's _POINT_CANDIDATES members nearest the
+    # iterate; a subset-table row has at most ENUM_MAX_N members, so all of
+    # them are scored and the exact point optimum is never missed
+    assert ENUM_MAX_N <= geometry._POINT_CANDIDATES
+
+
 def test_z3_subset_table_matches_grid_oracle():
     # a sample of masks per instance against the coarse-to-fine grid; the
     # extended case uses the mirrored half-weight pairs, whose z=3 center
@@ -234,7 +241,7 @@ def test_z3_subset_table_matches_grid_oracle():
     masks = [3, 77, 150, 201, 255]
     for name, pts, ext in _z1_table_cases():
         n = pts.shape[0]
-        table = solve._all_subset_costs(pts, ext, np.ones(n), 3)
+        table = solve._all_subset_costs(pts, ext, np.ones(n), 3)[0]
         for mask in masks:
             idx = [i for i in range(n) if mask >> i & 1]
             if ext is None:
