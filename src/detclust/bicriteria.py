@@ -31,6 +31,7 @@ from .linmap import LinearMap
 
 _EVAL_CHUNK = 1 << 22
 _LIFT_POINTS = 128  # points per lift_by_clusters solve call
+_SEED_BITS = 16  # projection seeds lie in [0, 2**_SEED_BITS)
 
 DEFAULT_ALPHA = 50.0
 DEFAULT_MAX_CANDIDATES = 50_000
@@ -85,7 +86,7 @@ def _splitmix64(x):
     return x ^ (x >> np.uint64(31))
 
 
-def seeded_projection_family(d, m, seed, seed_bits=16):
+def seeded_projection_family(d, m, seed):
     """Member `seed` of a deterministic family of sign-matrix projections.
 
     Entries are +-1/sqrt(m), the sign being bit 63 of a counter-based
@@ -96,8 +97,8 @@ def seeded_projection_family(d, m, seed, seed_bits=16):
         raise InputError("m must be an integer >= 1")
     if not (isinstance(d, (int, np.integer)) and d >= 1):
         raise InputError("d must be an integer >= 1")
-    if not (0 <= seed < (1 << seed_bits)):
-        raise InputError(f"seed must lie in [0, 2^{seed_bits})")
+    if not (0 <= seed < (1 << _SEED_BITS)):
+        raise InputError(f"seed must lie in [0, 2^{_SEED_BITS})")
     idx = np.arange(m * d, dtype=np.uint64)
     with np.errstate(over="ignore"):  # modular uint64 arithmetic is the point
         key = np.uint64(seed) * np.uint64(0x9E3779B97F4A7C15) + np.uint64(
@@ -530,8 +531,11 @@ def bicriteria(
     DEFAULT_DIM_THRESHOLD dimensions (one fewer base dimension in slice
     mode), solve in each projected space, lift every solution back via
     per-cluster 1-centers, and keep the (cost, seed)-lexicographic best.
+    zero_last_coord needs the last coordinate to be a valid extension (>= 0).
     """
     pts, w = _coerce_pointset(P)
+    if zero_last_coord and (pts[:, -1] < 0).any():
+        raise InputError("extensions must be finite and >= 0")
     d = pts.shape[1]
     if d <= DEFAULT_DIM_THRESHOLD:
         return _bicriteria_lowdim(

@@ -55,8 +55,6 @@ class WitnessParams:
 class WitnessNet:
     points: np.ndarray
     sources: tuple  # per net point: (subset id, kind in {cover, basis, origin})
-    subset_size: int
-    spacing_param: float
 
 
 def _compositions(total, parts):
@@ -177,12 +175,7 @@ def build_net(
             push(_pivoted_orthobasis(S), sid, "basis")
             sid += 1
 
-    return WitnessNet(
-        points=np.array(pool.rows),
-        sources=tuple(sources),
-        subset_size=witness.R,
-        spacing_param=eps_prime,
-    )
+    return WitnessNet(points=np.array(pool.rows), sources=tuple(sources))
 
 
 # ---------------- derandomized distance preservation ----------------

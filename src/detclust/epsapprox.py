@@ -8,6 +8,11 @@ pessimistic-estimator coloring; the randomized route draws a uniform
 sample sized by the usual VC bound. Both are checked by an explicit
 verifier against the finite family; the gap to the continuous range space
 is a documented limitation, not a silent assumption.
+
+A family (RangeTestFamily) is three arrays: the shared centers (g, d), one
+row of center indices per range (R, s), and the radii (R,). A range with
+fewer than s centers repeats its last index in its row; the minimum over
+the row ignores the repeats.
 """
 
 from __future__ import annotations
@@ -21,32 +26,44 @@ from .errors import InputError
 from .geometry import _as_points, center_grid, sq_dist_matrix
 
 HALVING_MIN_SIZE = 8
-DEFAULT_SAMPLE_C = 2.0
+SAMPLE_C = 2.0
 DEFAULT_MAX_RANGES = 64
-
-
-@dataclass(frozen=True)
-class BallRange:
-    """Far range: membership(p) iff min over centers of dist(p, c) >= radius."""
-
-    centers: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "centers", _as_points(self.centers, "range centers")
-        )
-        if self.radius < 0:
-            raise InputError("radius must be nonnegative")
+_GRID_PER_AXIS = 3  # family centers: grid values per axis while 3**d <= 4096
+_MAX_DATA_CENTERS = 64  # past that, at most this many evenly spaced data rows
 
 
 @dataclass(frozen=True)
 class RangeTestFamily:
-    ranges: tuple
-    generation: str  # "from-grid" or "from-data-distances"
+    """R far-ball ranges over g shared centers, as three arrays.
+
+    centers: (g, d) float; cols: (R, s) int, row t indexing the centers of
+    range t; radii: (R,) nonnegative. Range t holds the points at distance
+    >= radii[t] from every centers[cols[t]]. A range with fewer than s
+    centers repeats its last index, which the minimum ignores.
+    """
+
+    centers: np.ndarray
+    cols: np.ndarray
+    radii: np.ndarray
+
+    def __post_init__(self):
+        centers = _as_points(self.centers, "range centers")
+        cols = np.asarray(self.cols, dtype=np.int64)
+        radii = np.asarray(self.radii, dtype=np.float64)
+        if cols.ndim != 2 or cols.shape[0] == 0 or cols.shape[1] == 0:
+            raise InputError("cols must be a nonempty (R, s) index array")
+        if cols.min() < 0 or cols.max() >= centers.shape[0]:
+            raise InputError("cols must index the range centers")
+        if radii.shape != (cols.shape[0],):
+            raise InputError("radii must hold one radius per range")
+        if not np.isfinite(radii).all() or (radii < 0).any():
+            raise InputError("radii must be finite and nonnegative")
+        object.__setattr__(self, "centers", centers)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "radii", radii)
 
     def __len__(self):
-        return len(self.ranges)
+        return self.radii.shape[0]
 
 
 @dataclass(frozen=True)
@@ -73,79 +90,53 @@ class SetApproximation:
         return self.ground_size / self.indices.size
 
 
-def range_membership(p, range_: BallRange):
-    """True iff p is at distance >= radius from every center of the range."""
-    p = np.asarray(p, dtype=np.float64)
-    if p.ndim != 1 or p.shape[0] != range_.centers.shape[1]:
-        raise InputError("point dimension does not match range centers")
-    dmin = float(np.sqrt(((range_.centers - p) ** 2).sum(axis=1)).min())
-    return dmin >= range_.radius
-
-
 def _membership_matrix(points, tests):
     """(n_ranges, n_points) boolean membership table.
 
-    One distance table against the centers of every range; each range
-    then takes the minimum over its own columns."""
-    if any(r.centers.shape[1] != points.shape[1] for r in tests.ranges):
+    One distance table against the family's centers; each range then takes
+    the minimum over its own columns, O(n R s) memory. The square root is
+    monotone and correctly rounded, so it commutes with the minimum."""
+    if tests.centers.shape[1] != points.shape[1]:
         raise InputError("range centers dimension does not match points")
-    dist = np.sqrt(sq_dist_matrix(points, np.vstack([r.centers for r in tests.ranges])))
-    bounds = np.cumsum([0] + [r.centers.shape[0] for r in tests.ranges])
-    return np.array(
-        [
-            dist[:, lo:hi].min(axis=1) >= r.radius
-            for r, lo, hi in zip(tests.ranges, bounds[:-1], bounds[1:])
-        ]
-    )
+    sq = sq_dist_matrix(points, tests.centers)
+    return (np.sqrt(sq[:, tests.cols].min(axis=2)) >= tests.radii).T
 
 
-def ball_test_family(
-    points,
-    k,
-    generation="from-data-distances",
-    *,
-    max_ranges=DEFAULT_MAX_RANGES,
-    per_axis=3,
-):
+def _deviation(M, gfrac, keep):
+    """Max over ranges of |ground fraction - fraction of the kept columns|."""
+    return float(np.abs(gfrac - M[:, keep].sum(axis=1) / keep.size).max())
+
+
+def ball_test_family(points, k, *, max_ranges=DEFAULT_MAX_RANGES):
     """Finite surrogate for the continuous far-ball range space.
 
-    Centers come from an axis grid over the data box; each range uses
-    1 + (t mod k) consecutive grid rows (wrapping). Radii are either evenly
-    ranked values of the point-to-grid distance multiset
-    (from-data-distances) or a uniform lattice over [0, max distance]
-    (from-grid). Deterministic given the inputs.
-
-    The axis grid is exponential in dimension, so past per_axis**d = 4096
-    the candidate centers fall back to at most 64 evenly spaced data rows
-    (canonical order). Same contract, still deterministic.
+    Centers come from the 3-per-axis grid over the data box (center_grid);
+    once 3**d exceeds 4096 they fall back to at most 64 evenly spaced data
+    rows (canonical order). Range t uses size = min(1 + (t mod k), g)
+    consecutive centers starting at t * size (mod g, wrapping), so cols has
+    s = min(k, g) columns and shorter ranges repeat their last index. The
+    radii are max_ranges evenly ranked values of the distinct point-to-center
+    distances. Deterministic given the inputs.
     """
     pts = _as_points(points, "points")
     if k < 1:
         raise InputError("k must be at least 1")
     if max_ranges < 1:
         raise InputError("max_ranges must be at least 1")
-    if generation not in ("from-grid", "from-data-distances"):
-        raise InputError(f"unknown generation {generation!r}")
-    if float(per_axis) ** pts.shape[1] <= 4096:
-        grid = center_grid(pts, per_axis=per_axis)
+    if float(_GRID_PER_AXIS) ** pts.shape[1] <= 4096:
+        centers = center_grid(pts, per_axis=_GRID_PER_AXIS)
     else:
-        take = np.round(np.linspace(0, pts.shape[0] - 1, min(pts.shape[0], 64)))
-        grid = pts[np.unique(take.astype(np.int64))]
-    dists = np.sqrt(sq_dist_matrix(pts, grid)).ravel()
-    dists = np.unique(dists)
-    if generation == "from-data-distances":
-        pos = np.linspace(0, dists.size - 1, max_ranges)
-        radii = dists[np.round(pos).astype(np.int64)]
-    else:
-        radii = np.linspace(0.0, float(dists.max()), max_ranges)
-    g = grid.shape[0]
-    ranges = []
-    for t, radius in enumerate(radii):
-        size = min(1 + (t % k), g)
-        start = (t * size) % g
-        take = [(start + j) % g for j in range(size)]
-        ranges.append(BallRange(grid[take], float(radius)))
-    return RangeTestFamily(ranges=tuple(ranges), generation=generation)
+        n = pts.shape[0]
+        take = np.round(np.linspace(0, n - 1, min(n, _MAX_DATA_CENTERS)))
+        centers = pts[np.unique(take.astype(np.int64))]
+    dists = np.unique(np.sqrt(sq_dist_matrix(pts, centers)))
+    radii = dists[np.round(np.linspace(0, dists.size - 1, max_ranges)).astype(np.int64)]
+    g = centers.shape[0]
+    t = np.arange(max_ranges)
+    size = np.minimum(1 + t % k, g)
+    step = np.minimum(np.arange(min(k, g)), size[:, None] - 1)
+    cols = ((t * size) % g)[:, None] + step
+    return RangeTestFamily(centers=centers, cols=cols % g, radii=radii)
 
 
 def verify_set_approx(ground, approx: SetApproximation, tests: RangeTestFamily):
@@ -154,12 +145,8 @@ def verify_set_approx(ground, approx: SetApproximation, tests: RangeTestFamily):
     n = pts.shape[0]
     if approx.ground_size != n:
         raise InputError("approximation was built over a different ground set")
-    if len(tests) == 0:
-        return 0.0
     M = _membership_matrix(pts, tests)
-    gfrac = M.sum(axis=1) / n
-    afrac = M[:, approx.indices].sum(axis=1) / approx.indices.size
-    return float(np.abs(gfrac - afrac).max())
+    return _deviation(M, M.sum(axis=1) / n, approx.indices)
 
 
 def _halve(order, M, lam):
@@ -184,24 +171,20 @@ def _halve(order, M, lam):
     return np.asarray(keep, dtype=np.int64)
 
 
-def halving_approx(
-    ground, eps_prime, tests: RangeTestFamily, *, min_size=HALVING_MIN_SIZE
-):
+def halving_approx(ground, eps_prime, tests: RangeTestFamily):
     """Deterministic set approximation by repeated halving.
 
     Each level recolors the surviving points and keeps the +1 class; a
     level is accepted only if the verified deviation against the original
-    ground stays within eps_prime. Halving stops at min_size, except that
-    zero-deviation halvings (duplicate-heavy grounds) remain free below the
-    floor. If even the first halving overshoots, the full ground comes back
-    (deviation 0).
+    ground stays within eps_prime. Halving stops at HALVING_MIN_SIZE, except
+    that zero-deviation halvings (duplicate-heavy grounds) remain free below
+    the floor. If even the first halving overshoots, the full ground comes
+    back (deviation 0).
     """
     pts = _as_points(ground, "ground")
     n = pts.shape[0]
     if not (0.0 < eps_prime <= 1.0):
         raise InputError("eps_prime must lie in (0, 1]")
-    if len(tests) == 0:
-        raise InputError("test family must be nonempty")
     M = _membership_matrix(pts, tests)
     gfrac = M.sum(axis=1) / n
     M_est = np.vstack([M, np.ones((1, n), dtype=bool)])
@@ -212,12 +195,10 @@ def halving_approx(
         cand = _halve(current, M_est[:, current], lam)
         if cand.size == 0 or cand.size == current.size:
             break
-        dev = float(
-            np.abs(gfrac - M[:, cand].sum(axis=1) / cand.size).max()
-        )
+        dev = _deviation(M, gfrac, cand)
         if dev > eps_prime:
             break
-        if current.size <= min_size and dev > 0.0:
+        if current.size <= HALVING_MIN_SIZE and dev > 0.0:
             break
         current = cand
     return SetApproximation(indices=current, ground_size=n)
@@ -229,12 +210,12 @@ def vc_dim_hint_euclidean(k, d):
     return math.ceil(3.0 * k * d * math.log2(k + 1))
 
 
-def uniform_sample_approx(
-    ground, eps_prime, delta, vc_dim_hint, seed, *, c=DEFAULT_SAMPLE_C
-):
+def uniform_sample_approx(ground, eps_prime, delta, vc_dim_hint, seed):
     """Uniform sample without replacement at the VC-style size
 
-        min(|ground|, ceil(c * eps'^-2 * (vc*ln(vc/eps') + ln(1/delta)))).
+        min(|ground|, ceil(c * eps'^-2 * (vc*ln(vc/eps') + ln(1/delta)))),
+
+    c = SAMPLE_C.
 
     Randomized: the seed is recorded on the result for replay.
     """
@@ -247,7 +228,7 @@ def uniform_sample_approx(
     if vc_dim_hint < 1:
         raise InputError("vc_dim_hint must be at least 1")
     size = math.ceil(
-        c
+        SAMPLE_C
         * eps_prime**-2
         * (vc_dim_hint * math.log(vc_dim_hint / eps_prime) + math.log(1.0 / delta))
     )

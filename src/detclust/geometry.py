@@ -174,17 +174,14 @@ class ClusteringParams:
 
 
 def _coerce_pointset(P):
-    """Accept WeightedPointSet, ExtendedPointSet-as-rows, or raw arrays."""
+    """Accept WeightedPointSet, ExtendedPointSet-as-rows, a (points, weights)
+    pair (validated as a WeightedPointSet), or raw arrays."""
+    if isinstance(P, tuple) and len(P) == 2:
+        P = WeightedPointSet(*P)
     if isinstance(P, WeightedPointSet):
         return P.points, P.weights
     if isinstance(P, ExtendedPointSet):
         return P.as_rows(), P.weights
-    if isinstance(P, tuple) and len(P) == 2:
-        pts = _as_points(P[0])
-        w = np.asarray(P[1], dtype=np.float64)
-        if w.shape != (pts.shape[0],):
-            raise InputError("weights shape must match number of points")
-        return pts, w
     pts = _as_points(P)
     return pts, np.ones(pts.shape[0])
 

@@ -59,12 +59,11 @@ def identity_map(d, eps=None):
     return LinearMap(np.eye(d), eps=eps, certificate=cert)
 
 
-def pair_distortions(map_or_matrix, vectors, chunk=1 << 20):
+def pair_distortions(map_or_matrix, vectors):
     """Max |ratio - 1| over all pairs of distinct vectors, ratio being
     mapped distance over original distance (zero distances skipped).
 
-    Returns (n_pairs_checked, max_distortion >= 1.0). Chunked so large nets
-    stay within memory.
+    Returns (n_pairs_checked, max_distortion >= 1.0).
     """
     Pi = map_or_matrix.matrix if isinstance(map_or_matrix, LinearMap) else np.asarray(map_or_matrix)
     V = np.asarray(vectors, dtype=np.float64)

@@ -323,6 +323,42 @@ def recount_deviation(points, indices, ranges):
     return worst
 
 
+def per_range_ball_family(points, k, max_ranges=64):
+    """The far-ball test family one range at a time: a list of
+    (centers, radius) pairs.
+
+    Centers come from the 3-per-axis grid over the data box inflated by a
+    quarter of its extent (d <= 7), else from at most 64 evenly spaced data
+    rows. Range t takes size = 1 + (t mod k) consecutive grid rows from
+    t * size (mod g, wrapping); its radius is the round(pos)-th of the
+    sorted distinct point-to-grid distances, pos evenly spaced. The
+    distance table repeats the library's einsum so the radii are the same
+    doubles, not merely close ones.
+    """
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim == 1:
+        pts = pts[:, None]
+    n, d = pts.shape
+    if 3**d <= 4096:
+        lo, hi = pts.min(axis=0), pts.max(axis=0)
+        span = hi - lo
+        pad = 0.25 * np.where(span > 0, span, 1.0)
+        axes = [np.linspace(lo[j] - pad[j], hi[j] + pad[j], 3) for j in range(d)]
+        grid = np.array(list(itertools.product(*axes)))
+    else:
+        take = sorted({int(x) for x in np.round(np.linspace(0, n - 1, min(n, 64)))})
+        grid = pts[take]
+    diff = pts[:, None, :] - grid[None, :, :]
+    dists = np.unique(np.sqrt(np.einsum("ijk,ijk->ij", diff, diff, optimize=False)))
+    g = grid.shape[0]
+    out = []
+    for t, pos in enumerate(np.linspace(0, dists.size - 1, max_ranges)):
+        size = min(1 + t % k, g)
+        start = (t * size) % g
+        out.append((grid[[(start + j) % g for j in range(size)]], float(dists[int(np.round(pos))])))
+    return out
+
+
 def planar_two_means_opt(points):
     """Optimal 2-means cost in the plane via separating-line enumeration.
 

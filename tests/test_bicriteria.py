@@ -395,3 +395,26 @@ def test_lift_solves_runs_of_few_points(monkeypatch):
                 assert np.array_equal(c, ref)
             else:
                 assert np.allclose(c, ref, rtol=1e-9, atol=1e-12)
+
+
+def test_slice_mode_rejects_negative_last_coord_before_solving(monkeypatch):
+    # the last coordinate is partly negative, so it is no valid extension:
+    # the error comes before any projected solve
+    import importlib
+
+    from detclust.datasets import gaussian_blobs
+
+    bic = importlib.import_module("detclust.bicriteria")
+    calls = []
+    lowdim = bic._bicriteria_lowdim
+
+    def counted(*args):
+        calls.append(1)
+        return lowdim(*args)
+
+    monkeypatch.setattr(bic, "_bicriteria_lowdim", counted)
+    pts = gaussian_blobs(24, 30, blobs=2, seed=2, separation=6)
+    assert (pts[:, -1] < 0).any()
+    with pytest.raises(InputError):
+        bicriteria(pts, ClusteringParams(k=2, z=2, epsilon=0.3), zero_last_coord=True)
+    assert calls == []

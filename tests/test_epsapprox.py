@@ -5,19 +5,18 @@ import pytest
 
 from detclust import InputError
 from detclust.epsapprox import (
-    BallRange,
     RangeTestFamily,
     SetApproximation,
     _halve,
+    _membership_matrix,
     ball_test_family,
     halving_approx,
-    range_membership,
     uniform_sample_approx,
     vc_dim_hint_euclidean,
     verify_set_approx,
 )
 
-from oracles import naive_far_membership, recount_deviation
+from oracles import naive_far_membership, per_range_ball_family, recount_deviation
 
 
 def circle(n):
@@ -25,45 +24,88 @@ def circle(n):
     return np.c_[np.cos(th), np.sin(th)]
 
 
-def random_family(rng, k, n_ranges, d=2, box=1.3, rmax=2.2):
+def family_of(pairs):
+    """RangeTestFamily from (centers, radius) pairs: centers stacked in
+    order, each row padded by repeating its last index."""
+    sizes = [len(c) for c, _ in pairs]
+    starts = np.cumsum([0] + sizes[:-1])
+    s = max(sizes)
+    cols = [[lo + min(j, m - 1) for j in range(s)] for lo, m in zip(starts, sizes)]
+    return RangeTestFamily(
+        centers=np.vstack([c for c, _ in pairs]),
+        cols=np.array(cols),
+        radii=np.array([r for _, r in pairs]),
+    )
+
+
+def random_pairs(rng, k, n_ranges, d=2, box=1.3, rmax=2.2):
     out = []
     for _ in range(n_ranges):
         m = int(rng.integers(1, k + 1))
-        out.append(
-            BallRange(rng.uniform(-box, box, size=(m, d)), float(rng.uniform(0, rmax)))
-        )
-    return RangeTestFamily(tuple(out), "from-grid")
+        out.append((rng.uniform(-box, box, size=(m, d)), float(rng.uniform(0, rmax))))
+    return out
+
+
+def random_family(rng, k, n_ranges, d=2, box=1.3, rmax=2.2):
+    return family_of(random_pairs(rng, k, n_ranges, d, box, rmax))
+
+
+def range_centers(fam, t):
+    """Centers of range t, padding repeats dropped, order kept."""
+    return fam.centers[list(dict.fromkeys(fam.cols[t].tolist()))]
 
 
 def test_membership_radius_zero_always_true():
     rng = np.random.default_rng(0)
-    for _ in range(100):
-        r = BallRange(rng.standard_normal((3, 2)), 0.0)
-        assert range_membership(rng.standard_normal(2), r)
+    pts = rng.standard_normal((100, 2))
+    for _ in range(20):
+        fam = family_of([(rng.standard_normal((3, 2)), 0.0)])
+        # every point is in, the range's own centers too
+        assert _membership_matrix(np.vstack([pts, fam.centers]), fam).all()
 
 
 def test_membership_at_center_false():
     c = np.array([[1.0, 2.0]])
-    assert not range_membership([1.0, 2.0], BallRange(c, 0.5))
+    pts = np.array([[1.0, 2.0], [9.0, 9.0]])
+    M = _membership_matrix(pts, family_of([(c, 0.5)]))
+    assert M.tolist() == [[False, True]]
+    # a range center is never in its own range, whichever range it sits in
+    fam = random_family(np.random.default_rng(6), 3, 20)
+    M = _membership_matrix(fam.centers, fam)
+    for t in range(len(fam)):
+        if fam.radii[t] > 0:
+            assert not M[t, np.unique(fam.cols[t])].any()
 
 
 def test_membership_matches_naive_oracle():
     rng = np.random.default_rng(7)
-    for _ in range(100):
-        m = int(rng.integers(1, 4))
-        C = rng.standard_normal((m, 3))
-        rad = float(rng.uniform(0, 3))
-        p = rng.standard_normal(3)
-        got = range_membership(p, BallRange(C, rad))
-        assert got == naive_far_membership(p.tolist(), C.tolist(), rad)
+    for _ in range(20):
+        pairs = random_pairs(rng, 3, int(rng.integers(1, 8)), d=3, box=2.0, rmax=3.0)
+        pts = rng.standard_normal((12, 3))
+        M = _membership_matrix(pts, family_of(pairs))
+        for t, (C, rad) in enumerate(pairs):
+            for i, p in enumerate(pts):
+                assert M[t, i] == naive_far_membership(p.tolist(), C.tolist(), rad)
 
 
 def test_membership_validates():
-    r = BallRange(np.zeros((1, 2)), 1.0)
+    fam = family_of([(np.zeros((1, 2)), 1.0)])
     with pytest.raises(InputError):
-        range_membership([0.0, 0.0, 0.0], r)
+        _membership_matrix(np.zeros((4, 3)), fam)
     with pytest.raises(InputError):
-        BallRange(np.zeros((1, 2)), -0.1)
+        family_of([(np.zeros((1, 2)), -0.1)])
+
+
+def test_family_record_validates():
+    c = np.zeros((2, 2))
+    with pytest.raises(InputError):
+        RangeTestFamily(c, np.zeros((0, 1), dtype=np.int64), np.zeros(0))
+    with pytest.raises(InputError):
+        RangeTestFamily(c, np.array([[0, 2]]), np.array([1.0]))
+    with pytest.raises(InputError):
+        RangeTestFamily(c, np.array([[0, 1]]), np.array([1.0, 2.0]))
+    with pytest.raises(InputError):
+        RangeTestFamily(c, np.array([[0, 1]]), np.array([np.nan]))
 
 
 def test_halving_two_identical_points():
@@ -95,7 +137,7 @@ def test_verifier_matches_recount():
     fam = random_family(np.random.default_rng(4), 2, 20)
     A = halving_approx(pts, 0.3, fam)
     got = verify_set_approx(pts, A, fam)
-    pairs = [(r.centers.tolist(), r.radius) for r in fam.ranges]
+    pairs = [(range_centers(fam, t).tolist(), r) for t, r in enumerate(fam.radii)]
     want = recount_deviation(pts.tolist(), A.indices.tolist(), pairs)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -125,7 +167,7 @@ def test_halving_validates_args():
     with pytest.raises(InputError):
         halving_approx(pts, 1.5, fam)
     with pytest.raises(InputError):
-        halving_approx(pts, 0.5, RangeTestFamily((), "from-grid"))
+        halving_approx(pts, 0.5, RangeTestFamily(pts, np.zeros((0, 1), int), np.zeros(0)))
 
 
 def test_halving_estimator_discrepancy_bound():
@@ -134,8 +176,6 @@ def test_halving_estimator_discrepancy_bound():
     rng = np.random.default_rng(9)
     pts = rng.standard_normal((256, 2))
     fam = random_family(rng, 3, 50)
-    from detclust.epsapprox import _membership_matrix
-
     M = _membership_matrix(pts, fam)
     M_est = np.vstack([M, np.ones((1, 256), dtype=bool)])
     n, m = 256, M_est.shape[0]
@@ -156,9 +196,7 @@ def test_verify_ground_is_zero():
 
 def test_radius_zero_ranges_full_deviation_zero():
     pts = np.random.default_rng(12).standard_normal((30, 2))
-    fam = RangeTestFamily(
-        tuple(BallRange(np.zeros((1, 2)), 0.0) for _ in range(5)), "from-grid"
-    )
+    fam = family_of([(np.zeros((1, 2)), 0.0)] * 5)
     A = SetApproximation(indices=np.array([0, 7, 19]), ground_size=30)
     assert verify_set_approx(pts, A, fam) == 0.0
 
@@ -166,7 +204,7 @@ def test_radius_zero_ranges_full_deviation_zero():
 def test_single_point_approx_extreme_deviation():
     # one range containing exactly the kept point: deviation |1/n - 1|
     pts = np.vstack([[10.0, 0.0], np.zeros((4, 2))])
-    fam = RangeTestFamily((BallRange(np.zeros((1, 2)), 5.0),), "from-grid")
+    fam = family_of([(np.zeros((1, 2)), 5.0)])
     A = SetApproximation(indices=np.array([0]), ground_size=5)
     assert verify_set_approx(pts, A, fam) == pytest.approx(1 - 1 / 5)
 
@@ -232,20 +270,38 @@ def test_vc_dim_hint_values():
 
 def test_family_deterministic_and_shaped():
     pts = np.random.default_rng(18).standard_normal((60, 2))
-    for gen in ("from-data-distances", "from-grid"):
-        f1 = ball_test_family(pts, 3, gen, max_ranges=40)
-        f2 = ball_test_family(pts, 3, gen, max_ranges=40)
-        assert f1.generation == gen
-        assert len(f1) == 40
-        for r1, r2 in zip(f1.ranges, f2.ranges):
-            assert np.array_equal(r1.centers, r2.centers)
-            assert r1.radius == r2.radius
-            assert 1 <= r1.centers.shape[0] <= 3
-    lattice = ball_test_family(pts, 3, "from-grid", max_ranges=40)
-    radii = [r.radius for r in lattice.ranges]
-    assert radii[0] == 0.0
-    steps = np.diff(radii)
-    assert np.allclose(steps, steps[0])
+    f1 = ball_test_family(pts, 3, max_ranges=40)
+    f2 = ball_test_family(pts, 3, max_ranges=40)
+    assert len(f1) == 40
+    assert f1.centers.shape == (9, 2) and f1.cols.shape == (40, 3)
+    for a, b in ((f1.centers, f2.centers), (f1.cols, f2.cols), (f1.radii, f2.radii)):
+        assert np.array_equal(a, b)
+    for t in range(40):
+        row = f1.cols[t].tolist()
+        size = len(set(row))
+        assert size == 1 + t % 3
+        # distinct indices first, then the last one repeated
+        assert row[size:] == [row[size - 1]] * (3 - size)
+
+
+def _family_grounds():
+    rng = np.random.default_rng(31)
+    for d in (1, 2, 3, 9):
+        yield rng.standard_normal((40, d)) * rng.uniform(0.5, 3.0)
+    yield np.repeat(rng.standard_normal((5, 2)), 12, axis=0)  # duplicate-heavy
+    yield np.array([[1.5, -2.0]])  # one point
+    yield rng.standard_normal((200, 9))  # 64-data-row centers
+
+
+def test_family_matches_per_range_oracle():
+    for pts in _family_grounds():
+        for k in (1, 2, 3, 4):
+            fam = ball_test_family(pts, k)
+            want = per_range_ball_family(pts, k)
+            assert len(fam) == len(want)
+            for t, (centers, radius) in enumerate(want):
+                assert range_centers(fam, t).tobytes() == centers.tobytes()
+                assert fam.radii[t].tobytes() == np.float64(radius).tobytes()
 
 
 def test_family_validates():
@@ -253,4 +309,4 @@ def test_family_validates():
     with pytest.raises(InputError):
         ball_test_family(pts, 0)
     with pytest.raises(InputError):
-        ball_test_family(pts, 2, "sideways")
+        ball_test_family(pts, 2, max_ranges=0)

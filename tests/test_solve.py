@@ -468,3 +468,16 @@ def test_high_dim_duplicates_track_weighted_exact():
     exw = exact_solve((locs, np.full(10, 6.0)), p)
     assert res.cost >= exw.cost - 1e-9
     assert res.cost <= (1 + 5 * eps) * exw.cost + 1e-9
+
+
+def test_tuple_weights_are_validated():
+    # a (points, weights) pair is checked like a WeightedPointSet
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
+    p = ClusteringParams(k=1, z=2, epsilon=0.3)
+    for bad in ([-1.0, 1.0, 1.0], [1.0, np.nan, 1.0], [1.0, 1.0, -3.0]):
+        with pytest.raises(InputError):
+            power_cost((pts, bad), pts[:1], 2)
+        with pytest.raises(InputError):
+            exact_solve((pts, bad), p)
+        with pytest.raises(InputError):
+            bicriteria_solve((pts, bad), p)
