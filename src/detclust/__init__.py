@@ -42,7 +42,6 @@ from .io import (
 )
 from .linmap import LinearMap, pair_distortions
 from .partition import (
-    PartitionCoresetParams,
     PartitionCoresetResult,
     build,
     verify_partition_coreset,
@@ -78,7 +77,6 @@ __all__ = [
     "LinearMap",
     "OffsetCoreset",
     "Partition",
-    "PartitionCoresetParams",
     "PartitionCoresetResult",
     "PointFileHeader",
     "RingDecomposition",

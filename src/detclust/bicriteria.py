@@ -34,12 +34,7 @@ _LIFT_POINTS = 128  # points per lift_by_clusters solve call
 _SEED_BITS = 16  # projection seeds lie in [0, 2**_SEED_BITS)
 
 DEFAULT_ALPHA = 50.0
-DEFAULT_MAX_CANDIDATES = 50_000
-# candidate budget of every call the library makes itself (ring seeding,
-# partition-coreset nodes, the bicriteria_solve fallback); direct calls of
-# candidate_centers, constant_factor_approx and bicriteria keep the larger
-# DEFAULT_MAX_CANDIDATES
-PIPELINE_MAX_CANDIDATES = 4096
+MAX_CANDIDATES = 4096  # lattice candidates per candidate_centers call
 DEFAULT_DIM_THRESHOLD = 20
 DEFAULT_PROJECTION_SEEDS = 16
 SWAP_ROUNDS = 100
@@ -157,7 +152,6 @@ def candidate_centers(
     anchor,
     *,
     alpha=DEFAULT_ALPHA,
-    max_candidates=DEFAULT_MAX_CANDIDATES,
     zero_last_coord=False,
 ):
     """Candidate centers around an anchor solution.
@@ -166,7 +160,7 @@ def candidate_centers(
     log2(n/alpha)] (rounded outward), take the axis-aligned lattice with
     spacing (eps/z) * r_i / sqrt(d) inside B(p, r_i), r_i = 2^(i/z) *
     Delta^(1/z), Delta the anchor's average cost. Every input point is always
-    a candidate. If the lattice estimate exceeds max_candidates the spacing
+    a candidate. If the lattice estimate exceeds MAX_CANDIDATES the spacing
     is doubled (deterministically) until it fits, at most 40 times; the
     fitting power of two is found by a galloping search on the exponent,
     and spacing_scale records it.
@@ -243,7 +237,7 @@ def candidate_centers(
                     return total
             return total
 
-        # first exponent e <= 40 with _estimate(2^e) <= max_candidates. The
+        # first exponent e <= 40 with _estimate(2^e) <= MAX_CANDIDATES. The
         # estimate never grows with the scale (the 2s-lattice is a
         # sublattice of the s-lattice, and a power-of-two scale divides
         # every base / s and eff / s exactly in float), so galloping over
@@ -251,11 +245,11 @@ def candidate_centers(
         # as doubling one step at a time. Every e < lo_e overflows; hi_e
         # fits or is the cap.
         lo_e, hi_e = 0, 0
-        while hi_e < 40 and _estimate(1 << hi_e) > max_candidates:
+        while hi_e < 40 and _estimate(1 << hi_e) > MAX_CANDIDATES:
             lo_e, hi_e = hi_e + 1, min(2 * hi_e + 1, 40)
         while lo_e < hi_e:
             mid = (lo_e + hi_e) // 2
-            if _estimate(1 << mid) > max_candidates:
+            if _estimate(1 << mid) > MAX_CANDIDATES:
                 lo_e = mid + 1
             else:
                 hi_e = mid
@@ -321,7 +315,6 @@ def constant_factor_approx(
     params,
     *,
     alpha=DEFAULT_ALPHA,
-    max_candidates=DEFAULT_MAX_CANDIDATES,
     zero_last_coord=False,
 ):
     """Deterministic k centers at constant-factor cost.
@@ -347,7 +340,6 @@ def constant_factor_approx(
         params,
         centers,
         alpha=alpha,
-        max_candidates=max_candidates,
         zero_last_coord=zero_last_coord,
     ).points
     PC = _power_table(cand, pts, w, z)
@@ -452,14 +444,10 @@ def _measure_alpha(cost_S0, alpha_cap, oracle_opt):
     return float(min(alpha_cap, max(1.0, cost_S0 / oracle_opt)))
 
 
-def _bicriteria_lowdim(P, params, alpha_cap, max_candidates, oracle_opt, zero_last_coord):
+def _bicriteria_lowdim(P, params, alpha_cap, oracle_opt, zero_last_coord):
     pts, w = _coerce_pointset(P)
     S0 = constant_factor_approx(
-        P,
-        params,
-        alpha=alpha_cap,
-        max_candidates=max_candidates,
-        zero_last_coord=zero_last_coord,
+        P, params, alpha=alpha_cap, zero_last_coord=zero_last_coord
     )
     cost_S0 = power_cost((pts, w), S0, params.z)
     alpha = _measure_alpha(cost_S0, alpha_cap, oracle_opt)
@@ -469,12 +457,7 @@ def _bicriteria_lowdim(P, params, alpha_cap, max_candidates, oracle_opt, zero_la
     # 454, 283 vs 387 and 349 vs 449 candidates on the coreset-2d benchmark
     # instances), so reusing the first would change the greedy output.
     cands = candidate_centers(
-        P,
-        params,
-        S0,
-        alpha=alpha,
-        max_candidates=max_candidates,
-        zero_last_coord=zero_last_coord,
+        P, params, S0, alpha=alpha, zero_last_coord=zero_last_coord
     )
     res = greedy_augment(P, S0, cands, params, alpha=alpha)
     return res
@@ -519,7 +502,6 @@ def bicriteria(
     params,
     *,
     alpha=DEFAULT_ALPHA,
-    max_candidates=DEFAULT_MAX_CANDIDATES,
     oracle_opt=None,
     zero_last_coord=False,
 ):
@@ -538,9 +520,7 @@ def bicriteria(
         raise InputError("extensions must be finite and >= 0")
     d = pts.shape[1]
     if d <= DEFAULT_DIM_THRESHOLD:
-        return _bicriteria_lowdim(
-            P, params, alpha, max_candidates, oracle_opt, zero_last_coord
-        )
+        return _bicriteria_lowdim(P, params, alpha, oracle_opt, zero_last_coord)
 
     base_dim = d - 1 if zero_last_coord else d
     m = min(base_dim, DEFAULT_DIM_THRESHOLD - (1 if zero_last_coord else 0))
@@ -551,9 +531,7 @@ def bicriteria(
             proj = np.hstack([lin.apply(pts[:, :-1]), pts[:, -1:]])
         else:
             proj = lin.apply(pts)
-        res = _bicriteria_lowdim(
-            (proj, w), params, alpha, max_candidates, oracle_opt, zero_last_coord
-        )
+        res = _bicriteria_lowdim((proj, w), params, alpha, oracle_opt, zero_last_coord)
         _, labels = min_power_dists(proj, res.centers.centers, params.z)
         lifted = lift_by_clusters((pts, w), labels, params.z, slice_mode=zero_last_coord)
         cost = power_cost((pts, w), lifted, params.z)

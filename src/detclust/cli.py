@@ -15,8 +15,6 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import io as dio
@@ -35,32 +33,6 @@ from .rings import ring_coreset, verify_offset_coreset
 from .solve import approx_solve, bicriteria_solve, exact_solve
 
 _MODES = {"det": "deterministic", "rand": "randomized"}
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated bundle of one subcommand's clustering arguments."""
-
-    k: int
-    z: int
-    epsilon: float
-    mode: str = "deterministic"
-    seed: int = None
-    alpha: float = DEFAULT_ALPHA
-    in_path: str = None
-    out_path: str = None
-
-    def validated(self):
-        params = ClusteringParams(k=self.k, z=self.z, epsilon=self.epsilon)
-        if self.mode not in ("deterministic", "randomized"):
-            raise InputError(f"unknown mode {self.mode!r}")
-        if self.mode == "deterministic" and self.seed is not None:
-            raise InputError("--seed applies to randomized mode only")
-        return params
-
-    @property
-    def effective_seed(self):
-        return 0 if self.seed is None else self.seed
 
 
 def _parse_thread_cap(raw):
@@ -108,22 +80,14 @@ def _cmd_gen(args):
 
 
 def _cmd_coreset_build(args):
-    cfg = RunConfig(
-        k=args.k,
-        z=args.z,
-        epsilon=args.eps,
-        mode=_MODES[args.mode],
-        seed=args.seed,
-        alpha=args.alpha,
-        in_path=getattr(args, "in"),
-        out_path=args.out,
-    )
-    params = cfg.validated()
-    pts = _plain_points(dio.read_points(cfg.in_path), "coreset build")
-    core = ring_coreset(
-        pts, params, mode=cfg.mode, seed=cfg.effective_seed, alpha=cfg.alpha
-    )
-    dio.write_coreset(core, params, cfg.out_path)
+    params = ClusteringParams(k=args.k, z=args.z, epsilon=args.eps)
+    mode = _MODES[args.mode]
+    if mode == "deterministic" and args.seed is not None:
+        raise InputError("--seed applies to randomized mode only")
+    pts = _plain_points(dio.read_points(getattr(args, "in")), "coreset build")
+    seed = 0 if args.seed is None else args.seed
+    core = ring_coreset(pts, params, mode=mode, seed=seed, alpha=args.alpha)
+    dio.write_coreset(core, params, args.out)
     print(
         f"coreset: {core.size} rows from {pts.shape[0]} points,"
         f" F={core.offset!r} ({float(core.offset).hex()}),"
@@ -150,11 +114,8 @@ def _cmd_coreset_verify(args):
 
 
 def _cmd_sketch_build(args):
-    cfg = RunConfig(
-        k=args.k, z=args.z, epsilon=args.eps, in_path=getattr(args, "in"), out_path=args.out
-    )
-    params = cfg.validated()
-    pts = _plain_points(dio.read_points(cfg.in_path), "sketch build")
+    params = ClusteringParams(k=args.k, z=args.z, epsilon=args.eps)
+    pts = _plain_points(dio.read_points(getattr(args, "in")), "sketch build")
     sk = cost_preserving_sketch(pts, params, strategy=args.strategy)
     net = build_net(
         sk.coreset.representatives,
@@ -162,7 +123,7 @@ def _cmd_sketch_build(args):
         params.epsilon,
         params.z,
     )
-    dio.write_sketch(sk.map, net.points, params, cfg.out_path)
+    dio.write_sketch(sk.map, net.points, params, args.out)
     cert = sk.map.certificate or {}
     print(
         f"sketch: {pts.shape[1]} -> {sk.target_dim} dims"
@@ -187,7 +148,10 @@ def _cmd_sketch_verify(args):
             file=sys.stderr,
         )
         return 4
-    if checked == 0 or dist > bound:
+    # with no net pair to check, only the exact identity map is accepted:
+    # it preserves every distance without a certificate
+    unchecked = checked == 0 and not np.array_equal(lin.matrix, np.eye(lin.d))
+    if unchecked or dist > bound:
         print("verification FAILED", file=sys.stderr)
         return 4
     print("verification passed")
@@ -195,33 +159,25 @@ def _cmd_sketch_verify(args):
 
 
 def _cmd_solve(args):
-    cfg = RunConfig(
-        k=args.k,
-        z=args.z,
-        epsilon=args.eps,
-        alpha=args.alpha,
-        in_path=getattr(args, "in"),
-        out_path=args.out,
-    )
-    params = cfg.validated()
-    ps = dio.read_points(cfg.in_path)
+    params = ClusteringParams(k=args.k, z=args.z, epsilon=args.eps)
+    ps = dio.read_points(getattr(args, "in"))
     if isinstance(ps, ExtendedPointSet):
         raise InputError("solve expects plain or weighted points")
     if args.method == "exact":
         res = exact_solve(ps, params)
     elif args.method == "bicriteria":
-        res = bicriteria_solve(ps, params, alpha=cfg.alpha)
+        res = bicriteria_solve(ps, params, alpha=args.alpha)
     else:
         pts = _plain_points(ps, "solve ptas")
-        res = approx_solve(pts, params, alpha=cfg.alpha)
+        res = approx_solve(pts, params, alpha=args.alpha)
     print(
         f"method={res.method} downgraded={res.downgraded}"
         f" cost={res.cost!r} ({float(res.cost).hex()})"
         f" centers={res.centers.k}"
     )
-    if cfg.out_path:
-        dio.write_points(res.centers.centers, cfg.out_path)
-        print(f"wrote centers to {cfg.out_path}")
+    if args.out:
+        dio.write_points(res.centers.centers, args.out)
+        print(f"wrote centers to {args.out}")
     return 0
 
 

@@ -5,6 +5,12 @@ witness net over the distinct representatives (hull covers of small
 subsets, orthonormal bases of their spans, the origin), derandomize a
 linear map that provably preserves all pairwise distances of the net, and
 sketch each point as (map(representative), extension).
+
+The budgets are module constants: the net enumerates at most MAX_SUBSETS
+subsets (BudgetError past it) with hull covers of at most MAX_COVER_STEPS
+barycentric steps; the map's target dimension starts at
+ceil(JL_C * eps^-2 * ln #pairs), and seed-scan tries MAX_SEEDS seeds per
+dimension.
 """
 
 from __future__ import annotations
@@ -21,20 +27,19 @@ from .geometry import ClusteringParams, ExtendedPointSet, RowPool, _as_points
 from .linmap import LinearMap, identity_map, pair_distortions
 from .partition import PartitionCoresetResult, build
 
-DEFAULT_JL_C = 4.0
-DEFAULT_MAX_SEEDS = 256
-DEFAULT_MAX_SUBSETS = 20_000
-DEFAULT_MAX_COVER_STEPS = 3
+JL_C = 4.0
+MAX_SEEDS = 256
+MAX_SUBSETS = 20_000
+MAX_COVER_STEPS = 3
 
 
 @dataclass(frozen=True)
 class WitnessParams:
     """Net enumeration knobs: subsets of up to R representatives, covers at
-    relative spacing derived from base_eps and D."""
+    relative spacing eps / (4 D z)."""
 
     D: float
     R: int
-    base_eps: float
 
     def __post_init__(self):
         if self.R < 2:
@@ -47,7 +52,6 @@ class WitnessParams:
         return cls(
             D=4.0 * params.z / params.epsilon,
             R=min(math.ceil(4.0 / params.epsilon**2), 4),
-            base_eps=params.epsilon,
         )
 
 
@@ -123,19 +127,12 @@ def _pivoted_orthobasis(V, rel_tol=1e-12):
     return np.array(basis) if basis else np.empty((0, V.shape[1]))
 
 
-def build_net(
-    representatives,
-    witness: WitnessParams,
-    eps,
-    z,
-    *,
-    max_subsets=DEFAULT_MAX_SUBSETS,
-    max_cover_steps=DEFAULT_MAX_COVER_STEPS,
-):
+def build_net(representatives, witness: WitnessParams, eps, z):
     """Witness net over coreset representatives.
 
-    Enumerates every subset of size <= R (lexicographic ids); for each, a
-    hull cover at spacing eps' * diam and an orthonormal basis of the span;
+    Enumerates every subset of size <= R (lexicographic ids; BudgetError
+    past MAX_SUBSETS); for each, a hull cover at spacing eps' * diam (at
+    most MAX_COVER_STEPS steps) and an orthonormal basis of the span;
     the origin is always included. Points are deduplicated at 1e-12
     relative quantization, first source kept.
     """
@@ -146,9 +143,9 @@ def build_net(
         raise InputError("representatives must be distinct")
 
     n_subsets = sum(math.comb(T, j) for j in range(1, min(witness.R, T) + 1))
-    if n_subsets > max_subsets:
+    if n_subsets > MAX_SUBSETS:
         raise BudgetError(
-            "witness net subset enumeration", required=n_subsets, allowed=max_subsets
+            "witness net subset enumeration", required=n_subsets, allowed=MAX_SUBSETS
         )
 
     eps_prime = eps / (4.0 * witness.D * z)
@@ -169,7 +166,7 @@ def build_net(
             cover = (
                 S[:1]
                 if diam == 0.0
-                else hull_cover(S, eps_prime * diam, max_steps=max_cover_steps)
+                else hull_cover(S, eps_prime * diam, max_steps=MAX_COVER_STEPS)
             )
             push(cover, sid, "cover")
             push(_pivoted_orthobasis(S), sid, "basis")
@@ -232,22 +229,16 @@ def _conditional_sign_matrix(W, m, eps):
     return signs
 
 
-def derandomized_jl(
-    vectors,
-    eps,
-    strategy="seed-scan",
-    *,
-    c=DEFAULT_JL_C,
-    max_seeds=DEFAULT_MAX_SEEDS,
-):
+def derandomized_jl(vectors, eps, strategy="seed-scan"):
     """A linear map certified to preserve all pairwise distances of
     `vectors` within (1 +- eps).
 
-    Target dimension starts at ceil(c * eps^-2 * ln(#pairs)) and doubles
+    Target dimension starts at ceil(JL_C * eps^-2 * ln(#pairs)) and doubles
     until a map passes exhaustive certification; past d the exact identity
-    is returned instead. seed-scan tries the seeded sign-matrix family in
-    seed order; conditional builds one sign matrix by derandomized bit
-    choices. Either way the certificate records what was actually checked.
+    is returned instead. seed-scan tries the first MAX_SEEDS seeds of the
+    seeded sign-matrix family in seed order; conditional builds one sign
+    matrix by derandomized bit choices. Either way the certificate records
+    what was actually checked.
     """
     V = _as_points(vectors, "vectors")
     if not (0.0 < eps < 1.0):
@@ -257,10 +248,10 @@ def derandomized_jl(
     n, d = V.shape
     n_pairs = n * (n - 1) // 2
 
-    m = max(1, math.ceil(c * eps**-2 * math.log(max(n_pairs, 2))))
+    m = max(1, math.ceil(JL_C * eps**-2 * math.log(max(n_pairs, 2))))
     while m <= d:
         if strategy == "seed-scan":
-            for seed in range(max_seeds):
+            for seed in range(MAX_SEEDS):
                 cand = seeded_projection_family(d, m, seed)
                 checked, dist = pair_distortions(cand, V)
                 if dist <= 1.0 + eps:
@@ -305,21 +296,6 @@ class CostPreservingSketch:
     map: LinearMap
     coreset: PartitionCoresetResult
     target_dim: int
-    points: np.ndarray  # original input rows, for point lookup
-
-    def evaluate_index(self, i):
-        rep = self.coreset.representatives[self.coreset.rep_index[i]]
-        return np.append(self.map.apply(rep), self.coreset.extensions[i])
-
-    def evaluate(self, point):
-        p = np.asarray(point, dtype=np.float64)
-        hits = np.flatnonzero((self.points == p).all(axis=1))
-        if hits.size == 0:
-            raise InputError("point is not part of the sketched input")
-        return self.evaluate_index(int(hits[0]))
-
-    def center_embed(self, center):
-        return np.append(self.map.apply(np.asarray(center, dtype=np.float64)), 0.0)
 
     def sketched_points(self, weights=None):
         mapped = self.map.apply(self.coreset.representatives)
@@ -331,12 +307,11 @@ class CostPreservingSketch:
 
 
 def cost_preserving_sketch(P, params: ClusteringParams, *, strategy="seed-scan"):
-    """Full sketch pipeline: the practical partition coreset, a witness
-    net over its representatives at WitnessParams.defaults (budgets
-    DEFAULT_MAX_SUBSETS and DEFAULT_MAX_COVER_STEPS), a map preserving net
-    distances within (1 +- eps/z) (DEFAULT_JL_C, DEFAULT_MAX_SEEDS), and
-    the assembled per-point sketch."""
-    pts = _as_points(P, "points")
+    """Full sketch pipeline: the partition coreset of P, a witness net over
+    its representatives at WitnessParams.defaults, and a map preserving net
+    distances within (1 +- eps/z). Row i of sketched_points() is point i's
+    sketch (map(representative), extension); a center embeds as
+    (map(center), 0)."""
     coreset = build(P, params)
     net = build_net(
         coreset.representatives,
@@ -345,6 +320,4 @@ def cost_preserving_sketch(P, params: ClusteringParams, *, strategy="seed-scan")
         params.z,
     )
     lin = derandomized_jl(net.points, params.epsilon / params.z, strategy=strategy)
-    return CostPreservingSketch(
-        map=lin, coreset=coreset, target_dim=lin.m + 1, points=pts
-    )
+    return CostPreservingSketch(map=lin, coreset=coreset, target_dim=lin.m + 1)

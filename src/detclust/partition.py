@@ -1,21 +1,24 @@
 """Recursive extension partition coreset.
 
 Each node holds a cluster C and a tentative representative m. If adding k
-centers cannot beat clustering C to m alone by more than a beta fraction,
+centers cannot beat clustering C to m alone by more than a BETA fraction,
 every point of C collapses onto m and its residual distance moves into an
 extension coordinate; the resulting multiset preserves the cost of every
 partition of C against every centered assignment, up to epsilon. Otherwise
-the node splits along a bicriteria solution and recurses, to depth gamma.
+the node splits along a bicriteria solution and recurses, to depth GAMMA.
+
+BETA = 0.1 and GAMMA = 3 are practical settings that verify_partition_coreset
+checks after the fact; the paper's provable margin (of order eps^(z+6)) and
+depth give trees that are astronomically large on all but degenerate inputs.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bicriteria import PIPELINE_MAX_CANDIDATES, bicriteria
+from .bicriteria import bicriteria
 from .errors import InputError
 from .geometry import (
     ClusteringParams,
@@ -31,65 +34,8 @@ from .geometry import (
 )
 
 FANOUT_CAP_PER_K = 64
-
-PRACTICAL_BETA = 0.1
-PRACTICAL_GAMMA = 3
-
-
-def alpha_threshold(z, eps):
-    """Stability margin under which one center is a faithful stand-in."""
-    if not (isinstance(z, (int, np.integer)) and z >= 1):
-        raise InputError("z must be an integer >= 1")
-    if eps <= 0:
-        raise InputError("eps must be positive")
-    return eps ** (z + 6) / (401408.0 * 2.0 ** (3 * z) * float(z) ** (z + 6))
-
-
-def extension_map(p, m):
-    """Collapse p onto m, keeping the lost distance as an extension."""
-    p = np.asarray(p, dtype=np.float64)
-    m = np.asarray(m, dtype=np.float64)
-    if p.shape != m.shape:
-        raise InputError("point and representative dimensions differ")
-    return m.copy(), float(np.sqrt(((p - m) ** 2).sum()))
-
-
-@dataclass(frozen=True)
-class PartitionCoresetParams:
-    """(alpha, beta, gamma) stopping parameters.
-
-    alpha is the stability margin actually certified by a beta-precision
-    stop (alpha = 2*beta covers the worst case); gamma is the depth cap.
-    """
-
-    alpha: float
-    beta: float
-    gamma: int
-    mode: str = "practical"
-
-    def __post_init__(self):
-        if not (0 < self.beta <= self.alpha):
-            raise InputError("need 0 < beta <= alpha")
-        if not (isinstance(self.gamma, (int, np.integer)) and self.gamma >= 1):
-            raise InputError("gamma must be an integer >= 1")
-        if self.mode not in ("paper-constants", "practical"):
-            raise InputError(f"unknown mode {self.mode!r}")
-
-    @classmethod
-    def practical(cls, beta=PRACTICAL_BETA, gamma=PRACTICAL_GAMMA):
-        return cls(alpha=2.0 * beta, beta=beta, gamma=int(gamma), mode="practical")
-
-    @classmethod
-    def paper_constants(cls, params):
-        """The provable regime: beta = alpha/2 from the closed-form margin,
-        depth gamma = ceil(z*log(8 z^2/eps) / log(1+beta)). Trees at these
-        settings are astronomically large except on degenerate inputs."""
-        alpha = alpha_threshold(params.z, params.epsilon)
-        beta = alpha / 2.0
-        gamma = math.ceil(
-            params.z * math.log(8.0 * params.z**2 / params.epsilon) / math.log1p(beta)
-        )
-        return cls(alpha=alpha, beta=beta, gamma=gamma, mode="paper-constants")
+BETA = 0.1  # a node stops when k centers beat its one center by at most this fraction
+GAMMA = 3  # depth cap
 
 
 @dataclass(frozen=True)
@@ -108,7 +54,6 @@ class PartitionCoresetResult:
     rep_index: np.ndarray  # per input point
     extensions: np.ndarray  # per input point
     recursion_trace: tuple
-    params_used: PartitionCoresetParams
 
     @property
     def size(self):
@@ -127,19 +72,16 @@ class PartitionCoresetResult:
         )
 
 
-def build(
-    P,
-    params: ClusteringParams,
-    pc_params: PartitionCoresetParams = None,
-):
+def build(P, params: ClusteringParams):
     """Builds the extension partition coreset, breadth first.
 
     Nodes are processed in (depth, parent, child) order so the trace and the
-    representative numbering are deterministic. Each node's split test runs
-    bicriteria with the PIPELINE_MAX_CANDIDATES budget. In practical mode a node
-    spawning more than 64k children keeps the most expensive ones and stops
-    the cheapest in place (collapse onto their own center), flagged as
-    truncated in the trace.
+    representative numbering are deterministic. A node stops ("stable")
+    when its bicriteria solution beats its one center by at most BETA of
+    its cost, and nodes at depth GAMMA stop anyway ("max-depth"). A node
+    spawning more than FANOUT_CAP_PER_K * k children keeps the most
+    expensive ones and stops the cheapest in place (collapse onto their own
+    center), flagged as truncated in the trace.
     """
     pts, w = _coerce_pointset(P)
     n = pts.shape[0]
@@ -147,11 +89,8 @@ def build(
         raise InputError("need at least one point")
     if (w != 1.0).any():
         raise InputError("partition coreset maps unweighted points")
-    if pc_params is None:
-        pc_params = PartitionCoresetParams.practical()
-    beta, gamma = pc_params.beta, pc_params.gamma
     z = params.z
-    node_params = ClusteringParams(k=params.k, z=z, epsilon=min(beta, 1.0 / 3.0))
+    node_params = ClusteringParams(k=params.k, z=z, epsilon=min(BETA, 1.0 / 3.0))
 
     pool = RowPool(1e-12 * max(1.0, float(np.abs(pts).max(initial=0.0))))
     rep_index = np.full(n, -1, dtype=np.int64)
@@ -171,17 +110,17 @@ def build(
         C = pts[idx]
         cost_m = power_cost(C, m[None, :], z)
 
-        if len(idx) == 1 and depth < gamma:
+        if len(idx) == 1 and depth < GAMMA:
             # a singleton collapses onto itself exactly
             pool_m = C[0]
             emit(idx, pool_m, depth, "leaf", cost_m, parent)
             continue
 
-        res = bicriteria(C, node_params, max_candidates=PIPELINE_MAX_CANDIDATES)
-        if cost_m - res.cost <= beta * cost_m:
+        res = bicriteria(C, node_params)
+        if cost_m - res.cost <= BETA * cost_m:
             emit(idx, m, depth, "stable", cost_m, parent)
             continue
-        if depth == gamma:
+        if depth == GAMMA:
             emit(idx, m, depth, "max-depth", cost_m, parent)
             continue
 
@@ -197,7 +136,7 @@ def build(
             children.append((c_cost, lbl, sub))
 
         cap = FANOUT_CAP_PER_K * params.k
-        if pc_params.mode == "practical" and len(children) > cap:
+        if len(children) > cap:
             children.sort(key=lambda t: (t[0], t[1]))
             stopped, kept = children[: len(children) - cap], children[-cap:]
             kept.sort(key=lambda t: t[1])
@@ -212,7 +151,6 @@ def build(
         rep_index=rep_index,
         extensions=extensions,
         recursion_trace=tuple(trace),
-        params_used=pc_params,
     )
 
 

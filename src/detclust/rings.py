@@ -19,13 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bicriteria import (
-    DEFAULT_ALPHA,
-    PIPELINE_MAX_CANDIDATES,
-    bicriteria,
-    candidate_centers,
-    greedy_augment,
-)
+# candidate_centers stays importable as rings.candidate_centers, the name
+# perfbench/tests/test_harness.py wraps and restores
+from .bicriteria import DEFAULT_ALPHA, bicriteria, candidate_centers  # noqa: F401
 from .dimreduce import cost_preserving_sketch
 from .epsapprox import (
     ball_test_family,
@@ -38,7 +34,6 @@ from .geometry import (
     CenterSet,
     WeightedPointSet,
     _as_points,
-    _coerce_centers,
     _coerce_pointset,
     _power_from_sq,
     min_power_dists,
@@ -129,42 +124,16 @@ class OffsetCoreset:
         )
 
 
-def greedy_seeding(
-    P,
-    params,
-    *,
-    baseline=None,
-    alpha=DEFAULT_ALPHA,
-    zero_last_coord=False,
-):
+def greedy_seeding(P, params, *, alpha=DEFAULT_ALPHA, zero_last_coord=False):
     """Grow centers greedily from a constant-factor baseline A.
 
     Adds candidate centers while each drops the cost by the factor
     eps/(c_A k), stopping early once the cost falls to eps cost(A)/c_A
     (status low-cost) and otherwise ending locally stable, with c_A =
-    alpha. baseline may be a center array; the default runs the built-in
-    bicriteria solver, which handles high dimension by projection. Either
-    way the candidate budget is PIPELINE_MAX_CANDIDATES.
+    alpha. This is the bicriteria solver's output, which handles high
+    dimension by projection.
     """
-    if baseline is None:
-        res = bicriteria(
-            P,
-            params,
-            alpha=alpha,
-            max_candidates=PIPELINE_MAX_CANDIDATES,
-            zero_last_coord=zero_last_coord,
-        )
-    else:
-        A = _coerce_centers(baseline)
-        cands = candidate_centers(
-            P,
-            params,
-            A,
-            alpha=alpha,
-            max_candidates=PIPELINE_MAX_CANDIDATES,
-            zero_last_coord=zero_last_coord,
-        )
-        res = greedy_augment(P, A, cands, params, alpha=alpha)
+    res = bicriteria(P, params, alpha=alpha, zero_last_coord=zero_last_coord)
     status = "low-cost" if res.stopped_reason == "low-cost" else "locally-stable"
     return SeedingResult(
         centers=res.centers,

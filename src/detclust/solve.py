@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bicriteria import (
-    DEFAULT_ALPHA,
-    PIPELINE_MAX_CANDIDATES,
-    constant_factor_approx,
-    lift_by_clusters,
-)
+from .bicriteria import DEFAULT_ALPHA, constant_factor_approx, lift_by_clusters
 from .errors import BudgetError, InputError
 from .geometry import (
     CenterSet,
@@ -215,9 +210,9 @@ def _polish(pts, w, C, z, rounds, centers):
 def bicriteria_solve(P, params, *, alpha=DEFAULT_ALPHA):
     """Exactly k centers from the constant-factor machinery plus polish.
 
-    Initializations: the swap-search solution (candidate budget
-    PIPELINE_MAX_CANDIDATES), and every k-subset of distinct input points
-    when there are at most DEFAULT_SUBSET_CAP of them. Each is polished by
+    Initializations: the swap-search solution, and every k-subset of
+    distinct input points when there are at most DEFAULT_SUBSET_CAP of
+    them. Each is polished by
     up to DEFAULT_POLISH_ROUNDS assign/recenter rounds; winner by (cost,
     init order). One memo of per-cluster 1-center solutions, keyed by
     member mask, is shared by every init and round, so each distinct
@@ -233,11 +228,7 @@ def bicriteria_solve(P, params, *, alpha=DEFAULT_ALPHA):
             method="bicriteria",
             enumeration_stats=0,
         )
-    inits = [
-        constant_factor_approx(
-            P, params, alpha=alpha, max_candidates=PIPELINE_MAX_CANDIDATES
-        ).centers
-    ]
+    inits = [constant_factor_approx(P, params, alpha=alpha).centers]
     _, first = np.unique(pts, axis=0, return_index=True)
     distinct = np.sort(first)
     if distinct.size >= k and math.comb(distinct.size, k) <= DEFAULT_SUBSET_CAP:

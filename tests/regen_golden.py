@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from detclust.bicriteria import PIPELINE_MAX_CANDIDATES, bicriteria, candidate_centers
+from detclust.bicriteria import bicriteria, candidate_centers
 from detclust.datasets import far_point_instance, gaussian_blobs
 from detclust.dimreduce import WitnessParams, build_net, cost_preserving_sketch
 from detclust.geometry import ClusteringParams
@@ -80,7 +80,6 @@ def _bicriteria_projection(zero_last_coord=False):
     res = bicriteria(
         pts,
         ClusteringParams(k=2, z=2, epsilon=0.3),
-        max_candidates=4096,
         zero_last_coord=zero_last_coord,
     )
     return digest(
@@ -107,7 +106,6 @@ def _candidates():
         ClusteringParams(k=2, z=2, epsilon=0.3),
         pts[:2],
         alpha=2.0,
-        max_candidates=PIPELINE_MAX_CANDIDATES,
     )
     return digest(cc.points, cc.provenance_point, cc.provenance_level, str(cc.spacing_scale))
 
@@ -119,7 +117,6 @@ def _candidates_slice():
         ClusteringParams(k=2, z=2, epsilon=0.3),
         pts[:2],
         alpha=2.0,
-        max_candidates=PIPELINE_MAX_CANDIDATES,
         zero_last_coord=True,
     )
     return digest(cc.points, cc.provenance_point, cc.provenance_level, str(cc.spacing_scale))

@@ -34,11 +34,7 @@ from detclust.geometry import (
     solve_1center_constrained,
 )
 from detclust.linmap import pair_distortions
-from detclust.partition import (
-    PartitionCoresetParams,
-    build,
-    verify_partition_coreset,
-)
+from detclust.partition import build, verify_partition_coreset
 from detclust.rings import (
     build_instance_IG,
     greedy_seeding,
@@ -130,7 +126,7 @@ def test_criterion_3_partition_coreset_verification():
                 ]
             )
         params = ClusteringParams(k=2, z=z, epsilon=0.3)
-        res = build(pts, params, PartitionCoresetParams.practical(beta=0.1, gamma=3))
+        res = build(pts, params)  # BETA = 0.1, GAMMA = 3
         stops = {t.reason for t in res.recursion_trace if t.reason != "split"}
         if not stops <= {"stable", "leaf"}:
             continue

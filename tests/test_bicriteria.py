@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import math
 
@@ -28,6 +29,9 @@ from oracles import (
     naive_power_cost,
     per_ball_candidates,
 )
+
+# the package exports the function bicriteria under the submodule's name
+bicriteria_mod = importlib.import_module("detclust.bicriteria")
 
 
 class P:
@@ -95,14 +99,14 @@ def _slice_and_empty_cases():
     yield pts, 2, False, 40  # a tight budget forces spacing doubling
 
 
-def test_candidate_centers_match_per_ball_oracle():
+def test_candidate_centers_match_per_ball_oracle(monkeypatch):
     seen_missed = seen_empty = seen_scaled = 0
     for pts, z, zero_last_coord, budget in _slice_and_empty_cases():
         params = P(k=2, z=z, epsilon=0.3)
         anchor = pts[:2]
+        monkeypatch.setattr(bicriteria_mod, "MAX_CANDIDATES", budget)
         cc = candidate_centers(
-            pts, params, anchor, alpha=2.0, max_candidates=budget,
-            zero_last_coord=zero_last_coord,
+            pts, params, anchor, alpha=2.0, zero_last_coord=zero_last_coord
         )
         points, prov_point, prov_level, scale, missed, empty = per_ball_candidates(
             pts, power_cost(pts, anchor, z), z, 0.3, 2.0, budget, zero_last_coord
@@ -118,7 +122,7 @@ def test_candidate_centers_match_per_ball_oracle():
     assert seen_missed and seen_empty and seen_scaled
 
 
-def test_spacing_scale_search_matches_linear_doubling():
+def test_spacing_scale_search_matches_linear_doubling(monkeypatch):
     # the exponent search must stop where plain doubling stops: at 1 when
     # the first lattice fits, at the 2**40 cap when none does, and at the
     # first fitting power of two in between
@@ -131,9 +135,10 @@ def test_spacing_scale_search_matches_linear_doubling():
         anchor = pts[:2]
         anchor_cost = power_cost(pts, anchor, z)
         for budget in (1, 30, 300, 3000, 10**4):
+            monkeypatch.setattr(bicriteria_mod, "MAX_CANDIDATES", budget)
             cc = candidate_centers(
                 pts, P(k=2, z=z, epsilon=0.3), anchor, alpha=2.0,
-                max_candidates=budget, zero_last_coord=zero_last_coord,
+                zero_last_coord=zero_last_coord,
             )
             scale, _, _ = linear_spacing_scale(
                 pts, anchor_cost, z, 0.3, 2.0, budget, zero_last_coord
@@ -167,9 +172,12 @@ def test_candidates_delta_zero_inputs_only():
     assert np.array_equal(np.sort(cc.points, axis=0), np.sort(pts, axis=0))
 
 
-def test_candidate_cover_property_sampled():
+def test_candidate_cover_property_sampled(monkeypatch):
     # 100 random targets inside a covered ball are all within (eps/z)*r of
-    # some candidate
+    # some candidate. The bound holds at spacing scale 1 only: at the
+    # 4096 budget this instance thins the lattice to scale 2, so the
+    # budget is raised until the unthinned lattice fits
+    monkeypatch.setattr(bicriteria_mod, "MAX_CANDIDATES", 50_000)
     rng = np.random.default_rng(5)
     pts = rng.standard_normal((12, 2))
     params = P(k=2, z=1, epsilon=0.3)

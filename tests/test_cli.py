@@ -5,26 +5,29 @@ import re
 import numpy as np
 import pytest
 
-from detclust.cli import RunConfig, _parse_thread_cap, cli_dispatch
+from detclust.cli import _parse_thread_cap, cli_dispatch
 from detclust.errors import InputError
 from detclust.geometry import ClusteringParams
-from detclust.io import read_coreset, read_points
+from detclust.io import read_coreset, read_points, write_points, write_sketch
+from detclust.linmap import LinearMap
 from detclust.solve import exact_solve
 
 COST_RE = re.compile(r"cost=([^ ]+) \(([^)]+)\)")
 
 
-def test_runconfig_validation():
-    cfg = RunConfig(k=2, z=2, epsilon=0.3)
-    assert cfg.validated() == ClusteringParams(k=2, z=2, epsilon=0.3)
-    with pytest.raises(InputError):
-        RunConfig(k=2, z=2, epsilon=0.3, seed=1).validated()
-    with pytest.raises(InputError):
-        RunConfig(k=2, z=2, epsilon=0.3, mode="sometimes").validated()
-    with pytest.raises(InputError):
-        RunConfig(k=0, z=2, epsilon=0.3).validated()
-    assert RunConfig(k=2, z=2, epsilon=0.3, mode="randomized", seed=7).effective_seed == 7
-    assert RunConfig(k=2, z=2, epsilon=0.3).effective_seed == 0
+def test_runconfig_validation(tmp_path, capsys):
+    # clustering arguments are rejected with exit 2 before anything is written
+    pts, out = tmp_path / "p.csv", tmp_path / "out"
+    assert cli_dispatch(["gen", "--blobs", "2", "--n", "20", "--d", "2", "--out", str(pts)]) == 0
+    io_args = ["--in", str(pts), "--out", str(out), "--z", "2", "--eps", "0.3"]
+    build = ["coreset", "build"] + io_args
+    capsys.readouterr()
+    assert cli_dispatch(build + ["--k", "2", "--mode", "det", "--seed", "1"]) == 2
+    assert "--seed applies to randomized mode only" in capsys.readouterr().err
+    assert cli_dispatch(build + ["--k", "2", "--mode", "sometimes"]) == 2
+    for cmd in (build, ["sketch", "build"] + io_args, ["solve", "exact"] + io_args):
+        assert cli_dispatch(cmd + ["--k", "0"]) == 2
+    assert not out.exists()
 
 
 def test_thread_cap_parsing():
@@ -153,6 +156,24 @@ def test_sketch_build_and_verify(tmp_path, capsys):
     )
     sk.write_text(doc)
     assert cli_dispatch(["sketch", "verify", "--sketch", str(sk)]) == 4
+
+
+def test_unchecked_sketch_bundle_passes_only_as_identity(tmp_path, capsys):
+    # the net of six equal points is one row, so no pair can be rechecked;
+    # the built bundle's exact identity map passes without one
+    pts, sk = tmp_path / "zeros.csv", tmp_path / "sk.json"
+    write_points(np.zeros((6, 30)), pts)
+    args = ["--in", str(pts), "--out", str(sk), "--k", "2", "--z", "2", "--eps", "0.3"]
+    assert cli_dispatch(["sketch", "build"] + args) == 0
+    assert "net size 1," in capsys.readouterr().out
+    assert cli_dispatch(["sketch", "verify", "--sketch", str(sk)]) == 0
+    out = capsys.readouterr().out
+    assert "rechecked 0 net pairs" in out and "verification passed" in out
+    # any other map with nothing rechecked fails
+    lin = LinearMap(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    write_sketch(lin, np.ones((1, 3)), ClusteringParams(k=2, z=2, epsilon=0.3), sk)
+    assert cli_dispatch(["sketch", "verify", "--sketch", str(sk)]) == 4
+    assert "FAILED" in capsys.readouterr().err
 
 
 def test_corrupted_coreset_fails_verification(tmp_path, capsys):

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+import detclust.dimreduce as dimreduce
 from detclust import BudgetError, InputError
 from detclust.geometry import (
     ClusteringParams,
@@ -12,7 +13,6 @@ from detclust.geometry import (
     power_cost,
 )
 from detclust.dimreduce import (
-    CostPreservingSketch,
     WitnessNet,
     WitnessParams,
     build_net,
@@ -75,15 +75,14 @@ def test_witness_params_defaults_and_validation():
     w = WitnessParams.defaults(params)
     assert w.D == 4.0 * 2 / 0.25
     assert w.R == 4
-    assert w.base_eps == 0.25
     with pytest.raises(InputError):
-        WitnessParams(D=0.0, R=3, base_eps=0.2)
+        WitnessParams(D=0.0, R=3)
     with pytest.raises(InputError):
-        WitnessParams(D=8.0, R=1, base_eps=0.2)
+        WitnessParams(D=8.0, R=1)
 
 
 def test_build_net_single_representative():
-    w = WitnessParams(D=8.0, R=2, base_eps=0.5)
+    w = WitnessParams(D=8.0, R=2)
     net = build_net(np.array([[2.0, 0.0]]), w, eps=0.5, z=1)
     rows = {tuple(r) for r in net.points}
     assert rows == {(0.0, 0.0), (2.0, 0.0), (1.0, 0.0)}
@@ -92,8 +91,8 @@ def test_build_net_single_representative():
 
 
 def test_build_net_segment_cover_present():
-    w = WitnessParams(D=8.0, R=2, base_eps=0.5)
-    net = build_net(np.array([[0.0], [4.0]]), w, eps=0.5, z=1, max_cover_steps=3)
+    w = WitnessParams(D=8.0, R=2)
+    net = build_net(np.array([[0.0], [4.0]]), w, eps=0.5, z=1)
     rows = {tuple(r) for r in net.points}
     for x in (0.0, 4.0 / 3.0, 8.0 / 3.0, 4.0):
         assert any(abs(r[0] - x) < 1e-12 for r in rows)
@@ -112,7 +111,7 @@ def test_build_net_contains_origin_and_reps():
 
 
 def test_build_net_rejects_duplicates():
-    w = WitnessParams(D=8.0, R=2, base_eps=0.5)
+    w = WitnessParams(D=8.0, R=2)
     with pytest.raises(InputError):
         build_net(np.array([[1.0, 0.0], [1.0, 0.0]]), w, eps=0.5, z=1)
 
@@ -122,9 +121,9 @@ def test_build_net_budget_error_fields():
 
     rng = np.random.default_rng(2)
     reps = rng.standard_normal((30, 2))
-    w = WitnessParams(D=8.0, R=4, base_eps=0.25)
+    w = WitnessParams(D=8.0, R=4)
     with pytest.raises(BudgetError) as ei:
-        build_net(reps, w, eps=0.25, z=2, max_subsets=20_000)
+        build_net(reps, w, eps=0.25, z=2)
     assert ei.value.required == sum(math.comb(30, j) for j in range(1, 5))  # 31930
     assert ei.value.allowed == 20_000
 
@@ -133,7 +132,7 @@ def test_build_net_size_matches_recount_oracle():
     rng = np.random.default_rng(12)
     reps = rng.standard_normal((4, 2)) * 3.0
     D, R, eps, z = 8.0, 2, 0.5, 1
-    net = build_net(reps, WitnessParams(D=D, R=R, base_eps=eps), eps=eps, z=z)
+    net = build_net(reps, WitnessParams(D=D, R=R), eps=eps, z=z)
     assert net.points.shape[0] == recount_witness_net(reps.tolist(), D, R, eps, z)
 
 
@@ -147,10 +146,16 @@ def test_jl_identity_fallback():
     assert lin.certified
 
 
-def test_jl_seed_scan_certifies():
+@pytest.fixture
+def jl_c_one(monkeypatch):
+    """Start the JL search at ceil(eps^-2 ln #pairs), below these tests' d."""
+    monkeypatch.setattr(dimreduce, "JL_C", 1.0)
+
+
+def test_jl_seed_scan_certifies(jl_c_one):
     rng = np.random.default_rng(15)
     V = rng.standard_normal((20, 40))
-    lin = derandomized_jl(V, 0.4, c=1.0)
+    lin = derandomized_jl(V, 0.4)
     assert lin.m < 40
     assert lin.certified
     assert lin.certificate["max_distortion"] <= 1.4
@@ -161,29 +166,29 @@ def test_jl_seed_scan_certifies():
     assert dist == pytest.approx(lin.certificate["max_distortion"], abs=1e-12)
 
 
-def test_jl_conditional_certifies():
+def test_jl_conditional_certifies(jl_c_one):
     rng = np.random.default_rng(0)
     V = rng.standard_normal((10, 30))
-    lin = derandomized_jl(V, 0.4, strategy="conditional", c=1.0)
+    lin = derandomized_jl(V, 0.4, strategy="conditional")
     assert lin.certificate["strategy"] == "conditional"
     assert lin.m == 24
     assert lin.certified
     assert np.allclose(np.abs(lin.matrix), 1 / np.sqrt(24))
 
 
-def test_jl_duplicate_vectors_exact():
+def test_jl_duplicate_vectors_exact(jl_c_one):
     rng = np.random.default_rng(3)
     v = rng.standard_normal(12)
     V = np.vstack([v, v, rng.standard_normal((4, 12))])
-    lin = derandomized_jl(V, 0.45, c=1.0)
+    lin = derandomized_jl(V, 0.45)
     ya, yb = lin.apply(V[0]), lin.apply(V[1])
     assert np.array_equal(ya, yb)
 
 
-def test_jl_linearity():
+def test_jl_linearity(jl_c_one):
     rng = np.random.default_rng(8)
     V = rng.standard_normal((8, 20))
-    lin = derandomized_jl(V, 0.45, c=1.0)
+    lin = derandomized_jl(V, 0.45)
     x, y = rng.standard_normal(20), rng.standard_normal(20)
     lhs = lin.apply(2.5 * x - 1.25 * y)
     rhs = 2.5 * lin.apply(x) - 1.25 * lin.apply(y)
@@ -205,16 +210,20 @@ def test_sketch_identical_points():
     params = ClusteringParams(k=2, z=2, epsilon=0.25)
     sk = cost_preserving_sketch(pts, params)
     assert sk.target_dim == sk.map.m + 1
-    imgs = np.array([sk.evaluate(p) for p in pts])
+    imgs = sk.sketched_points().as_rows()
     assert (imgs == imgs[0]).all()
     assert (imgs[:, -1] == 0.0).all()
 
 
-def test_sketch_evaluate_rejects_unknown_point():
-    pts = np.array([[0.0, 0.0], [1.0, 1.0]])
-    sk = cost_preserving_sketch(pts, ClusteringParams(k=1, z=2, epsilon=0.25))
-    with pytest.raises(InputError):
-        sk.evaluate([5.0, 5.0])
+def test_sketch_input_checks_raise_input_error():
+    pts = np.random.default_rng(2).standard_normal((6, 3))
+    params = ClusteringParams(k=2, z=2, epsilon=0.25)
+    plain = cost_preserving_sketch(pts, params).sketched_points().as_rows()
+    unit = cost_preserving_sketch((pts, np.ones(6)), params).sketched_points()
+    assert unit.as_rows().tobytes() == plain.tobytes()
+    for bad in ((pts, np.full(6, 2.0)), (pts, np.ones(5)), np.empty((0, 3))):
+        with pytest.raises(InputError):
+            cost_preserving_sketch(bad, params)
 
 
 def test_sketch_z2_offset_decomposition():

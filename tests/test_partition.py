@@ -3,79 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
+import detclust.partition as partition
 from detclust import InputError
 from detclust.geometry import ClusteringParams, center_grid, power_cost
-from detclust.partition import (
-    NodeTrace,
-    PartitionCoresetParams,
-    alpha_threshold,
-    build,
-    extension_map,
-    verify_partition_coreset,
-)
+from detclust.partition import build, verify_partition_coreset
 
 from oracles import naive_extended_cost, naive_power_cost, set_partitions_up_to_k
-
-
-def test_alpha_threshold_frozen_values():
-    assert alpha_threshold(1, 1.0) == pytest.approx(1.0 / 3211264.0, rel=1e-15)
-    expected = 0.5**8 / (401408.0 * 64.0 * 256.0)
-    assert alpha_threshold(2, 0.5) == pytest.approx(expected, rel=1e-15)
-    assert alpha_threshold(2, 0.5) == pytest.approx(5.94e-13, rel=1e-2)
-
-
-def test_alpha_threshold_monotone():
-    eps_grid = [0.05, 0.1, 0.2, 0.3]
-    for z in (1, 2, 3, 4):
-        vals = [alpha_threshold(z, e) for e in eps_grid]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-    for e in eps_grid:
-        vals = [alpha_threshold(z, e) for z in (1, 2, 3, 4)]
-        assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_alpha_threshold_rejects_bad_args():
-    with pytest.raises(InputError):
-        alpha_threshold(0, 0.2)
-    with pytest.raises(InputError):
-        alpha_threshold(2, 0.0)
-
-
-def test_extension_map_basics():
-    m, e = extension_map([1.0, 2.0], [1.0, 2.0])
-    assert e == 0.0 and np.array_equal(m, [1.0, 2.0])
-    m, e = extension_map([3.0, 4.0], [0.0, 0.0])
-    assert e == 5.0 and np.array_equal(m, [0.0, 0.0])
-    with pytest.raises(InputError):
-        extension_map([1.0], [1.0, 2.0])
-
-
-def test_extension_map_symmetric_pair_identity():
-    # z=2: for {p, 2m-p} the collapse onto m is cost-exact for every center
-    p = np.array([3.0, 4.0])
-    m = np.array([1.0, 1.0])
-    q = 2 * m - p
-    rep, ext = extension_map(p, m)
-    for c in ([0.0, 7.0], [-2.0, 3.0], [5.0, -1.0]):
-        c = np.array(c)
-        before = ((p - c) ** 2).sum() + ((q - c) ** 2).sum()
-        after = 2 * (((rep - c) ** 2).sum() + ext**2)
-        assert before == after  # integer coordinates, exact in floats
-
-
-def test_params_modes():
-    pr = PartitionCoresetParams.practical()
-    assert pr.beta == 0.1 and pr.gamma == 3 and pr.alpha == 0.2
-    pa = PartitionCoresetParams.paper_constants(ClusteringParams(2, 2, 0.25))
-    assert pa.beta == pa.alpha / 2
-    assert pa.gamma >= 1
-    assert pa.mode == "paper-constants"
-    with pytest.raises(InputError):
-        PartitionCoresetParams(alpha=0.1, beta=0.2, gamma=3)
-    with pytest.raises(InputError):
-        PartitionCoresetParams(alpha=0.2, beta=0.1, gamma=0)
-    with pytest.raises(InputError):
-        PartitionCoresetParams(alpha=0.2, beta=0.1, gamma=3, mode="fast")
 
 
 def test_build_identical_points_single_stable_node():
@@ -123,6 +56,24 @@ def test_build_root_uses_optimal_1center():
     assert root.reason in ("stable", "split")
 
 
+def test_build_stable_collapse_symmetric_pair_exact(monkeypatch):
+    # z=2: a stable node collapses {p, 2m - p} onto m and keeps |p - m| as
+    # the extension, which is cost-exact for every center
+    monkeypatch.setattr(partition, "BETA", 1.0)  # every node stops at once
+    p, m = np.array([4.0, 5.0]), np.array([1.0, 1.0])
+    pts = np.array([p, 2 * m - p])
+    res = build(pts, ClusteringParams(k=1, z=2, epsilon=0.25))
+    assert [t.reason for t in res.recursion_trace] == ["stable"]
+    assert np.array_equal(res.representatives, [m])
+    assert np.array_equal(res.extensions, [5.0, 5.0])
+    reps = res.representatives[res.rep_index]
+    for c in ([0.0, 7.0], [-2.0, 3.0], [5.0, -1.0]):
+        c = np.array(c)
+        before = ((pts - c) ** 2).sum()
+        after = ((reps - c) ** 2).sum() + (res.extensions**2).sum()
+        assert before == after  # integer coordinates, exact in floats
+
+
 def test_build_single_point_is_leaf():
     res = build(np.array([[1.5, -2.0]]), ClusteringParams(k=2, z=2, epsilon=0.25))
     assert res.size == 1
@@ -144,14 +95,16 @@ def test_build_mapping_total_and_counts_match():
     # stable rows carry the exact residual distances
     for t in res.recursion_trace:
         assert t.reason in ("stable", "max-depth", "leaf", "split")
-        assert t.depth <= res.params_used.gamma
+        assert t.depth <= partition.GAMMA
 
 
-def test_build_depth_capped():
+def test_build_depth_capped(monkeypatch):
+    monkeypatch.setattr(partition, "BETA", 0.01)
+    monkeypatch.setattr(partition, "GAMMA", 1)
     rng = np.random.default_rng(3)
     pts = rng.standard_normal((30, 2)) * 5.0
     params = ClusteringParams(k=2, z=1, epsilon=0.25)
-    res = build(pts, params, PartitionCoresetParams.practical(beta=0.01, gamma=1))
+    res = build(pts, params)
     assert max(t.depth for t in res.recursion_trace) <= 1
     assert any(t.reason in ("max-depth", "stable", "leaf") for t in res.recursion_trace)
 
@@ -167,7 +120,7 @@ def test_build_child_costs_decrease():
     )
     params = ClusteringParams(k=3, z=2, epsilon=0.25)
     res = build(pts, params)
-    beta = res.params_used.beta
+    beta = partition.BETA
     trace = res.recursion_trace
     by_parent = {}
     for i, t in enumerate(trace):
@@ -186,7 +139,7 @@ def test_build_stable_certificate_recheck():
     pts = rng.standard_normal((16, 2)) * 2.0
     params = ClusteringParams(k=2, z=2, epsilon=0.25)
     res = build(pts, params)
-    beta = res.params_used.beta
+    beta = partition.BETA
     # group points by representative; every stable node's certificate is
     # checkable from the result: cost to m minus a fresh bicriteria cost
     from detclust.bicriteria import bicriteria
@@ -206,7 +159,7 @@ def test_build_stable_certificate_recheck():
             continue  # not a stable emission (max-depth keeps extension 0)
         cost_m = power_cost(sub, m[None, :], 2)
         node_params = ClusteringParams(k=2, z=2, epsilon=min(beta, 1 / 3))
-        again = bicriteria(sub, node_params, max_candidates=4096)
+        again = bicriteria(sub, node_params)
         assert cost_m - again.cost <= beta * cost_m + 1e-9 * max(cost_m, 1.0)
         assert len(idx) in stable_sizes
 
@@ -219,14 +172,15 @@ def test_build_rejects_weighted_or_empty():
         build(np.empty((0, 2)), params)
 
 
-def test_verify_on_symmetric_pairs_exact():
+def test_verify_on_symmetric_pairs_exact(monkeypatch):
     # two symmetric pairs around distinct midpoints, k=2, z=2: the collapse
     # is exact for every partition and every center tuple
     m1, m2 = np.array([0.0, 0.0]), np.array([10.0, 0.0])
     d1, d2 = np.array([1.0, 2.0]), np.array([-2.0, 1.0])
     pts = np.array([m1 + d1, m1 - d1, m2 + d2, m2 - d2])
     params = ClusteringParams(k=2, z=2, epsilon=0.2)
-    res = build(pts, params, PartitionCoresetParams.practical(beta=0.3, gamma=3))
+    monkeypatch.setattr(partition, "BETA", 0.3)
+    res = build(pts, params)
     grid = np.array([[0.0, 0.0], [10.0, 0.0], [3.0, -2.0], [7.0, 5.0]])
     # integer-coordinate samples make both cost sides float-exact
     if all(t.reason in ("stable", "leaf") for t in res.recursion_trace):

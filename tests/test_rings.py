@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from detclust.bicriteria import candidate_centers
+from detclust.bicriteria import candidate_centers, greedy_augment
 from detclust.epsapprox import halving_approx, ball_test_family
 from detclust.errors import InputError
 from detclust.geometry import (
@@ -249,8 +249,6 @@ def test_greedy_center_count_bound():
 
 
 def test_greedy_cost_sequence_contracts():
-    from detclust.bicriteria import greedy_augment
-
     pts, params = two_blob_instance()
     A = np.array([[0.0, 0.0], [6.0, 0.0]])
     cands = candidate_centers(pts, params, A, alpha=2.0)
@@ -262,14 +260,16 @@ def test_greedy_cost_sequence_contracts():
 
 
 def test_locally_stable_has_no_improving_candidate():
+    # greedy growth from a fixed baseline A over A's candidate family
     pts, params = two_blob_instance()
     A = np.array([[0.0, 0.0], [6.0, 0.0]])
-    res = greedy_seeding(pts, params, baseline=A, alpha=2.0)
-    assert res.status == "locally-stable"
+    family = candidate_centers(pts, params, A, alpha=2.0)
+    res = greedy_augment(pts, A, family, params, alpha=2.0)
+    assert res.stopped_reason == "no-improving-center"
     G = res.centers.centers
     cost_G = power_cost(pts, G, params.z)
-    f = params.epsilon / (res.c_A * params.k)
-    cands = candidate_centers(pts, params, A, alpha=res.c_A).points
+    f = params.epsilon / (res.alpha_used * params.k)
+    cands = family.points
     base_sq = sq_dist_matrix(pts, G).min(axis=1)
     cand_sq = sq_dist_matrix(pts, cands)
     for t in range(cands.shape[0]):
