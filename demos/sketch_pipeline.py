@@ -25,7 +25,6 @@ from detclust import (
     cost_preserving_sketch,
     power_cost,
     solve_1center,
-    solve_1center_constrained,
 )
 
 rng = np.random.default_rng(42)
@@ -57,7 +56,7 @@ for v in (0, 1):
     c = solve_1center(pts[sel], params.z)
     orig += power_cost(pts[sel], c[None, :], params.z)
     part = ExtendedPointSet(E.points[sel], extensions=E.extensions[sel])
-    c0 = solve_1center_constrained(part, params.z)
+    c0 = solve_1center(part, params.z)
     rows = np.hstack([E.points[sel], E.extensions[sel, None]])
     sketched += power_cost(rows, np.append(c0, 0.0)[None, :], params.z)
 

@@ -29,7 +29,6 @@ from .geometry import (
     power_cost,
     power_triangle_bound,
     solve_1center,
-    solve_1center_constrained,
 )
 from .io import (
     PointFileHeader,
@@ -114,7 +113,6 @@ __all__ = [
     "ring_decompose",
     "ring_mixture",
     "solve_1center",
-    "solve_1center_constrained",
     "tree_sum",
     "uniform_sample_approx",
     "verify_offset_coreset",

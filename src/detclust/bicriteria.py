@@ -21,6 +21,7 @@ from .geometry import (
     _coerce_centers,
     _coerce_pointset,
     _power_from_sq,
+    _split_extended,
     min_power_dists,
     power_cost,
     solve_1centers,
@@ -146,14 +147,13 @@ def ball_lattice(centers, radii, spacing):
     return cand[keep], owner[keep]
 
 
-def candidate_centers(
-    P,
-    params,
-    anchor,
-    *,
-    alpha=DEFAULT_ALPHA,
-    zero_last_coord=False,
-):
+def _on_slice(x, ext):
+    """Base-space rows x as center rows: with a trailing extension-0
+    coordinate in slice mode (ext not None), x itself otherwise."""
+    return x if ext is None else np.hstack([x, np.zeros((x.shape[0], 1))])
+
+
+def candidate_centers(P, params, anchor, *, alpha=DEFAULT_ALPHA):
     """Candidate centers around an anchor solution.
 
     For each input point p and radius level i in [log2(eps/(alpha z)),
@@ -172,29 +172,17 @@ def candidate_centers(
     that order, and its provenance is the point and level of that first
     occurrence.
 
-    zero_last_coord restricts candidates to the slice {last coordinate = 0}
-    (balls are intersected with the slice; input points are projected).
+    Slice mode, P an ExtendedPointSet, keeps the candidates at extension 0:
+    the lattice lives in the base space, each ball is intersected with the
+    slice, input points enter at extension 0, and every candidate row
+    carries that 0 as its last coordinate.
     """
     pts, w = _coerce_pointset(P)
+    base, ext, _ = _split_extended(P)
     anchor_c = _coerce_centers(anchor)
-    n, d = pts.shape
+    n, lat_dim = base.shape
     z, eps = params.z, params.epsilon
-
-    if zero_last_coord:
-        base = pts[:, :-1]
-        lift_ext = pts[:, -1]
-        lat_dim = d - 1
-        if lat_dim == 0:
-            raise InputError("zero_last_coord needs dimension >= 2")
-    else:
-        base = pts
-        lift_ext = np.zeros(n)
-        lat_dim = d
-
-    def _with_slice(x):
-        if not zero_last_coord:
-            return x
-        return np.hstack([x, np.zeros((x.shape[0], 1))])
+    lift_ext = np.zeros(n) if ext is None else ext
 
     total_w = float(w.sum())
     delta = power_cost((pts, w), anchor_c, z) / total_w if total_w > 0 else 0.0
@@ -210,7 +198,7 @@ def candidate_centers(
         prov_point.extend(owner[new].tolist())
         prov_level.extend([level] * new.size)
 
-    _push(_with_slice(base), np.arange(n), CandidateCenters.LEVEL_INPUT)
+    _push(_on_slice(base, ext), np.arange(n), CandidateCenters.LEVEL_INPUT)
 
     spacing_scale = 1
     if delta > 0:
@@ -259,7 +247,7 @@ def candidate_centers(
             s = (eps / z) * r / np.sqrt(lat_dim) * spacing_scale
             live = np.flatnonzero(e_sq >= 0)  # balls that reach the slice
             cand, owner = ball_lattice(base[live], eff[live], s)
-            _push(_with_slice(cand), live[owner], level)
+            _push(_on_slice(cand, ext), live[owner], level)
 
     return CandidateCenters(
         points=np.array(pool.rows),
@@ -290,58 +278,39 @@ def _scores_all(PC, cur):
 # ---------------- constant factor ----------------
 
 
-def _gonzalez_seeds(pts, k, slice_mode=False):
-    """Farthest-point traversal from index 0, ties to the lowest index.
-
-    In slice mode the chosen points are projected to the zero slice before
-    being used as centers (distances are still measured to the raw points).
-    """
+def _gonzalez_seeds(pts, k):
+    """Farthest-point traversal from index 0, ties to the lowest index;
+    returns a copy of the chosen rows."""
     n = pts.shape[0]
     seeds = [0]
-    raw = pts
-    d2 = ((raw - raw[0]) ** 2).sum(axis=1)
+    d2 = ((pts - pts[0]) ** 2).sum(axis=1)
     while len(seeds) < min(k, n):
         nxt = int(np.argmax(d2))  # first occurrence = lowest index
         seeds.append(nxt)
-        d2 = np.minimum(d2, ((raw - raw[nxt]) ** 2).sum(axis=1))
-    chosen = pts[seeds].copy()
-    if slice_mode:
-        chosen[:, -1] = 0.0
-    return chosen
+        d2 = np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1))
+    return pts[seeds].copy()
 
 
-def constant_factor_approx(
-    P,
-    params,
-    *,
-    alpha=DEFAULT_ALPHA,
-    zero_last_coord=False,
-):
+def constant_factor_approx(P, params, *, alpha=DEFAULT_ALPHA):
     """Deterministic k centers at constant-factor cost.
 
     Gonzalez farthest-point seeding followed by at most SWAP_ROUNDS rounds
     of single-swap local search over the candidate family built around the
     seeds, accepting swaps while they improve the cost by a factor
     (1 - 1/(100 k)). Returns the k centers; fewer than k input points means
-    every point becomes a center.
+    every point becomes a center. In slice mode the seeds are farthest
+    points by their extended rows and then move to extension 0.
     """
     pts, w = _coerce_pointset(P)
     k, z = params.k, params.z
     n = pts.shape[0]
+    centers = pts.copy() if n < k else _gonzalez_seeds(pts, k)
+    if _split_extended(P)[1] is not None:
+        centers[:, -1] = 0.0
     if n < k:
-        out = pts.copy()
-        if zero_last_coord:
-            out[:, -1] = 0.0
-        return CenterSet(out)
+        return CenterSet(centers)
 
-    centers = _gonzalez_seeds(pts, k, slice_mode=zero_last_coord)
-    cand = candidate_centers(
-        P,
-        params,
-        centers,
-        alpha=alpha,
-        zero_last_coord=zero_last_coord,
-    ).points
+    cand = candidate_centers(P, params, centers, alpha=alpha).points
     PC = _power_table(cand, pts, w, z)
     ctr_tbl = _power_table(centers, pts, w, z)  # (k, n)
     cost = float(ctr_tbl.min(axis=0).sum())
@@ -444,11 +413,9 @@ def _measure_alpha(cost_S0, alpha_cap, oracle_opt):
     return float(min(alpha_cap, max(1.0, cost_S0 / oracle_opt)))
 
 
-def _bicriteria_lowdim(P, params, alpha_cap, oracle_opt, zero_last_coord):
+def _bicriteria_lowdim(P, params, alpha_cap, oracle_opt):
     pts, w = _coerce_pointset(P)
-    S0 = constant_factor_approx(
-        P, params, alpha=alpha_cap, zero_last_coord=zero_last_coord
-    )
+    S0 = constant_factor_approx(P, params, alpha=alpha_cap)
     cost_S0 = power_cost((pts, w), S0, params.z)
     alpha = _measure_alpha(cost_S0, alpha_cap, oracle_opt)
     # not the family constant_factor_approx already built: that one is
@@ -456,29 +423,24 @@ def _bicriteria_lowdim(P, params, alpha_cap, oracle_opt, zero_last_coord):
     # measured alpha when oracle_opt is given). The families differ (422 vs
     # 454, 283 vs 387 and 349 vs 449 candidates on the coreset-2d benchmark
     # instances), so reusing the first would change the greedy output.
-    cands = candidate_centers(
-        P, params, S0, alpha=alpha, zero_last_coord=zero_last_coord
-    )
+    cands = candidate_centers(P, params, S0, alpha=alpha)
     res = greedy_augment(P, S0, cands, params, alpha=alpha)
     return res
 
 
-def lift_by_clusters(P, labels, z, *, slice_mode=False):
+def lift_by_clusters(P, labels, z):
     """Per-cluster optimal centers in the original space, in label order.
 
-    slice_mode treats the last coordinate as an extension and solves the
-    constrained 1-center on the base coordinates (center extension 0).
-    One solve_1centers call covers each run of whole clusters, in label
-    order, holding at most _LIFT_POINTS points (a larger cluster is a run
-    of its own), on those points alone: a call's (clusters, points) tables
-    stay small however many clusters there are. A run keeps the points in
-    input order, so up to _LIFT_POINTS points the call is the whole set.
+    Slice mode, P an ExtendedPointSet, solves each cluster's 1-center at
+    extension 0 on the base coordinates and returns the centers with a
+    trailing 0. One solve_1centers call covers each run of whole clusters,
+    in label order, holding at most _LIFT_POINTS points (a larger cluster
+    is a run of its own), on those points alone: a call's (clusters,
+    points) tables stay small however many clusters there are. A run keeps
+    the points in input order, so up to _LIFT_POINTS points the call is
+    the whole set.
     """
-    pts, w = _coerce_pointset(P)
-    ext = None
-    if slice_mode:
-        E = ExtendedPointSet(pts[:, :-1], extensions=pts[:, -1], weights=w)
-        pts, ext = E.points, E.extensions
+    base, ext, w = _split_extended(P)
     order = np.argsort(labels, kind="stable")
     ids, starts = np.unique(labels[order], return_index=True)
     ends = np.append(starts[1:], labels.size)
@@ -491,50 +453,41 @@ def lift_by_clusters(P, labels, z, *, slice_mode=False):
         cols = np.sort(order[starts[lo] : ends[hi - 1]])
         members = labels[cols][None, :] == ids[lo:hi, None]
         sub_ext = None if ext is None else ext[cols]
-        out.append(solve_1centers(pts[cols], sub_ext, w[cols], members, z)[0])
+        out.append(solve_1centers(base[cols], sub_ext, w[cols], members, z)[0])
         lo = hi
-    c = np.vstack(out)
-    return np.hstack([c, np.zeros((c.shape[0], 1))]) if slice_mode else c
+    return _on_slice(np.vstack(out), ext)
 
 
-def bicriteria(
-    P,
-    params,
-    *,
-    alpha=DEFAULT_ALPHA,
-    oracle_opt=None,
-    zero_last_coord=False,
-):
+def bicriteria(P, params, *, alpha=DEFAULT_ALPHA, oracle_opt=None):
     """Bicriteria solution: more than k centers, near-optimal cost.
 
     Dimension at most DEFAULT_DIM_THRESHOLD: constant-factor seeds, lattice
     candidates, greedy augmentation. Above it: scan the first
     DEFAULT_PROJECTION_SEEDS sign-matrix projection seeds into
-    DEFAULT_DIM_THRESHOLD dimensions (one fewer base dimension in slice
-    mode), solve in each projected space, lift every solution back via
-    per-cluster 1-centers, and keep the (cost, seed)-lexicographic best.
-    zero_last_coord needs the last coordinate to be a valid extension (>= 0).
+    DEFAULT_DIM_THRESHOLD dimensions, solve in each projected space, lift
+    every solution back via per-cluster 1-centers, and keep the
+    (cost, seed)-lexicographic best. Slice mode, P an ExtendedPointSet,
+    counts the extension as a dimension, projects only the base
+    coordinates (one fewer of them) and keeps every center at extension 0.
     """
     pts, w = _coerce_pointset(P)
-    if zero_last_coord and (pts[:, -1] < 0).any():
-        raise InputError("extensions must be finite and >= 0")
-    d = pts.shape[1]
-    if d <= DEFAULT_DIM_THRESHOLD:
-        return _bicriteria_lowdim(P, params, alpha, oracle_opt, zero_last_coord)
+    if pts.shape[1] <= DEFAULT_DIM_THRESHOLD:
+        return _bicriteria_lowdim(P, params, alpha, oracle_opt)
 
-    base_dim = d - 1 if zero_last_coord else d
-    m = min(base_dim, DEFAULT_DIM_THRESHOLD - (1 if zero_last_coord else 0))
+    base, ext, _ = _split_extended(P)
+    base_dim = base.shape[1]
+    # projected rows, the extension column included, fit the threshold
+    m = min(base_dim, DEFAULT_DIM_THRESHOLD - (pts.shape[1] - base_dim))
     best = None
     for seed in range(DEFAULT_PROJECTION_SEEDS):
         lin = seeded_projection_family(base_dim, m, seed)
-        if zero_last_coord:
-            proj = np.hstack([lin.apply(pts[:, :-1]), pts[:, -1:]])
-        else:
-            proj = lin.apply(pts)
-        res = _bicriteria_lowdim((proj, w), params, alpha, oracle_opt, zero_last_coord)
-        _, labels = min_power_dists(proj, res.centers.centers, params.z)
-        lifted = lift_by_clusters((pts, w), labels, params.z, slice_mode=zero_last_coord)
-        cost = power_cost((pts, w), lifted, params.z)
+        proj = lin.apply(base)
+        sub = (proj, w) if ext is None else ExtendedPointSet(proj, ext, w)
+        res = _bicriteria_lowdim(sub, params, alpha, oracle_opt)
+        rows, _ = _coerce_pointset(sub)
+        _, labels = min_power_dists(rows, res.centers.centers, params.z)
+        lifted = lift_by_clusters(P, labels, params.z)
+        cost = power_cost(P, lifted, params.z)
         if best is None or cost < best[0]:
             best = (cost, seed, lifted, res)
     cost, seed, lifted, res = best

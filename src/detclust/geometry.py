@@ -23,8 +23,8 @@ def _as_points(arr, name="points"):
     pts = np.asarray(arr, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
-    if pts.ndim != 2 or pts.shape[0] == 0:
-        raise InputError(f"{name} must be a nonempty (n, d) array")
+    if pts.ndim != 2 or 0 in pts.shape:
+        raise InputError(f"{name} must be a nonempty (n, d) array, d >= 1")
     if not np.isfinite(pts).all():
         raise InputError(f"{name} contains NaN or Inf")
     return pts
@@ -174,8 +174,12 @@ class ClusteringParams:
 
 
 def _coerce_pointset(P):
-    """Accept WeightedPointSet, ExtendedPointSet-as-rows, a (points, weights)
-    pair (validated as a WeightedPointSet), or raw arrays."""
+    """(rows, weights) of a WeightedPointSet, an ExtendedPointSet, a
+    (points, weights) pair (validated as a WeightedPointSet), or raw arrays.
+
+    An ExtendedPointSet is slice-mode input: its rows carry the extension
+    as the last coordinate, and centers of it carry a trailing 0 there, so
+    every distance table reads sqrt(||p - c||^2 + e^2)."""
     if isinstance(P, tuple) and len(P) == 2:
         P = WeightedPointSet(*P)
     if isinstance(P, WeightedPointSet):
@@ -184,6 +188,15 @@ def _coerce_pointset(P):
         return P.as_rows(), P.weights
     pts = _as_points(P)
     return pts, np.ones(pts.shape[0])
+
+
+def _split_extended(P):
+    """(base, ext, weights) of a point set; ext is None unless P is an
+    ExtendedPointSet, whose centers sit at extension 0 (slice mode)."""
+    if isinstance(P, ExtendedPointSet):
+        return P.points, P.extensions, P.weights
+    pts, w = _coerce_pointset(P)
+    return pts, None, w
 
 
 def _coerce_centers(S):
@@ -483,25 +496,14 @@ def solve_1center(P, z, full_output=False):
     """Optimal single center of a weighted point set under the z-th power cost.
 
     The one-set case of solve_1centers. P is a WeightedPointSet or an array
-    (weights default to 1); full_output also returns an info dict whose
-    "converged" is the solver's certificate.
+    (weights default to 1), or an ExtendedPointSet, whose center sits at
+    extension 0: it minimizes sum_i w_i (||b_i - c||^2 + e_i^2)^(z/2) over
+    c in R^d. full_output also returns an info dict whose "converged" is
+    the solver's certificate.
     """
-    pts, w = _coerce_pointset(P)
-    c, _, ok = solve_1centers(pts, None, w, np.ones((1, pts.shape[0]), dtype=bool), int(z))
-    return (c[0], {"converged": bool(ok[0])}) if full_output else c[0]
-
-
-def solve_1center_constrained(E, z, full_output=False):
-    """Optimal center at extension 0 for an extended point set.
-
-    Minimizes sum_i w_i (||b_i - c||^2 + e_i^2)^(z/2) over c in R^d: the
-    1-center constrained to the zero-extension slice. full_output as in
-    solve_1center.
-    """
-    if not isinstance(E, ExtendedPointSet):
-        raise InputError("solve_1center_constrained expects an ExtendedPointSet")
-    members = np.ones((1, E.n), dtype=bool)
-    c, _, ok = solve_1centers(E.points, E.extensions, E.weights, members, int(z))
+    base, ext, w = _split_extended(P)
+    members = np.ones((1, base.shape[0]), dtype=bool)
+    c, _, ok = solve_1centers(base, ext, w, members, int(z))
     return (c[0], {"converged": bool(ok[0])}) if full_output else c[0]
 
 
@@ -509,14 +511,12 @@ def partition_cost(P, partition, z, full_output=False):
     """Cost of a partition: each part pays its optimal 1-center cost.
 
     Accepts WeightedPointSet or ExtendedPointSet; extended parts use the
-    extension-0 constrained center. One solve_1centers call covers every
-    part. full_output also returns {"converged": every part certified,
-    "part_costs": per nonempty part, in label order}.
+    extension-0 center, as solve_1center does. One solve_1centers call
+    covers every part. full_output also returns {"converged": every part
+    certified, "part_costs": per nonempty part, in label order}.
     """
-    if isinstance(P, ExtendedPointSet):
-        pts, w, ext = P.points, P.weights, P.extensions
-    else:
-        pts, w = _coerce_pointset(P)
+    pts, ext, w = _split_extended(P)
+    if ext is None:
         ext = np.zeros(pts.shape[0])
     if isinstance(partition, Partition):
         a = partition.assignment

@@ -32,6 +32,7 @@ from .epsapprox import (
 from .errors import InputError
 from .geometry import (
     CenterSet,
+    ExtendedPointSet,
     WeightedPointSet,
     _as_points,
     _coerce_pointset,
@@ -124,7 +125,7 @@ class OffsetCoreset:
         )
 
 
-def greedy_seeding(P, params, *, alpha=DEFAULT_ALPHA, zero_last_coord=False):
+def greedy_seeding(P, params, *, alpha=DEFAULT_ALPHA):
     """Grow centers greedily from a constant-factor baseline A.
 
     Adds candidate centers while each drops the cost by the factor
@@ -133,7 +134,7 @@ def greedy_seeding(P, params, *, alpha=DEFAULT_ALPHA, zero_last_coord=False):
     alpha. This is the bicriteria solver's output, which handles high
     dimension by projection.
     """
-    res = bicriteria(P, params, alpha=alpha, zero_last_coord=zero_last_coord)
+    res = bicriteria(P, params, alpha=alpha)
     status = "low-cost" if res.stopped_reason == "low-cost" else "locally-stable"
     return SeedingResult(
         centers=res.centers,
@@ -283,7 +284,6 @@ def ring_coreset(
     seed=0,
     delta=0.1,
     alpha=DEFAULT_ALPHA,
-    zero_last_coord=False,
 ):
     """Full coreset-with-offset pipeline.
 
@@ -293,6 +293,10 @@ def ring_coreset(
     ball_test_family (deterministic mode) or a seeded uniform sample
     (randomized mode, one derived seed per ring), each kept point weighted
     |ring| / |kept|.
+
+    Slice mode, P an ExtendedPointSet, keeps the seeding centers at
+    extension 0; the coreset rows then carry each point's extension as
+    their last coordinate, and a center row a 0 there.
     """
     if mode not in ("deterministic", "randomized"):
         raise InputError(f"unknown mode {mode!r}")
@@ -300,9 +304,7 @@ def ring_coreset(
     if (w != 1.0).any():
         raise InputError("ring coreset expects unit weights")
 
-    seeding = greedy_seeding(
-        P, params, alpha=alpha, zero_last_coord=zero_last_coord
-    )
+    seeding = greedy_seeding(P, params, alpha=alpha)
     G = seeding.centers.centers
 
     if seeding.status == "low-cost":
@@ -443,9 +445,9 @@ def euclidean_pipeline(P, params, *, alpha=DEFAULT_ALPHA):
     pts = _as_points(P, "points")
     sk = None
     if pts.shape[1] <= PASSTHROUGH_DIM:
-        rows = np.hstack([pts, np.zeros((pts.shape[0], 1))])
+        E = ExtendedPointSet(pts, np.zeros(pts.shape[0]))
     else:
         sk = cost_preserving_sketch(pts, params)
-        rows = sk.sketched_points().as_rows()
-    core = ring_coreset(rows, params, alpha=alpha, zero_last_coord=True)
+        E = sk.sketched_points()
+    core = ring_coreset(E, params, alpha=alpha)
     return EuclideanPipelineResult(coreset=core, sketch=sk, passthrough=sk is None)

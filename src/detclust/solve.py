@@ -294,7 +294,7 @@ def approx_solve(P, params, *, alpha=DEFAULT_ALPHA, full_output=False):
     if pipe.passthrough:
         all_base = pts
     else:
-        all_base = pipe.sketch.sketched_points().as_rows()[:, :-1]
+        all_base = pipe.sketch.sketched_points().points
     _, labels = min_power_dists(all_base, centers_sk, params.z)
 
     C = CenterSet(lift_by_clusters(pts, labels, params.z))

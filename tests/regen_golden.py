@@ -30,7 +30,7 @@ import numpy as np
 from detclust.bicriteria import bicriteria, candidate_centers
 from detclust.datasets import far_point_instance, gaussian_blobs
 from detclust.dimreduce import WitnessParams, build_net, cost_preserving_sketch
-from detclust.geometry import ClusteringParams
+from detclust.geometry import ClusteringParams, ExtendedPointSet
 from detclust.partition import build
 from detclust.rings import greedy_seeding, ring_coreset, ring_decompose
 from detclust.solve import approx_solve, bicriteria_solve, exact_solve
@@ -73,15 +73,11 @@ def _solve(solver, z=2, k=2, n=8):
     return digest(res.method, str(res.downgraded), res.centers.centers, float(res.cost))
 
 
-def _bicriteria_projection(zero_last_coord=False):
+def _bicriteria_projection(extended=False):
     pts = _blobs(24, 30, 2)
-    if zero_last_coord:  # slice mode reads the last coordinate as an extension
-        pts[:, -1] = np.abs(pts[:, -1])
-    res = bicriteria(
-        pts,
-        ClusteringParams(k=2, z=2, epsilon=0.3),
-        zero_last_coord=zero_last_coord,
-    )
+    if extended:  # slice mode: the last coordinate becomes the extension
+        pts = ExtendedPointSet(pts[:, :-1], extensions=np.abs(pts[:, -1]))
+    res = bicriteria(pts, ClusteringParams(k=2, z=2, epsilon=0.3))
     return digest(
         res.centers.centers, float(res.cost), str(res.projection_seed), res.stopped_reason
     )
@@ -112,12 +108,12 @@ def _candidates():
 
 def _candidates_slice():
     pts = _blobs(60, 3, 2)
+    pts[:, -1] = np.abs(pts[:, -1])  # slice mode: the extensions
     cc = candidate_centers(
-        pts,
+        ExtendedPointSet(pts[:, :-1], extensions=pts[:, -1]),
         ClusteringParams(k=2, z=2, epsilon=0.3),
         pts[:2],
         alpha=2.0,
-        zero_last_coord=True,
     )
     return digest(cc.points, cc.provenance_point, cc.provenance_level, str(cc.spacing_scale))
 

@@ -31,7 +31,6 @@ from detclust.geometry import (
     power_cost,
     power_triangle_bound,
     solve_1center,
-    solve_1center_constrained,
 )
 from detclust.linmap import pair_distortions
 from detclust.partition import build, verify_partition_coreset
@@ -186,7 +185,7 @@ def test_criterion_4_cost_preserving_sketch():
                 c = solve_1center(pts[sel], 2)
                 orig += power_cost(pts[sel], c[None, :], 2)
                 part = ExtendedPointSet(E.points[sel], extensions=E.extensions[sel])
-                c0 = solve_1center_constrained(part, 2)
+                c0 = solve_1center(part, 2)
                 rows = np.hstack([E.points[sel], E.extensions[sel, None]])
                 sketched += power_cost(rows, np.append(c0, 0.0)[None, :], 2)
             if orig == 0.0:

@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from detclust import InputError
-from detclust.geometry import ClusteringParams, power_cost, solve_1center
+from detclust.geometry import (
+    ClusteringParams,
+    ExtendedPointSet,
+    power_cost,
+    solve_1center,
+)
 from detclust.bicriteria import (
     BicriteriaResult,
     CandidateCenters,
@@ -87,29 +92,37 @@ def test_ball_lattice_batched_rows_follow_per_ball_meshgrid():
     assert rows.shape == (0, 2) and owner.shape == (0,)
 
 
+def _extended_or_plain(rows, extended):
+    """rows as slice-mode input, the last column the extensions, or as is."""
+    return ExtendedPointSet(rows[:, :-1], rows[:, -1]) if extended else rows
+
+
 def _slice_and_empty_cases():
     rng = np.random.default_rng(21)
     for d in (1, 2, 3, 5, 20):
         pts = rng.standard_normal((12, d)) * 2.0
         pts[3, -1] = 25.0  # far off the slice: its small balls miss it
+        rows = pts.copy()
+        rows[:, -1] = np.abs(rows[:, -1])  # extensions are >= 0
         for z in (1, 2, 3):
-            for zero_last_coord in (False, True) if d >= 2 else (False,):
-                yield pts, z, zero_last_coord, 3000
+            yield pts, z, False, 3000
+            if d >= 2:
+                yield rows, z, True, 3000
     pts = rng.standard_normal((10, 2))
     yield pts, 2, False, 40  # a tight budget forces spacing doubling
 
 
 def test_candidate_centers_match_per_ball_oracle(monkeypatch):
     seen_missed = seen_empty = seen_scaled = 0
-    for pts, z, zero_last_coord, budget in _slice_and_empty_cases():
+    for pts, z, extended, budget in _slice_and_empty_cases():
         params = P(k=2, z=z, epsilon=0.3)
         anchor = pts[:2]
         monkeypatch.setattr(bicriteria_mod, "MAX_CANDIDATES", budget)
         cc = candidate_centers(
-            pts, params, anchor, alpha=2.0, zero_last_coord=zero_last_coord
+            _extended_or_plain(pts, extended), params, anchor, alpha=2.0
         )
         points, prov_point, prov_level, scale, missed, empty = per_ball_candidates(
-            pts, power_cost(pts, anchor, z), z, 0.3, 2.0, budget, zero_last_coord
+            pts, power_cost(pts, anchor, z), z, 0.3, 2.0, budget, extended
         )
         assert cc.points.tobytes() == points.tobytes()
         assert cc.points.shape == points.shape
@@ -128,23 +141,23 @@ def test_spacing_scale_search_matches_linear_doubling(monkeypatch):
     # first fitting power of two in between
     rng = np.random.default_rng(5)
     seen = set()
-    for d, z, zero_last_coord in itertools.product((2, 3), (1, 2), (False, True)):
+    for d, z, extended in itertools.product((2, 3), (1, 2), (False, True)):
         pts = rng.standard_normal((10, d)) * 3.0
-        if zero_last_coord:
+        if extended:
             pts[:, -1] = np.abs(pts[:, -1]) * 0.2
         anchor = pts[:2]
         anchor_cost = power_cost(pts, anchor, z)
         for budget in (1, 30, 300, 3000, 10**4):
             monkeypatch.setattr(bicriteria_mod, "MAX_CANDIDATES", budget)
             cc = candidate_centers(
-                pts, P(k=2, z=z, epsilon=0.3), anchor, alpha=2.0,
-                zero_last_coord=zero_last_coord,
+                _extended_or_plain(pts, extended), P(k=2, z=z, epsilon=0.3),
+                anchor, alpha=2.0,
             )
             scale, _, _ = linear_spacing_scale(
-                pts, anchor_cost, z, 0.3, 2.0, budget, zero_last_coord
+                pts, anchor_cost, z, 0.3, 2.0, budget, extended
             )
             assert cc.spacing_scale == scale
-            seen.add((zero_last_coord, "one" if scale == 1 else
+            seen.add((extended, "one" if scale == 1 else
                       "cap" if scale == 1 << 40 else "between"))
     assert seen == {(s, kind) for s in (False, True)
                     for kind in ("one", "cap", "between")}
@@ -408,21 +421,21 @@ def test_lift_solves_runs_of_few_points(monkeypatch):
 def test_slice_mode_rejects_negative_last_coord_before_solving(monkeypatch):
     # the last coordinate is partly negative, so it is no valid extension:
     # the error comes before any projected solve
-    import importlib
-
     from detclust.datasets import gaussian_blobs
 
-    bic = importlib.import_module("detclust.bicriteria")
     calls = []
-    lowdim = bic._bicriteria_lowdim
+    lowdim = bicriteria_mod._bicriteria_lowdim
 
     def counted(*args):
         calls.append(1)
         return lowdim(*args)
 
-    monkeypatch.setattr(bic, "_bicriteria_lowdim", counted)
+    monkeypatch.setattr(bicriteria_mod, "_bicriteria_lowdim", counted)
     pts = gaussian_blobs(24, 30, blobs=2, seed=2, separation=6)
     assert (pts[:, -1] < 0).any()
     with pytest.raises(InputError):
-        bicriteria(pts, ClusteringParams(k=2, z=2, epsilon=0.3), zero_last_coord=True)
+        bicriteria(
+            ExtendedPointSet(pts[:, :-1], extensions=pts[:, -1]),
+            ClusteringParams(k=2, z=2, epsilon=0.3),
+        )
     assert calls == []

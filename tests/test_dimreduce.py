@@ -9,7 +9,6 @@ from detclust.geometry import (
     ClusteringParams,
     ExtendedPointSet,
     solve_1center,
-    solve_1center_constrained,
     power_cost,
 )
 from detclust.dimreduce import (
@@ -243,7 +242,7 @@ def test_sketch_z2_offset_decomposition():
         for v in np.unique(labels):
             sel = labels == v
             part = ExtendedPointSet(base[sel], extensions=exts[sel])
-            c = solve_1center_constrained(part, 2)
+            c = solve_1center(part, 2)
             rows = np.hstack([base[sel], exts[sel, None]])
             lhs += power_cost(rows, np.append(c, 0.0)[None, :], 2)
             rhs += power_cost(base[sel], c[None, :], 2) + float(
@@ -269,7 +268,7 @@ def test_sketch_partition_costs_within_loosened_eps():
             c = solve_1center(pts[sel], 2)
             orig += power_cost(pts[sel], c[None, :], 2)
             part = ExtendedPointSet(E.points[sel], extensions=E.extensions[sel])
-            c0 = solve_1center_constrained(part, 2)
+            c0 = solve_1center(part, 2)
             rows = np.hstack([E.points[sel], E.extensions[sel, None]])
             sketched += power_cost(rows, np.append(c0, 0.0)[None, :], 2)
         if orig == 0.0:

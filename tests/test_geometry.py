@@ -12,7 +12,6 @@ from detclust import (
     power_cost,
     power_triangle_bound,
     solve_1center,
-    solve_1center_constrained,
     tree_sum,
 )
 from detclust import geometry
@@ -56,6 +55,8 @@ def test_types_validate():
         WeightedPointSet([[0.0, 1.0]], weights=[-1.0])
     with pytest.raises(InputError):
         ExtendedPointSet([[0.0]], extensions=[-0.5])
+    with pytest.raises(InputError):
+        WeightedPointSet(np.empty((3, 0)))
     with pytest.raises(InputError):
         CenterSet([[0.0], [1.0]], budget=1)
     with pytest.raises(InputError):
@@ -179,10 +180,28 @@ def test_solve_1center_identical_points():
 def test_constrained_center_symmetric_pair():
     # base {-1, +1} with unit extensions, z=1: optimum at 0, cost 2*sqrt(2)
     E = ExtendedPointSet([[-1.0], [1.0]], extensions=[1.0, 1.0])
-    c = solve_1center_constrained(E, 1)
+    c = solve_1center(E, 1)
     assert abs(c[0]) < 1e-8
     cost = sum(np.sqrt((b - c[0]) ** 2 + 1.0) for b in (-1.0, 1.0))
     assert cost == pytest.approx(2 * np.sqrt(2.0), abs=1e-8)
+
+
+def test_solve_1center_keeps_extended_centers_at_extension_zero():
+    # an extended set's center lives in the base space: the extensions add
+    # cost but are no coordinate to average (the centroid of the rows with
+    # the extension appended is [1.0, 1.1667])
+    base, ext = np.array([-1.0, 1.0, 3.0]), np.array([1.0, 2.0, 0.5])
+    E = ExtendedPointSet(base[:, None], extensions=ext)
+    assert solve_1center(E, 2).tobytes() == np.array([1.0]).tobytes()
+    grid = np.linspace(-1.0, 3.0, 4001)
+    for z in (1, 3):
+        c, info = solve_1center(E, z, full_output=True)
+
+        def cost(x):
+            return (((base - x) ** 2 + ext**2) ** (z / 2)).sum()
+
+        assert c.shape == (1,) and info["converged"]
+        assert cost(c[0]) <= min(cost(x) for x in grid) + 1e-9
 
 
 def test_constrained_center_z2_is_base_mean():
@@ -191,7 +210,7 @@ def test_constrained_center_z2_is_base_mean():
     ext = rng.uniform(0, 2, size=9)
     w = rng.uniform(0.5, 2, size=9)
     E = ExtendedPointSet(base, extensions=ext, weights=w)
-    c = solve_1center_constrained(E, 2)
+    c = solve_1center(E, 2)
     assert np.allclose(c, np.average(base, axis=0, weights=w), atol=1e-12)
 
 
@@ -200,7 +219,7 @@ def test_constrained_reduces_to_plain_when_ext_zero():
     base = rng.normal(size=(8, 2))
     E = ExtendedPointSet(base, extensions=np.zeros(8))
     for z in (1, 2, 3):
-        c1 = solve_1center_constrained(E, z)
+        c1 = solve_1center(E, z)
         c2 = solve_1center(base, z)
         assert np.allclose(c1, c2, atol=1e-9)
 
@@ -264,7 +283,7 @@ def test_solve_1centers_z2_matches_the_scalar_centroid():
     assert certified.all()
     for r, row in enumerate(members):
         E = ExtendedPointSet(base[row], ext[row], weights=w[row])
-        assert centers[r].tobytes() == solve_1center_constrained(E, 2).tobytes()
+        assert centers[r].tobytes() == solve_1center(E, 2).tobytes()
 
 
 def test_z1_point_optimality_passes_with_equality():

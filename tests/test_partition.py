@@ -173,20 +173,25 @@ def test_build_rejects_weighted_or_empty():
 
 
 def test_verify_on_symmetric_pairs_exact(monkeypatch):
-    # two symmetric pairs around distinct midpoints, k=2, z=2: the collapse
-    # is exact for every partition and every center tuple
+    # two symmetric pairs around distinct midpoints, k=2, z=2, BETA 0.3:
+    # the root splits into four one-point leaves, so every point represents
+    # itself at extension 0 and the verifier must report no error at all.
+    # (No BETA keeps the two pairs as stable nodes at k=2: up to 1.0 the
+    # root splits like this, from 1.2 up it collapses to one representative;
+    # test_build_stable_collapse_symmetric_pair_exact covers that collapse.)
     m1, m2 = np.array([0.0, 0.0]), np.array([10.0, 0.0])
     d1, d2 = np.array([1.0, 2.0]), np.array([-2.0, 1.0])
     pts = np.array([m1 + d1, m1 - d1, m2 + d2, m2 - d2])
     params = ClusteringParams(k=2, z=2, epsilon=0.2)
     monkeypatch.setattr(partition, "BETA", 0.3)
     res = build(pts, params)
+    assert [t.reason for t in res.recursion_trace] == ["split"] + ["leaf"] * 4
+    assert (res.extensions == 0.0).all()
     grid = np.array([[0.0, 0.0], [10.0, 0.0], [3.0, -2.0], [7.0, 5.0]])
     # integer-coordinate samples make both cost sides float-exact
-    if all(t.reason in ("stable", "leaf") for t in res.recursion_trace):
-        report = verify_partition_coreset(pts, res, params, grid)
-        assert report.max_relative_error == 0.0
-        assert report.witness is None
+    report = verify_partition_coreset(pts, res, params, grid)
+    assert report.max_relative_error == 0.0
+    assert report.witness is None
 
 
 def test_verify_matches_naive_recomputation():
