@@ -21,12 +21,12 @@ from detclust import (
     verify_offset_coreset,
 )
 
-params = ClusteringParams(k=2, z=2, epsilon=0.3)
+params = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
 pts = gaussian_blobs(200, 2, blobs=2, seed=7, separation=6.0)
 print(f"input: {pts.shape[0]} points in R^{pts.shape[1]}, k={params.k}, "
       f"z={params.z}, eps={params.epsilon}")
 
-core = ring_coreset(pts, params, alpha=2.0)
+core = ring_coreset(pts, params)
 print(f"coreset: {core.size} weighted points, offset F = {core.offset:.6f}")
 print(f"total weight = {core.total_weight} (exact fraction, equals |P|)")
 
@@ -44,7 +44,7 @@ assert report.max_relative_error <= params.epsilon
 
 # The randomized variant trades the worst-case guarantee for speed.
 # With a seed it is just as reproducible.
-rand = ring_coreset(pts, params, mode="randomized", seed=7, delta=0.1, alpha=2.0)
+rand = ring_coreset(pts, params, mode="randomized", seed=7)
 rrep = verify_offset_coreset(pts, rand, params, grid)
 print(f"randomized coreset: {rand.size} points, "
       f"max relative error = {rrep.max_relative_error:.6f}")

@@ -9,6 +9,7 @@ comes out.
 
 import hashlib
 import os
+from dataclasses import replace
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from detclust import (
 def run_once():
     params = ClusteringParams(k=2, z=1, epsilon=0.3)
     pts = gaussian_blobs(150, 3, blobs=3, seed=11, separation=7.0)
-    core = ring_coreset(pts, params, alpha=2.0)
+    core = ring_coreset(pts, replace(params, alpha=2.0))
     small = pts[:9]
     res = approx_solve(small, params)
     h = hashlib.sha256()

@@ -44,14 +44,15 @@ assert read_points(bin_path).points.tobytes() == pts.tobytes()
 print("both point flavors round-trip bit-exactly")
 
 # --- coreset files ---------------------------------------------------
-params = ClusteringParams(k=2, z=2, epsilon=0.3)
-core = ring_coreset(pts, params, alpha=2.0)
+params = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
+core = ring_coreset(pts, params)
 core_path = tmp / "core.csv"
 write_coreset(core, params, core_path)
 print("\ncoreset header:", core_path.read_text().splitlines()[0])
 
 core2, params2 = read_coreset(core_path)
-assert params2 == params
+# alpha steers the build, not the guarantee, so the file does not keep it
+assert (params2.k, params2.z, params2.epsilon) == (params.k, params.z, params.epsilon)
 assert core2.offset == core.offset
 assert core2.total_weight == core.total_weight
 print(f"coreset round-trip: {core2.size} points, offset and weights exact")

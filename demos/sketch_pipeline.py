@@ -56,9 +56,7 @@ for v in (0, 1):
     c = solve_1center(pts[sel], params.z)
     orig += power_cost(pts[sel], c[None, :], params.z)
     part = ExtendedPointSet(E.points[sel], extensions=E.extensions[sel])
-    c0 = solve_1center(part, params.z)
-    rows = np.hstack([E.points[sel], E.extensions[sel, None]])
-    sketched += power_cost(rows, np.append(c0, 0.0)[None, :], params.z)
+    sketched += power_cost(part, solve_1center(part, params.z)[None, :], params.z)
 
 lo = (1 - 3 * params.epsilon) * orig
 hi = (1 + 3 * params.epsilon) * orig

@@ -34,7 +34,6 @@ _EVAL_CHUNK = 1 << 22
 _LIFT_POINTS = 128  # points per lift_by_clusters solve call
 _SEED_BITS = 16  # projection seeds lie in [0, 2**_SEED_BITS)
 
-DEFAULT_ALPHA = 50.0
 MAX_CANDIDATES = 4096  # lattice candidates per candidate_centers call
 DEFAULT_DIM_THRESHOLD = 20
 DEFAULT_PROJECTION_SEEDS = 16
@@ -68,7 +67,6 @@ class BicriteriaResult:
     centers: CenterSet
     cost: float
     stopped_reason: str  # "no-improving-center" | "low-cost"
-    alpha_used: float
     projection_seed: int = None
     baseline_size: int = 0  # |S0| the augmentation started from
 
@@ -153,14 +151,14 @@ def _on_slice(x, ext):
     return x if ext is None else np.hstack([x, np.zeros((x.shape[0], 1))])
 
 
-def candidate_centers(P, params, anchor, *, alpha=DEFAULT_ALPHA):
+def candidate_centers(P, params, anchor):
     """Candidate centers around an anchor solution.
 
     For each input point p and radius level i in [log2(eps/(alpha z)),
-    log2(n/alpha)] (rounded outward), take the axis-aligned lattice with
-    spacing (eps/z) * r_i / sqrt(d) inside B(p, r_i), r_i = 2^(i/z) *
-    Delta^(1/z), Delta the anchor's average cost. Every input point is always
-    a candidate. If the lattice estimate exceeds MAX_CANDIDATES the spacing
+    log2(n/alpha)] (rounded outward, alpha = params.alpha), take the
+    axis-aligned lattice with spacing (eps/z) * r_i / sqrt(d) inside
+    B(p, r_i), r_i = 2^(i/z) * Delta^(1/z), Delta the anchor's average
+    cost. Every input point is always a candidate. If the lattice estimate exceeds MAX_CANDIDATES the spacing
     is doubled (deterministically) until it fits, at most 40 times; the
     fitting power of two is found by a galloping search on the exponent,
     and spacing_scale records it.
@@ -181,7 +179,7 @@ def candidate_centers(P, params, anchor, *, alpha=DEFAULT_ALPHA):
     base, ext, _ = _split_extended(P)
     anchor_c = _coerce_centers(anchor)
     n, lat_dim = base.shape
-    z, eps = params.z, params.epsilon
+    z, eps, alpha = params.z, params.epsilon, params.alpha
     lift_ext = np.zeros(n) if ext is None else ext
 
     total_w = float(w.sum())
@@ -291,7 +289,7 @@ def _gonzalez_seeds(pts, k):
     return pts[seeds].copy()
 
 
-def constant_factor_approx(P, params, *, alpha=DEFAULT_ALPHA):
+def constant_factor_approx(P, params):
     """Deterministic k centers at constant-factor cost.
 
     Gonzalez farthest-point seeding followed by at most SWAP_ROUNDS rounds
@@ -310,7 +308,7 @@ def constant_factor_approx(P, params, *, alpha=DEFAULT_ALPHA):
     if n < k:
         return CenterSet(centers)
 
-    cand = candidate_centers(P, params, centers, alpha=alpha).points
+    cand = candidate_centers(P, params, centers).points
     PC = _power_table(cand, pts, w, z)
     ctr_tbl = _power_table(centers, pts, w, z)  # (k, n)
     cost = float(ctr_tbl.min(axis=0).sum())
@@ -338,19 +336,22 @@ def constant_factor_approx(P, params, *, alpha=DEFAULT_ALPHA):
 # ---------------- greedy augmentation ----------------
 
 
-def greedy_augment(P, S0, candidates, params, *, alpha=DEFAULT_ALPHA, full_output=False):
+def greedy_augment(P, S0, candidates, params, *, full_output=False):
     """Greedily add candidate centers while each helps enough.
 
     Repeatedly adds the candidate with the largest cost decrease as long as
     the new cost is at most (1 - eps/(alpha k)) times the current one; stops
     with "no-improving-center" otherwise, or with "low-cost" once the cost
-    falls to (eps/alpha) * cost(S0). Candidate ties break to the lowest
-    index. Gains are tracked incrementally and exactly.
+    falls to (eps/alpha) * cost(S0), alpha = params.alpha. Candidate ties
+    break to the lowest index. Those tests read a cost tracked
+    incrementally, which drifts from the true cost by rounding; the
+    result's cost is the power_cost of its centers.
 
-    full_output also returns the cost history, cost(S0) first.
+    full_output also returns the incrementally tracked cost history,
+    cost(S0) first.
     """
     pts, w = _coerce_pointset(P)
-    k, z, eps = params.k, params.z, params.epsilon
+    k, z, eps, alpha = params.k, params.z, params.epsilon, params.alpha
     S0c = _coerce_centers(S0)
     cand = candidates.points if isinstance(candidates, CandidateCenters) else np.asarray(candidates)
 
@@ -396,9 +397,8 @@ def greedy_augment(P, S0, candidates, params, *, alpha=DEFAULT_ALPHA, full_outpu
     centers = np.vstack([S0c, cand[chosen]]) if chosen else S0c.copy()
     res = BicriteriaResult(
         centers=CenterSet(centers),
-        cost=cost,
+        cost=power_cost((pts, w), centers, z),
         stopped_reason=reason,
-        alpha_used=alpha,
         baseline_size=S0c.shape[0],
     )
     return (res, history) if full_output else res
@@ -407,38 +407,26 @@ def greedy_augment(P, S0, candidates, params, *, alpha=DEFAULT_ALPHA, full_outpu
 # ---------------- full bicriteria ----------------
 
 
-def _measure_alpha(cost_S0, alpha_cap, oracle_opt):
-    if oracle_opt is None or oracle_opt <= 0:
-        return alpha_cap
-    return float(min(alpha_cap, max(1.0, cost_S0 / oracle_opt)))
-
-
-def _bicriteria_lowdim(P, params, alpha_cap, oracle_opt):
-    pts, w = _coerce_pointset(P)
-    S0 = constant_factor_approx(P, params, alpha=alpha_cap)
-    cost_S0 = power_cost((pts, w), S0, params.z)
-    alpha = _measure_alpha(cost_S0, alpha_cap, oracle_opt)
+def _bicriteria_lowdim(P, params):
+    S0 = constant_factor_approx(P, params)
     # not the family constant_factor_approx already built: that one is
-    # anchored at the Gonzalez seeds, this one at the swapped S0 (and at the
-    # measured alpha when oracle_opt is given). The families differ (422 vs
-    # 454, 283 vs 387 and 349 vs 449 candidates on the coreset-2d benchmark
-    # instances), so reusing the first would change the greedy output.
-    cands = candidate_centers(P, params, S0, alpha=alpha)
-    res = greedy_augment(P, S0, cands, params, alpha=alpha)
-    return res
+    # anchored at the Gonzalez seeds, this one at the swapped S0. The
+    # families differ (422 vs 454, 283 vs 387 and 349 vs 449 candidates on
+    # the coreset-2d benchmark instances), so reusing the first would
+    # change the greedy output.
+    return greedy_augment(P, S0, candidate_centers(P, params, S0), params)
 
 
 def lift_by_clusters(P, labels, z):
     """Per-cluster optimal centers in the original space, in label order.
 
     Slice mode, P an ExtendedPointSet, solves each cluster's 1-center at
-    extension 0 on the base coordinates and returns the centers with a
-    trailing 0. One solve_1centers call covers each run of whole clusters,
-    in label order, holding at most _LIFT_POINTS points (a larger cluster
-    is a run of its own), on those points alone: a call's (clusters,
-    points) tables stay small however many clusters there are. A run keeps
-    the points in input order, so up to _LIFT_POINTS points the call is
-    the whole set.
+    extension 0 on the base coordinates and returns base-space centers.
+    One solve_1centers call covers each run of whole clusters, in label
+    order, holding at most _LIFT_POINTS points (a larger cluster is a run
+    of its own), on those points alone: a call's (clusters, points) tables
+    stay small however many clusters there are. A run keeps the points in
+    input order, so up to _LIFT_POINTS points the call is the whole set.
     """
     base, ext, w = _split_extended(P)
     order = np.argsort(labels, kind="stable")
@@ -455,10 +443,10 @@ def lift_by_clusters(P, labels, z):
         sub_ext = None if ext is None else ext[cols]
         out.append(solve_1centers(base[cols], sub_ext, w[cols], members, z)[0])
         lo = hi
-    return _on_slice(np.vstack(out), ext)
+    return np.vstack(out)
 
 
-def bicriteria(P, params, *, alpha=DEFAULT_ALPHA, oracle_opt=None):
+def bicriteria(P, params):
     """Bicriteria solution: more than k centers, near-optimal cost.
 
     Dimension at most DEFAULT_DIM_THRESHOLD: constant-factor seeds, lattice
@@ -468,11 +456,12 @@ def bicriteria(P, params, *, alpha=DEFAULT_ALPHA, oracle_opt=None):
     every solution back via per-cluster 1-centers, and keep the
     (cost, seed)-lexicographic best. Slice mode, P an ExtendedPointSet,
     counts the extension as a dimension, projects only the base
-    coordinates (one fewer of them) and keeps every center at extension 0.
+    coordinates (one fewer of them) and keeps every center at extension 0,
+    a trailing 0 on its row.
     """
     pts, w = _coerce_pointset(P)
     if pts.shape[1] <= DEFAULT_DIM_THRESHOLD:
-        return _bicriteria_lowdim(P, params, alpha, oracle_opt)
+        return _bicriteria_lowdim(P, params)
 
     base, ext, _ = _split_extended(P)
     base_dim = base.shape[1]
@@ -483,7 +472,7 @@ def bicriteria(P, params, *, alpha=DEFAULT_ALPHA, oracle_opt=None):
         lin = seeded_projection_family(base_dim, m, seed)
         proj = lin.apply(base)
         sub = (proj, w) if ext is None else ExtendedPointSet(proj, ext, w)
-        res = _bicriteria_lowdim(sub, params, alpha, oracle_opt)
+        res = _bicriteria_lowdim(sub, params)
         rows, _ = _coerce_pointset(sub)
         _, labels = min_power_dists(rows, res.centers.centers, params.z)
         lifted = lift_by_clusters(P, labels, params.z)
@@ -492,10 +481,9 @@ def bicriteria(P, params, *, alpha=DEFAULT_ALPHA, oracle_opt=None):
             best = (cost, seed, lifted, res)
     cost, seed, lifted, res = best
     return BicriteriaResult(
-        centers=CenterSet(lifted),
+        centers=CenterSet(_on_slice(lifted, ext)),
         cost=cost,
         stopped_reason=res.stopped_reason,
-        alpha_used=res.alpha_used,
         projection_seed=seed,
         baseline_size=res.baseline_size,
     )

@@ -18,11 +18,11 @@ import time
 import numpy as np
 
 from . import io as dio
-from .bicriteria import DEFAULT_ALPHA
 from .datasets import far_point_instance, gaussian_blobs, ring_mixture
 from .dimreduce import WitnessParams, build_net, cost_preserving_sketch
 from .errors import BudgetError, InputError
 from .geometry import (
+    DEFAULT_ALPHA,
     ClusteringParams,
     ExtendedPointSet,
     WeightedPointSet,
@@ -80,13 +80,13 @@ def _cmd_gen(args):
 
 
 def _cmd_coreset_build(args):
-    params = ClusteringParams(k=args.k, z=args.z, epsilon=args.eps)
+    params = ClusteringParams(k=args.k, z=args.z, epsilon=args.eps, alpha=args.alpha)
     mode = _MODES[args.mode]
     if mode == "deterministic" and args.seed is not None:
         raise InputError("--seed applies to randomized mode only")
     pts = _plain_points(dio.read_points(getattr(args, "in")), "coreset build")
     seed = 0 if args.seed is None else args.seed
-    core = ring_coreset(pts, params, mode=mode, seed=seed, alpha=args.alpha)
+    core = ring_coreset(pts, params, mode=mode, seed=seed)
     dio.write_coreset(core, params, args.out)
     print(
         f"coreset: {core.size} rows from {pts.shape[0]} points,"
@@ -159,17 +159,17 @@ def _cmd_sketch_verify(args):
 
 
 def _cmd_solve(args):
-    params = ClusteringParams(k=args.k, z=args.z, epsilon=args.eps)
+    params = ClusteringParams(k=args.k, z=args.z, epsilon=args.eps, alpha=args.alpha)
     ps = dio.read_points(getattr(args, "in"))
     if isinstance(ps, ExtendedPointSet):
         raise InputError("solve expects plain or weighted points")
     if args.method == "exact":
         res = exact_solve(ps, params)
     elif args.method == "bicriteria":
-        res = bicriteria_solve(ps, params, alpha=args.alpha)
+        res = bicriteria_solve(ps, params)
     else:
         pts = _plain_points(ps, "solve ptas")
-        res = approx_solve(pts, params, alpha=args.alpha)
+        res = approx_solve(pts, params)
     print(
         f"method={res.method} downgraded={res.downgraded}"
         f" cost={res.cost!r} ({float(res.cost).hex()})"
@@ -211,7 +211,7 @@ def _add_clustering_args(p, *, alpha=False):
             "--alpha",
             type=float,
             default=DEFAULT_ALPHA,
-            help="seeding cost-vs-size knob (default %(default)s)",
+            help="c_A, the seeding's constant factor, >= 1 (default %(default)s)",
         )
 
 

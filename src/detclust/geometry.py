@@ -17,6 +17,7 @@ from .errors import InputError
 from .summation import canonical_order, tree_sum, tree_sum_rows
 
 _CHUNK = 1 << 22  # max temp elements for distance matrices
+DEFAULT_ALPHA = 50.0
 
 
 def _as_points(arr, name="points"):
@@ -158,11 +159,21 @@ class Partition:
 
 @dataclass(frozen=True)
 class ClusteringParams:
-    """Problem parameters: k centers, power z >= 1, accuracy 0 < eps <= 1/3."""
+    """Problem parameters: k centers, power z >= 1, accuracy 0 < eps <= 1/3.
+
+    alpha is c_A, the approximation factor the seeding assumes of its
+    constant-factor solution A: it sets the candidate radii and the greedy
+    accept and stop thresholds. It steers how a coreset is built, not what
+    it guarantees, so coreset and sketch files do not store it and read
+    back the default. At the default 50 the bicriteria solver returns
+    nearly one center per point on small inputs, which is why the coreset
+    workloads pass alpha = 2.
+    """
 
     k: int
     z: int
     epsilon: float
+    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self):
         if not (isinstance(self.k, (int, np.integer)) and self.k >= 1):
@@ -171,6 +182,8 @@ class ClusteringParams:
             raise InputError("z must be an integer >= 1")
         if not (0 < self.epsilon <= 1 / 3):
             raise InputError("epsilon must satisfy 0 < eps <= 1/3")
+        if not (1 <= self.alpha < np.inf):
+            raise InputError("alpha must be finite and >= 1")
 
 
 def _coerce_pointset(P):
@@ -273,16 +286,20 @@ def _power_from_sq(sq, z):
 def power_cost(P, S, z):
     """Clustering cost: sum over points of w(p) * min_{s in S} ||p - s||^z.
 
-    The per-point costs are summed in canonical (lexicographically sorted)
-    point order with a fixed-shape pairwise tree, so the result is
+    The centers of an ExtendedPointSet live in its base space, at extension
+    0. The per-point costs are summed in canonical (lexicographically
+    sorted) point order with a fixed-shape pairwise tree, so the result is
     permutation-invariant at the bit level.
     """
-    pts, w = _coerce_pointset(P)
+    pts, ext, w = _split_extended(P)
     centers = _coerce_centers(S)
     if centers.shape[1] != pts.shape[1]:
         raise InputError("points and centers disagree on dimension")
     if not (isinstance(z, (int, np.integer)) and z >= 1):
         raise InputError("z must be an integer >= 1")
+    if ext is not None:  # the extension as a last coordinate, 0 at the centers
+        pts = np.column_stack([pts, ext])
+        centers = np.column_stack([centers, np.zeros(centers.shape[0])])
     costs, _ = min_power_dists(pts, centers, z)
     order = canonical_order(pts, w)
     return tree_sum((w * costs)[order])

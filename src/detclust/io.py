@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import ClusteringParams, ExtendedPointSet, WeightedPointSet
+from .geometry import (
+    ClusteringParams,
+    ExtendedPointSet,
+    WeightedPointSet,
+    _split_extended,
+)
 from .linmap import LinearMap
 from .rings import OffsetCoreset
 
@@ -169,23 +174,11 @@ def read_points(path):
     return _read_csv_points(path)
 
 
-def _normalize_pointset(data):
-    if isinstance(data, ExtendedPointSet):
-        return data.points, data.extensions, data.weights
-    if isinstance(data, WeightedPointSet):
-        return data.points, None, data.weights
-    if isinstance(data, tuple) and len(data) == 2:
-        ws = WeightedPointSet(data[0], data[1])
-        return ws.points, None, ws.weights
-    ws = WeightedPointSet(np.asarray(data, dtype=np.float64))
-    return ws.points, None, ws.weights
-
-
 def write_points(data, path, *, binary=False):
     """Write a point set (array, (points, weights), WeightedPointSet, or
     ExtendedPointSet). All-unit weights are stored as weighted=0."""
-    pts, extensions, weights = _normalize_pointset(data)
-    weighted = weights is not None and not (weights == 1.0).all()
+    pts, extensions, weights = _split_extended(data)
+    weighted = not (weights == 1.0).all()
     cols = [pts]
     if extensions is not None:
         cols.append(extensions[:, None])
@@ -224,7 +217,8 @@ def write_coreset(core, params, path):
 
 def read_coreset(path):
     """Inverse of write_coreset. Returns (OffsetCoreset, ClusteringParams);
-    row provenance is rebuilt as ("file", i)."""
+    the file stores no alpha, so the params carry the default. Row
+    provenance is rebuilt as ("file", i)."""
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -320,7 +314,8 @@ def write_sketch(lin, net_points, params, path):
 
 
 def read_sketch(path):
-    """Inverse of write_sketch: (LinearMap, net array, ClusteringParams)."""
+    """Inverse of write_sketch: (LinearMap, net array, ClusteringParams),
+    the params at the default alpha, which the bundle does not store."""
     with open(path, "r", encoding="ascii") as fh:
         doc = json.load(fh)
     if doc.get("format") != "dclus-sketch-1":

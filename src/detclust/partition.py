@@ -90,6 +90,8 @@ def build(P, params: ClusteringParams):
     if (w != 1.0).any():
         raise InputError("partition coreset maps unweighted points")
     z = params.z
+    # built fresh, not replace(params, ...): node solves keep the default
+    # alpha whatever the caller's
     node_params = ClusteringParams(k=params.k, z=z, epsilon=min(BETA, 1.0 / 3.0))
 
     pool = RowPool(1e-12 * max(1.0, float(np.abs(pts).max(initial=0.0))))

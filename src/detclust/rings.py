@@ -21,7 +21,7 @@ import numpy as np
 
 # candidate_centers stays importable as rings.candidate_centers, the name
 # perfbench/tests/test_harness.py wraps and restores
-from .bicriteria import DEFAULT_ALPHA, bicriteria, candidate_centers  # noqa: F401
+from .bicriteria import bicriteria, candidate_centers  # noqa: F401
 from .dimreduce import cost_preserving_sketch
 from .epsapprox import (
     ball_test_family,
@@ -45,6 +45,7 @@ from .summation import tree_sum
 
 RING_ZERO = np.iinfo(np.int64).min  # bucket for zero-cost points
 PASSTHROUGH_DIM = 12
+SAMPLE_DELTA = 0.1  # failure probability of each randomized ring sample
 
 
 @dataclass(frozen=True)
@@ -53,7 +54,6 @@ class SeedingResult:
 
     centers: CenterSet
     status: str  # "low-cost" | "locally-stable"
-    c_A: float
     cost_G: float
     baseline_size: int  # |A| the greedy phase started from
 
@@ -125,21 +125,20 @@ class OffsetCoreset:
         )
 
 
-def greedy_seeding(P, params, *, alpha=DEFAULT_ALPHA):
+def greedy_seeding(P, params):
     """Grow centers greedily from a constant-factor baseline A.
 
     Adds candidate centers while each drops the cost by the factor
     eps/(c_A k), stopping early once the cost falls to eps cost(A)/c_A
     (status low-cost) and otherwise ending locally stable, with c_A =
-    alpha. This is the bicriteria solver's output, which handles high
-    dimension by projection.
+    params.alpha. This is the bicriteria solver's output, which handles
+    high dimension by projection.
     """
-    res = bicriteria(P, params, alpha=alpha)
+    res = bicriteria(P, params)
     status = "low-cost" if res.stopped_reason == "low-cost" else "locally-stable"
     return SeedingResult(
         centers=res.centers,
         status=status,
-        c_A=res.alpha_used,
         cost_G=res.cost,
         baseline_size=res.baseline_size,
     )
@@ -276,23 +275,15 @@ def tiny_huge_masks(cost_to_solution, base, z, eps):
     return c < tiny_edge, c >= huge_edge
 
 
-def ring_coreset(
-    P,
-    params,
-    mode="deterministic",
-    *,
-    seed=0,
-    delta=0.1,
-    alpha=DEFAULT_ALPHA,
-):
+def ring_coreset(P, params, mode="deterministic", *, seed=0):
     """Full coreset-with-offset pipeline.
 
     Low-cost seedings return the centers weighted by served-point counts
     with F = 0. Otherwise each main ring is replaced by a set
     approximation at epsilon_prime(z, eps): halving against the default
-    ball_test_family (deterministic mode) or a seeded uniform sample
-    (randomized mode, one derived seed per ring), each kept point weighted
-    |ring| / |kept|.
+    ball_test_family (deterministic mode) or a seeded uniform sample at
+    failure probability SAMPLE_DELTA (randomized mode, one derived seed per
+    ring), each kept point weighted |ring| / |kept|.
 
     Slice mode, P an ExtendedPointSet, keeps the seeding centers at
     extension 0; the coreset rows then carry each point's extension as
@@ -304,7 +295,7 @@ def ring_coreset(
     if (w != 1.0).any():
         raise InputError("ring coreset expects unit weights")
 
-    seeding = greedy_seeding(P, params, alpha=alpha)
+    seeding = greedy_seeding(P, params)
     G = seeding.centers.centers
 
     if seeding.status == "low-cost":
@@ -337,7 +328,7 @@ def ring_coreset(
             approx = uniform_sample_approx(
                 ground,
                 eps_p,
-                delta,
+                SAMPLE_DELTA,
                 vc_dim_hint_euclidean(params.k, pts.shape[1]),
                 seed + t,
             )
@@ -432,7 +423,7 @@ class EuclideanPipelineResult:
         return self.coreset.points.shape[1]
 
 
-def euclidean_pipeline(P, params, *, alpha=DEFAULT_ALPHA):
+def euclidean_pipeline(P, params):
     """Dimension-reduced deterministic coreset with offset.
 
     Low dimension (d <= PASSTHROUGH_DIM): the input is embedded at
@@ -449,5 +440,5 @@ def euclidean_pipeline(P, params, *, alpha=DEFAULT_ALPHA):
     else:
         sk = cost_preserving_sketch(pts, params)
         E = sk.sketched_points()
-    core = ring_coreset(E, params, alpha=alpha)
+    core = ring_coreset(E, params)
     return EuclideanPipelineResult(coreset=core, sketch=sk, passthrough=sk is None)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bicriteria import DEFAULT_ALPHA, constant_factor_approx, lift_by_clusters
+from .bicriteria import constant_factor_approx, lift_by_clusters
 from .errors import BudgetError, InputError
 from .geometry import (
     CenterSet,
@@ -207,7 +207,7 @@ def _polish(pts, w, C, z, rounds, centers):
     return C, cost
 
 
-def bicriteria_solve(P, params, *, alpha=DEFAULT_ALPHA):
+def bicriteria_solve(P, params):
     """Exactly k centers from the constant-factor machinery plus polish.
 
     Initializations: the swap-search solution, and every k-subset of
@@ -228,7 +228,7 @@ def bicriteria_solve(P, params, *, alpha=DEFAULT_ALPHA):
             method="bicriteria",
             enumeration_stats=0,
         )
-    inits = [constant_factor_approx(P, params, alpha=alpha).centers]
+    inits = [constant_factor_approx(P, params).centers]
     _, first = np.unique(pts, axis=0, return_index=True)
     distinct = np.sort(first)
     if distinct.size >= k and math.comb(distinct.size, k) <= DEFAULT_SUBSET_CAP:
@@ -249,7 +249,7 @@ def bicriteria_solve(P, params, *, alpha=DEFAULT_ALPHA):
     )
 
 
-def approx_solve(P, params, *, alpha=DEFAULT_ALPHA, full_output=False):
+def approx_solve(P, params, *, full_output=False):
     """Near-optimal solve via the coreset pipeline.
 
     Builds the deterministic offset coreset with euclidean_pipeline,
@@ -267,10 +267,10 @@ def approx_solve(P, params, *, alpha=DEFAULT_ALPHA, full_output=False):
     pts, w = _coerce_pointset(P)
     if (w != 1.0).any():
         raise InputError("approx_solve needs unit weights")
-    pipe = euclidean_pipeline(pts, params, alpha=alpha)
+    pipe = euclidean_pipeline(pts, params)
     core = pipe.coreset
     if core.size > ENUM_MAX_N or params.k > ENUM_MAX_K:
-        fb = bicriteria_solve(pts, params, alpha=alpha)
+        fb = bicriteria_solve(pts, params)
         res = SolveResult(
             centers=fb.centers,
             cost=fb.cost,

@@ -62,8 +62,8 @@ def _blobs(n, d, seed):
 
 def _coreset(mode, z=2):
     pts = _blobs(200, 2, 1)
-    params = ClusteringParams(k=2, z=z, epsilon=0.3)
-    core = ring_coreset(pts, params, mode=mode, seed=5, alpha=2.0)
+    params = ClusteringParams(k=2, z=z, epsilon=0.3, alpha=2.0)
+    core = ring_coreset(pts, params, mode=mode, seed=5)
     return digest(core.points, core.weight_num, core.weight_den, float(core.offset))
 
 
@@ -99,9 +99,8 @@ def _candidates():
     pts = _blobs(200, 2, 1)
     cc = candidate_centers(
         pts,
-        ClusteringParams(k=2, z=2, epsilon=0.3),
+        ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0),
         pts[:2],
-        alpha=2.0,
     )
     return digest(cc.points, cc.provenance_point, cc.provenance_level, str(cc.spacing_scale))
 
@@ -111,9 +110,8 @@ def _candidates_slice():
     pts[:, -1] = np.abs(pts[:, -1])  # slice mode: the extensions
     cc = candidate_centers(
         ExtendedPointSet(pts[:, :-1], extensions=pts[:, -1]),
-        ClusteringParams(k=2, z=2, epsilon=0.3),
+        ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0),
         pts[:2],
-        alpha=2.0,
     )
     return digest(cc.points, cc.provenance_point, cc.provenance_level, str(cc.spacing_scale))
 
@@ -128,8 +126,8 @@ def _witness_net():
 
 def _ring_decompose():
     pts = far_point_instance(150, 4, seed=4, distance=50)
-    params = ClusteringParams(k=2, z=2, epsilon=0.3)
-    seeding = greedy_seeding(pts, params, alpha=2.0)
+    params = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
+    seeding = greedy_seeding(pts, params)
     rings = ring_decompose(pts, seeding, params)
     return digest(rings.costs, rings.labels, rings.deltas)
 

@@ -185,9 +185,7 @@ def test_criterion_4_cost_preserving_sketch():
                 c = solve_1center(pts[sel], 2)
                 orig += power_cost(pts[sel], c[None, :], 2)
                 part = ExtendedPointSet(E.points[sel], extensions=E.extensions[sel])
-                c0 = solve_1center(part, 2)
-                rows = np.hstack([E.points[sel], E.extensions[sel, None]])
-                sketched += power_cost(rows, np.append(c0, 0.0)[None, :], 2)
+                sketched += power_cost(part, solve_1center(part, 2)[None, :], 2)
             if orig == 0.0:
                 assert sketched == 0.0
                 continue
@@ -209,16 +207,14 @@ def test_criterion_5_offset_coreset_guarantee():
     rand_failures = 0
     for s in range(30):
         z = 1 + s % 2
-        params = ClusteringParams(k=2, z=z, epsilon=0.3)
+        params = ClusteringParams(k=2, z=z, epsilon=0.3, alpha=2.0)
         pts = gaussian_blobs(200, 2, blobs=2, seed=s, separation=6.0)
         grid = center_grid(pts, per_axis=4)
-        core = ring_coreset(pts, params, alpha=2.0)
+        core = ring_coreset(pts, params)
         rep = verify_offset_coreset(pts, core, params, grid)
         det_worst = max(det_worst, rep.max_relative_error)
         assert rep.max_relative_error <= params.epsilon
-        rand = ring_coreset(
-            pts, params, mode="randomized", seed=s, delta=0.1, alpha=2.0
-        )
+        rand = ring_coreset(pts, params, mode="randomized", seed=s)
         rrep = verify_offset_coreset(pts, rand, params, grid)
         rand_failures += rrep.max_relative_error > params.epsilon
     took = time.perf_counter() - t0
@@ -236,14 +232,14 @@ def test_criterion_6_ring_structure_invariants():
     ringed = 0
     for s in range(10):
         z = 1 + s % 2
-        params = ClusteringParams(k=2, z=z, epsilon=0.3)
+        params = ClusteringParams(k=2, z=z, epsilon=0.3, alpha=2.0)
         if s % 3 == 2:
             pts = far_point_instance(80, 2, seed=s, distance=50.0)
         else:
             pts = gaussian_blobs(120, 2, blobs=2, seed=s, separation=6.0)
-        core = ring_coreset(pts, params, alpha=2.0)
+        core = ring_coreset(pts, params)
         assert core.total_weight == Fraction(pts.shape[0])  # exact conservation
-        seeding = greedy_seeding(pts, params, alpha=2.0)
+        seeding = greedy_seeding(pts, params)
         if seeding.status == "low-cost":
             assert core.offset == 0.0
             continue

@@ -27,6 +27,9 @@ def test_runconfig_validation(tmp_path, capsys):
     assert cli_dispatch(build + ["--k", "2", "--mode", "sometimes"]) == 2
     for cmd in (build, ["sketch", "build"] + io_args, ["solve", "exact"] + io_args):
         assert cli_dispatch(cmd + ["--k", "0"]) == 2
+    for alpha in ("0", "-1", "nan", "inf"):
+        for cmd in (build, ["solve", "bicriteria"] + io_args):
+            assert cli_dispatch(cmd + ["--k", "2", f"--alpha={alpha}"]) == 2
     assert not out.exists()
 
 

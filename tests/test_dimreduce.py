@@ -243,8 +243,7 @@ def test_sketch_z2_offset_decomposition():
             sel = labels == v
             part = ExtendedPointSet(base[sel], extensions=exts[sel])
             c = solve_1center(part, 2)
-            rows = np.hstack([base[sel], exts[sel, None]])
-            lhs += power_cost(rows, np.append(c, 0.0)[None, :], 2)
+            lhs += power_cost(part, c[None, :], 2)
             rhs += power_cost(base[sel], c[None, :], 2) + float(
                 (exts[sel] ** 2).sum()
             )
@@ -268,9 +267,7 @@ def test_sketch_partition_costs_within_loosened_eps():
             c = solve_1center(pts[sel], 2)
             orig += power_cost(pts[sel], c[None, :], 2)
             part = ExtendedPointSet(E.points[sel], extensions=E.extensions[sel])
-            c0 = solve_1center(part, 2)
-            rows = np.hstack([E.points[sel], E.extensions[sel, None]])
-            sketched += power_cost(rows, np.append(c0, 0.0)[None, :], 2)
+            sketched += power_cost(part, solve_1center(part, 2)[None, :], 2)
         if orig == 0.0:
             assert sketched == 0.0
             continue

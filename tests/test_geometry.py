@@ -65,6 +65,9 @@ def test_types_validate():
         ClusteringParams(k=1, z=1, epsilon=0.5)
     with pytest.raises(InputError):
         ClusteringParams(k=0, z=1, epsilon=0.1)
+    for alpha in (0.0, -1.0, np.nan, np.inf):  # c_A is a finite factor >= 1
+        with pytest.raises(InputError):
+            ClusteringParams(k=1, z=1, epsilon=0.1, alpha=alpha)
 
 
 def test_power_cost_grid_example():
@@ -109,6 +112,8 @@ def test_power_cost_zero_weights_and_dim_mismatch():
     assert power_cost(WeightedPointSet(pts, np.zeros(2)), [[5.0, 5.0]], 2) == 0.0
     with pytest.raises(InputError):
         power_cost(pts, [[1.0]], 2)
+    with pytest.raises(InputError):  # extended sets take base-space centers
+        power_cost(ExtendedPointSet(pts, extensions=[1.0, 2.0]), [[1.0, 1.0, 0.0]], 2)
 
 
 def test_min_power_dists_tie_breaks_to_lowest_index():
@@ -202,6 +207,8 @@ def test_solve_1center_keeps_extended_centers_at_extension_zero():
 
         assert c.shape == (1,) and info["converged"]
         assert cost(c[0]) <= min(cost(x) for x in grid) + 1e-9
+        # power_cost reads the same center space, extensions included
+        assert power_cost(E, c[None, :], z) == pytest.approx(cost(c[0]), rel=1e-12)
 
 
 def test_constrained_center_z2_is_base_mean():

@@ -37,15 +37,14 @@ def two_blob_instance():
     rng = np.random.default_rng(0)
     a = rng.standard_normal((100, 2)) * 0.8
     b = rng.standard_normal((100, 2)) * 0.8 + np.array([6.0, 0.0])
-    return np.vstack([a, b]), ClusteringParams(k=2, z=2, epsilon=0.3)
+    return np.vstack([a, b]), ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
 
 
-def hand_seeding(centers, cost_G, c_A=2.0, status="locally-stable"):
+def hand_seeding(centers, cost_G, status="locally-stable"):
     C = np.asarray(centers, dtype=np.float64)
     return SeedingResult(
         centers=CenterSet(C),
         status=status,
-        c_A=c_A,
         cost_G=cost_G,
         baseline_size=C.shape[0],
     )
@@ -111,7 +110,7 @@ def test_bucket_of_five_delta_point():
 
 def test_bucket_membership_half_open():
     pts, params = two_blob_instance()
-    seeding = greedy_seeding(pts, params, alpha=2.0)
+    seeding = greedy_seeding(pts, params)
     assert seeding.status == "locally-stable"
     rings = ring_decompose(pts, seeding, params)
     seen = []
@@ -154,7 +153,7 @@ def test_zero_cost_cluster_is_inner():
 
 def test_ring_decompose_validation():
     pts, params = two_blob_instance()
-    seeding = greedy_seeding(pts, params, alpha=2.0)
+    seeding = greedy_seeding(pts, params)
     with pytest.raises(InputError):
         ring_decompose((pts, np.full(pts.shape[0], 2.0)), seeding, params)
     low = hand_seeding([[0.0, 0.0]], cost_G=0.0, status="low-cost")
@@ -173,8 +172,8 @@ def test_markov_bound_across_instances():
         pts = np.vstack(
             [rng.standard_normal((n // k, 2)) * 0.5 + c for c in centers]
         )
-        params = ClusteringParams(k=k, z=z, epsilon=0.3)
-        seeding = greedy_seeding(pts, params, alpha=2.0)
+        params = ClusteringParams(k=k, z=z, epsilon=0.3, alpha=2.0)
+        seeding = greedy_seeding(pts, params)
         if seeding.status != "locally-stable":
             continue
         stable += 1
@@ -207,7 +206,7 @@ def test_instance_weight_conservation_and_offset():
 
 def test_no_outer_points_means_zero_offset():
     pts, params = two_blob_instance()
-    seeding = greedy_seeding(pts, params, alpha=2.0)
+    seeding = greedy_seeding(pts, params)
     rings = ring_decompose(pts, seeding, params)
     assert rings.indices_of("outer").size == 0
     _, F = build_instance_IG(pts, rings, seeding)
@@ -241,9 +240,9 @@ def test_greedy_center_count_bound():
         z = 1 + trial % 2
         eps = (0.2, 1.0 / 3.0)[trial % 2]
         pts = rng.uniform(-3, 3, size=(40, 2))
-        params = ClusteringParams(k=k, z=z, epsilon=eps)
-        res = greedy_seeding(pts, params, alpha=(2.0, 4.0)[trial % 2])
-        cap = math.ceil(res.c_A * k * math.log(1.0 / eps) / eps)
+        params = ClusteringParams(k=k, z=z, epsilon=eps, alpha=(2.0, 4.0)[trial % 2])
+        res = greedy_seeding(pts, params)
+        cap = math.ceil(params.alpha * k * math.log(1.0 / eps) / eps)
         size = res.centers.centers.shape[0]
         assert size <= res.baseline_size + cap
 
@@ -251,10 +250,10 @@ def test_greedy_center_count_bound():
 def test_greedy_cost_sequence_contracts():
     pts, params = two_blob_instance()
     A = np.array([[0.0, 0.0], [6.0, 0.0]])
-    cands = candidate_centers(pts, params, A, alpha=2.0)
-    res, history = greedy_augment(pts, A, cands, params, alpha=2.0, full_output=True)
+    cands = candidate_centers(pts, params, A)
+    res, history = greedy_augment(pts, A, cands, params, full_output=True)
     assert len(history) >= 2
-    f = params.epsilon / (res.alpha_used * params.k)
+    f = params.epsilon / (params.alpha * params.k)
     for prev, cur in zip(history, history[1:]):
         assert cur <= (1.0 - f) * prev * (1.0 + 1e-12)
 
@@ -263,12 +262,12 @@ def test_locally_stable_has_no_improving_candidate():
     # greedy growth from a fixed baseline A over A's candidate family
     pts, params = two_blob_instance()
     A = np.array([[0.0, 0.0], [6.0, 0.0]])
-    family = candidate_centers(pts, params, A, alpha=2.0)
-    res = greedy_augment(pts, A, family, params, alpha=2.0)
+    family = candidate_centers(pts, params, A)
+    res = greedy_augment(pts, A, family, params)
     assert res.stopped_reason == "no-improving-center"
     G = res.centers.centers
     cost_G = power_cost(pts, G, params.z)
-    f = params.epsilon / (res.alpha_used * params.k)
+    f = params.epsilon / (params.alpha * params.k)
     cands = family.points
     base_sq = sq_dist_matrix(pts, G).min(axis=1)
     cand_sq = sq_dist_matrix(pts, cands)
@@ -293,7 +292,7 @@ def test_ring_coreset_low_cost_branch_exact():
 
 def test_ring_coreset_deterministic_meets_eps():
     pts, params = two_blob_instance()
-    core = ring_coreset(pts, params, alpha=2.0)
+    core = ring_coreset(pts, params)
     assert core.size < pts.shape[0]
     assert core.total_weight == Fraction(200)
     rep = verify_offset_coreset(pts, core, params, center_grid(pts, per_axis=4))
@@ -303,8 +302,9 @@ def test_ring_coreset_deterministic_meets_eps():
 
 
 def test_ring_coreset_low_cost_default_alpha_meets_eps():
-    # the default wide alpha cap drives the greedy phase all the way down
-    pts, params = two_blob_instance()
+    # the default wide alpha drives the greedy phase all the way down
+    pts, _ = two_blob_instance()
+    params = ClusteringParams(k=2, z=2, epsilon=0.3)
     core = ring_coreset(pts, params)
     assert core.offset == 0.0
     assert all(tag[0] == "center" for tag in core.provenance)
@@ -315,8 +315,8 @@ def test_ring_coreset_low_cost_default_alpha_meets_eps():
 
 def test_ring_coreset_deterministic_rerun_identical():
     pts, params = two_blob_instance()
-    a = ring_coreset(pts, params, alpha=2.0)
-    b = ring_coreset(pts, params, alpha=2.0)
+    a = ring_coreset(pts, params)
+    b = ring_coreset(pts, params)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.weight_num, b.weight_num)
     assert np.array_equal(a.weight_den, b.weight_den)
@@ -328,8 +328,8 @@ def test_ring_coreset_randomized_seed_replay():
     # at this scale the VC sampling bound can exceed ring sizes, in which
     # case whole rings are kept; the contract is replayability, not churn
     pts, params = two_blob_instance()
-    a = ring_coreset(pts, params, mode="randomized", seed=42, alpha=2.0)
-    b = ring_coreset(pts, params, mode="randomized", seed=42, alpha=2.0)
+    a = ring_coreset(pts, params, mode="randomized", seed=42)
+    b = ring_coreset(pts, params, mode="randomized", seed=42)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.weight_num, b.weight_num)
     assert a.total_weight == Fraction(200)
@@ -380,7 +380,7 @@ def test_verifier_on_exact_copy_reports_zero():
 
 def test_verifier_budgets_and_sampling():
     pts, params = two_blob_instance()
-    core = ring_coreset(pts, params, alpha=2.0)
+    core = ring_coreset(pts, params)
     with pytest.raises(InputError):
         verify_offset_coreset(pts, core, params, pts[:1])
     with pytest.raises(InputError):
@@ -407,7 +407,7 @@ def main_ring_with_at_least(pts, params, rings, size):
 
 def test_tiny_group_mass_bounded():
     pts, params = two_blob_instance()
-    seeding = greedy_seeding(pts, params, alpha=2.0)
+    seeding = greedy_seeding(pts, params)
     rings = ring_decompose(pts, seeding, params)
     (i, j), idx = main_ring_with_at_least(pts, params, rings, 12)
     ring_pts = pts[idx]
@@ -433,7 +433,7 @@ def test_tiny_group_mass_bounded():
 
 def test_huge_group_estimate_within_3eps():
     pts, params = two_blob_instance()
-    seeding = greedy_seeding(pts, params, alpha=2.0)
+    seeding = greedy_seeding(pts, params)
     rings = ring_decompose(pts, seeding, params)
     (i, j), idx = main_ring_with_at_least(pts, params, rings, 12)
     ring_pts = pts[idx]
@@ -457,7 +457,7 @@ def test_tiny_huge_masks_validation():
 
 def test_pipeline_passthrough_low_dim():
     pts, params = two_blob_instance()
-    out = euclidean_pipeline(pts, params, alpha=2.0)
+    out = euclidean_pipeline(pts, params)
     assert out.passthrough and out.sketch is None
     assert out.ambient_dim == 3
     assert (out.coreset.points[:, -1] == 0.0).all()
@@ -481,9 +481,9 @@ def test_pipeline_high_dim_rerun_identical():
     pts = np.vstack(
         [rng.standard_normal((8, 30)) * 0.3, rng.standard_normal((8, 30)) * 0.3 + 4.0]
     )
-    params = ClusteringParams(k=2, z=2, epsilon=0.3)
-    a = euclidean_pipeline(pts, params, alpha=3.0)
-    b = euclidean_pipeline(pts, params, alpha=3.0)
+    params = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=3.0)
+    a = euclidean_pipeline(pts, params)
+    b = euclidean_pipeline(pts, params)
     assert not a.passthrough
     assert a.ambient_dim == a.sketch.map.m + 1
     assert a.coreset.total_weight == Fraction(16)

@@ -361,15 +361,15 @@ def test_approx_downgrades_past_enumeration_budget():
     pts = np.vstack(
         [rng.standard_normal((100, 2)), rng.standard_normal((100, 2)) + [6.0, 0.0]]
     )
-    p = ClusteringParams(k=2, z=2, epsilon=0.3)
-    res, extra = approx_solve(pts, p, alpha=2.0, full_output=True)
+    p = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
+    res, extra = approx_solve(pts, p, full_output=True)
     assert res.method == "bicriteria"
     assert res.downgraded
     assert extra["partition"] is None
     assert extra["centers_sketch"] is None
     assert extra["labels"] is None
     assert extra["pipeline"].coreset.size > ENUM_MAX_N
-    direct = bicriteria_solve(pts, p, alpha=2.0)
+    direct = bicriteria_solve(pts, p)
     assert res.cost == direct.cost
     assert np.array_equal(res.centers.centers, direct.centers.centers)
 
