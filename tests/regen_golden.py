@@ -30,9 +30,14 @@ import numpy as np
 from detclust.bicriteria import bicriteria, candidate_centers
 from detclust.datasets import far_point_instance, gaussian_blobs
 from detclust.dimreduce import WitnessParams, build_net, cost_preserving_sketch
-from detclust.geometry import ClusteringParams, ExtendedPointSet
+from detclust.geometry import ClusteringParams, ExtendedPointSet, center_grid
 from detclust.partition import build
-from detclust.rings import greedy_seeding, ring_coreset, ring_decompose
+from detclust.rings import (
+    greedy_seeding,
+    ring_coreset,
+    ring_decompose,
+    verify_offset_coreset,
+)
 from detclust.solve import approx_solve, bicriteria_solve, exact_solve
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
@@ -124,6 +129,24 @@ def _witness_net():
     return digest(net.points, str(net.sources))
 
 
+def _verify(z=2, sampled=False):
+    pts = _blobs(200, 2, 1)
+    params = ClusteringParams(k=2, z=z, epsilon=0.3, alpha=2.0)
+    core = ring_coreset(pts, params)
+    if sampled:  # a tight eps so the report carries its witness tuple
+        rep = verify_offset_coreset(
+            pts, core, ClusteringParams(k=2, z=z, epsilon=1e-6),
+            center_grid(pts, per_axis=6), exhaustive_tuples=False, samples=300, seed=3,
+        )
+    else:
+        rep = verify_offset_coreset(pts, core, params, center_grid(pts, per_axis=4))
+    if rep.witness is None:
+        witness = ("none",)
+    else:
+        witness = (np.array(rep.witness[0], dtype=np.int64), float(rep.witness[1]))
+    return digest(float(rep.max_relative_error), str(rep.checked), *witness)
+
+
 def _ring_decompose():
     pts = far_point_instance(150, 4, seed=4, distance=50)
     params = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
@@ -154,6 +177,9 @@ CASES = {
     "exact_solve_k4_n9": lambda: _solve(exact_solve, k=4, n=9),
     "bicriteria_projection_slice_n24_d30": lambda: _bicriteria_projection(True),
     "bicriteria_solve_z3_n8": lambda: _solve(bicriteria_solve, z=3),
+    "verify_offset_coreset_det_n200_d2": _verify,
+    "verify_offset_coreset_det_z1_n200_d2": lambda: _verify(z=1),
+    "verify_offset_coreset_sampled_n200_d2": lambda: _verify(sampled=True),
 }
 
 
