@@ -108,13 +108,14 @@ def seeded_projection_family(d, m, seed):
 
 
 def ball_lattice(centers, radii, spacing):
-    """Origin-anchored lattice of the given spacing, trimmed to each ball.
+    """Origin-anchored lattice of each ball's spacing, trimmed to the ball.
 
-    One pass over the m balls B(centers[b], radii[b]) of one spacing.
-    Returns (rows, owner): the kept lattice points and, per row, the index
-    b of the ball that generated it. Rows come in ball order and, within a
-    ball, in np.meshgrid(..., indexing="ij") order (last axis fastest), so
-    owner is sorted. A lattice point inside two balls appears once per ball.
+    One pass over the m balls B(centers[b], radii[b]); spacing is one
+    value for every ball or one per ball. Returns (rows, owner): the kept
+    lattice points and, per row, the index b of the ball that generated
+    it. Rows come in ball order and, within a ball, in
+    np.meshgrid(..., indexing="ij") order (last axis fastest), so owner is
+    sorted. A lattice point inside two balls appears once per ball.
 
     Together with the ball's own center this is a (spacing * sqrt(d))-cover
     of each ball: any target in the ball has a kept lattice point within
@@ -125,11 +126,12 @@ def ball_lattice(centers, radii, spacing):
     r = np.asarray(radii, dtype=np.float64)
     if P.ndim != 2 or r.shape != (P.shape[0],):
         raise InputError("need (m, d) centers and m radii")
-    if (r < 0).any() or spacing <= 0:
+    s = np.broadcast_to(np.asarray(spacing, dtype=np.float64), r.shape)
+    if (r < 0).any() or (s <= 0).any():
         raise InputError("need radii >= 0 and spacing > 0")
     d = P.shape[1]
-    los = np.ceil((P - r[:, None]) / spacing).astype(np.int64)
-    his = np.floor((P + r[:, None]) / spacing).astype(np.int64)
+    los = np.ceil((P - r[:, None]) / s[:, None]).astype(np.int64)
+    his = np.floor((P + r[:, None]) / s[:, None]).astype(np.int64)
     counts = np.maximum(his - los + 1, 0)  # an empty axis empties the box
     sizes = counts.prod(axis=1)
     owner = np.repeat(np.arange(P.shape[0]), sizes)
@@ -140,7 +142,7 @@ def ball_lattice(centers, radii, spacing):
         radix = counts[owner, j]
         cells[:, j] = los[owner, j] + rank % radix
         rank //= radix
-    cand = cells * spacing
+    cand = cells * s[owner, None]
     keep = ((cand - P[owner]) ** 2).sum(axis=1) <= (r * r * (1.0 + 1e-12))[owner]
     return cand[keep], owner[keep]
 
@@ -163,12 +165,12 @@ def candidate_centers(P, params, anchor):
     fitting power of two is found by a galloping search on the exponent,
     and spacing_scale records it.
 
-    Generation order: the n input points in index order, then one
-    ball_lattice pass per radius level (lowest level first) over the balls
-    of all input points, in point order. Duplicates are merged by
-    coordinate quantization; a merged row keeps its first occurrence in
-    that order, and its provenance is the point and level of that first
-    occurrence.
+    Generation order: the n input points in index order, then the
+    lattice rows of one ball_lattice pass over every (level, point) ball,
+    level-major: lowest level first, and within a level the balls of all
+    input points in point order. Duplicates are merged by coordinate
+    quantization; a merged row keeps its first occurrence in that order,
+    and its provenance is the point and level of that first occurrence.
 
     Slice mode, P an ExtendedPointSet, keeps the candidates at extension 0:
     the lattice lives in the base space, each ball is intersected with the
@@ -185,40 +187,32 @@ def candidate_centers(P, params, anchor):
     total_w = float(w.sum())
     delta = power_cost((pts, w), anchor_c, z) / total_w if total_w > 0 else 0.0
 
-    pool = RowPool(1e-9 * max(1.0, float(np.abs(pts).max())))
-    prov_point = []
-    prov_level = []
-
-    def _push(arr, owner, level):
-        before = len(pool.rows)
-        idx, first = np.unique(pool.add(arr), return_index=True)
-        new = first[idx >= before]  # pool indices grow in first-seen order
-        prov_point.extend(owner[new].tolist())
-        prov_level.extend([level] * new.size)
-
-    _push(_on_slice(base, ext), np.arange(n), CandidateCenters.LEVEL_INPUT)
-
+    rows = [base]
+    prov_point = [np.arange(n)]
+    prov_level = [np.full(n, CandidateCenters.LEVEL_INPUT)]
     spacing_scale = 1
     if delta > 0:
         lo = int(np.floor(np.log2(eps / (alpha * z))))
         hi = int(np.ceil(np.log2(max(n, 1) / alpha)))
-        levels = list(range(lo, hi + 1)) if hi >= lo else []
-        radii = [2.0 ** (i / z) * delta ** (1.0 / z) for i in levels]
-        # slice mode: a ball only reaches the slice where r >= ext
-        eff_sq = [r * r - lift_ext**2 for r in radii]
-        effs = [np.sqrt(np.maximum(0.0, e)) for e in eff_sq]
+        levels = np.arange(lo, hi + 1, dtype=np.int64)
+        radii = np.array([2.0 ** (i / z) * delta ** (1.0 / z) for i in levels.tolist()])
+        unit = (eps / z) * radii / np.sqrt(lat_dim)  # per-level spacing at scale 1
+        # (level, point) balls; slice mode: a ball only reaches the slice
+        # where r >= ext
+        eff_sq = radii[:, None] * radii[:, None] - lift_ext**2
+        eff = np.sqrt(np.maximum(0.0, eff_sq))
 
         def _estimate(scale):
+            s = (unit * scale)[:, None, None]
+            per_axis = (
+                np.floor(base / s + eff[:, :, None] / s)
+                - np.ceil(base / s - eff[:, :, None] / s)
+                + 1.0
+            )
+            cells = np.prod(np.maximum(per_axis, 0.0), axis=2)
             total = 0.0
-            for r, eff in zip(radii, effs):
-                s = (eps / z) * r / np.sqrt(lat_dim) * scale
-                per_axis = (
-                    np.floor(base / s + eff[:, None] / s)
-                    - np.ceil(base / s - eff[:, None] / s)
-                    + 1.0
-                )
-                cells = np.prod(np.maximum(per_axis, 0.0), axis=1)
-                total += float(np.minimum(cells, 1e18).sum())
+            for level_sum in np.minimum(cells, 1e18).sum(axis=1).tolist():
+                total += level_sum
                 if total > 1e17:
                     return total
             return total
@@ -241,16 +235,18 @@ def candidate_centers(P, params, anchor):
                 hi_e = mid
         spacing_scale = 1 << hi_e
 
-        for level, r, e_sq, eff in zip(levels, radii, eff_sq, effs):
-            s = (eps / z) * r / np.sqrt(lat_dim) * spacing_scale
-            live = np.flatnonzero(e_sq >= 0)  # balls that reach the slice
-            cand, owner = ball_lattice(base[live], eff[live], s)
-            _push(_on_slice(cand, ext), live[owner], level)
+        lvl, pt = np.nonzero(eff_sq >= 0)  # balls that reach the slice
+        cand, owner = ball_lattice(base[pt], eff[lvl, pt], unit[lvl] * spacing_scale)
+        rows.append(cand)
+        prov_point.append(pt[owner])
+        prov_level.append(levels[lvl[owner]])
 
+    pool = RowPool(1e-9 * max(1.0, float(np.abs(pts).max())))
+    _, first = np.unique(pool.add(_on_slice(np.vstack(rows), ext)), return_index=True)
     return CandidateCenters(
         points=np.array(pool.rows),
-        provenance_point=np.array(prov_point, dtype=np.int64),
-        provenance_level=np.array(prov_level, dtype=np.int64),
+        provenance_point=np.concatenate(prov_point)[first],
+        provenance_level=np.concatenate(prov_level)[first],
         spacing_scale=spacing_scale,
     )
 

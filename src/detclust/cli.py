@@ -12,6 +12,7 @@ output byte.
 """
 
 import argparse
+import functools
 import os
 import sys
 import time
@@ -215,7 +216,11 @@ def _add_clustering_args(p, *, alpha=False):
         )
 
 
+@functools.cache
 def _build_parser():
+    """The dclus argument parser, built on first use and then reused: a
+    process that dispatches many commands builds it once, and importing
+    the module builds nothing."""
     top = argparse.ArgumentParser(
         prog="dclus",
         description="Deterministic (k, z)-clustering coresets, sketches, and solvers.",

@@ -36,12 +36,13 @@ from .geometry import (
     WeightedPointSet,
     _as_points,
     _coerce_pointset,
+    _CHUNK,
     _power_from_sq,
     min_power_dists,
-    power_cost,
+    sq_dist_matrix,
 )
 from .partition import VerificationReport
-from .summation import tree_sum
+from .summation import canonical_order, tree_sum, tree_sum_rows
 
 RING_ZERO = np.iinfo(np.int64).min  # bucket for zero-cost points
 PASSTHROUGH_DIM = 12
@@ -347,6 +348,24 @@ def ring_coreset(P, params, mode="deterministic", *, seed=0):
     )
 
 
+def _cost_table(X, w, grid):
+    """(squared distances, weights) of the rows of X in canonical order:
+    the (grid, n) table that _tuple_costs gathers each tuple's rows from."""
+    order = canonical_order(X, w)
+    return np.ascontiguousarray(sq_dist_matrix(X[order], grid).T), w[order]
+
+
+def _tuple_costs(table, tuples, z):
+    """power_cost of a _cost_table's points against every center tuple (a
+    row of grid indices), bit for bit: each tuple's minima are gathered
+    from the table and summed by tree_sum_rows in canonical order."""
+    sq, w = table
+    near = sq[tuples[:, 0]]
+    for j in range(1, tuples.shape[1]):
+        np.minimum(near, sq[tuples[:, j]], out=near)
+    return tree_sum_rows(w * _power_from_sq(near, z))
+
+
 def verify_offset_coreset(
     P,
     core: OffsetCoreset,
@@ -363,9 +382,13 @@ def verify_offset_coreset(
 
     Exhaustive mode enumerates every k-subset of the grid (within
     max_tuples); otherwise a seeded sample of k-subsets is used. Tuples
-    with cost(P, S) = 0 are excluded.
+    with cost(P, S) = 0 are excluded. Both costs of every tuple equal
+    power_cost bit for bit, with P's weights. The tuples go in chunks of
+    at most _CHUNK // n, so a chunk's (tuples, points) cost table holds at
+    most geometry._CHUNK elements; the witness, reported only above eps,
+    is the first tuple that reaches the maximum.
     """
-    pts, _ = _coerce_pointset(P)
+    pts, w = _coerce_pointset(P)
     grid = _as_points(center_grid, "center grid")
     k = params.k
     if grid.shape[0] < k:
@@ -377,27 +400,33 @@ def verify_offset_coreset(
                 f"{total} center tuples exceed the budget {max_tuples}"
             )
         combos = itertools.combinations(range(grid.shape[0]), k)
+        tuples = np.fromiter(
+            itertools.chain.from_iterable(combos), dtype=np.int64, count=total * k
+        ).reshape(total, k)
     else:
         rng = np.random.default_rng(seed)
-        combos = [
-            tuple(np.sort(rng.choice(grid.shape[0], size=k, replace=False)))
+        draws = [
+            np.sort(rng.choice(grid.shape[0], size=k, replace=False))
             for _ in range(samples)
         ]
-    cw = (core.points, core.weights)
+        tuples = np.array(draws, dtype=np.int64).reshape(samples, k)
+    full = _cost_table(pts, w, grid)
+    coreset = _cost_table(core.points, core.weights, grid)
+    step = max(1, _CHUNK // max(pts.shape[0], core.size))
     worst = 0.0
     witness = None
     checked = 0
-    for tup in combos:
-        S = grid[list(tup)]
-        orig = power_cost(pts, S, params.z)
-        if orig == 0.0:
-            continue
-        approx = power_cost(cw, S, params.z) + core.offset
-        rel = abs(approx - orig) / orig
-        checked += 1
-        if rel > worst:
-            worst = rel
-            witness = (tup, rel)
+    for lo in range(0, tuples.shape[0], step):
+        chunk = tuples[lo : lo + step]
+        orig = _tuple_costs(full, chunk, params.z)
+        live = np.flatnonzero(orig != 0.0)
+        approx = _tuple_costs(coreset, chunk[live], params.z) + core.offset
+        rel = np.abs(approx - orig[live]) / orig[live]
+        checked += live.size
+        if live.size and rel.max() > worst:
+            top = int(np.argmax(rel))  # the first maximum
+            worst = float(rel[top])
+            witness = (tuple(chunk[live[top]].tolist()), worst)
     return VerificationReport(
         max_relative_error=worst,
         checked=checked,

@@ -20,8 +20,10 @@ from .bicriteria import constant_factor_approx, lift_by_clusters
 from .errors import BudgetError, InputError
 from .geometry import (
     CenterSet,
+    ExtendedPointSet,
     Partition,
     _coerce_pointset,
+    _split_extended,
     min_power_dists,
     power_cost,
     solve_1centers,
@@ -152,12 +154,14 @@ def exact_solve(P, params):
 
     Minimizes over every partition of the points into at most k parts,
     each part paying its optimal 1-center cost; subject to the
-    enumeration budget. The induced per-part centers are returned.
+    enumeration budget. The induced per-part centers are returned. An
+    ExtendedPointSet gets base-space centers at extension 0, each part
+    paying its extensions too.
     """
-    pts, w = _coerce_pointset(P)
-    n = pts.shape[0]
+    base, ext, w = _split_extended(P)
+    n = base.shape[0]
     if params.k >= n:
-        C = CenterSet(pts.copy())
+        C = CenterSet(base.copy())
         return SolveResult(
             centers=C,
             cost=power_cost(P, C, params.z),
@@ -165,7 +169,7 @@ def exact_solve(P, params):
             enumeration_stats=0,
         )
     centers, _, examined = _best_partition(
-        n, params.k, pts, None, w, params.z
+        n, params.k, base, ext, w, params.z
     )
     C = CenterSet(centers)
     return SolveResult(
@@ -216,8 +220,10 @@ def bicriteria_solve(P, params):
     up to DEFAULT_POLISH_ROUNDS assign/recenter rounds; winner by (cost,
     init order). One memo of per-cluster 1-center solutions, keyed by
     member mask, is shared by every init and round, so each distinct
-    cluster is solved once per call.
+    cluster is solved once per call. An ExtendedPointSet is refused.
     """
+    if isinstance(P, ExtendedPointSet):
+        raise InputError("bicriteria_solve expects plain or weighted points")
     pts, w = _coerce_pointset(P)
     n, k, z = pts.shape[0], params.k, params.z
     if k >= n:

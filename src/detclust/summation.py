@@ -2,14 +2,16 @@
 
 tree_sum is a fixed-shape pairwise reduction whose association order
 depends only on the length of the input, never on threading or chunking.
-It sums power_cost, partition_cost, the ring deltas and the offset F, and
-the member weights behind every 1-center centroid (tree_sum_rows, one row
-per set in geometry.solve_1centers). power_cost and partition_cost also
-sort the summands canonically, so they are bit-identical across
-permutations too. Other sums (.sum, einsum) round in numpy's own order;
-those that drive decisions (the swap and greedy scores, and the
-subset-cost table that solve._all_subset_costs fills through
-solve_1centers) are pinned by the golden digests, not tree_sum.
+It sums power_cost, partition_cost, the ring deltas and the offset F.
+tree_sum_rows sums the member weights behind every 1-center centroid (one
+row per set in geometry.solve_1centers) and the costs of every center
+tuple in rings.verify_offset_coreset (one row per tuple, equal to that
+tuple's power_cost). power_cost and partition_cost also sort the
+summands canonically, so they are bit-identical across permutations too.
+Other sums (.sum, einsum) round in numpy's own order; those that drive
+decisions (the swap and greedy scores, and the subset-cost table that
+solve._all_subset_costs fills through solve_1centers) are pinned by the
+golden digests, not tree_sum.
 """
 
 import numpy as np

@@ -93,6 +93,35 @@ def test_ball_lattice_batched_rows_follow_per_ball_meshgrid():
     assert rows.shape == (0, 2) and owner.shape == (0,)
 
 
+def test_ball_lattice_per_ball_spacing_equals_scalar_calls():
+    rng = np.random.default_rng(12)
+    for d in (1, 2, 3):
+        centers = rng.standard_normal((7, d)) * 2.0
+        radii = rng.uniform(0.0, 1.5, 7)
+        spacings = rng.uniform(0.2, 0.9, 7)
+        rows, owner = ball_lattice(centers, radii, spacings)
+        parts = [ball_lattice(centers[b : b + 1], radii[b : b + 1], spacings[b]) for b in range(7)]
+        assert rows.tobytes() == np.vstack([r for r, _ in parts]).tobytes()
+        assert owner.tolist() == np.repeat(np.arange(7), [r.shape[0] for r, _ in parts]).tolist()
+    with pytest.raises(InputError):
+        ball_lattice([[0.0], [1.0]], [1.0, 1.0], [0.5, 0.0])
+
+
+def test_candidate_centers_makes_one_lattice_pass(monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return ball_lattice(*args)
+
+    monkeypatch.setattr(bicriteria_mod, "ball_lattice", counting)
+    rng = np.random.default_rng(4)
+    pts = np.vstack([rng.standard_normal((40, 2)), rng.standard_normal((40, 2)) + 6.0])
+    cc = candidate_centers(pts, P(2, 2, 0.3, alpha=2.0), pts[:2])
+    assert len(calls) == 1
+    assert np.unique(cc.provenance_level).size > 2  # inputs plus several levels
+
+
 def _extended_or_plain(rows, extended):
     """rows as slice-mode input, the last column the extensions, or as is."""
     return ExtendedPointSet(rows[:, :-1], rows[:, -1]) if extended else rows

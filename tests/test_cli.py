@@ -1,11 +1,14 @@
 """CLI dispatch: exit codes, reports, byte-reproducible outputs."""
 
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from detclust.cli import _parse_thread_cap, cli_dispatch
+from detclust.cli import _build_parser, _parse_thread_cap, cli_dispatch
 from detclust.errors import InputError
 from detclust.geometry import ClusteringParams
 from detclust.io import read_coreset, read_points, write_points, write_sketch
@@ -205,6 +208,34 @@ def test_usage_errors_exit_2(capsys):
     assert cli_dispatch(["solve", "exact", "--in", "/nonexistent/x.csv",
                          "--k", "2", "--z", "2", "--eps", "0.3"]) == 2
     capsys.readouterr()
+
+
+def test_reused_parser_matches_fresh_parsers(tmp_path, capsys):
+    pts = tmp_path / "p.csv"
+    good = ["gen", "--blobs", "2", "--n", "12", "--d", "2", "--out", str(pts)]
+    bad = ["coreset", "build", "--in", str(pts), "--k", "2"]  # missing --z, --eps
+    fresh = {}
+    for name, argv in (("good", good), ("bad", bad)):
+        _build_parser.cache_clear()
+        code = cli_dispatch(argv)
+        fresh[name] = (code, capsys.readouterr())
+    assert fresh["good"][0] == 0 and fresh["bad"][0] == 2
+    _build_parser.cache_clear()
+    for order in (("bad", "good"), ("good", "bad"), ("good", "good")):
+        for name in order:
+            code = cli_dispatch(good if name == "good" else bad)
+            assert (code, capsys.readouterr()) == fresh[name]
+    assert _build_parser.cache_info().misses == 1
+
+
+def test_importing_the_cli_builds_no_parser():
+    code = "import detclust.cli as c; print(c._build_parser.cache_info().currsize)"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c", f"import sys; sys.path.insert(0, {src!r}); {code}"],
+        capture_output=True, text=True, check=True, timeout=120,
+    ).stdout
+    assert out.strip() == "0"
 
 
 def test_thread_cap_env_does_not_change_outputs(tmp_path, monkeypatch, capsys):

@@ -1,15 +1,18 @@
+import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from detclust import rings as rings_mod
 from detclust.bicriteria import candidate_centers, greedy_augment
 from detclust.epsapprox import halving_approx, ball_test_family
 from detclust.errors import InputError
 from detclust.geometry import (
     CenterSet,
     ClusteringParams,
+    WeightedPointSet,
     center_grid,
     power_cost,
     sq_dist_matrix,
@@ -396,6 +399,90 @@ def test_verifier_budgets_and_sampling():
     assert a.max_relative_error == b.max_relative_error
     assert a.checked == b.checked <= 40
     assert a.max_relative_error <= params.epsilon
+
+
+def per_tuple_report(P, core, params, grid, tuples):
+    """The verifier's report from one pair of power_cost calls per tuple."""
+    worst, witness, checked = 0.0, None, 0
+    for tup in tuples:
+        S = grid[list(tup)]
+        orig = power_cost(P, S, params.z)
+        if orig == 0.0:
+            continue
+        approx = power_cost((core.points, core.weights), S, params.z) + core.offset
+        rel = abs(approx - orig) / orig
+        checked += 1
+        if rel > worst:
+            worst, witness = rel, (tuple(int(i) for i in tup), rel)
+    return worst, checked, witness if worst > params.epsilon else None
+
+
+def sampled_tuples(grid_size, k, samples, seed):
+    rng = np.random.default_rng(seed)
+    return [
+        np.sort(rng.choice(grid_size, size=k, replace=False)) for _ in range(samples)
+    ]
+
+
+def test_verifier_batched_equals_per_tuple_power_cost():
+    witnessed = 0
+    for d in (1, 2, 3):
+        for z in (1, 2, 3):
+            rng = np.random.default_rng(10 * d + z)
+            pts = np.vstack([
+                rng.standard_normal((30, d)),
+                rng.standard_normal((30, d)) + 5.0,
+            ])
+            params = ClusteringParams(k=2, z=z, epsilon=0.3, alpha=2.0)
+            # a tight eps so that the witness is reported and compared too
+            tight = ClusteringParams(k=2, z=z, epsilon=1e-9)
+            grid = center_grid(pts, per_axis=4 if d < 3 else 3)
+            for mode in ("deterministic", "randomized"):
+                core = ring_coreset(pts, params, mode=mode, seed=3)
+                every = np.array(list(itertools.combinations(range(grid.shape[0]), 2)))
+                for X, w in ((pts, np.ones(pts.shape[0])), (core.points, core.weights)):
+                    got = rings_mod._tuple_costs(rings_mod._cost_table(X, w, grid), every, z)
+                    want = [power_cost((X, w), grid[t], z) for t in every]
+                    assert got.tolist() == want
+                rep = verify_offset_coreset(pts, core, tight, grid)
+                assert (rep.max_relative_error, rep.checked, rep.witness) == (
+                    per_tuple_report(pts, core, tight, grid, every)
+                )
+                rep = verify_offset_coreset(
+                    pts, core, tight, grid, exhaustive_tuples=False, samples=50, seed=d
+                )
+                tuples = sampled_tuples(grid.shape[0], 2, 50, d)
+                assert (rep.max_relative_error, rep.checked, rep.witness) == (
+                    per_tuple_report(pts, core, tight, grid, tuples)
+                )
+                witnessed += rep.witness is not None
+    assert witnessed >= 9
+
+
+def test_verifier_small_chunks_match_one_chunk(monkeypatch):
+    pts, params = two_blob_instance()
+    core = ring_coreset(pts, params)
+    tight = ClusteringParams(k=2, z=2, epsilon=1e-9)
+    grid = center_grid(pts, per_axis=4)
+    whole = verify_offset_coreset(pts, core, tight, grid)
+    monkeypatch.setattr(rings_mod, "_CHUNK", 7 * pts.shape[0])  # 7 tuples a chunk
+    assert verify_offset_coreset(pts, core, tight, grid) == whole
+    assert whole.checked == math.comb(16, 2) and whole.witness is not None
+
+
+def test_verifier_reads_the_weights_of_P():
+    P = WeightedPointSet([[0.0], [1.0], [5.0], [6.0]], [3.0, 1.0, 1.0, 3.0])
+    exact = OffsetCoreset(
+        points=P.points.copy(),
+        weight_num=np.array([3, 1, 1, 3]),
+        weight_den=np.ones(4, dtype=np.int64),
+        offset=0.0,
+        provenance=tuple(("center", i) for i in range(4)),
+    )
+    params = ClusteringParams(k=2, z=2, epsilon=0.3)
+    rep = verify_offset_coreset(P, exact, params, center_grid(P.points, per_axis=5))
+    assert rep.max_relative_error == 0.0
+    assert rep.checked == math.comb(5, 2)
 
 
 def main_ring_with_at_least(pts, params, rings, size):

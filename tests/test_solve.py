@@ -17,6 +17,7 @@ from detclust.datasets import gaussian_blobs
 from detclust.geometry import (
     CenterSet,
     ClusteringParams,
+    ExtendedPointSet,
     WeightedPointSet,
     power_cost,
 )
@@ -151,6 +152,35 @@ def test_exact_weighted_equals_expanded():
         a = exact_solve((pts, w), p)
         b = exact_solve(expanded, p)
         assert a.cost == pytest.approx(b.cost, rel=1e-9)
+
+
+def test_exact_solves_extended_input_at_extension_zero():
+    P = ExtendedPointSet([[-1.0], [1.0], [3.0], [4.0]], extensions=[1.0, 2.0, 0.5, 0.1])
+    res = exact_solve(P, ClusteringParams(k=2, z=2, epsilon=0.3))
+    assert res.centers.centers.tolist() == [[0.0], [3.5]]
+    assert res.cost == pytest.approx(7.76, rel=1e-12)
+    # z = 2: the extensions add sum(e^2) whatever the partition
+    rng = np.random.default_rng(6)
+    base, ext = rng.standard_normal((7, 2)), rng.uniform(0.0, 1.0, 7)
+    for k in (1, 2, 3):
+        res = exact_solve(ExtendedPointSet(base, ext), ClusteringParams(k=k, z=2, epsilon=0.3))
+        assert res.centers.dim == 2
+        assert res.cost == pytest.approx(exact_kz_cost(base, k, 2) + (ext**2).sum(), rel=1e-9)
+    res = exact_solve(ExtendedPointSet(base[:2], ext[:2]), ClusteringParams(k=2, z=2, epsilon=0.3))
+    assert res.centers.centers.tolist() == base[:2].tolist()
+    assert res.cost == pytest.approx((ext[:2] ** 2).sum(), rel=1e-12)
+
+
+def test_bicriteria_refuses_extended_input_before_any_work(monkeypatch):
+    def fail(*_):
+        raise AssertionError("ran before the input check")
+
+    monkeypatch.setattr(solve, "constant_factor_approx", fail)
+    monkeypatch.setattr(solve, "_polish", fail)
+    P = ExtendedPointSet([[-1.0], [1.0], [3.0], [4.0]], extensions=[1.0, 2.0, 0.5, 0.1])
+    for k in (2, 5):
+        with pytest.raises(InputError):
+            bicriteria_solve(P, ClusteringParams(k=k, z=2, epsilon=0.3))
 
 
 def test_exact_enumeration_stats_counts_partitions():
