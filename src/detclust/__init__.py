@@ -12,6 +12,7 @@ from .dimreduce import (
 )
 from .epsapprox import (
     SetApproximation,
+    ball_test_families,
     ball_test_family,
     halving_approx,
     uniform_sample_approx,
@@ -84,6 +85,7 @@ __all__ = [
     "WeightedPointSet",
     "WitnessParams",
     "approx_solve",
+    "ball_test_families",
     "ball_test_family",
     "bicriteria",
     "bicriteria_solve",

@@ -17,7 +17,6 @@ import numpy as np
 from .errors import InputError
 from .geometry import (
     CenterSet,
-    RowPool,
     _coerce_centers,
     _coerce_pointset,
     _power_from_sq,
@@ -27,6 +26,7 @@ from .geometry import (
     solve_1centers,
     sq_dist_matrix,
     ExtendedPointSet,
+    first_seen_rows,
 )
 from .linmap import LinearMap
 
@@ -241,10 +241,10 @@ def candidate_centers(P, params, anchor):
         prov_point.append(pt[owner])
         prov_level.append(levels[lvl[owner]])
 
-    pool = RowPool(1e-9 * max(1.0, float(np.abs(pts).max())))
-    _, first = np.unique(pool.add(_on_slice(np.vstack(rows), ext)), return_index=True)
+    rows = _on_slice(np.vstack(rows), ext)
+    first, _ = first_seen_rows(rows, 1e-9 * max(1.0, float(np.abs(pts).max())))
     return CandidateCenters(
-        points=np.array(pool.rows),
+        points=rows[first],
         provenance_point=np.concatenate(prov_point)[first],
         provenance_level=np.concatenate(prov_level)[first],
         spacing_scale=spacing_scale,

@@ -15,6 +15,7 @@ dimension.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ import numpy as np
 
 from .bicriteria import seeded_projection_family
 from .errors import BudgetError, InputError
-from .geometry import ClusteringParams, ExtendedPointSet, RowPool, _as_points
+from .geometry import ClusteringParams, ExtendedPointSet, _as_points, first_seen_rows
 from .linmap import LinearMap, identity_map, pair_distortions
 from .partition import PartitionCoresetResult, build
 
@@ -31,6 +32,7 @@ JL_C = 4.0
 MAX_SEEDS = 256
 MAX_SUBSETS = 20_000
 MAX_COVER_STEPS = 3
+_NET_CHUNK = 512  # net rows deduplicated per pass, which bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -61,26 +63,28 @@ class WitnessNet:
     sources: tuple  # per net point: (subset id, kind in {cover, basis, origin})
 
 
-def _compositions(total, parts):
-    """All nonnegative integer vectors of given length summing to total,
-    lexicographic by bar positions (stars and bars)."""
-    slots = total + parts - 1
+@functools.lru_cache(maxsize=64)
+def _barycentric_steps(G, parts):
+    """(C, parts) read-only table of every barycentric weight vector with
+    step 1/G: the nonnegative integer vectors summing to G, lexicographic
+    by bar positions (stars and bars), divided by G."""
+    slots = G + parts - 1
+    comps = []
     for bars in itertools.combinations(range(slots), parts - 1):
-        prev = -1
-        out = []
-        for b in bars:
-            out.append(b - prev - 1)
-            prev = b
-        out.append(slots - prev - 1)
-        yield out
+        edges = (-1, *bars, slots)
+        comps.append([hi - lo - 1 for lo, hi in zip(edges, edges[1:])])
+    lam = np.array(comps, dtype=np.float64) / G
+    lam.flags.writeable = False
+    return lam
 
 
-def _pairwise_diameter(S):
-    """Largest pairwise distance among the rows of S (0.0 for one row)."""
-    diam = 0.0
+def _pair_distances(S):
+    """(m, m) table of the distances between the rows of S: entry [a, b],
+    a < b, is |S[b] - S[a]|; the diagonal and lower triangle are 0."""
+    pair = np.zeros((S.shape[0], S.shape[0]))
     for a in range(S.shape[0] - 1):
-        diam = max(diam, float(np.sqrt(((S[a + 1 :] - S[a]) ** 2).sum(axis=1)).max()))
-    return diam
+        pair[a, a + 1 :] = np.sqrt(((S[a + 1 :] - S[a]) ** 2).sum(axis=1))
+    return pair
 
 
 def hull_cover(S, spacing, max_steps=None):
@@ -92,22 +96,23 @@ def hull_cover(S, spacing, max_steps=None):
     by the net builder to stay enumerable).
     """
     S = _as_points(S, "subset")
-    j = S.shape[0]
-    if j == 1:
+    if S.shape[0] == 1:
         return S.copy()
     if spacing <= 0:
         raise InputError("spacing must be positive")
-    diam = _pairwise_diameter(S)
+    return _cover(S, float(_pair_distances(S).max()), spacing, max_steps)
+
+
+def _cover(S, diam, spacing, max_steps):
+    """hull_cover of S given its diameter: one einsum over the cached
+    barycentric table, each row rounded as the one-weight-vector einsum
+    "i,ij->j" rounds it."""
     if diam == 0.0:
         return S[:1].copy()
-    G = max(1, math.ceil((j - 1) * diam / spacing))
+    G = max(1, math.ceil((S.shape[0] - 1) * diam / spacing))
     if max_steps is not None:
         G = min(G, int(max_steps))
-    out = []
-    for comp in _compositions(G, j):
-        lam = np.asarray(comp, dtype=np.float64) / G
-        out.append(np.einsum("i,ij->j", lam, S))
-    return np.array(out)
+    return np.einsum("ci,ij->cj", _barycentric_steps(G, S.shape[0]), S, optimize=False)
 
 
 def _pivoted_orthobasis(V, rel_tol=1e-12):
@@ -149,30 +154,43 @@ def build_net(representatives, witness: WitnessParams, eps, z):
         )
 
     eps_prime = eps / (4.0 * witness.D * z)
-    pool = RowPool(1e-12 * max(1.0, float(np.abs(reps).max(initial=0.0))))
-    sources = []
+    pair = _pair_distances(reps)  # every subset's diameter is read from it
+    quantum = 1e-12 * max(1.0, float(np.abs(reps).max(initial=0.0)))
+    net = np.zeros((1, reps.shape[1]))  # the origin
+    sources = [(-1, "origin")]
+    pending, tags = [], []  # rows not yet deduplicated, one source each
 
-    def push(rows, sid, kind):
-        before = len(pool.rows)
-        pool.add(rows)
-        sources.extend([(sid, kind)] * (len(pool.rows) - before))
+    def flush():
+        # the kept rows come first and are distinct, so they all stay
+        nonlocal net
+        rows = np.vstack([net, *pending])
+        keep, _ = first_seen_rows(rows, quantum)
+        sources.extend(tags[i] for i in (keep[net.shape[0] :] - net.shape[0]).tolist())
+        net = rows[keep]
+        pending.clear()
+        tags.clear()
 
-    push(np.zeros((1, reps.shape[1])), -1, "origin")
     sid = 0
     for j in range(1, min(witness.R, T) + 1):
-        for combo in itertools.combinations(range(T), j):
-            S = reps[list(combo)]
-            diam = _pairwise_diameter(S)
-            cover = (
-                S[:1]
-                if diam == 0.0
-                else hull_cover(S, eps_prime * diam, max_steps=MAX_COVER_STEPS)
-            )
-            push(cover, sid, "cover")
-            push(_pivoted_orthobasis(S), sid, "basis")
+        combos = np.fromiter(
+            itertools.chain.from_iterable(itertools.combinations(range(T), j)),
+            dtype=np.int64,
+            count=math.comb(T, j) * j,
+        ).reshape(-1, j)
+        diams = pair[combos[:, :, None], combos[:, None, :]].max(axis=(1, 2))
+        for combo, diam in zip(combos, diams.tolist()):
+            S = reps[combo]
+            for rows, kind in (
+                (_cover(S, diam, eps_prime * diam, MAX_COVER_STEPS), "cover"),
+                (_pivoted_orthobasis(S), "basis"),
+            ):
+                pending.append(rows)
+                tags.extend([(sid, kind)] * rows.shape[0])
             sid += 1
-
-    return WitnessNet(points=np.array(pool.rows), sources=tuple(sources))
+            if len(tags) >= _NET_CHUNK:
+                flush()
+    flush()
+    return WitnessNet(points=net, sources=tuple(sources))
 
 
 # ---------------- derandomized distance preservation ----------------

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import _as_points, center_grid, sq_dist_matrix
+from .geometry import _CHUNK, _as_points, sq_dist_blocks, sq_dist_matrix
 
 HALVING_MIN_SIZE = 8
 SAMPLE_C = 2.0
@@ -116,27 +116,115 @@ def ball_test_family(points, k, *, max_ranges=DEFAULT_MAX_RANGES):
     consecutive centers starting at t * size (mod g, wrapping), so cols has
     s = min(k, g) columns and shorter ranges repeat their last index. The
     radii are max_ranges evenly ranked values of the distinct point-to-center
-    distances. Deterministic given the inputs.
+    distances. Deterministic given the inputs; the one-ground case of
+    ball_test_families.
     """
-    pts = _as_points(points, "points")
+    return ball_test_families(points, [0], k, max_ranges)[0]
+
+
+def ball_test_families(points, starts, k, max_ranges):
+    """ball_test_family of every ground in one pass, bit for bit.
+
+    The grounds are consecutive row blocks of points: block r starts at
+    row starts[r] and ends where the next one starts. Blocks are processed
+    in groups of about _CHUNK // (g d) points, g the centers per ground;
+    within a group the boxes, grids, distances and distinct-distance ranks
+    of all grounds are whole-array passes. Returns one RangeTestFamily per
+    ground; grounds with equal center counts share one cols array.
+    """
+    # C order: sq_dist_blocks rounds by the layout of its operands
+    pts = np.ascontiguousarray(_as_points(points, "points"))
+    n, d = pts.shape
+    starts = np.asarray(starts, dtype=np.int64)
     if k < 1:
         raise InputError("k must be at least 1")
     if max_ranges < 1:
         raise InputError("max_ranges must be at least 1")
-    if float(_GRID_PER_AXIS) ** pts.shape[1] <= 4096:
-        centers = center_grid(pts, per_axis=_GRID_PER_AXIS)
-    else:
-        n = pts.shape[0]
-        take = np.round(np.linspace(0, n - 1, min(n, _MAX_DATA_CENTERS)))
-        centers = pts[np.unique(take.astype(np.int64))]
-    dists = np.unique(np.sqrt(sq_dist_matrix(pts, centers)))
-    radii = dists[np.round(np.linspace(0, dists.size - 1, max_ranges)).astype(np.int64)]
-    g = centers.shape[0]
+    if (
+        starts.ndim != 1
+        or starts.size == 0
+        or starts[0] != 0
+        or (np.diff(starts) <= 0).any()
+        or starts[-1] >= n
+    ):
+        raise InputError("starts must rise strictly from 0 and index the points")
+    grid = float(_GRID_PER_AXIS) ** d <= 4096
+    g_max = _GRID_PER_AXIS**d if grid else _MAX_DATA_CENTERS
+    # a group ends at the first ground that starts past its point budget
+    group = starts // max(1, _CHUNK // (g_max * d))
+    cuts = np.append(np.flatnonzero(np.diff(group)) + 1, starts.size)
+    cols = {}
+    out = []
+    lo = 0
+    for hi in cuts.tolist():
+        a = int(starts[lo])
+        b = int(starts[hi]) if hi < starts.size else n
+        out.extend(_families(pts[a:b], starts[lo:hi] - a, k, max_ranges, grid, cols))
+        lo = hi
+    return out
+
+
+def _families(pts, starts, k, max_ranges, grid, cols):
+    """ball_test_families of one group of grounds (see there)."""
+    n, d = pts.shape
+    sizes = np.diff(np.append(starts, n))
+    owner = np.repeat(np.arange(starts.size), sizes)
+    if grid:  # center_grid(ground, per_axis=3) per ground
+        lo = np.minimum.reduceat(pts, starts)
+        hi = np.maximum.reduceat(pts, starts)
+        span = hi - lo
+        pad = 0.25 * np.where(span > 0, span, 1.0)
+        axes = np.linspace(lo - pad, hi + pad, _GRID_PER_AXIS)  # (3, R, d)
+        digits = np.indices((_GRID_PER_AXIS,) * d).reshape(d, -1).T
+        centers = np.ascontiguousarray(  # C order, as for pts
+            axes[digits, np.arange(starts.size)[:, None, None], np.arange(d)]
+        )
+        g = np.full(starts.size, digits.shape[0])
+    else:  # round(linspace(0, size - 1, g)) per ground; no two rows coincide
+        g = np.minimum(sizes, _MAX_DATA_CENTERS)
+        slot = np.minimum(np.arange(g.max()), (g - 1)[:, None])
+        take = _linspace_ranks(sizes - 1, g)[np.arange(starts.size)[:, None], slot]
+        centers = pts[starts[:, None] + take]  # short grounds repeat their last row
+    dist = np.sqrt(sq_dist_blocks(pts, centers, owner)).ravel()
+    block = np.repeat(owner, centers.shape[1])
+    order = np.lexsort((dist, block))
+    dist, block = dist[order], block[order]
+    new = np.ones(dist.size, dtype=bool)
+    new[1:] = (block[1:] != block[:-1]) | (dist[1:] != dist[:-1])
+    distinct = dist[new]
+    counts = np.bincount(block[new], minlength=starts.size)
+    first = np.cumsum(counts) - counts
+    ranks = _linspace_ranks(counts - 1, np.full(starts.size, max_ranges))
+    radii = distinct[first[:, None] + ranks]
+    out = []
+    for r, gr in enumerate(g.tolist()):
+        if gr not in cols:
+            cols[gr] = _range_cols(k, gr, max_ranges)
+        out.append(RangeTestFamily(centers=centers[r, :gr], cols=cols[gr], radii=radii[r]))
+    return out
+
+
+def _linspace_ranks(top, num):
+    """np.round(np.linspace(0, top[r], num[r])) as int64 for every r, padded
+    to max(num) columns.
+
+    linspace's own step formula, one ground at a time: one np.linspace over
+    all grounds would take its zero-step formula everywhere once any top is
+    0, which rounds other grounds differently."""
+    width = int(num.max())
+    div = np.maximum(num - 1, 1)
+    y = np.arange(width, dtype=np.float64) * (top / div)[:, None]
+    last = num > 1
+    y[last, num[last] - 1] = top[last]
+    return np.round(y).astype(np.int64)
+
+
+def _range_cols(k, g, max_ranges):
+    """The (max_ranges, min(k, g)) center indices of ball_test_family."""
     t = np.arange(max_ranges)
     size = np.minimum(1 + t % k, g)
     step = np.minimum(np.arange(min(k, g)), size[:, None] - 1)
-    cols = ((t * size) % g)[:, None] + step
-    return RangeTestFamily(centers=centers, cols=cols % g, radii=radii)
+    return (((t * size) % g)[:, None] + step) % g
 
 
 def verify_set_approx(ground, approx: SetApproximation, tests: RangeTestFamily):

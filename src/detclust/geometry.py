@@ -221,10 +221,11 @@ def _coerce_centers(S):
 def sq_dist_matrix(X, C):
     """(n, m) squared Euclidean distances, chunked, ufunc-only (no BLAS).
 
-    The package's only rows-by-centers distance table: one einsum fixes how
-    every table entry is rounded. Distances from many rows to a single
-    center stay ((X - c) ** 2).sum(axis=1), which rounds differently in the
-    last bit at d >= 3, so the two forms are not interchangeable.
+    With sq_dist_blocks, the package's only rows-by-centers distance
+    tables: one einsum fixes how every table entry is rounded. Distances
+    from many rows to a single center stay ((X - c) ** 2).sum(axis=1),
+    which rounds differently in the last bit at d >= 3, so the two forms
+    are not interchangeable.
     """
     X = np.asarray(X, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
@@ -241,28 +242,42 @@ def sq_dist_matrix(X, C):
     return out
 
 
-class RowPool:
-    """Rows deduplicated up to coordinate quantization, first seen kept.
+def sq_dist_blocks(X, C, owner):
+    """(n, m) squared distances from row i of X to the m centers of its own
+    block C[owner[i]], C an (R, m, d) array: sq_dist_matrix's einsum on the
+    gathered blocks, chunked like it. Equal bytes to sq_dist_matrix(X[i],
+    C[owner[i]]) when X and C are C-ordered, as the einsum rounds by the
+    layout of its operands."""
+    n, d = X.shape
+    m = C.shape[1]
+    rows = max(1, int(_CHUNK // max(1, m * d)))
+    out = np.empty((n, m))
+    for i in range(0, n, rows):
+        diff = X[i : i + rows, None, :] - C[owner[i : i + rows]]
+        out[i : i + rows] = np.einsum("ijk,ijk->ij", diff, diff, optimize=False)
+    return out
 
-    Two rows are one when they round to the same multiple of `quantum` in
-    every coordinate. rows lists the kept rows in first-seen order.
+
+def first_seen_rows(rows, quantum):
+    """(keep, index) of the (r, d) array rows deduplicated up to coordinate
+    quantization, the first occurrence kept.
+
+    Two rows are one when they round to the same multiple of quantum in
+    every coordinate. keep lists the first occurrence of each distinct row
+    in ascending order; index[i] is the position in keep of row i's first
+    occurrence. One stable lexsort over the quantized int64 keys.
     """
-
-    def __init__(self, quantum):
-        self.quantum = quantum
-        self.rows = []
-        self._index = {}
-
-    def add(self, rows):
-        """Pool index of each row of the (r, d) array `rows`."""
-        keys = np.round(rows / self.quantum).astype(np.int64).tolist()
-        out = []
-        for row, key in zip(rows, map(tuple, keys)):
-            i = self._index.setdefault(key, len(self.rows))
-            if i == len(self.rows):
-                self.rows.append(row)
-            out.append(i)
-        return out
+    keys = np.round(rows / quantum).astype(np.int64)
+    order = np.lexsort(keys.T[::-1])
+    keys = keys[order]
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
+    first = order[new]  # stable: the lowest row of each run of equal keys
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    index = np.empty(order.size, dtype=np.int64)
+    index[order] = rank[np.cumsum(new) - 1]
+    return np.sort(first), index
 
 
 def min_power_dists(X, C, z):

@@ -23,10 +23,10 @@ from .errors import InputError
 from .geometry import (
     ClusteringParams,
     ExtendedPointSet,
-    RowPool,
     _coerce_centers,
     _coerce_pointset,
     _power_from_sq,
+    first_seen_rows,
     min_power_dists,
     power_cost,
     solve_1center,
@@ -94,13 +94,12 @@ def build(P, params: ClusteringParams):
     # alpha whatever the caller's
     node_params = ClusteringParams(k=params.k, z=z, epsilon=min(BETA, 1.0 / 3.0))
 
-    pool = RowPool(1e-12 * max(1.0, float(np.abs(pts).max(initial=0.0))))
-    rep_index = np.full(n, -1, dtype=np.int64)
+    emitted = []  # (point indices, representative) per stopped node
     extensions = np.zeros(n)
     trace = []
 
     def emit(idx, m, depth, reason, cost_m, parent, truncated=False):
-        rep_index[idx] = pool.add(m[None, :])[0]
+        emitted.append((idx, m))
         d = np.sqrt(((pts[idx] - m) ** 2).sum(axis=1))
         extensions[idx] = d if reason == "stable" else 0.0
         trace.append(NodeTrace(len(idx), depth, reason, cost_m, parent, truncated))
@@ -148,8 +147,14 @@ def build(P, params: ClusteringParams):
         for _, lbl, sub in children:
             queue.append((sub, centers[lbl], depth + 1, me))
 
+    reps = np.array([m for _, m in emitted])
+    quantum = 1e-12 * max(1.0, float(np.abs(pts).max(initial=0.0)))
+    keep, index = first_seen_rows(reps, quantum)
+    rep_index = np.full(n, -1, dtype=np.int64)
+    for (idx, _), i in zip(emitted, index.tolist()):
+        rep_index[idx] = i
     return PartitionCoresetResult(
-        representatives=np.array(pool.rows),
+        representatives=reps[keep],
         rep_index=rep_index,
         extensions=extensions,
         recursion_trace=tuple(trace),

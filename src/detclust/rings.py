@@ -24,7 +24,8 @@ import numpy as np
 from .bicriteria import bicriteria, candidate_centers  # noqa: F401
 from .dimreduce import cost_preserving_sketch
 from .epsapprox import (
-    ball_test_family,
+    DEFAULT_MAX_RANGES,
+    ball_test_families,
     halving_approx,
     uniform_sample_approx,
     vc_dim_hint_euclidean,
@@ -239,8 +240,15 @@ def build_instance_IG(P, rings: RingDecomposition, seeding: SeedingResult):
 def epsilon_prime(z, eps, *, clamp=True):
     """Per-ring approximation budget 20 * 8^z * eps^2 / ln(4z/eps).
 
-    The raw value exceeds eps at practical eps, so it is clamped to eps by
-    default; clamp=False reports the raw formula value.
+    The raw value over eps grows with eps and passes 1 at eps = 0.0305
+    (z = 1), 0.00567 (z = 2), 0.000925 (z = 3) and 0.000142 (z = 4); above
+    that the raw value exceeds eps and the default clamp returns eps
+    itself, so at every practical eps the budget is eps (raw 35.1 at
+    z = 2, eps = 0.3). clamp=False reports the raw formula value. Where the
+    formula comes from is not in this repository (PAPER.md holds only the
+    abstract); ROADMAP item 2(c) asks for its source, since a per-ring
+    budget above the overall eps suggests a constant on the wrong side of
+    a fraction.
     """
     if z < 1:
         raise InputError("z must be at least 1")
@@ -282,7 +290,8 @@ def ring_coreset(P, params, mode="deterministic", *, seed=0):
     Low-cost seedings return the centers weighted by served-point counts
     with F = 0. Otherwise each main ring is replaced by a set
     approximation at epsilon_prime(z, eps): halving against the default
-    ball_test_family (deterministic mode) or a seeded uniform sample at
+    ball_test_family (deterministic mode; one ball_test_families pass
+    builds every main ring's family) or a seeded uniform sample at
     failure probability SAMPLE_DELTA (randomized mode, one derived seed per
     ring), each kept point weighted |ring| / |kept|.
 
@@ -321,10 +330,19 @@ def ring_coreset(P, params, mode="deterministic", *, seed=0):
     dens = [1] * len(rows)
     prov = [("center", int(i)) for i in np.flatnonzero(removed > 0)]
 
-    for t, ((i, j), idx) in enumerate(rings.main_rings()):
+    main = rings.main_rings()
+    if mode == "deterministic" and main:
+        sizes = [idx.size for _, idx in main]
+        families = ball_test_families(
+            pts[np.concatenate([idx for _, idx in main])],
+            np.cumsum([0] + sizes[:-1]),
+            params.k,
+            DEFAULT_MAX_RANGES,
+        )
+    for t, ((i, j), idx) in enumerate(main):
         ground = pts[idx]
         if mode == "deterministic":
-            approx = halving_approx(ground, eps_p, ball_test_family(ground, params.k))
+            approx = halving_approx(ground, eps_p, families[t])
         else:
             approx = uniform_sample_approx(
                 ground,
@@ -381,7 +399,9 @@ def verify_offset_coreset(
     tuples drawn from a grid.
 
     Exhaustive mode enumerates every k-subset of the grid (within
-    max_tuples); otherwise a seeded sample of k-subsets is used. Tuples
+    max_tuples). Otherwise `samples` distinct k-subsets are drawn from one
+    seeded stream, a repeated draw skipped, and every k-subset is checked
+    once samples reaches their number. Tuples
     with cost(P, S) = 0 are excluded. Both costs of every tuple equal
     power_cost bit for bit, with P's weights. The tuples go in chunks of
     at most _CHUNK // n, so a chunk's (tuples, points) cost table holds at
@@ -393,23 +413,21 @@ def verify_offset_coreset(
     k = params.k
     if grid.shape[0] < k:
         raise InputError("center grid smaller than k")
-    if exhaustive_tuples:
-        total = math.comb(grid.shape[0], k)
-        if total > max_tuples:
-            raise InputError(
-                f"{total} center tuples exceed the budget {max_tuples}"
-            )
+    total = math.comb(grid.shape[0], k)
+    if exhaustive_tuples and total > max_tuples:
+        raise InputError(f"{total} center tuples exceed the budget {max_tuples}")
+    if exhaustive_tuples or samples >= total:
         combos = itertools.combinations(range(grid.shape[0]), k)
         tuples = np.fromiter(
             itertools.chain.from_iterable(combos), dtype=np.int64, count=total * k
         ).reshape(total, k)
     else:
         rng = np.random.default_rng(seed)
-        draws = [
-            np.sort(rng.choice(grid.shape[0], size=k, replace=False))
-            for _ in range(samples)
-        ]
-        tuples = np.array(draws, dtype=np.int64).reshape(samples, k)
+        draws = {}  # distinct tuples in first-drawn order
+        while len(draws) < samples:
+            draw = tuple(np.sort(rng.choice(grid.shape[0], size=k, replace=False)).tolist())
+            draws.setdefault(draw)
+        tuples = np.array(list(draws), dtype=np.int64).reshape(samples, k)
     full = _cost_table(pts, w, grid)
     coreset = _cost_table(core.points, core.weights, grid)
     step = max(1, _CHUNK // max(pts.shape[0], core.size))

@@ -508,3 +508,38 @@ def per_ball_candidates(pts, anchor_cost, z, eps, alpha, max_candidates, zero_la
         missed,
         empty,
     )
+
+
+def dict_row_pool(rows, quantum):
+    """(keep, index) of rows deduplicated by a dict over their quantized
+    coordinates, one row at a time, the first occurrence kept."""
+    pool, keep, index = {}, [], []
+    for i, row in enumerate(np.asarray(rows, dtype=np.float64)):
+        key = tuple(int(v) for v in np.round(row / quantum).astype(np.int64))
+        if key not in pool:
+            pool[key] = len(keep)
+            keep.append(i)
+        index.append(pool[key])
+    return keep, index
+
+
+def per_composition_cover(S, spacing, max_steps=None):
+    """Hull cover of the rows of S, one barycentric weight vector at a time:
+    each composition of G into |S| parts (stars and bars, lexicographic by
+    bar positions), divided by G, combined by einsum("i,ij->j")."""
+    S = np.asarray(S, dtype=np.float64)
+    j = S.shape[0]
+    diam = max(
+        (math.dist(S[a], S[b]) for a in range(j) for b in range(a + 1, j)), default=0.0
+    )
+    if diam == 0.0:
+        return S[:1].copy()
+    G = max(1, math.ceil((j - 1) * diam / spacing))
+    if max_steps is not None:
+        G = min(G, max_steps)
+    out = []
+    for bars in itertools.combinations(range(G + j - 1), j - 1):
+        edges = [-1, *bars, G + j - 1]
+        comp = [edges[i + 1] - edges[i] - 1 for i in range(j)]
+        out.append(np.einsum("i,ij->j", np.array(comp, dtype=np.float64) / G, S))
+    return np.array(out)

@@ -22,7 +22,12 @@ from detclust.dimreduce import (
 )
 from detclust.linmap import pair_distortions
 
-from oracles import recount_witness_net, set_partitions_up_to_k
+from oracles import (
+    dict_row_pool,
+    per_composition_cover,
+    recount_witness_net,
+    set_partitions_up_to_k,
+)
 
 
 def test_hull_cover_segment_example():
@@ -304,3 +309,50 @@ def test_sketch_rerun_bit_identical():
     assert np.array_equal(
         a.sketched_points().as_rows(), b.sketched_points().as_rows()
     )
+
+
+def test_hull_cover_matches_per_composition_einsum():
+    rng = np.random.default_rng(21)
+    for trial in range(400):
+        j, d = int(rng.integers(2, 6)), int(rng.integers(1, 16))
+        S = rng.standard_normal((j, d)) * 10 ** rng.uniform(-3, 3)
+        diam = max(np.linalg.norm(a - b) for a, b in itertools.combinations(S, 2))
+        spacing = diam * float(rng.uniform(0.3, 2.0))
+        max_steps = (None, 3, 5)[trial % 3]
+        got = hull_cover(S, spacing, max_steps)
+        want = per_composition_cover(S, spacing, max_steps)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def per_subset_net(reps, witness, eps, z):
+    """build_net one subset at a time: per-composition covers and a dict
+    dedup over every row in generation order."""
+    eps_prime = eps / (4.0 * witness.D * z)
+    quantum = 1e-12 * max(1.0, float(np.abs(reps).max()))
+    rows, sources = [np.zeros(reps.shape[1])], [(-1, "origin")]
+    sid = 0
+    for j in range(1, min(witness.R, len(reps)) + 1):
+        for combo in itertools.combinations(range(len(reps)), j):
+            S = reps[list(combo)]
+            pairs = itertools.combinations(S, 2)
+            diam = max((np.linalg.norm(a - b) for a, b in pairs), default=0.0)
+            cover = S[:1] if diam == 0.0 else per_composition_cover(S, eps_prime * diam, 3)
+            for part, kind in ((cover, "cover"), (_pivoted_orthobasis(S), "basis")):
+                rows.extend(part)
+                sources.extend([(sid, kind)] * len(part))
+            sid += 1
+    keep, _ = dict_row_pool(np.array(rows), quantum)
+    return np.array(rows)[keep], tuple(sources[i] for i in keep)
+
+
+def test_build_net_matches_per_subset_net(monkeypatch):
+    rng = np.random.default_rng(22)
+    monkeypatch.setattr(dimreduce, "_NET_CHUNK", 7)  # many dedup passes
+    for T, d in ((1, 3), (4, 2), (7, 5), (9, 30)):
+        reps = rng.standard_normal((T, d)) * 10 ** rng.uniform(-2, 2)
+        reps[: T // 2, 0] = 0.0
+        witness = WitnessParams(D=float(rng.uniform(1.0, 40.0)), R=4)
+        net = build_net(reps, witness, 0.3, 2)
+        points, sources = per_subset_net(reps, witness, 0.3, 2)
+        assert net.points.tobytes() == points.tobytes()
+        assert net.sources == sources

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from detclust import InputError
+from detclust import InputError, epsapprox, geometry
 from detclust.epsapprox import (
     RangeTestFamily,
     SetApproximation,
     _halve,
     _membership_matrix,
+    ball_test_families,
     ball_test_family,
     halving_approx,
     uniform_sample_approx,
@@ -310,3 +311,72 @@ def test_family_validates():
         ball_test_family(pts, 0)
     with pytest.raises(InputError):
         ball_test_family(pts, 2, max_ranges=0)
+
+
+def _stress_grounds(rng, d):
+    """Grounds for the batched builder: random at a random scale, a single
+    point and one point repeated (one distinct distance in the data-row
+    regime), a zero-span axis, two points, a ground past 64 rows and a
+    line."""
+    yield rng.standard_normal((int(rng.integers(2, 40)), d)) * 10 ** rng.uniform(-4, 4)
+    yield rng.standard_normal((1, d))
+    yield np.repeat(rng.standard_normal((1, d)), 7, axis=0)
+    flat = rng.standard_normal((13, d))
+    flat[:, 0] = 2.5
+    yield flat
+    yield np.vstack([np.zeros(d), np.ones(d)])
+    yield rng.integers(-2, 3, size=(130, d)).astype(np.float64)
+    # 30 points on a line: as data-row centers, 30 distinct distances, a
+    # count whose 15 ranks one all-grounds linspace would round differently
+    # beside a ground with one distinct distance
+    line = np.zeros((30, d))
+    line[:, 0] = np.arange(30)
+    yield line
+
+
+def _assert_same_family(got, want):
+    for a, b in ((got.centers, want.centers), (got.cols, want.cols), (got.radii, want.radii)):
+        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_batched_families_equal_per_ground_families(d):
+    # d <= 7 is the grid regime, d >= 8 the data-row one
+    rng = np.random.default_rng(40 + d)
+    grounds = list(_stress_grounds(rng, d)) + list(_stress_grounds(rng, d))
+    grounds = [grounds[i] for i in rng.permutation(len(grounds))]
+    pts = np.vstack(grounds)
+    starts = np.cumsum([0] + [g.shape[0] for g in grounds[:-1]])
+    for k in (1, 2, 3):
+        for max_ranges in (1, 2, 15, 64):
+            fams = ball_test_families(pts, starts, k, max_ranges)
+            assert len(fams) == len(grounds)
+            for ground, fam in zip(grounds, fams):
+                _assert_same_family(fam, ball_test_family(ground, k, max_ranges=max_ranges))
+    for ground, fam in zip(grounds, ball_test_families(pts, starts, 2, 64)):
+        for t, (centers, radius) in enumerate(per_range_ball_family(ground, 2)):
+            assert range_centers(fam, t).tobytes() == centers.tobytes()
+            assert fam.radii[t].tobytes() == np.float64(radius).tobytes()
+
+
+@pytest.mark.parametrize("d", (2, 9))
+def test_batched_families_keep_their_bits_in_small_groups(d, monkeypatch):
+    rng = np.random.default_rng(60 + d)
+    grounds = list(_stress_grounds(rng, d))
+    pts = np.vstack(grounds)
+    starts = np.cumsum([0] + [g.shape[0] for g in grounds[:-1]])
+    whole = ball_test_families(pts, starts, 3, 64)
+    # a budget of a few rows per group and per distance chunk
+    monkeypatch.setattr(epsapprox, "_CHUNK", 5 * d * 9)
+    monkeypatch.setattr(geometry, "_CHUNK", 3 * d * 9)
+    for a, b in zip(ball_test_families(pts, starts, 3, 64), whole):
+        _assert_same_family(a, b)
+
+
+def test_batched_families_share_cols_and_validate_starts():
+    pts = np.random.default_rng(3).standard_normal((12, 2))
+    fams = ball_test_families(pts, [0, 5, 6], 2, 16)
+    assert fams[0].cols is fams[1].cols is fams[2].cols
+    for bad in ([], [1, 5], [0, 5, 5], [0, 12], [[0, 5]]):
+        with pytest.raises(InputError):
+            ball_test_families(pts, bad, 2, 16)

@@ -19,7 +19,7 @@ from detclust.datasets import gaussian_blobs
 from detclust.geometry import center_grid, min_power_dists, solve_1centers
 from detclust.summation import tree_sum_rows
 
-from oracles import grid_search_1center, naive_power_cost
+from oracles import dict_row_pool, grid_search_1center, naive_power_cost
 
 
 def test_tree_sum_matches_math_fsum():
@@ -338,3 +338,17 @@ def test_center_grid_shape_and_determinism():
     assert (g1 == g2).all()
     g3 = center_grid(pts, per_axis=3, include_points=True)
     assert g3.shape == (9 + 20, 2)
+
+
+def test_first_seen_rows_matches_dict_pool():
+    rng = np.random.default_rng(7)
+    for trial in range(500):
+        r, d = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        # few distinct lattice values, nudged below and around the quantum
+        rows = rng.integers(-2, 3, size=(r, d)) * rng.choice([1.0, 1e-9, 1e6])
+        rows = rows + rng.standard_normal((r, d)) * rng.choice([0.0, 1e-13, 1e-10])
+        quantum = float(rng.choice([1e-12, 1e-9, 0.5]))
+        keep, index = geometry.first_seen_rows(rows, quantum)
+        want_keep, want_index = dict_row_pool(rows, quantum)
+        assert keep.tolist() == want_keep
+        assert index.tolist() == want_index

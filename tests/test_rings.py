@@ -7,7 +7,7 @@ import pytest
 
 from detclust import rings as rings_mod
 from detclust.bicriteria import candidate_centers, greedy_augment
-from detclust.epsapprox import halving_approx, ball_test_family
+from detclust.epsapprox import ball_test_families, ball_test_family, halving_approx
 from detclust.errors import InputError
 from detclust.geometry import (
     CenterSet,
@@ -75,6 +75,14 @@ def test_epsilon_prime_unclamped_small_eps():
     assert abs(val - 1.6e-4 / math.log(4000.0)) <= 1e-18
     assert 1.92e-5 < val < 1.94e-5
     assert val == epsilon_prime(1, 0.001, clamp=False)
+
+
+def test_epsilon_prime_clamp_thresholds():
+    # the docstring's crossings: raw < eps just below, clamped just above
+    for z, edge in ((1, 0.0305), (2, 0.00567), (3, 0.000925), (4, 0.000142)):
+        below, above = edge * 0.99, edge * 1.01
+        assert epsilon_prime(z, below) == epsilon_prime(z, below, clamp=False) < below
+        assert epsilon_prime(z, above) == above < epsilon_prime(z, above, clamp=False)
 
 
 def test_epsilon_prime_monotone_below_clamp():
@@ -418,10 +426,39 @@ def per_tuple_report(P, core, params, grid, tuples):
 
 
 def sampled_tuples(grid_size, k, samples, seed):
+    """The sampled verifier's tuples: every k-subset once samples reaches
+    their number, else the first `samples` distinct draws of the stream."""
+    if samples >= math.comb(grid_size, k):
+        return [np.array(t) for t in itertools.combinations(range(grid_size), k)]
     rng = np.random.default_rng(seed)
-    return [
-        np.sort(rng.choice(grid_size, size=k, replace=False)) for _ in range(samples)
-    ]
+    out, seen = [], set()
+    while len(out) < samples:
+        t = np.sort(rng.choice(grid_size, size=k, replace=False))
+        if tuple(t) not in seen:
+            seen.add(tuple(t))
+            out.append(t)
+    return out
+
+
+def test_sampled_verifier_checks_distinct_tuples():
+    pts, params = two_blob_instance()
+    core = ring_coreset(pts, params)
+    grid = center_grid(pts, per_axis=4)  # 120 pairs
+    full = verify_offset_coreset(pts, core, params, grid)
+    assert full.checked == 120  # no pair costs P nothing
+    for samples in (120, 500):  # every pair, each once
+        rep = verify_offset_coreset(
+            pts, core, params, grid, exhaustive_tuples=False, samples=samples, seed=1
+        )
+        assert rep == full
+    # 100 draws of this stream hold repeats; the verifier skips them
+    rng = np.random.default_rng(1)
+    draws = {tuple(np.sort(rng.choice(16, size=2, replace=False))) for _ in range(100)}
+    assert len(draws) < 100
+    rep = verify_offset_coreset(
+        pts, core, params, grid, exhaustive_tuples=False, samples=100, seed=1
+    )
+    assert rep.checked == 100
 
 
 def test_verifier_batched_equals_per_tuple_power_cost():
@@ -576,3 +613,27 @@ def test_pipeline_high_dim_rerun_identical():
     assert a.coreset.total_weight == Fraction(16)
     assert np.array_equal(a.coreset.points, b.coreset.points)
     assert a.coreset.offset == b.coreset.offset
+
+
+def test_det_coreset_builds_every_ring_family_in_one_call(monkeypatch):
+    pts, params = two_blob_instance()
+    seeding = greedy_seeding(pts, params)
+    main = ring_decompose(pts, seeding, params).main_rings()
+    assert len(main) > 1
+    calls = {"families": 0, "halving": []}
+
+    def families(points, starts, k, max_ranges):
+        calls["families"] += 1
+        return ball_test_families(points, starts, k, max_ranges)
+
+    def halving(ground, eps_prime, tests):
+        calls["halving"].append(ground.shape[0])
+        return halving_approx(ground, eps_prime, tests)
+
+    monkeypatch.setattr(rings_mod, "ball_test_families", families)
+    monkeypatch.setattr(rings_mod, "halving_approx", halving)
+    ring_coreset(pts, params)
+    assert calls["families"] == 1
+    assert calls["halving"] == [idx.size for _, idx in main]
+    ring_coreset(pts, params, mode="randomized")
+    assert calls["families"] == 1
