@@ -255,8 +255,11 @@ def candidate_centers(P, params, anchor):
 
 
 def _power_table(cand_pts, pts, w, z):
-    """(C, n) table of w_p * ||c - p||^z."""
-    return _power_from_sq(sq_dist_matrix(cand_pts, pts), z) * w[None, :]
+    """(C, n) table of w_p * ||c - p||^z, weighted in place: at n=4000 one
+    such table is over 100 MB."""
+    PC = _power_from_sq(sq_dist_matrix(cand_pts, pts), z)
+    PC *= w
+    return PC
 
 
 def _scores_all(PC, cur):

@@ -90,14 +90,18 @@ class SetApproximation:
         return self.ground_size / self.indices.size
 
 
+def _check_dim(points, tests):
+    if tests.centers.shape[1] != points.shape[1]:
+        raise InputError("range centers dimension does not match points")
+
+
 def _membership_matrix(points, tests):
     """(n_ranges, n_points) boolean membership table.
 
     One distance table against the family's centers; each range then takes
     the minimum over its own columns, O(n R s) memory. The square root is
     monotone and correctly rounded, so it commutes with the minimum."""
-    if tests.centers.shape[1] != points.shape[1]:
-        raise InputError("range centers dimension does not match points")
+    _check_dim(points, tests)
     sq = sq_dist_matrix(points, tests.centers)
     return (np.sqrt(sq[:, tests.cols].min(axis=2)) >= tests.radii).T
 
@@ -273,6 +277,9 @@ def halving_approx(ground, eps_prime, tests: RangeTestFamily):
     n = pts.shape[0]
     if not (0.0 < eps_prime <= 1.0):
         raise InputError("eps_prime must lie in (0, 1]")
+    if n == 1:  # nothing to halve: keep the point, build no table
+        _check_dim(pts, tests)
+        return SetApproximation(indices=np.zeros(1, dtype=np.int64), ground_size=1)
     M = _membership_matrix(pts, tests)
     gfrac = M.sum(axis=1) / n
     M_est = np.vstack([M, np.ones((1, n), dtype=bool)])

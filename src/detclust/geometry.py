@@ -222,32 +222,53 @@ def sq_dist_matrix(X, C):
     """(n, m) squared Euclidean distances, chunked, ufunc-only (no BLAS).
 
     With sq_dist_blocks, the package's only rows-by-centers distance
-    tables: one einsum fixes how every table entry is rounded. Distances
-    from many rows to a single center stay ((X - c) ** 2).sum(axis=1),
-    which rounds differently in the last bit at d >= 3, so the two forms
-    are not interchangeable.
+    tables. At d <= 2 each entry is the coordinate-order sum
+    (x0 - c0)^2 + (x1 - c1)^2, one rounded ufunc step at a time, so it
+    depends on the values alone, never on the memory layout; these are the
+    einsum's bits too (at most two terms, and adding two numbers is
+    commutative), without its (rows, m, d) temporary. At d >= 3 one einsum
+    fixes how every entry is rounded, and it rounds by the layout of its
+    operands. Distances from many rows to a single center stay
+    ((X - c) ** 2).sum(axis=1), which rounds differently in the last bit
+    at d >= 3, so the two forms are not interchangeable.
     """
     X = np.asarray(X, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
     n, d = X.shape
     m = C.shape[0]
     rows = max(1, int(_CHUNK // max(1, m * d)))
+    table = _coordinate_table if d <= 2 else _einsum_table
     if rows >= n:
-        diff = X[:, None, :] - C[None, :, :]
-        return np.einsum("ijk,ijk->ij", diff, diff, optimize=False)
+        return table(X, C)
     out = np.empty((n, m))
     for i in range(0, n, rows):
-        diff = X[i : i + rows, None, :] - C[None, :, :]
-        out[i : i + rows] = np.einsum("ijk,ijk->ij", diff, diff, optimize=False)
+        out[i : i + rows] = table(X[i : i + rows], C)
     return out
+
+
+def _coordinate_table(X, C):
+    """sq_dist_matrix's table at d <= 2: (x0 - c0)^2, then + (x1 - c1)^2."""
+    out = X[:, :1] - C[:, 0]
+    out *= out
+    if X.shape[1] == 2:
+        t = X[:, 1:] - C[:, 1]
+        t *= t
+        out += t
+    return out
+
+
+def _einsum_table(X, C):
+    """sq_dist_matrix's table at d >= 3: one einsum over the differences."""
+    diff = X[:, None, :] - C[None, :, :]
+    return np.einsum("ijk,ijk->ij", diff, diff, optimize=False)
 
 
 def sq_dist_blocks(X, C, owner):
     """(n, m) squared distances from row i of X to the m centers of its own
     block C[owner[i]], C an (R, m, d) array: sq_dist_matrix's einsum on the
     gathered blocks, chunked like it. Equal bytes to sq_dist_matrix(X[i],
-    C[owner[i]]) when X and C are C-ordered, as the einsum rounds by the
-    layout of its operands."""
+    C[owner[i]]) at d <= 2, and at d >= 3 when X and C are C-ordered, as
+    the einsum rounds by the layout of its operands there."""
     n, d = X.shape
     m = C.shape[1]
     rows = max(1, int(_CHUNK // max(1, m * d)))
@@ -291,10 +312,12 @@ def min_power_dists(X, C, z):
 
 
 def _power_from_sq(sq, z):
+    """sq ** (z / 2) of a fresh array sq: z = 2 returns sq itself and z = 1
+    takes its root in place, so a table is never copied."""
     if z == 2:
-        return sq.copy() if isinstance(sq, np.ndarray) else sq
+        return sq
     if z == 1:
-        return np.sqrt(sq)
+        return np.sqrt(sq, out=sq)
     return np.sqrt(sq) ** z
 
 

@@ -112,34 +112,47 @@ def _split_columns(header, rows):
     return WeightedPointSet(base)
 
 
+def _finite_rows(vals, lines, width, fault, what, empty):
+    """The parsed rows as one (len(lines), width) float array, raising the
+    file's first fault: the first row holding a non-finite value, else
+    fault, the message of the line that stopped parsing (None if none did),
+    else empty if no row was parsed. vals holds the rows' values flat,
+    lines their line numbers; every row comes before the faulty line."""
+    if not lines:
+        raise InputError(fault or empty)
+    rows = np.array(vals, dtype=np.float64).reshape(len(lines), width)
+    bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+    if bad.size:
+        raise InputError(f"line {lines[bad[0]]}: non-finite {what}")
+    if fault is not None:
+        raise InputError(fault)
+    return rows
+
+
 def _read_csv_points(path):
-    rows = []
-    header = None
+    vals, lines, fault = [], [], None
     with open(path, "r", encoding="ascii") as fh:
-        for ln, raw in enumerate(fh, start=1):
+        first = fh.readline()
+        if not first:
+            raise InputError("line 1: empty file")
+        header = PointFileHeader.from_line(first.strip())
+        width = header.row_width
+        for ln, raw in enumerate(fh, start=2):
             line = raw.strip()
-            if ln == 1:
-                header = PointFileHeader.from_line(line)
-                continue
             if not line:
                 continue
             toks = line.split(",")
-            if len(toks) != header.row_width:
-                raise InputError(
-                    f"line {ln}: expected {header.row_width} values, got {len(toks)}"
-                )
+            if len(toks) != width:
+                fault = f"line {ln}: expected {width} values, got {len(toks)}"
+                break
             try:
-                vals = [float(t) for t in toks]
+                vals += [float(t) for t in toks]
             except ValueError:
-                raise InputError(f"line {ln}: unparseable number") from None
-            if not all(np.isfinite(vals)):
-                raise InputError(f"line {ln}: non-finite value")
-            rows.append(vals)
-    if header is None:
-        raise InputError("line 1: empty file")
-    if not rows:
-        raise InputError("file contains no points")
-    return _split_columns(header, np.array(rows, dtype=np.float64))
+                fault = f"line {ln}: unparseable number"
+                break
+            lines.append(ln)
+    rows = _finite_rows(vals, lines, width, fault, "value", "file contains no points")
+    return _split_columns(header, rows)
 
 
 def _read_binary_points(path):
@@ -196,23 +209,27 @@ def write_points(data, path, *, binary=False):
             fh.write(header.to_bytes())
             fh.write(rows.astype("<f8").tobytes(order="C"))
         return
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(header.to_line() + "\n")
-        for row in rows:
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    _write_lines(path, [header.to_line()] + [",".join(map(repr, r)) for r in rows.tolist()])
 
 
 def write_coreset(core, params, path):
     """Coreset CSV: hex-float offset in the header, exact a/b weights per
     row, shortest round-trip coordinates."""
+    header = (
+        f"# dim={core.points.shape[1]} F={float(core.offset).hex()}"
+        f" k={params.k} z={params.z} eps={repr(float(params.epsilon))}"
+    )
+    coords = np.asarray(core.points, dtype=np.float64).tolist()
+    nums, dens = core.weight_num.tolist(), core.weight_den.tolist()
+    _write_lines(path, [header] + [
+        f"{','.join(map(repr, row))},{int(a)}/{int(b)}" for row, a, b in zip(coords, nums, dens)
+    ])
+
+
+def _write_lines(path, lines):
+    """One write of the lines, each ended by a newline."""
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(
-            f"# dim={core.points.shape[1]} F={float(core.offset).hex()}"
-            f" k={params.k} z={params.z} eps={repr(float(params.epsilon))}\n"
-        )
-        for row, num, den in zip(core.points, core.weight_num, core.weight_den):
-            coords = ",".join(repr(float(v)) for v in row)
-            fh.write(f"{coords},{int(num)}/{int(den)}\n")
+        fh.write("\n".join(lines) + "\n")
 
 
 def read_coreset(path):
@@ -242,32 +259,32 @@ def read_coreset(path):
         )
     except ValueError:
         raise InputError("line 1: malformed coreset header value") from None
-    pts, nums, dens = [], [], []
+    vals, nums, dens, rows, fault = [], [], [], [], None
     for ln, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         toks = line.split(",")
         if len(toks) != dim + 1:
-            raise InputError(f"line {ln}: expected {dim + 1} values, got {len(toks)}")
+            fault = f"line {ln}: expected {dim + 1} values, got {len(toks)}"
+            break
         try:
             coords = [float(t) for t in toks[:-1]]
             num, _, den = toks[-1].partition("/")
             w = (int(num), int(den) if den else 1)
         except ValueError:
-            raise InputError(f"line {ln}: unparseable value") from None
-        if not all(np.isfinite(coords)):
-            raise InputError(f"line {ln}: non-finite coordinate")
-        pts.append(coords)
+            fault = f"line {ln}: unparseable value"
+            break
+        vals += coords
         nums.append(w[0])
         dens.append(w[1])
-    if not pts:
-        raise InputError("coreset file contains no rows")
+        rows.append(ln)
+    points = _finite_rows(vals, rows, dim, fault, "coordinate", "coreset file contains no rows")
     core = OffsetCoreset(
-        points=np.array(pts, dtype=np.float64),
+        points=points,
         weight_num=np.array(nums, dtype=np.int64),
         weight_den=np.array(dens, dtype=np.int64),
         offset=offset,
-        provenance=tuple(("file", i) for i in range(len(pts))),
+        provenance=tuple(("file", i) for i in range(len(rows))),
     )
     return core, params
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -120,11 +121,9 @@ class OffsetCoreset:
 
     @property
     def total_weight(self):
-        """Exact rational total."""
-        return sum(
-            Fraction(int(a), int(b))
-            for a, b in zip(self.weight_num, self.weight_den)
-        )
+        """Exact rational total, one Fraction per distinct weight."""
+        counts = Counter(zip(self.weight_num.tolist(), self.weight_den.tolist()))
+        return sum(Fraction(a * c, b) for (a, b), c in counts.items())
 
 
 def greedy_seeding(P, params):

@@ -543,3 +543,19 @@ def per_composition_cover(S, spacing, max_steps=None):
         comp = [edges[i + 1] - edges[i] - 1 for i in range(j)]
         out.append(np.einsum("i,ij->j", np.array(comp, dtype=np.float64) / G, S))
     return np.array(out)
+
+
+def per_row_points_csv(header_line, rows):
+    """Point CSV text written one row and one value at a time."""
+    out = header_line + "\n"
+    for row in rows:
+        out += ",".join(repr(float(v)) for v in row) + "\n"
+    return out
+
+
+def per_row_coreset_csv(header_line, points, nums, dens):
+    """Coreset CSV text written one row and one value at a time."""
+    out = header_line + "\n"
+    for row, num, den in zip(points, nums, dens):
+        out += ",".join(repr(float(v)) for v in row) + f",{int(num)}/{int(den)}\n"
+    return out

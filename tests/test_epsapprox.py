@@ -210,6 +210,16 @@ def test_single_point_approx_extreme_deviation():
     assert verify_set_approx(pts, A, fam) == pytest.approx(1 - 1 / 5)
 
 
+def test_one_point_ground_keeps_its_point_after_the_checks():
+    fam = random_family(np.random.default_rng(15), 2, 10)
+    A = halving_approx(np.array([[0.5, -1.0]]), 0.3, fam)
+    assert A.indices.tolist() == [0] and A.ground_size == 1
+    with pytest.raises(InputError, match="eps_prime"):
+        halving_approx(np.array([[0.5, -1.0]]), 0.0, fam)
+    with pytest.raises(InputError, match="dimension"):
+        halving_approx(np.array([[0.5, -1.0, 2.0]]), 0.3, fam)
+
+
 def test_set_approximation_validates():
     with pytest.raises(InputError):
         SetApproximation(indices=np.array([], dtype=np.int64), ground_size=4)

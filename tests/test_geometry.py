@@ -352,3 +352,52 @@ def test_first_seen_rows_matches_dict_pool():
         want_keep, want_index = dict_row_pool(rows, quantum)
         assert keep.tolist() == want_keep
         assert index.tolist() == want_index
+
+
+def _layouts(A):
+    """The values of A as C-ordered, Fortran-ordered, transposed-copy and
+    strided (every other row of a larger array) arrays."""
+    wide = np.zeros((2 * A.shape[0], A.shape[1]))
+    wide[::2] = A
+    return [np.ascontiguousarray(A), np.asfortranarray(A), np.ascontiguousarray(A.T).T, wide[::2]]
+
+
+def test_low_dim_table_equals_the_einsum_in_every_layout(monkeypatch):
+    monkeypatch.setattr(geometry, "_CHUNK", 40)  # row blocks of 40 // (m d) rows
+    rng = np.random.default_rng(21)
+    sizes = [(1, 1), (1, 60), (60, 1), (60, 60)]
+    sizes += [tuple(int(v) for v in rng.integers(1, 61, size=2)) for _ in range(60)]
+    for trial, (n, m) in enumerate(sizes):
+        d = 1 + trial % 2
+        scale = 10.0 ** rng.uniform(-3, 6)
+        X = rng.standard_normal((n, d)) * scale
+        C = rng.standard_normal((m, d)) * scale
+        diff = X[:, None, :] - C[None, :, :]
+        want = np.einsum("ijk,ijk->ij", diff, diff, optimize=False).tobytes()
+        for Xl, Cl in zip(_layouts(X), _layouts(C)[::-1]):
+            assert geometry.sq_dist_matrix(Xl, Cl).tobytes() == want
+
+
+def test_sq_dist_blocks_equals_the_table_per_block_at_low_dim():
+    rng = np.random.default_rng(22)
+    for trial in range(40):
+        d = 1 + trial % 2
+        n, R, m = (int(v) for v in rng.integers(1, 30, size=3))
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 6)
+        C = rng.standard_normal((R, m, d)) * 10.0 ** rng.uniform(-3, 6)
+        owner = rng.integers(0, R, size=n)
+        got = geometry.sq_dist_blocks(X, C, owner)
+        for i in range(n):
+            assert got[i].tobytes() == geometry.sq_dist_matrix(X[i : i + 1], C[owner[i]]).tobytes()
+
+
+def test_power_cost_at_d2_does_not_depend_on_the_layout():
+    # at d >= 3 the einsum still rounds by its operands' layout
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        X = rng.standard_normal((50, 2)) * 10.0 ** rng.uniform(-3, 6)
+        S = rng.standard_normal((3, 2))
+        for z in (1, 2, 3):
+            want = power_cost(X, S, z)
+            for Xl in _layouts(X)[1:]:
+                assert power_cost(Xl, S, z) == want

@@ -24,7 +24,9 @@ from detclust.io import (
     write_sketch,
 )
 from detclust.linmap import pair_distortions
-from detclust.rings import ring_coreset, verify_offset_coreset
+from detclust.rings import OffsetCoreset, ring_coreset, verify_offset_coreset
+
+from oracles import per_row_coreset_csv, per_row_points_csv
 
 
 def test_header_line_round_trip():
@@ -136,6 +138,65 @@ def test_csv_errors_name_the_line(tmp_path):
     f.write_text("# dim=2 weighted=0 ext=0\n")
     with pytest.raises(InputError, match="no points"):
         read_points(f)
+
+
+def test_csv_reports_the_first_of_two_faulty_lines(tmp_path):
+    f = tmp_path / "bad.csv"
+    head = "# dim=2 weighted=0 ext=0\n"
+    cases = [
+        ("1.0,2.0\n3.0,nan\n\n4.0\n", "line 3: non-finite"),
+        ("1.0,2.0\n3.0,zork\n5.0,inf\n", "line 3: unparseable"),
+        ("inf,2.0\n1.0,2.0,3.0\n", "line 2: non-finite"),
+        ("1.0\n-inf,2.0\n", "line 2: expected 2"),
+        ("1.0,2.0\n3.0,4.0\n5.0,nan\n1.0,2.0\n7.0,x\n", "line 4: non-finite"),
+    ]
+    for body, msg in cases:
+        f.write_text(head + body)
+        with pytest.raises(InputError, match=msg):
+            read_points(f)
+    c = tmp_path / "c.csv"
+    head = "# dim=2 F=0x0.0p+0 k=2 z=2 eps=0.3\n"
+    cases = [
+        ("1.0,2.0,1/1\n1.0,nan,1/1\n1.0,2.0\n", "line 3: non-finite"),
+        ("1.0,2.0,1/x\n1.0,nan,1/1\n", "line 2: unparseable"),
+        ("1.0,2.0\ninf,2.0,1/1\n", "line 2: expected 3"),
+    ]
+    for body, msg in cases:
+        c.write_text(head + body)
+        with pytest.raises(InputError, match=msg):
+            read_coreset(c)
+
+
+def test_written_files_equal_the_per_row_writer(tmp_path):
+    rng = np.random.default_rng(31)
+    special = [-0.0, 0.0, 1e-300, -1e300, 1e300, 5e-324, 2.2250738585072e-308, 0.1, 1 / 3]
+    pts = rng.standard_normal((40, 3)) * 10.0 ** rng.integers(-8, 9, size=(40, 1))
+    pts.ravel()[: len(special)] = special
+    ext = np.abs(rng.standard_normal(40))
+    ext[:3] = [0.0, 5e-324, 1e300]
+    weights = rng.uniform(0.5, 2.0, 40)
+    f = tmp_path / "p.csv"
+    for data, cols in [
+        (pts, [pts]),
+        (WeightedPointSet(pts, weights), [pts, weights[:, None]]),
+        (ExtendedPointSet(pts, ext, weights), [pts, ext[:, None], weights[:, None]]),
+    ]:
+        write_points(data, f)
+        text = f.read_text()
+        assert text == per_row_points_csv(text.splitlines()[0], np.hstack(cols))
+        back = read_points(f)
+        assert back.points.tobytes() == pts.tobytes()
+    params = ClusteringParams(k=2, z=1, epsilon=0.25)
+    nums = rng.integers(1, 1 << 40, size=40)
+    dens = rng.integers(1, 1 << 20, size=40)
+    core = OffsetCoreset(points=pts, weight_num=nums, weight_den=dens, offset=1e-300,
+                         provenance=tuple(("file", i) for i in range(40)))
+    write_coreset(core, params, f)
+    text = f.read_text()
+    assert text == per_row_coreset_csv(text.splitlines()[0], pts, nums, dens)
+    back, _ = read_coreset(f)
+    assert back.points.tobytes() == pts.tobytes()
+    assert back.total_weight == core.total_weight
 
 
 def test_binary_payload_length_checked(tmp_path):

@@ -375,6 +375,19 @@ def test_offset_coreset_type_validation():
         )
 
 
+def test_total_weight_equals_the_per_row_fraction_sum():
+    rng = np.random.default_rng(41)
+    for _ in range(50):
+        r = int(rng.integers(1, 300))
+        nums = rng.integers(1, int(rng.choice([3, 1000, 1 << 40])), size=r)
+        dens = rng.integers(1, int(rng.choice([2, 7, 1 << 30])), size=r)
+        core = OffsetCoreset(points=np.zeros((r, 2)), weight_num=nums, weight_den=dens,
+                             offset=0.0, provenance=())
+        want = sum(Fraction(int(a), int(b)) for a, b in zip(nums, dens))
+        assert core.total_weight == want
+        assert str(core.total_weight) == str(want)
+
+
 def test_verifier_on_exact_copy_reports_zero():
     pts, params = two_blob_instance()
     core = OffsetCoreset(
