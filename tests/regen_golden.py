@@ -72,8 +72,8 @@ def _coreset(mode, z=2):
     return digest(core.points, core.weight_num, core.weight_den, float(core.offset))
 
 
-def _solve(solver, z=2, k=2, n=8):
-    pts = _blobs(n, 2, 3)
+def _solve(solver, z=2, k=2, n=8, d=2):
+    pts = _blobs(n, d, 3)
     res = solver(pts, ClusteringParams(k=k, z=z, epsilon=0.3))
     return digest(res.method, str(res.downgraded), res.centers.centers, float(res.cost))
 
@@ -180,6 +180,8 @@ CASES = {
     "verify_offset_coreset_det_n200_d2": _verify,
     "verify_offset_coreset_det_z1_n200_d2": lambda: _verify(z=1),
     "verify_offset_coreset_sampled_n200_d2": lambda: _verify(sampled=True),
+    "bicriteria_solve_z1_n8_d5": lambda: _solve(bicriteria_solve, z=1, d=5),
+    "exact_solve_z1_n10_d3": lambda: _solve(exact_solve, z=1, n=10, d=3),
 }
 
 
