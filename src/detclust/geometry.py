@@ -230,11 +230,14 @@ def sq_dist_matrix(X, C):
     fixes how every entry is rounded, and it rounds by the layout of its
     operands. Distances from many rows to a single center stay
     ((X - c) ** 2).sum(axis=1), which rounds differently in the last bit
-    at d >= 3, so the two forms are not interchangeable.
+    at d >= 3, so the two forms are not interchangeable. X and C must
+    agree on d.
     """
     X = np.asarray(X, dtype=np.float64)
     C = np.asarray(C, dtype=np.float64)
     n, d = X.shape
+    if C.ndim != 2 or C.shape[1] != d:
+        raise InputError("points and centers disagree on dimension")
     m = C.shape[0]
     rows = max(1, int(_CHUNK // max(1, m * d)))
     table = _coordinate_table if d <= 2 else _einsum_table
@@ -331,8 +334,6 @@ def power_cost(P, S, z):
     """
     pts, ext, w = _split_extended(P)
     centers = _coerce_centers(S)
-    if centers.shape[1] != pts.shape[1]:
-        raise InputError("points and centers disagree on dimension")
     if not (isinstance(z, (int, np.integer)) and z >= 1):
         raise InputError("z must be an integer >= 1")
     if ext is not None:  # the extension as a last coordinate, 0 at the centers
@@ -492,14 +493,19 @@ def _newton_centers(W, c, base, ext_sq, floor, z, certified):
     z sum_i W rho^(z-2) (c - b_i), its Hessian
     z sum_i W rho^(z-2) I + z (z-2) sum_i W rho^(z-4) (c - b_i)(c - b_i)^T:
     per-row d x d Hessians, one batched eigendecomposition, Armijo
-    backtracking per row. A row leaves once certified(live rows, centers,
-    squared distances) accepts it or once its step stops descending; a
-    singular or ill-conditioned Hessian (z = 1 on collinear sets, flat
-    valleys) leaves the row where it is. Returns the new centers.
+    backtracking per row in two tables a round: the full step of every
+    pending row, then all 39 halvings 2^-1 .. 2^-39 of the rows that
+    reject it, each row taking its first acceptable step size, in
+    _step_costs blocks of at most _CHUNK elements. A row leaves once
+    certified(live rows, centers, squared distances) accepts it or once
+    its step stops descending; a singular or ill-conditioned Hessian
+    (z = 1 on collinear sets, flat valleys) leaves the row where it is.
+    Returns the new centers.
     """
     d = base.shape[1]
     c = c.copy()
     s2 = ext_sq + (floor * floor)[:, None]
+    halvings = np.ldexp(1.0, -np.arange(1, 40))
     live = np.arange(c.shape[0])
     for _ in range(_NEWTON_ROUNDS):
         Wl, cl, s2l = W[live], c[live], s2[live]
@@ -517,34 +523,39 @@ def _newton_centers(W, c, base, ext_sq, floor, z, certified):
             "mde,me->md", V, np.einsum("mde,md->me", V, g) / lam, optimize=False
         )
         gd = np.einsum("md,md->m", g, step, optimize=False)
-        pend = well & (gd < 0.0) & ~certified(live, cl, sq + ext_sq)
+        pend = np.flatnonzero(well & (gd < 0.0) & ~certified(live, cl, sq + ext_sq))
         f0 = np.einsum("mi,mi->m", Wl, r**z, optimize=False)
-        t = np.ones(live.size)
-        moved = np.zeros(live.size, dtype=bool)
-        for _ in range(40):
-            rows = np.flatnonzero(pend)
-            if not rows.size:
-                break
-            c_try = cl[rows] + t[rows, None] * step[rows]
-            r_try = np.sqrt(sq_dist_matrix(c_try, base) + s2l[rows])
-            f_try = np.einsum("mi,mi->m", Wl[rows], r_try**z, optimize=False)
-            # near the optimum the decrease drops below f's rounding, so a
-            # full step may gain up to 1e-13 relative; a damped step must
-            # lower f strictly, or rows creep by invisible steps
-            lim = f0[rows] + 0.25 * t[rows] * gd[rows]
-            acc = np.where(
-                t[rows] == 1.0,
-                f_try <= lim + 1e-13 * f0[rows],
-                (f_try <= lim) & (f_try < f0[rows]),
-            )
-            c[live[rows[acc]]] = c_try[acc]
-            moved[rows[acc]] = True
-            pend[rows[acc]] = False
-            t[rows[~acc]] *= 0.5
+        # near the optimum the decrease drops below f's rounding, so a full
+        # step may gain up to 1e-13 relative; a damped step must lower f
+        # strictly, or rows creep by invisible steps
+        t = np.ones(pend.size)  # per pending row: its step size, 0 for none
+        f = _step_costs(Wl, cl, step, s2l, base, z, pend, t)
+        rej = ~(f <= f0[pend] + 0.25 * gd[pend] + 1e-13 * f0[pend])
+        rows = pend[rej]
+        pairs = np.repeat(rows, halvings.size), np.tile(halvings, rows.size)
+        f = _step_costs(Wl, cl, step, s2l, base, z, *pairs)
+        f = f.reshape(rows.size, halvings.size)
+        acc = (f <= f0[rows, None] + 0.25 * halvings * gd[rows, None]) & (f < f0[rows, None])
+        t[rej] = np.where(acc.any(axis=1), halvings[acc.argmax(axis=1)], 0.0)
+        moved = pend[t > 0.0]
+        c[live[moved]] = cl[moved] + t[t > 0.0, None] * step[moved]
         live = live[moved]
         if not live.size:
             break
     return c
+
+
+def _step_costs(W, c, step, s2, base, z, rows, t):
+    """f at c[rows] + t step[rows], one (row, step size) pair per entry of
+    rows and t, _CHUNK // n pairs a table."""
+    f = np.empty(rows.size)
+    per = max(1, _CHUNK // base.shape[0])
+    for i in range(0, rows.size, per):
+        r, tr = rows[i : i + per], t[i : i + per]
+        c_try = c[r] + tr[:, None] * step[r]
+        r_try = np.sqrt(sq_dist_matrix(c_try, base) + s2[r])
+        f[i : i + per] = np.einsum("mi,mi->m", W[r], r_try**z, optimize=False)
+    return f
 
 
 def solve_1center(P, z, full_output=False):

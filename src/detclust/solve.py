@@ -19,17 +19,21 @@ import numpy as np
 from .bicriteria import constant_factor_approx, lift_by_clusters
 from .errors import BudgetError, InputError
 from .geometry import (
+    _CHUNK,
     CenterSet,
     ExtendedPointSet,
     Partition,
     _coerce_pointset,
+    _power_from_sq,
     _split_extended,
     min_power_dists,
     power_cost,
     solve_1centers,
+    sq_dist_matrix,
 )
 from .partition import _restricted_growth_strings
 from .rings import euclidean_pipeline
+from .summation import canonical_order, tree_sum_rows
 
 ENUM_MAX_N = 14
 ENUM_MAX_K = 4
@@ -180,35 +184,54 @@ def exact_solve(P, params):
     )
 
 
-def _polish(pts, w, C, z, rounds, centers):
-    """Alternate assign / per-cluster recenter; monotone, early stop.
+def _polish_all(pts, w, inits, z, rounds):
+    """Centers of the best init after up to rounds assign / per-cluster
+    recenter rounds each, inits in lockstep; early stop per init.
 
-    centers memoizes the 1-center of each cluster, keyed by its member
-    mask's bytes; each round solves the clusters it has not seen in one
-    solve_1centers call. A row's center depends on its members alone, so
-    one dict can serve every init and round on the same pts, w, z."""
-    C = np.array(C, dtype=np.float64)
-    cost = power_cost((pts, w), C, z)
-    for _ in range(rounds):
-        _, lbl = min_power_dists(pts, C, z)
-        keys, unseen = {}, {}  # per nonempty cluster; unseen member masks
-        for t in range(C.shape[0]):
-            row = lbl == t
-            if row.any():
-                keys[t] = row.tobytes()
-                if keys[t] not in centers:
-                    unseen[keys[t]] = row
-        if unseen:
-            got = solve_1centers(pts, None, w, np.array(list(unseen.values())), z)[0]
-            centers.update(zip(unseen, got))
-        new = C.copy()
-        for t, key in keys.items():
-            new[t] = centers[key]
-        new_cost = power_cost((pts, w), new, z)
-        if new_cost >= cost * (1.0 - 1e-12):
-            break
-        C, cost = new, new_cost
-    return C, cost
+    A round's one sq_dist_matrix table against every live init's centers
+    gives each its labels and its power_cost bits (argmin, power, times w,
+    tree_sum_rows in canonical order), and labels the next round. One
+    solve_1centers call per round solves the member sets no init has seen,
+    memoized by member mask: a set's center depends on its members alone.
+    An init leaves once a round fails to lower its cost by a factor
+    1 - 1e-12. The winner is the first init of least cost. Inits go in
+    groups of _CHUNK // (n k), so a table holds at most _CHUNK entries."""
+    n, (k, d) = pts.shape[0], inits[0].shape
+    order = canonical_order(pts, w)
+
+    def assess(centers):
+        sq = sq_dist_matrix(pts, centers.reshape(-1, d)).reshape(n, -1, k)
+        lbl = sq.argmin(axis=2)  # first minimum = lowest center index
+        best = np.take_along_axis(sq, lbl[:, :, None], axis=2)[:, :, 0]
+        costs = w[:, None] * _power_from_sq(best, z)
+        return lbl.T, tree_sum_rows(costs[order].T)
+
+    memo, winner = {}, None
+    per = max(1, _CHUNK // (n * k))
+    for lo in range(0, len(inits), per):
+        C = np.array(inits[lo : lo + per], dtype=np.float64)  # (inits, k, d)
+        lbl, cost = assess(C)
+        live = np.arange(C.shape[0])
+        for _ in range(rounds):  # rows: the members of each live init's centers
+            rows = (lbl[live][:, None, :] == np.arange(k)[:, None]).reshape(-1, n)
+            used = np.flatnonzero(rows.any(axis=1))  # empty clusters keep their center
+            keys = [rows[i].tobytes() for i in used]
+            unseen = {key: rows[i] for i, key in zip(used, keys) if key not in memo}
+            if unseen:
+                got = solve_1centers(pts, None, w, np.array(list(unseen.values())), z)[0]
+                memo.update(zip(unseen, got))
+            new = C[live]
+            new.reshape(-1, d)[used] = [memo[key] for key in keys]
+            new_lbl, new_cost = assess(new)
+            go = ~(new_cost >= cost[live] * (1.0 - 1e-12))
+            live = live[go]
+            C[live], cost[live], lbl[live] = new[go], new_cost[go], new_lbl[go]
+            if not live.size:
+                break
+        i = np.argmin(cost)
+        if winner is None or cost[i] < winner[0]:
+            winner = (cost[i], C[i])
+    return winner[1]
 
 
 def bicriteria_solve(P, params):
@@ -216,11 +239,12 @@ def bicriteria_solve(P, params):
 
     Initializations: the swap-search solution, and every k-subset of
     distinct input points when there are at most DEFAULT_SUBSET_CAP of
-    them. Each is polished by
-    up to DEFAULT_POLISH_ROUNDS assign/recenter rounds; winner by (cost,
-    init order). One memo of per-cluster 1-center solutions, keyed by
-    member mask, is shared by every init and round, so each distinct
-    cluster is solved once per call. An ExtendedPointSet is refused.
+    them. _polish_all polishes them all in lockstep, each by up to
+    DEFAULT_POLISH_ROUNDS assign/recenter rounds, with one distance table
+    and one solve_1centers call per round; winner by (cost, init order).
+    One memo of per-cluster 1-center solutions, keyed by member mask, is
+    shared by every init and round, so each distinct cluster is solved
+    once per call. An ExtendedPointSet is refused.
     """
     if isinstance(P, ExtendedPointSet):
         raise InputError("bicriteria_solve expects plain or weighted points")
@@ -240,13 +264,7 @@ def bicriteria_solve(P, params):
     if distinct.size >= k and math.comb(distinct.size, k) <= DEFAULT_SUBSET_CAP:
         for combo in itertools.combinations(distinct.tolist(), k):
             inits.append(pts[list(combo)])
-    best = None
-    centers = {}
-    for C0 in inits:
-        C, cost = _polish(pts, w, C0, z, DEFAULT_POLISH_ROUNDS, centers)
-        if best is None or cost < best[0]:
-            best = (cost, C)
-    C = CenterSet(best[1])
+    C = CenterSet(_polish_all(pts, w, inits, z, DEFAULT_POLISH_ROUNDS))
     return SolveResult(
         centers=C,
         cost=power_cost(P, C, z),

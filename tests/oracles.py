@@ -2,12 +2,18 @@
 
 Deliberately naive: pure-python double loops, brute grid searches, and
 re-enumerations that share no code with the library paths they check.
+The two sequential references at the end, sequential_polish and
+sequential_newton_centers, are the exception: they pin bits, so they run
+the library's own kernels one init, or one step size, at a time.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from detclust import geometry
+from detclust.geometry import min_power_dists, power_cost, solve_1centers
 
 
 def naive_power_cost(points, centers, z, weights=None):
@@ -559,3 +565,90 @@ def per_row_coreset_csv(header_line, points, nums, dens):
     for row, num, den in zip(points, nums, dens):
         out += ",".join(repr(float(v)) for v in row) + f",{int(num)}/{int(den)}\n"
     return out
+
+
+def sequential_polish(pts, w, inits, z, rounds):
+    """Centers of the best init, each polished on its own, one after the
+    other: alternate assign / per-cluster recenter, stopping once a round
+    fails to lower power_cost by a factor 1 - 1e-12; winner by (cost, init
+    order). One memo of solved member masks serves every init and round."""
+    memo, best = {}, None
+    for C0 in inits:
+        C = np.array(C0, dtype=np.float64)
+        cost = power_cost((pts, w), C, z)
+        for _ in range(rounds):
+            _, lbl = min_power_dists(pts, C, z)
+            keys, unseen = {}, {}
+            for t in range(C.shape[0]):
+                row = lbl == t
+                if row.any():
+                    keys[t] = row.tobytes()
+                    if keys[t] not in memo:
+                        unseen[keys[t]] = row
+            if unseen:
+                got = solve_1centers(pts, None, w, np.array(list(unseen.values())), z)[0]
+                memo.update(zip(unseen, got))
+            new = C.copy()
+            for t, key in keys.items():
+                new[t] = memo[key]
+            new_cost = power_cost((pts, w), new, z)
+            if new_cost >= cost * (1.0 - 1e-12):
+                break
+            C, cost = new, new_cost
+        if best is None or cost < best[0]:
+            best = (cost, C)
+    return best[1]
+
+
+def sequential_newton_centers(W, c, base, ext_sq, floor, z, certified, exhausted=None):
+    """geometry._newton_centers with its Armijo search one step size at a
+    time: t = 1, 1/2, ..., 2^-39, one distance table per try for the rows
+    still pending. exhausted, a list, collects the rows (indices into c)
+    that reject all 40 step sizes in some round."""
+    d = base.shape[1]
+    c = c.copy()
+    s2 = ext_sq + (floor * floor)[:, None]
+    live = np.arange(c.shape[0])
+    for _ in range(geometry._NEWTON_ROUNDS):
+        Wl, cl, s2l = W[live], c[live], s2[live]
+        sq = geometry.sq_dist_matrix(cl, base)
+        r = np.sqrt(sq + s2l)
+        coef = Wl * r ** (z - 2)
+        diff = cl[:, None, :] - base[None, :, :]
+        g = z * np.einsum("mi,mid->md", coef, diff, optimize=False)
+        H = coef.sum(axis=1)[:, None, None] * np.eye(d)
+        H += (z - 2) * np.einsum("mi,mid,mie->mde", coef / r**2, diff, diff, optimize=False)
+        lam, V = np.linalg.eigh(z * H)
+        well = lam[:, 0] > 1e-12 * lam[:, -1]
+        lam = np.where(well[:, None], lam, 1.0)
+        step = -np.einsum(
+            "mde,me->md", V, np.einsum("mde,md->me", V, g) / lam, optimize=False
+        )
+        gd = np.einsum("md,md->m", g, step, optimize=False)
+        pend = well & (gd < 0.0) & ~certified(live, cl, sq + ext_sq)
+        f0 = np.einsum("mi,mi->m", Wl, r**z, optimize=False)
+        t = np.ones(live.size)
+        moved = np.zeros(live.size, dtype=bool)
+        for _ in range(40):
+            rows = np.flatnonzero(pend)
+            if not rows.size:
+                break
+            c_try = cl[rows] + t[rows, None] * step[rows]
+            r_try = np.sqrt(geometry.sq_dist_matrix(c_try, base) + s2l[rows])
+            f_try = np.einsum("mi,mi->m", Wl[rows], r_try**z, optimize=False)
+            lim = f0[rows] + 0.25 * t[rows] * gd[rows]
+            acc = np.where(
+                t[rows] == 1.0,
+                f_try <= lim + 1e-13 * f0[rows],
+                (f_try <= lim) & (f_try < f0[rows]),
+            )
+            c[live[rows[acc]]] = c_try[acc]
+            moved[rows[acc]] = True
+            pend[rows[acc]] = False
+            t[rows[~acc]] *= 0.5
+        if exhausted is not None:
+            exhausted.extend(live[pend].tolist())
+        live = live[moved]
+        if not live.size:
+            break
+    return c

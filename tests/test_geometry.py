@@ -362,6 +362,22 @@ def _layouts(A):
     return [np.ascontiguousarray(A), np.asfortranarray(A), np.ascontiguousarray(A.T).T, wide[::2]]
 
 
+def test_tables_refuse_points_and_centers_of_other_dimension():
+    # an (n, 1) X against (m, 2) centers used to read the centers' first column
+    X = np.array([[0.0], [1.0], [2.0]])
+    for C in (np.array([[0.0, 5.0], [1.0, 5.0]]), np.zeros((2, 3)), np.zeros(2)):
+        with pytest.raises(InputError):
+            geometry.sq_dist_matrix(X, C)
+        with pytest.raises(InputError):
+            min_power_dists(X, C, 2)
+    with pytest.raises(InputError):
+        min_power_dists(np.zeros((4, 3)), np.zeros((1, 2)), 1)
+    for P in (X, geometry.ExtendedPointSet(X, np.ones(3))):  # power_cost checks through it
+        with pytest.raises(InputError, match="dimension"):
+            geometry.power_cost(P, np.zeros((1, 2)), 2)
+    assert geometry.sq_dist_matrix(X, [[1.0]]).ravel().tolist() == [1.0, 0.0, 1.0]
+
+
 def test_low_dim_table_equals_the_einsum_in_every_layout(monkeypatch):
     monkeypatch.setattr(geometry, "_CHUNK", 40)  # row blocks of 40 // (m d) rows
     rng = np.random.default_rng(21)

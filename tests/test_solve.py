@@ -37,6 +37,8 @@ from oracles import (
     naive_power_cost,
     part_cost,
     planar_two_means_opt,
+    sequential_newton_centers,
+    sequential_polish,
     stirling_partial_sum,
 )
 
@@ -176,7 +178,7 @@ def test_bicriteria_refuses_extended_input_before_any_work(monkeypatch):
         raise AssertionError("ran before the input check")
 
     monkeypatch.setattr(solve, "constant_factor_approx", fail)
-    monkeypatch.setattr(solve, "_polish", fail)
+    monkeypatch.setattr(solve, "_polish_all", fail)
     P = ExtendedPointSet([[-1.0], [1.0], [3.0], [4.0]], extensions=[1.0, 2.0, 0.5, 0.1])
     for k in (2, 5):
         with pytest.raises(InputError):
@@ -335,6 +337,75 @@ def test_newton_medians_leaves_singular_rows_and_solves_the_rest():
     _, ref = grid_search_1center(base[:4].tolist(), 3)
     assert (np.sqrt(sq_at(out[:1])[0, :4]) ** 3).sum() <= ref * (1 + 1e-12)
     assert out[0, 1] == 0.0
+
+
+def test_lockstep_polish_matches_the_sequential_polish(monkeypatch):
+    # every init polished in lockstep gives the bytes of polishing them one
+    # after the other, on the inits bicriteria_solve hands it
+    handed = []
+    lockstep = solve._polish_all
+
+    def recorded(*args):
+        handed.append(args)
+        return lockstep(*args)
+
+    monkeypatch.setattr(solve, "_polish_all", recorded)
+    rng = np.random.default_rng(17)
+    for d, z, k in itertools.product((1, 2, 3, 5, 9), (1, 2, 3), (2, 3)):
+        for chunk in (solve._CHUNK, 40):
+            monkeypatch.setattr(solve, "_CHUNK", chunk)  # 40: a few inits a group
+            n = int(rng.integers(k + 3, 10))
+            pts = rng.standard_normal((n, d)) + 4.0 * (np.arange(n) % k)[:, None]
+            pts[-1] = pts[0]  # a duplicate: the subsets range over distinct points
+            w = rng.uniform(0.2, 3.0, n)
+            res = bicriteria_solve((pts, w), ClusteringParams(k=k, z=z, epsilon=0.3))
+            want = sequential_polish(*handed.pop())
+            assert res.centers.centers.tobytes() == want.tobytes()
+            assert res.cost.hex() == power_cost((pts, w), want, z).hex()
+            assert res.enumeration_stats == 1 + math.comb(n - 1, k)
+
+
+def _newton_instances(rng, d, z):
+    """Rows of random weights over a few blobs; z = 1 rows start within
+    1e-12 .. 1e-6 of a data point, where the line search runs longest."""
+    n, m = int(rng.integers(3, 12)), 6
+    base = rng.standard_normal((n, d)) + 3.0 * (np.arange(n) % 2)[:, None]
+    W = rng.uniform(0.5, 2.0, (m, n)) * (rng.random((m, n)) < 0.8)
+    W[:, :2] = 1.0
+    if z == 1:
+        off = 10.0 ** rng.integers(-12, -5, (m, 1))
+        c = base[rng.integers(0, n, m)] + off * rng.standard_normal((m, d))
+    else:
+        c = W @ base / W.sum(axis=1)[:, None] + rng.standard_normal((m, d))
+    ext_sq = rng.uniform(0.0, 0.5, n) ** 2 if rng.random() < 0.3 else np.zeros(n)
+    return W, c, base, ext_sq, np.full(m, 1e-12)
+
+
+def test_one_table_armijo_matches_the_sequential_line_search(monkeypatch):
+    rng = np.random.default_rng(23)
+
+    def never(live, cm, sq):
+        return np.zeros(live.size, dtype=bool)
+
+    exhausted = []
+    for chunk in (geometry._CHUNK, 60):
+        monkeypatch.setattr(geometry, "_CHUNK", chunk)  # 60: a few pairs a table
+        for d in (1, 2, 3, 5):
+            for z in (1, 3):
+                for _ in range(4):
+                    W, c, base, ext_sq, floor = _newton_instances(rng, d, z)
+
+                    def certified(live, cm, sq):
+                        g = geometry._gradient_norm(W[live], cm, sq, base, floor[live], z)
+                        return g <= 1e-12 * W[live].sum(axis=1)
+
+                    for cert in (certified, never):
+                        want = sequential_newton_centers(
+                            W, c, base, ext_sq, floor, z, cert, exhausted
+                        )
+                        out = geometry._newton_centers(W, c, base, ext_sq, floor, z, cert)
+                        assert out.tobytes() == want.tobytes()
+    assert exhausted  # some row rejected all 40 step sizes
 
 
 def test_approx_identical_blobs_is_exactly_zero():
