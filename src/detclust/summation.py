@@ -6,8 +6,9 @@ It sums power_cost, partition_cost, the ring deltas and the offset F.
 tree_sum_rows sums the member weights behind every 1-center centroid (one
 row per set in geometry.solve_1centers), the costs of every center tuple
 in rings.verify_offset_coreset and of every init in solve._polish_all
-(one row per tuple or init, equal to its power_cost). power_cost and partition_cost also sort the
-summands canonically, so they are bit-identical across permutations too.
+(one row per tuple or init, equal to its power_cost). power_cost and
+partition_cost also sort the summands canonically, so they are
+bit-identical across permutations too.
 Other sums (.sum, einsum) round in numpy's own order; those that drive
 decisions (the swap and greedy scores, and the subset-cost table that
 solve._all_subset_costs fills through solve_1centers) are pinned by the
