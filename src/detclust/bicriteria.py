@@ -26,11 +26,14 @@ from .geometry import (
     solve_1centers,
     sq_dist_matrix,
     ExtendedPointSet,
+    WeightedPointSet,
     first_seen_rows,
 )
 from .linmap import LinearMap
+from .summation import canonical_order, tree_sum_rows
 
 _EVAL_CHUNK = 1 << 22
+_ESTIMATE_ELEMENTS = 1 << 15  # spacing-estimate entries per group of sets
 _LIFT_POINTS = 128  # points per lift_by_clusters solve call
 _SEED_BITS = 16  # projection seeds lie in [0, 2**_SEED_BITS)
 
@@ -129,19 +132,20 @@ def ball_lattice(centers, radii, spacing):
     s = np.broadcast_to(np.asarray(spacing, dtype=np.float64), r.shape)
     if (r < 0).any() or (s <= 0).any():
         raise InputError("need radii >= 0 and spacing > 0")
-    d = P.shape[1]
     los = np.ceil((P - r[:, None]) / s[:, None]).astype(np.int64)
     his = np.floor((P + r[:, None]) / s[:, None]).astype(np.int64)
     counts = np.maximum(his - los + 1, 0)  # an empty axis empties the box
     sizes = counts.prod(axis=1)
     owner = np.repeat(np.arange(P.shape[0]), sizes)
-    # mixed-radix decode of each cell's rank inside its ball's box
+    # mixed-radix decode of each cell's rank inside its ball's box: digit j
+    # is rank // stride_j % counts_j, stride_j the product of the counts
+    # after axis j (the last axis runs fastest)
     rank = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    cells = np.empty((owner.size, d), dtype=np.int64)
-    for j in range(d - 1, -1, -1):
-        radix = counts[owner, j]
-        cells[:, j] = los[owner, j] + rank % radix
-        rank //= radix
+    stride = np.ones_like(counts)
+    stride[:, :-1] = np.cumprod(counts[:, :0:-1].T, axis=0)[::-1].T
+    cells = rank[:, None] // np.repeat(stride, sizes, axis=0)
+    cells %= np.repeat(counts, sizes, axis=0)
+    cells += np.repeat(los, sizes, axis=0)
     cand = cells * s[owner, None]
     keep = ((cand - P[owner]) ** 2).sum(axis=1) <= (r * r * (1.0 + 1e-12))[owner]
     return cand[keep], owner[keep]
@@ -160,10 +164,10 @@ def candidate_centers(P, params, anchor):
     log2(n/alpha)] (rounded outward, alpha = params.alpha), take the
     axis-aligned lattice with spacing (eps/z) * r_i / sqrt(d) inside
     B(p, r_i), r_i = 2^(i/z) * Delta^(1/z), Delta the anchor's average
-    cost. Every input point is always a candidate. If the lattice estimate exceeds MAX_CANDIDATES the spacing
-    is doubled (deterministically) until it fits, at most 40 times; the
-    fitting power of two is found by a galloping search on the exponent,
-    and spacing_scale records it.
+    cost. Every input point is always a candidate. If the lattice estimate
+    exceeds MAX_CANDIDATES the spacing is doubled (deterministically) until
+    it fits, at most 40 times; the fitting power of two is found by a
+    galloping search on the exponent, and spacing_scale records it.
 
     Generation order: the n input points in index order, then the
     lattice rows of one ball_lattice pass over every (level, point) ball,
@@ -176,79 +180,129 @@ def candidate_centers(P, params, anchor):
     the lattice lives in the base space, each ball is intersected with the
     slice, input points enter at extension 0, and every candidate row
     carries that 0 as its last coordinate.
+
+    The one-set case of _candidate_families.
     """
-    pts, w = _coerce_pointset(P)
-    base, ext, _ = _split_extended(P)
-    anchor_c = _coerce_centers(anchor)
-    n, lat_dim = base.shape
+    return _candidate_families([P], params, [anchor])[0]
+
+
+def _candidate_families(sets, params, anchors):
+    """candidate_centers(sets[i], params, anchors[i]) of every i, bit for bit.
+
+    The sets share n and the dimension, as the projected copies of one
+    point set do. One galloping search finds every set's spacing exponent
+    in lockstep: each round estimates the lattice of every set still
+    searching, at that set's own next exponent, in (sets, levels, n, d)
+    arrays of about _ESTIMATE_ELEMENTS elements per group of sets. Then
+    ball_lattice and first_seen_rows run once per set.
+    """
     z, eps, alpha = params.z, params.epsilon, params.alpha
-    lift_ext = np.zeros(n) if ext is None else ext
-
-    total_w = float(w.sum())
-    delta = power_cost((pts, w), anchor_c, z) / total_w if total_w > 0 else 0.0
-
-    rows = [base]
-    prov_point = [np.arange(n)]
-    prov_level = [np.full(n, CandidateCenters.LEVEL_INPUT)]
-    spacing_scale = 1
-    if delta > 0:
+    rows = [_coerce_pointset(P) for P in sets]
+    split = [_split_extended(P) for P in sets]
+    n, lat_dim = split[0][0].shape
+    deltas = []
+    for (pts, w), anchor in zip(rows, anchors):
+        total_w = float(w.sum())
+        cost = power_cost((pts, w), _coerce_centers(anchor), z)
+        deltas.append(cost / total_w if total_w > 0 else 0.0)
+    live = [i for i, delta in enumerate(deltas) if delta > 0]
+    scales = np.ones(len(sets), dtype=np.int64)
+    if live:
         lo = int(np.floor(np.log2(eps / (alpha * z))))
         hi = int(np.ceil(np.log2(max(n, 1) / alpha)))
         levels = np.arange(lo, hi + 1, dtype=np.int64)
-        radii = np.array([2.0 ** (i / z) * delta ** (1.0 / z) for i in levels.tolist()])
+        radii = np.array(
+            [[2.0 ** (i / z) * deltas[s] ** (1.0 / z) for i in levels.tolist()] for s in live]
+        )
         unit = (eps / z) * radii / np.sqrt(lat_dim)  # per-level spacing at scale 1
-        # (level, point) balls; slice mode: a ball only reaches the slice
-        # where r >= ext
-        eff_sq = radii[:, None] * radii[:, None] - lift_ext**2
+        base = np.array([split[s][0] for s in live])  # (sets, n, d)
+        ext_sq = np.array([np.zeros(n) if split[s][1] is None else split[s][1] ** 2 for s in live])
+        # (set, level, point) balls; slice mode: a ball only reaches the
+        # slice where r >= ext
+        eff_sq = radii[:, :, None] * radii[:, :, None] - ext_sq[:, None, :]
         eff = np.sqrt(np.maximum(0.0, eff_sq))
-
-        def _estimate(scale):
-            s = (unit * scale)[:, None, None]
-            per_axis = (
-                np.floor(base / s + eff[:, :, None] / s)
-                - np.ceil(base / s - eff[:, :, None] / s)
-                + 1.0
+        scales[live] = 1 << _spacing_exponents(base, unit, eff)
+    out = []
+    for s, ((pts, _), (base_s, ext_s, _)) in enumerate(zip(rows, split)):
+        cand_rows = [base_s]
+        prov_point = [np.arange(n)]
+        prov_level = [np.full(n, CandidateCenters.LEVEL_INPUT)]
+        if deltas[s] > 0:
+            g = live.index(s)
+            lvl, pt = np.nonzero(eff_sq[g] >= 0)  # balls that reach the slice
+            cand, owner = ball_lattice(
+                base_s[pt], eff[g][lvl, pt], unit[g][lvl] * int(scales[s])
             )
-            cells = np.prod(np.maximum(per_axis, 0.0), axis=2)
-            total = 0.0
-            for level_sum in np.minimum(cells, 1e18).sum(axis=1).tolist():
-                total += level_sum
-                if total > 1e17:
-                    return total
-            return total
+            cand_rows.append(cand)
+            prov_point.append(pt[owner])
+            prov_level.append(levels[lvl[owner]])
+        cand_rows = _on_slice(np.vstack(cand_rows), ext_s)
+        first, _ = first_seen_rows(cand_rows, 1e-9 * max(1.0, float(np.abs(pts).max())))
+        out.append(
+            CandidateCenters(
+                points=cand_rows[first],
+                provenance_point=np.concatenate(prov_point)[first],
+                provenance_level=np.concatenate(prov_level)[first],
+                spacing_scale=int(scales[s]),
+            )
+        )
+    return out
 
-        # first exponent e <= 40 with _estimate(2^e) <= MAX_CANDIDATES. The
-        # estimate never grows with the scale (the 2s-lattice is a
-        # sublattice of the s-lattice, and a power-of-two scale divides
-        # every base / s and eff / s exactly in float), so galloping over
-        # e = 0, 1, 3, 7, ... and then bisecting finds the same first fit
-        # as doubling one step at a time. Every e < lo_e overflows; hi_e
-        # fits or is the cap.
-        lo_e, hi_e = 0, 0
-        while hi_e < 40 and _estimate(1 << hi_e) > MAX_CANDIDATES:
-            lo_e, hi_e = hi_e + 1, min(2 * hi_e + 1, 40)
-        while lo_e < hi_e:
-            mid = (lo_e + hi_e) // 2
-            if _estimate(1 << mid) > MAX_CANDIDATES:
-                lo_e = mid + 1
+
+def _spacing_exponents(base, unit, eff):
+    """Per set, the first exponent e <= 40 whose lattice estimate at scale
+    2^e fits MAX_CANDIDATES; base (sets, n, d), unit (sets, levels), eff
+    (sets, levels, n).
+
+    The estimate never grows with the scale (the 2s-lattice is a
+    sublattice of the s-lattice, and a power-of-two scale divides every
+    base / s and eff / s exactly in float), so galloping over e = 0, 1, 3,
+    7, ... and then bisecting finds the same first fit as doubling one
+    step at a time. Each set runs its own search; one _estimate_over call
+    a round probes every set still searching. Every e < lo overflows; hi
+    fits or is the cap.
+    """
+    sets = unit.shape[0]
+    lo, hi, gallop = [0] * sets, [0] * sets, [True] * sets
+    while True:
+        act, probe = [], []
+        for s in range(sets):
+            gallop[s] = gallop[s] and hi[s] < 40
+            if gallop[s] or lo[s] < hi[s]:
+                act.append(s)
+                probe.append(hi[s] if gallop[s] else (lo[s] + hi[s]) // 2)
+        if not act:
+            return np.array(hi)
+        pick = slice(None) if len(act) == sets else act  # no copies while all search
+        scale = np.ldexp(1.0, probe)[:, None]
+        over = _estimate_over(base[pick], unit[pick] * scale, eff[pick])
+        for s, e, o in zip(act, probe, over.tolist()):
+            if gallop[s] and o:
+                lo[s], hi[s] = e + 1, min(2 * e + 1, 40)
+            elif gallop[s]:
+                gallop[s] = False
+            elif o:
+                lo[s] = e + 1
             else:
-                hi_e = mid
-        spacing_scale = 1 << hi_e
+                hi[s] = e
 
-        lvl, pt = np.nonzero(eff_sq >= 0)  # balls that reach the slice
-        cand, owner = ball_lattice(base[pt], eff[lvl, pt], unit[lvl] * spacing_scale)
-        rows.append(cand)
-        prov_point.append(pt[owner])
-        prov_level.append(levels[lvl[owner]])
 
-    rows = _on_slice(np.vstack(rows), ext)
-    first, _ = first_seen_rows(rows, 1e-9 * max(1.0, float(np.abs(pts).max())))
-    return CandidateCenters(
-        points=rows[first],
-        provenance_point=np.concatenate(prov_point)[first],
-        provenance_level=np.concatenate(prov_level)[first],
-        spacing_scale=spacing_scale,
-    )
+def _estimate_over(base, spacing, eff):
+    """Per set, whether the lattice cells in the boxes of its (level, point)
+    balls, at most 1e18 a box, exceed MAX_CANDIDATES at the given
+    per-level spacing; sets go in groups of about _ESTIMATE_ELEMENTS
+    (set, level, point, axis) entries. The counts are whole numbers, so
+    every summation order answers alike: a sum stays exact while it is
+    below 2^53, far above any budget."""
+    sets, n, d = base.shape
+    per = max(1, _ESTIMATE_ELEMENTS // (spacing.shape[1] * n * d))
+    over = np.empty(sets, dtype=bool)
+    for i in range(0, sets, per):
+        s = spacing[i : i + per, :, None, None]
+        b, e = base[i : i + per, None] / s, eff[i : i + per, :, :, None] / s
+        cells = np.prod(np.maximum(np.floor(b + e) - np.ceil(b - e) + 1.0, 0.0), axis=3)
+        over[i : i + per] = np.minimum(cells, 1e18).sum(axis=(1, 2)) > MAX_CANDIDATES
+    return over
 
 
 # ---------------- evaluation helpers ----------------
@@ -298,16 +352,30 @@ def constant_factor_approx(P, params):
     every point becomes a center. In slice mode the seeds are farthest
     points by their extended rows and then move to extension 0.
     """
+    centers = _seed_centers(P, params)
+    if centers.shape[0] < params.k:
+        return CenterSet(centers)
+    return _swap_search(P, params, centers, candidate_centers(P, params, centers))
+
+
+def _seed_centers(P, params):
+    """constant_factor_approx's starting centers: the Gonzalez seeds, or
+    every point when there are fewer than k, at extension 0 in slice mode."""
+    pts, _ = _coerce_pointset(P)
+    k = params.k
+    centers = pts.copy() if pts.shape[0] < k else _gonzalez_seeds(pts, k)
+    if _split_extended(P)[1] is not None:
+        centers[:, -1] = 0.0
+    return centers
+
+
+def _swap_search(P, params, centers, family):
+    """constant_factor_approx's single-swap local search from centers over
+    the candidate family; centers is updated in place."""
     pts, w = _coerce_pointset(P)
     k, z = params.k, params.z
     n = pts.shape[0]
-    centers = pts.copy() if n < k else _gonzalez_seeds(pts, k)
-    if _split_extended(P)[1] is not None:
-        centers[:, -1] = 0.0
-    if n < k:
-        return CenterSet(centers)
-
-    cand = candidate_centers(P, params, centers).points
+    cand = family.points
     PC = _power_table(cand, pts, w, z)
     ctr_tbl = _power_table(centers, pts, w, z)  # (k, n)
     cost = float(ctr_tbl.min(axis=0).sum())
@@ -416,6 +484,21 @@ def _bicriteria_lowdim(P, params):
     return greedy_augment(P, S0, candidate_centers(P, params, S0), params)
 
 
+def _bicriteria_lockstep(sets, params):
+    """_bicriteria_lowdim of every set (sets of one n and dimension), bit
+    for bit: both candidate families of all sets come from one
+    _candidate_families call each; seeding, swap search and greedy
+    augmentation run per set."""
+    seeds = [_seed_centers(S, params) for S in sets]
+    if seeds[0].shape[0] < params.k:
+        S0 = [CenterSet(c) for c in seeds]
+    else:
+        families = _candidate_families(sets, params, seeds)
+        S0 = [_swap_search(S, params, c, f) for S, c, f in zip(sets, seeds, families)]
+    families = _candidate_families(sets, params, S0)
+    return [greedy_augment(S, s0, f, params) for S, s0, f in zip(sets, S0, families)]
+
+
 def lift_by_clusters(P, labels, z):
     """Per-cluster optimal centers in the original space, in label order.
 
@@ -426,30 +509,62 @@ def lift_by_clusters(P, labels, z):
     of its own), on those points alone: a call's (clusters, points) tables
     stay small however many clusters there are. A run keeps the points in
     input order, so up to _LIFT_POINTS points the call is the whole set.
+    The one-labeling case of _lift_all.
     """
+    return _lift_all(P, [labels], z)[0]
+
+
+def _lift_all(P, labelings, z):
+    """lift_by_clusters(P, labels, z) of every labels in labelings, bit for
+    bit: the runs of all labelings over the same points share one
+    solve_1centers call (a row's center depends on that row alone), so up
+    to _LIFT_POINTS points every labeling is lifted in one call."""
     base, ext, w = _split_extended(P)
-    order = np.argsort(labels, kind="stable")
-    ids, starts = np.unique(labels[order], return_index=True)
-    ends = np.append(starts[1:], labels.size)
-    out = []
-    lo = 0
-    while lo < ids.size:
-        hi = lo + 1
-        while hi < ids.size and ends[hi] - starts[lo] <= _LIFT_POINTS:
-            hi += 1
-        cols = np.sort(order[starts[lo] : ends[hi - 1]])
-        members = labels[cols][None, :] == ids[lo:hi, None]
+    calls = {}  # run points (as bytes) -> (points, member rows)
+    pieces = []  # per labeling: (call key, first row, rows) of each run
+    for labels in labelings:
+        order = np.argsort(labels, kind="stable")
+        ids, starts = np.unique(labels[order], return_index=True)
+        ends = np.append(starts[1:], labels.size)
+        runs = []
+        lo = 0
+        while lo < ids.size:
+            hi = lo + 1
+            while hi < ids.size and ends[hi] - starts[lo] <= _LIFT_POINTS:
+                hi += 1
+            cols = np.sort(order[starts[lo] : ends[hi - 1]])
+            cols_rows = calls.setdefault(cols.tobytes(), (cols, []))[1]
+            runs.append((cols.tobytes(), sum(r.shape[0] for r in cols_rows), hi - lo))
+            cols_rows.append(labels[cols][None, :] == ids[lo:hi, None])
+            lo = hi
+        pieces.append(runs)
+    centers = {}
+    for key, (cols, members) in calls.items():
         sub_ext = None if ext is None else ext[cols]
-        out.append(solve_1centers(base[cols], sub_ext, w[cols], members, z)[0])
-        lo = hi
-    return np.vstack(out)
+        centers[key] = solve_1centers(base[cols], sub_ext, w[cols], np.vstack(members), z)[0]
+    return [np.vstack([centers[key][a : a + m] for key, a, m in runs]) for runs in pieces]
+
+
+def _power_costs(P, center_sets, z):
+    """power_cost(P, C, z) of every C in center_sets, bit for bit: one
+    distance table against all of them; each set's nearest-center power,
+    times w, is summed in canonical order by tree_sum_rows."""
+    pts, ext, w = _split_extended(P)
+    C = np.vstack(center_sets)
+    if ext is not None:  # the extension as a last coordinate, 0 at the centers
+        pts = np.column_stack([pts, ext])
+        C = np.column_stack([C, np.zeros(C.shape[0])])
+    starts = np.cumsum([0] + [c.shape[0] for c in center_sets[:-1]])
+    best = np.minimum.reduceat(sq_dist_matrix(pts, C), starts, axis=1)
+    costs = w[:, None] * _power_from_sq(best, z)
+    return tree_sum_rows(costs[canonical_order(pts, w)].T)
 
 
 def bicriteria(P, params):
     """Bicriteria solution: more than k centers, near-optimal cost.
 
     Dimension at most DEFAULT_DIM_THRESHOLD: constant-factor seeds, lattice
-    candidates, greedy augmentation. Above it: scan the first
+    candidates, greedy augmentation. Above it: project onto the first
     DEFAULT_PROJECTION_SEEDS sign-matrix projection seeds into
     DEFAULT_DIM_THRESHOLD dimensions, solve in each projected space, lift
     every solution back via per-cluster 1-centers, and keep the
@@ -457,6 +572,14 @@ def bicriteria(P, params):
     counts the extension as a dimension, projects only the base
     coordinates (one fewer of them) and keeps every center at extension 0,
     a trailing 0 on its row.
+
+    The seeds run in lockstep: one spacing search per candidate family
+    covers every seed, one solve_1centers call lifts the clusters of all
+    seeds (up to _LIFT_POINTS points), and one distance table gives every
+    seed its lifted cost. Per seed stay the projection, the Gonzalez
+    seeding, ball_lattice and the dedup of each family, the swap search,
+    the greedy augmentation and the projected labels. The results are
+    those of solving one seed at a time, bit for bit.
     """
     pts, w = _coerce_pointset(P)
     if pts.shape[1] <= DEFAULT_DIM_THRESHOLD:
@@ -466,22 +589,22 @@ def bicriteria(P, params):
     base_dim = base.shape[1]
     # projected rows, the extension column included, fit the threshold
     m = min(base_dim, DEFAULT_DIM_THRESHOLD - (pts.shape[1] - base_dim))
-    best = None
+    subs = []
     for seed in range(DEFAULT_PROJECTION_SEEDS):
-        lin = seeded_projection_family(base_dim, m, seed)
-        proj = lin.apply(base)
-        sub = (proj, w) if ext is None else ExtendedPointSet(proj, ext, w)
-        res = _bicriteria_lowdim(sub, params)
-        rows, _ = _coerce_pointset(sub)
-        _, labels = min_power_dists(rows, res.centers.centers, params.z)
-        lifted = lift_by_clusters(P, labels, params.z)
-        cost = power_cost(P, lifted, params.z)
-        if best is None or cost < best[0]:
-            best = (cost, seed, lifted, res)
-    cost, seed, lifted, res = best
+        proj = seeded_projection_family(base_dim, m, seed).apply(base)
+        subs.append(WeightedPointSet(proj, w) if ext is None else ExtendedPointSet(proj, ext, w))
+    results = _bicriteria_lockstep(subs, params)
+    labels = [
+        min_power_dists(_coerce_pointset(sub)[0], res.centers.centers, params.z)[1]
+        for sub, res in zip(subs, results)
+    ]
+    lifted = _lift_all(P, labels, params.z)
+    costs = _power_costs(P, lifted, params.z)
+    seed = int(np.argmin(costs))  # first minimum = lowest seed
+    res = results[seed]
     return BicriteriaResult(
-        centers=CenterSet(_on_slice(lifted, ext)),
-        cost=cost,
+        centers=CenterSet(_on_slice(lifted[seed], ext)),
+        cost=float(costs[seed]),
         stopped_reason=res.stopped_reason,
         projection_seed=seed,
         baseline_size=res.baseline_size,

@@ -32,7 +32,8 @@ JL_C = 4.0
 MAX_SEEDS = 256
 MAX_SUBSETS = 20_000
 MAX_COVER_STEPS = 3
-_NET_CHUNK = 512  # net rows deduplicated per pass, which bounds its temporaries
+_BASIS_TOL = 1e-12  # relative residual norm that ends a Gram-Schmidt basis
+_NET_CHUNK = 1024  # net rows built and deduplicated per block, which bounds its temporaries
 
 
 @dataclass(frozen=True)
@@ -100,36 +101,57 @@ def hull_cover(S, spacing, max_steps=None):
         return S.copy()
     if spacing <= 0:
         raise InputError("spacing must be positive")
-    return _cover(S, float(_pair_distances(S).max()), spacing, max_steps)
+    diam = np.array([_pair_distances(S).max()])
+    G = _cover_steps(S.shape[0], diam, np.array([float(spacing)]), max_steps)
+    return _covers(S[None], int(G[0]))[0]
 
 
-def _cover(S, diam, spacing, max_steps):
-    """hull_cover of S given its diameter: one einsum over the cached
-    barycentric table, each row rounded as the one-weight-vector einsum
-    "i,ij->j" rounds it."""
-    if diam == 0.0:
-        return S[:1].copy()
-    G = max(1, math.ceil((S.shape[0] - 1) * diam / spacing))
-    if max_steps is not None:
-        G = min(G, int(max_steps))
-    return np.einsum("ci,ij->cj", _barycentric_steps(G, S.shape[0]), S, optimize=False)
-
-
-def _pivoted_orthobasis(V, rel_tol=1e-12):
-    """Orthonormal basis of the row span, Gram-Schmidt with pivoting on the
-    largest residual norm (ties to the lowest row index)."""
+def _pivoted_orthobases(V):
+    """Orthonormal basis of the row span of every (j, d) slab of V,
+    Gram-Schmidt with pivoting on the largest residual norm (ties to the
+    lowest row index), all slabs in lockstep. A slab stops at its first
+    residual of norm 0 or at most _BASIS_TOL times its largest row norm.
+    Returns (bases, valid): bases[b, t] is slab b's t-th basis row where
+    valid[b, t]; each slab's valid rows come first."""
     work = np.array(V, dtype=np.float64)
-    scale = float(np.sqrt((work**2).sum(axis=1)).max(initial=0.0))
-    basis = []
-    for _ in range(min(work.shape)):
-        norms = np.sqrt((work**2).sum(axis=1))
-        i = int(np.argmax(norms))
-        if norms[i] <= rel_tol * scale or norms[i] == 0.0:
+    B, j, d = work.shape
+    slabs = np.arange(B)
+    scale = np.sqrt((work**2).sum(axis=2)).max(axis=1)
+    bases = np.zeros((B, min(j, d), d))
+    valid = np.zeros((B, min(j, d)), dtype=bool)
+    alive = np.ones(B, dtype=bool)
+    for t in range(min(j, d)):
+        norms = np.sqrt((work**2).sum(axis=2))
+        top = norms[slabs, np.argmax(norms, axis=1)]
+        alive &= (top > _BASIS_TOL * scale) & (top != 0.0)
+        if not alive.any():
             break
-        q = work[i] / norms[i]
-        basis.append(q)
-        work = work - np.outer(np.einsum("ij,j->i", work, q), q)
-    return np.array(basis) if basis else np.empty((0, V.shape[1]))
+        q = work[slabs, np.argmax(norms, axis=1)] / np.where(alive, top, 1.0)[:, None]
+        bases[:, t], valid[:, t] = q, alive
+        work = work - np.einsum("bij,bj->bi", work, q)[:, :, None] * q[:, None, :]
+    return bases, valid
+
+
+def _cover_steps(j, diams, spacings, max_steps):
+    """hull_cover's barycentric step count G of subsets of j points at the
+    given diameters and spacings, capped at max_steps unless it is None;
+    0 for a subset of diameter 0, whose cover is its first point."""
+    G = np.zeros(diams.shape)
+    wide = diams > 0.0
+    G[wide] = np.maximum(1.0, np.ceil((j - 1) * diams[wide] / spacings[wide]))
+    if max_steps is not None:
+        G = np.minimum(G, int(max_steps))
+    return G.astype(np.int64)
+
+
+def _covers(S, G):
+    """(B, C, d) hull covers of the B subsets S (B, j, d) at G steps: one
+    einsum over the cached barycentric table, each row rounded as the
+    one-weight-vector einsum "i,ij->j" rounds it; G = 0 gives each
+    subset's first point."""
+    if G == 0:
+        return S[:, :1].copy()
+    return np.einsum("ci,bij->bcj", _barycentric_steps(G, S.shape[1]), S, optimize=False)
 
 
 def build_net(representatives, witness: WitnessParams, eps, z):
@@ -140,6 +162,10 @@ def build_net(representatives, witness: WitnessParams, eps, z):
     most MAX_COVER_STEPS steps) and an orthonormal basis of the span;
     the origin is always included. Points are deduplicated at 1e-12
     relative quantization, first source kept.
+
+    Subsets of one size go in blocks of about _NET_CHUNK rows: one einsum
+    builds a block's covers, one lockstep Gram-Schmidt its bases, and
+    _NetRows dedups the block against itself and the kept net.
     """
     reps = _as_points(representatives, "representatives")
     T = reps.shape[0]
@@ -155,21 +181,7 @@ def build_net(representatives, witness: WitnessParams, eps, z):
 
     eps_prime = eps / (4.0 * witness.D * z)
     pair = _pair_distances(reps)  # every subset's diameter is read from it
-    quantum = 1e-12 * max(1.0, float(np.abs(reps).max(initial=0.0)))
-    net = np.zeros((1, reps.shape[1]))  # the origin
-    sources = [(-1, "origin")]
-    pending, tags = [], []  # rows not yet deduplicated, one source each
-
-    def flush():
-        # the kept rows come first and are distinct, so they all stay
-        nonlocal net
-        rows = np.vstack([net, *pending])
-        keep, _ = first_seen_rows(rows, quantum)
-        sources.extend(tags[i] for i in (keep[net.shape[0] :] - net.shape[0]).tolist())
-        net = rows[keep]
-        pending.clear()
-        tags.clear()
-
+    net = _NetRows(1e-12 * max(1.0, float(np.abs(reps).max(initial=0.0))), reps.shape[1])
     sid = 0
     for j in range(1, min(witness.R, T) + 1):
         combos = np.fromiter(
@@ -178,19 +190,62 @@ def build_net(representatives, witness: WitnessParams, eps, z):
             count=math.comb(T, j) * j,
         ).reshape(-1, j)
         diams = pair[combos[:, :, None], combos[:, None, :]].max(axis=(1, 2))
-        for combo, diam in zip(combos, diams.tolist()):
-            S = reps[combo]
-            for rows, kind in (
-                (_cover(S, diam, eps_prime * diam, MAX_COVER_STEPS), "cover"),
-                (_pivoted_orthobasis(S), "basis"),
-            ):
-                pending.append(rows)
-                tags.extend([(sid, kind)] * rows.shape[0])
-            sid += 1
-            if len(tags) >= _NET_CHUNK:
-                flush()
-    flush()
-    return WitnessNet(points=net, sources=tuple(sources))
+        steps = _cover_steps(j, diams, eps_prime * diams, MAX_COVER_STEPS)
+        lo = 0
+        while lo < combos.shape[0]:  # blocks of subsets with one step count
+            G = int(steps[lo])
+            per = max(1, _NET_CHUNK // (math.comb(G + j - 1, j - 1) + j))  # rows a subset
+            hi = lo + int(np.argmax(np.append(steps[lo : lo + per], -1) != G))
+            S = reps[combos[lo:hi]]
+            covers = _covers(S, G)
+            bases, valid = _pivoted_orthobases(S)
+            rows = np.concatenate([covers, bases], axis=1)
+            take = np.concatenate([np.ones(covers.shape[:2], dtype=bool), valid], axis=1)
+            sids = np.broadcast_to(np.arange(sid + lo, sid + hi)[:, None], take.shape)
+            is_basis = np.broadcast_to(np.arange(take.shape[1]) >= covers.shape[1], take.shape)
+            net.add(rows[take], sids[take], is_basis[take])
+            lo = hi
+        sid += combos.shape[0]
+    points, sources = net.done()
+    return WitnessNet(points=points, sources=sources)
+
+
+class _NetRows:
+    """First-seen dedup of net rows arriving in blocks, starting from the
+    origin; two rows are one when they round to the same multiple of
+    quantum in every coordinate.
+
+    A block is deduplicated by first_seen_rows on its own rows. Its
+    distinct rows are then looked up by binary search among the kept rows'
+    quantized keys, each key one opaque byte string, kept sorted; the new
+    keys are inserted in order, so the kept net is never sorted again.
+    """
+
+    def __init__(self, quantum, d):
+        self.quantum = quantum
+        self.points = [np.zeros((1, d))]  # the origin, then each block's new rows
+        self.sources = [(-1, "origin")]
+        self.keys = self._keys(self.points[0])  # sorted
+
+    def _keys(self, rows):
+        keys = np.round(rows / self.quantum).astype(np.int64)
+        return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+
+    def add(self, rows, sids, is_basis):
+        first, _ = first_seen_rows(rows, self.quantum)
+        keys = self._keys(rows[first])
+        seen = self.keys[np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)] == keys
+        new = first[~seen]
+        fresh = np.sort(keys[~seen])
+        self.keys = np.insert(self.keys, np.searchsorted(self.keys, fresh), fresh)
+        self.points.append(rows[new])
+        kinds = ("cover", "basis")
+        self.sources.extend(
+            (sid, kinds[b]) for sid, b in zip(sids[new].tolist(), is_basis[new].tolist())
+        )
+
+    def done(self):
+        return np.vstack(self.points), tuple(self.sources)
 
 
 # ---------------- derandomized distance preservation ----------------

@@ -309,7 +309,11 @@ def _unhex_tree(value):
 
 def write_sketch(lin, net_points, params, path):
     """Sketch bundle JSON: the map matrix, its distortion certificate, and
-    the witness-net rows it was certified on, all floats hex-encoded."""
+    the witness-net rows it was certified on, all floats hex-encoded.
+
+    The bytes of json.dump(doc, sort_keys=True, indent=1) plus a newline:
+    json.dumps writes the small fields around two placeholders, and the
+    matrix and net lists are joined as text in its layout."""
     net = np.asarray(net_points, dtype=np.float64)
     doc = {
         "format": "dclus-sketch-1",
@@ -319,15 +323,38 @@ def write_sketch(lin, net_points, params, path):
         "map_eps": None if lin.eps is None else float(lin.eps).hex(),
         "rows": int(lin.m),
         "cols": int(lin.d),
-        "matrix": [float(v).hex() for v in lin.matrix.ravel(order="C")],
+        "matrix": 0,
         "certificate": None
         if lin.certificate is None
         else {k: _hex_tree(v) for k, v in lin.certificate.items()},
-        "net": [[float(v).hex() for v in row] for row in net],
+        "net": 0,
     }
+    # the placeholders are top-level lines, the only ones that open with a
+    # newline and one space (strings in JSON hold no raw newline)
+    head, tail = json.dumps(doc, sort_keys=True, indent=1).split(
+        '\n "matrix": 0,\n "net": 0,\n'
+    )
+    matrix = _json_hex_list(lin.matrix.ravel(order="C").tolist(), 1)
+    rows = [_json_hex_list(row, 2) for row in net.tolist()]
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(f'{head}\n "matrix": {matrix},\n "net": {_json_list(rows, 1)},\n{tail}\n')
+
+
+def _json_hex_list(values, depth):
+    """json.dumps(indent=1) of the hex strings of values at nesting depth."""
+    if not values:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    items = ('",' + pad + '"').join(map(float.hex, values))
+    return f'[{pad}"{items}"\n{" " * depth}]'
+
+
+def _json_list(items, depth):
+    """json.dumps(indent=1) layout of a list of encoded items at depth."""
+    if not items:
+        return "[]"
+    pad = "\n" + " " * (depth + 1)
+    return f"[{pad}{(',' + pad).join(items)}\n{' ' * depth}]"
 
 
 def read_sketch(path):

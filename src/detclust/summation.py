@@ -5,8 +5,9 @@ depends only on the length of the input, never on threading or chunking.
 It sums power_cost, partition_cost, the ring deltas and the offset F.
 tree_sum_rows sums the member weights behind every 1-center centroid (one
 row per set in geometry.solve_1centers), the costs of every center tuple
-in rings.verify_offset_coreset and of every init in solve._polish_all
-(one row per tuple or init, equal to its power_cost). power_cost and
+in rings.verify_offset_coreset, of every init in solve._polish_all and
+of every projection seed's lifted centers in bicriteria._power_costs
+(one row per tuple, init or seed, equal to its power_cost). power_cost and
 partition_cost also sort the summands canonically, so they are
 bit-identical across permutations too.
 Other sums (.sum, einsum) round in numpy's own order; those that drive

@@ -2,9 +2,10 @@
 
 Deliberately naive: pure-python double loops, brute grid searches, and
 re-enumerations that share no code with the library paths they check.
-The two sequential references at the end, sequential_polish and
-sequential_newton_centers, are the exception: they pin bits, so they run
-the library's own kernels one init, or one step size, at a time.
+The sequential references at the end (sequential_polish,
+sequential_newton_centers, sequential_projection_scan, flush_build_net)
+are the exception: they pin bits, so they run the library's own kernels
+one init, one step size, one projection seed or one subset at a time.
 """
 
 import itertools
@@ -425,6 +426,30 @@ def meshgrid_ball(center, radius, spacing):
     return cand[keep], bool((his < los).any())
 
 
+def per_axis_ball_lattice(centers, radii, spacing):
+    """bicriteria.ball_lattice with its mixed-radix decode one axis at a
+    time, last axis first: cell j = lo_j + rank % count_j, then rank //=
+    count_j. Returns (rows, owner)."""
+    P = np.asarray(centers, dtype=np.float64)
+    r = np.asarray(radii, dtype=np.float64)
+    s = np.broadcast_to(np.asarray(spacing, dtype=np.float64), r.shape)
+    d = P.shape[1]
+    los = np.ceil((P - r[:, None]) / s[:, None]).astype(np.int64)
+    his = np.floor((P + r[:, None]) / s[:, None]).astype(np.int64)
+    counts = np.maximum(his - los + 1, 0)
+    sizes = counts.prod(axis=1)
+    owner = np.repeat(np.arange(P.shape[0]), sizes)
+    rank = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    cells = np.empty((owner.size, d), dtype=np.int64)
+    for j in range(d - 1, -1, -1):
+        radix = counts[owner, j]
+        cells[:, j] = los[owner, j] + rank % radix
+        rank //= radix
+    cand = cells * s[owner, None]
+    keep = ((cand - P[owner]) ** 2).sum(axis=1) <= (r * r * (1.0 + 1e-12))[owner]
+    return cand[keep], owner[keep]
+
+
 def linear_spacing_scale(pts, anchor_cost, z, eps, alpha, max_candidates, zero_last_coord):
     """Lattice spacing factor by plain doubling: 1, 2, 4, ... until the
     per-level cell estimate fits max_candidates, stopping at 2**40.
@@ -551,6 +576,32 @@ def per_composition_cover(S, spacing, max_steps=None):
     return np.array(out)
 
 
+def json_dump_sketch(lin, net_points, params, path):
+    """A sketch bundle written by json.dump(sort_keys=True, indent=1) over
+    the whole document, the way io.write_sketch first wrote it."""
+    import json
+
+    from detclust.io import _hex_tree
+
+    doc = {
+        "format": "dclus-sketch-1",
+        "k": params.k,
+        "z": params.z,
+        "eps": float(params.epsilon).hex(),
+        "map_eps": None if lin.eps is None else float(lin.eps).hex(),
+        "rows": int(lin.m),
+        "cols": int(lin.d),
+        "matrix": [float(v).hex() for v in lin.matrix.ravel(order="C")],
+        "certificate": None
+        if lin.certificate is None
+        else {k: _hex_tree(v) for k, v in lin.certificate.items()},
+        "net": [[float(v).hex() for v in row] for row in np.asarray(net_points, dtype=np.float64)],
+    }
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write("\n")
+
+
 def per_row_points_csv(header_line, rows):
     """Point CSV text written one row and one value at a time."""
     out = header_line + "\n"
@@ -652,3 +703,120 @@ def sequential_newton_centers(W, c, base, ext_sq, floor, z, certified, exhausted
         if not live.size:
             break
     return c
+
+
+def sequential_lift(P, labels, z):
+    """bicriteria.lift_by_clusters for one labeling, one run at a time: a
+    solve_1centers call per run of whole clusters holding at most
+    _LIFT_POINTS points, on those points alone."""
+    from detclust.bicriteria import _LIFT_POINTS
+
+    base, ext, w = geometry._split_extended(P)
+    order = np.argsort(labels, kind="stable")
+    ids, starts = np.unique(labels[order], return_index=True)
+    ends = np.append(starts[1:], labels.size)
+    out = []
+    lo = 0
+    while lo < ids.size:
+        hi = lo + 1
+        while hi < ids.size and ends[hi] - starts[lo] <= _LIFT_POINTS:
+            hi += 1
+        cols = np.sort(order[starts[lo] : ends[hi - 1]])
+        members = labels[cols][None, :] == ids[lo:hi, None]
+        sub_ext = None if ext is None else ext[cols]
+        out.append(solve_1centers(base[cols], sub_ext, w[cols], members, z)[0])
+        lo = hi
+    return np.vstack(out)
+
+
+def sequential_projection_scan(P, params):
+    """The d > DEFAULT_DIM_THRESHOLD branch of bicriteria, one projection
+    seed at a time: project, solve with _bicriteria_lowdim, label in the
+    projected space, lift with sequential_lift, cost with power_cost, and
+    keep the (cost, seed)-lexicographic best. Returns (centers, cost,
+    stopped_reason, projection_seed, baseline_size)."""
+    import importlib
+
+    bic = importlib.import_module("detclust.bicriteria")  # not the function
+    pts, w = geometry._coerce_pointset(P)
+    base, ext, _ = geometry._split_extended(P)
+    base_dim = base.shape[1]
+    m = min(base_dim, bic.DEFAULT_DIM_THRESHOLD - (pts.shape[1] - base_dim))
+    best = None
+    for seed in range(bic.DEFAULT_PROJECTION_SEEDS):
+        proj = bic.seeded_projection_family(base_dim, m, seed).apply(base)
+        sub = (proj, w) if ext is None else geometry.ExtendedPointSet(proj, ext, w)
+        res = bic._bicriteria_lowdim(sub, params)
+        rows, _ = geometry._coerce_pointset(sub)
+        _, labels = min_power_dists(rows, res.centers.centers, params.z)
+        lifted = sequential_lift(P, labels, params.z)
+        cost = power_cost(P, lifted, params.z)
+        if best is None or cost < best[0]:
+            best = (cost, seed, lifted, res)
+    cost, seed, lifted, res = best
+    centers = lifted if ext is None else np.hstack([lifted, np.zeros((lifted.shape[0], 1))])
+    return centers, cost, res.stopped_reason, seed, res.baseline_size
+
+
+def sequential_orthobasis(V):
+    """Orthonormal basis of the row span of V alone: Gram-Schmidt pivoting
+    on the largest residual norm (ties to the lowest row), stopping at a
+    residual of norm 0 or at most 1e-12 times the largest row norm."""
+    work = np.array(V, dtype=np.float64)
+    scale = float(np.sqrt((work**2).sum(axis=1)).max(initial=0.0))
+    basis = []
+    for _ in range(min(work.shape)):
+        norms = np.sqrt((work**2).sum(axis=1))
+        i = int(np.argmax(norms))
+        if norms[i] <= 1e-12 * scale or norms[i] == 0.0:
+            break
+        q = work[i] / norms[i]
+        basis.append(q)
+        work = work - np.outer(np.einsum("ij,j->i", work, q), q)
+    return np.array(basis) if basis else np.empty((0, V.shape[1]))
+
+
+def flush_build_net(reps, witness, eps, z, chunk):
+    """dimreduce.build_net one subset at a time: per-composition covers,
+    sequential_orthobasis, and a dedup pass each time chunk rows are
+    pending, which runs first_seen_rows over the whole kept net stacked on
+    the pending rows. Returns (points, sources)."""
+    from detclust.dimreduce import MAX_COVER_STEPS
+
+    reps = np.asarray(reps, dtype=np.float64)
+    T = reps.shape[0]
+    eps_prime = eps / (4.0 * witness.D * z)
+    quantum = 1e-12 * max(1.0, float(np.abs(reps).max(initial=0.0)))
+    net = np.zeros((1, reps.shape[1]))
+    sources = [(-1, "origin")]
+    pending, tags = [], []
+
+    def flush():
+        nonlocal net
+        rows = np.vstack([net, *pending])
+        keep, _ = geometry.first_seen_rows(rows, quantum)
+        sources.extend(tags[i] for i in (keep[net.shape[0] :] - net.shape[0]).tolist())
+        net = rows[keep]
+        pending.clear()
+        tags.clear()
+
+    sid = 0
+    for j in range(1, min(witness.R, T) + 1):
+        for combo in itertools.combinations(range(T), j):
+            S = reps[list(combo)]
+            diam = max(
+                (float(np.sqrt(((S[b] - S[a]) ** 2).sum()))
+                 for a in range(j) for b in range(a + 1, j)),
+                default=0.0,
+            )
+            cover = S[:1] if diam == 0.0 else per_composition_cover(
+                S, eps_prime * diam, MAX_COVER_STEPS
+            )
+            for rows, kind in ((cover, "cover"), (sequential_orthobasis(S), "basis")):
+                pending.append(rows)
+                tags.extend([(sid, kind)] * rows.shape[0])
+            sid += 1
+            if len(tags) >= chunk:
+                flush()
+    flush()
+    return net, tuple(sources)

@@ -33,7 +33,10 @@ from oracles import (
     linear_spacing_scale,
     meshgrid_ball,
     naive_power_cost,
+    per_axis_ball_lattice,
     per_ball_candidates,
+    sequential_lift,
+    sequential_projection_scan,
 )
 
 # the package exports the function bicriteria under the submodule's name
@@ -105,6 +108,31 @@ def test_ball_lattice_per_ball_spacing_equals_scalar_calls():
         assert owner.tolist() == np.repeat(np.arange(7), [r.shape[0] for r, _ in parts]).tolist()
     with pytest.raises(InputError):
         ball_lattice([[0.0], [1.0]], [1.0, 1.0], [0.5, 0.0])
+
+
+def test_ball_lattice_decode_matches_the_per_axis_loop():
+    rng = np.random.default_rng(19)
+    rows_seen = 0
+    for d in range(1, 9):
+        for trial in range(12):
+            m = int(rng.integers(1, 9))
+            spacing = float(rng.uniform(0.2, 1.0))
+            centers = rng.standard_normal((m, d)) * 2.0
+            # at most 3 cells per axis past d = 3, so a box holds <= 3^8 cells
+            radii = rng.uniform(0.0, 1.0, m) * spacing * (4.0 if d <= 3 else 1.2)
+            radii[0] = 0.0  # one cell at most
+            if m > 1:
+                centers[1] = np.round(centers[1] / spacing) * spacing  # lattice-aligned
+                radii[1] = 0.0 if trial % 2 else spacing
+            if m > 2:
+                radii[2] = 1e-3  # some axis is almost surely empty
+            spacings = spacing if trial % 3 else rng.uniform(0.2, 1.0, m)
+            got = ball_lattice(centers, radii, spacings)
+            want = per_axis_ball_lattice(centers, radii, spacings)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].tobytes() == want[1].tobytes()
+            rows_seen += got[0].shape[0]
+    assert rows_seen > 1000
 
 
 def test_candidate_centers_makes_one_lattice_pass(monkeypatch):
@@ -457,13 +485,13 @@ def test_slice_mode_rejects_negative_last_coord_before_solving(monkeypatch):
     from detclust.datasets import gaussian_blobs
 
     calls = []
-    lowdim = bicriteria_mod._bicriteria_lowdim
+    lockstep = bicriteria_mod._bicriteria_lockstep
 
     def counted(*args):
         calls.append(1)
-        return lowdim(*args)
+        return lockstep(*args)
 
-    monkeypatch.setattr(bicriteria_mod, "_bicriteria_lowdim", counted)
+    monkeypatch.setattr(bicriteria_mod, "_bicriteria_lockstep", counted)
     pts = gaussian_blobs(24, 30, blobs=2, seed=2, separation=6)
     assert (pts[:, -1] < 0).any()
     with pytest.raises(InputError):
@@ -472,3 +500,99 @@ def test_slice_mode_rejects_negative_last_coord_before_solving(monkeypatch):
             ClusteringParams(k=2, z=2, epsilon=0.3),
         )
     assert calls == []
+
+
+def _projected_sets(rng, n, d, count, extended):
+    """count projections of one random set, as the projection scan makes
+    them; extended sets share the original set's extensions."""
+    pts = rng.standard_normal((n, 30)) * 2.0
+    pts[: n // 2] += 6.0
+    ext = np.abs(rng.standard_normal(n)) * 0.5
+    out = []
+    for seed in range(count):
+        proj = seeded_projection_family(30, d, seed).apply(pts)
+        out.append(ExtendedPointSet(proj, ext) if extended else proj)
+    return out
+
+
+def test_candidate_families_match_per_set_candidate_centers(monkeypatch):
+    rng = np.random.default_rng(27)
+    seen_cap = seen_zero = 0
+    for extended, budget, group in itertools.product(
+        (False, True), (0, 40, 4096), (1, 1 << 18)
+    ):
+        monkeypatch.setattr(bicriteria_mod, "MAX_CANDIDATES", budget)
+        monkeypatch.setattr(bicriteria_mod, "_ESTIMATE_ELEMENTS", group)
+        sets = _projected_sets(rng, 10, 3, 5, extended)
+        # two locations, each an anchor center: cost 0, so no lattice
+        dup = np.repeat((sets[1].points if extended else sets[1])[:2], 5, axis=0)
+        sets[1] = ExtendedPointSet(dup, np.zeros(10)) if extended else dup
+        anchors = [(S.points if extended else S)[:2] for S in sets]
+        if extended:  # centers at extension 0
+            anchors = [np.hstack([a, np.zeros((2, 1))]) for a in anchors]
+        params = P(k=2, z=int(rng.integers(1, 4)), epsilon=0.3, alpha=2.0)
+        got = bicriteria_mod._candidate_families(sets, params, anchors)
+        for fam, S, a in zip(got, sets, anchors):
+            want = candidate_centers(S, params, a)
+            assert fam.points.tobytes() == want.points.tobytes()
+            assert np.array_equal(fam.provenance_point, want.provenance_point)
+            assert np.array_equal(fam.provenance_level, want.provenance_level)
+            assert fam.spacing_scale == want.spacing_scale
+            seen_cap += fam.spacing_scale == 1 << 40
+        seen_zero += got[1].size == 2
+    assert seen_cap and seen_zero
+
+
+def test_lockstep_lift_and_costs_match_one_labeling_at_a_time(monkeypatch):
+    # costs summed in canonical order, not input order: widely spread
+    # per-point costs make the order show in the last bits
+    rng = np.random.default_rng(35)
+    monkeypatch.setattr(bicriteria_mod, "_LIFT_POINTS", 12)
+    for trial in range(12):
+        n, d, z = 40, int(rng.integers(1, 6)), int(rng.integers(1, 4))
+        pts = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+        w = rng.random(n) + 0.5
+        P_in = (pts, w) if trial % 2 else ExtendedPointSet(pts, rng.random(n), w)
+        labelings = [rng.integers(0, int(rng.integers(1, 9)), n) for _ in range(5)]
+        lifted = bicriteria_mod._lift_all(P_in, labelings, z)
+        costs = bicriteria_mod._power_costs(P_in, lifted, z)
+        for labels, got, cost in zip(labelings, lifted, costs):
+            want = sequential_lift(P_in, labels, z)
+            assert got.tobytes() == want.tobytes()
+            assert cost == power_cost(P_in, want, z)
+
+
+def _assert_scan_matches_sequential(P_in, params):
+    res = bicriteria(P_in, params)
+    centers, cost, reason, seed, baseline = sequential_projection_scan(P_in, params)
+    assert res.centers.centers.tobytes() == centers.tobytes()
+    assert res.cost == cost and isinstance(res.cost, float)
+    assert (res.stopped_reason, res.projection_seed, res.baseline_size) == (reason, seed, baseline)
+    return res
+
+
+def test_projection_scan_matches_the_sequential_scan(monkeypatch):
+    from detclust.datasets import gaussian_blobs
+
+    rng = np.random.default_rng(33)
+    pts = gaussian_blobs(24, 30, blobs=2, seed=3, separation=6)
+    for z, alpha in ((1, 2.0), (2, 2.0), (3, 2.0), (2, DEFAULT_ALPHA)):
+        params = ClusteringParams(k=2, z=z, epsilon=0.3, alpha=alpha)
+        _assert_scan_matches_sequential(pts, params)
+    params = ClusteringParams(k=3, z=2, epsilon=0.3, alpha=2.0)
+    # weighted, and slice mode: the extension counts as a dimension
+    _assert_scan_matches_sequential((pts, rng.random(24) + 0.5), params)
+    ext = np.abs(rng.standard_normal(24))
+    _assert_scan_matches_sequential(ExtendedPointSet(pts, ext, rng.random(24) + 0.5), params)
+    # fewer points than k: the seeds are all the points, no swap search
+    _assert_scan_matches_sequential(pts[:3], ClusteringParams(k=5, z=2, epsilon=0.3))
+    # two locations, k = 2: the anchor costs 0, so no lattice is built
+    dup = np.repeat(pts[[0, 20]], [7, 5], axis=0)
+    res = _assert_scan_matches_sequential(dup, params)
+    assert res.stopped_reason == "low-cost" and res.baseline_size == 3
+    # lifts split into runs of a few points, one call per run and seed
+    monkeypatch.setattr(bicriteria_mod, "_LIFT_POINTS", 5)
+    _assert_scan_matches_sequential(pts, ClusteringParams(k=2, z=1, epsilon=0.3))
+    # no lattice fits: every spacing search runs to the 2^40 cap
+    monkeypatch.setattr(bicriteria_mod, "MAX_CANDIDATES", 0)
+    _assert_scan_matches_sequential(pts, params)

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -18,14 +19,16 @@ from detclust.dimreduce import (
     cost_preserving_sketch,
     derandomized_jl,
     hull_cover,
-    _pivoted_orthobasis,
+    _pivoted_orthobases,
 )
 from detclust.linmap import pair_distortions
 
 from oracles import (
     dict_row_pool,
+    flush_build_net,
     per_composition_cover,
     recount_witness_net,
+    sequential_orthobasis,
     set_partitions_up_to_k,
 )
 
@@ -59,10 +62,15 @@ def test_hull_cover_triangle_sampled():
         assert dmin <= spacing * (1 + 1e-9)
 
 
+def _one_basis(V):
+    bases, valid = _pivoted_orthobases(np.asarray(V)[None])
+    return bases[0][valid[0]]
+
+
 def test_pivoted_orthobasis():
     rng = np.random.default_rng(4)
     V = rng.standard_normal((3, 5))
-    Q = _pivoted_orthobasis(V)
+    Q = _one_basis(V)
     assert Q.shape == (3, 5)
     assert np.allclose(Q @ Q.T, np.eye(3), atol=1e-12)
     # every input row lies in the span
@@ -70,8 +78,12 @@ def test_pivoted_orthobasis():
     assert np.allclose(proj, V, atol=1e-9)
     # rank deficiency collapses the basis
     W = np.vstack([V[0], 2 * V[0], -0.5 * V[0]])
-    assert _pivoted_orthobasis(W).shape == (1, 5)
-    assert _pivoted_orthobasis(np.zeros((2, 4))).shape == (0, 4)
+    assert _one_basis(W).shape == (1, 5)
+    assert _one_basis(np.zeros((2, 4))).shape == (0, 4)
+    # in lockstep, each slab keeps its own basis
+    bases, valid = _pivoted_orthobases(np.stack([V, W, np.zeros((3, 5))]))
+    assert valid.sum(axis=1).tolist() == [3, 1, 0]
+    assert bases[0].tobytes() == Q.tobytes()
 
 
 def test_witness_params_defaults_and_validation():
@@ -337,7 +349,7 @@ def per_subset_net(reps, witness, eps, z):
             pairs = itertools.combinations(S, 2)
             diam = max((np.linalg.norm(a - b) for a, b in pairs), default=0.0)
             cover = S[:1] if diam == 0.0 else per_composition_cover(S, eps_prime * diam, 3)
-            for part, kind in ((cover, "cover"), (_pivoted_orthobasis(S), "basis")):
+            for part, kind in ((cover, "cover"), (sequential_orthobasis(S), "basis")):
                 rows.extend(part)
                 sources.extend([(sid, kind)] * len(part))
             sid += 1
@@ -356,3 +368,55 @@ def test_build_net_matches_per_subset_net(monkeypatch):
         points, sources = per_subset_net(reps, witness, 0.3, 2)
         assert net.points.tobytes() == points.tobytes()
         assert net.sources == sources
+
+
+def _random_reps(rng, T, d):
+    """T distinct random rows in R^d; some trials make them collinear or
+    zero a column."""
+    reps = rng.standard_normal((T, d)) * 10 ** rng.uniform(-2, 2)
+    kind = int(rng.integers(0, 3))
+    if kind == 1:  # collinear: every basis stops after one row
+        reps = np.outer(rng.permutation(np.arange(1, T + 1)), reps[0])
+    elif kind == 2 and d > 1:
+        reps[:, int(rng.integers(0, d))] = 0.0
+    return reps
+
+
+def test_build_net_matches_the_flush_based_net(monkeypatch):
+    rng = np.random.default_rng(23)
+    for trial in range(40):
+        T, d = int(rng.integers(1, 9)), int(rng.integers(1, 13))
+        reps = _random_reps(rng, T, d)
+        witness = WitnessParams(D=float(rng.uniform(0.05, 40.0)), R=int(rng.integers(2, 5)))
+        eps, z = float(rng.choice([0.1, 0.3])), int(rng.integers(1, 4))
+        chunk = (1, 5, 64, 4096)[trial % 4]
+        monkeypatch.setattr(dimreduce, "_NET_CHUNK", chunk)
+        net = build_net(reps, witness, eps, z)
+        points, sources = flush_build_net(reps, witness, eps, z, 512)
+        assert net.points.tobytes() == points.tobytes()
+        assert net.sources == sources
+
+
+def test_net_dedup_never_sorts_the_kept_net(monkeypatch):
+    # every row is deduplicated once, in a block of at most _NET_CHUNK
+    # rows plus one subset's; the kept net outgrows any block
+    sizes = []
+    dedup = dimreduce.first_seen_rows
+
+    def recorded(rows, quantum):
+        sizes.append(rows.shape[0])
+        return dedup(rows, quantum)
+
+    monkeypatch.setattr(dimreduce, "first_seen_rows", recorded)
+    monkeypatch.setattr(dimreduce, "_NET_CHUNK", 40)
+    reps = np.random.default_rng(24).standard_normal((9, 6))
+    witness = WitnessParams(D=8.0, R=4)
+    net = build_net(reps, witness, 0.3, 2)
+    points, _ = flush_build_net(reps, witness, 0.3, 2, 512)
+    assert net.points.tobytes() == points.tobytes()
+    covers = {j: dimreduce._barycentric_steps(3, j).shape[0] for j in (2, 3, 4)}
+    generated = 9 * 2 + sum(math.comb(9, j) * (covers[j] + j) for j in (2, 3, 4))
+    assert sum(sizes) == generated  # the rows of each block, once
+    assert max(sizes) <= 40 + covers[4] + 4
+    assert net.points.shape[0] > 4 * max(sizes)
+

@@ -23,10 +23,10 @@ from detclust.io import (
     write_points,
     write_sketch,
 )
-from detclust.linmap import pair_distortions
+from detclust.linmap import LinearMap, pair_distortions
 from detclust.rings import OffsetCoreset, ring_coreset, verify_offset_coreset
 
-from oracles import per_row_coreset_csv, per_row_points_csv
+from oracles import json_dump_sketch, per_row_coreset_csv, per_row_points_csv
 
 
 def test_header_line_round_trip():
@@ -284,3 +284,32 @@ def test_sketch_bundle_round_trip(tmp_path):
     bad.write_text('{"format": "other"}')
     with pytest.raises(InputError, match="sketch"):
         read_sketch(bad)
+
+
+def test_sketch_bundle_bytes_equal_json_dump(tmp_path):
+    rng = np.random.default_rng(17)
+    special = [-0.0, 0.0, 5e-324, 1e-300, -1e300, 1.0, -2.5]
+    params = ClusteringParams(k=3, z=2, epsilon=0.25)
+    for trial in range(60):
+        m, d = (int(v) for v in rng.integers(1, 6, 2))
+        rows = (0, 1, 1, 2, 7)[trial % 5]
+        matrix = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-5, 5)
+        net = rng.standard_normal((rows, d))
+        matrix.ravel()[: len(special)] = special[: matrix.size]
+        net.ravel()[: len(special)] = special[: net.size]
+        cert = None if trial % 3 == 0 else {
+            "checked_pairs": int(rng.integers(0, 10**6)),
+            "max_distortion": float(rng.uniform(1.0, 1.2)),
+            "epsilon_target": 0.15,
+            "strategy": "seed-scan",
+            "seed": np.int64(trial),
+        }
+        lin = LinearMap(matrix, eps=None if trial % 2 else 0.15, certificate=cert)
+        write_sketch(lin, net, params, tmp_path / "got.json")
+        json_dump_sketch(lin, net, params, tmp_path / "want.json")
+        got = (tmp_path / "got.json").read_bytes()
+        assert got == (tmp_path / "want.json").read_bytes()
+        if rows:
+            back, bnet, _ = read_sketch(tmp_path / "got.json")
+            assert back.matrix.tobytes() == matrix.tobytes()
+            assert bnet.tobytes() == net.tobytes()
