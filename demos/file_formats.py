@@ -25,7 +25,7 @@ from detclust import (
     write_points,
     write_sketch,
 )
-from detclust.dimreduce import WitnessParams, build_net
+from detclust.dimreduce import build_net
 
 tmp = Path(tempfile.mkdtemp())
 pts = gaussian_blobs(24, 2, blobs=2, seed=1, separation=6.0)
@@ -62,8 +62,7 @@ rng = np.random.default_rng(2)
 anchors = rng.standard_normal((2, 30)) * 8.0
 dup = anchors[rng.integers(0, 2, 8)].copy()
 sk = cost_preserving_sketch(dup, params)
-net = build_net(sk.coreset.representatives, WitnessParams.defaults(params),
-                params.epsilon, params.z)
+net = build_net(sk.coreset.representatives)
 sk_path = tmp / "sketch.json"
 write_sketch(sk.map, net.points, params, sk_path)
 

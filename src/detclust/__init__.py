@@ -5,7 +5,6 @@ from .bicriteria import BicriteriaResult, bicriteria, constant_factor_approx
 from .datasets import far_point_instance, gaussian_blobs, ring_mixture
 from .dimreduce import (
     CostPreservingSketch,
-    WitnessParams,
     build_net,
     cost_preserving_sketch,
     derandomized_jl,
@@ -83,7 +82,6 @@ __all__ = [
     "SetApproximation",
     "SolveResult",
     "WeightedPointSet",
-    "WitnessParams",
     "approx_solve",
     "ball_test_families",
     "ball_test_family",

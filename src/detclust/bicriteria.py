@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import InputError
 from .geometry import (
+    _CHUNK,
     CenterSet,
     _coerce_centers,
     _coerce_pointset,
@@ -32,7 +33,6 @@ from .geometry import (
 from .linmap import LinearMap
 from .summation import canonical_order, tree_sum_rows
 
-_EVAL_CHUNK = 1 << 22
 _ESTIMATE_ELEMENTS = 1 << 15  # spacing-estimate entries per group of sets
 _LIFT_POINTS = 128  # points per lift_by_clusters solve call
 _SEED_BITS = 16  # projection seeds lie in [0, 2**_SEED_BITS)
@@ -320,7 +320,7 @@ def _scores_all(PC, cur):
     """sum_p min(cur_p, PC[c, p]) for every candidate row c, chunked."""
     C, n = PC.shape
     out = np.empty(C)
-    rows = max(1, int(_EVAL_CHUNK // max(1, n)))
+    rows = max(1, int(_CHUNK // max(1, n)))
     for i in range(0, C, rows):
         out[i : i + rows] = np.minimum(PC[i : i + rows], cur[None, :]).sum(axis=1)
     return out

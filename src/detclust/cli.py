@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io as dio
 from .datasets import far_point_instance, gaussian_blobs, ring_mixture
-from .dimreduce import WitnessParams, build_net, cost_preserving_sketch
+from .dimreduce import build_net, cost_preserving_sketch
 from .errors import BudgetError, InputError
 from .geometry import (
     DEFAULT_ALPHA,
@@ -118,12 +118,7 @@ def _cmd_sketch_build(args):
     params = ClusteringParams(k=args.k, z=args.z, epsilon=args.eps)
     pts = _plain_points(dio.read_points(getattr(args, "in")), "sketch build")
     sk = cost_preserving_sketch(pts, params, strategy=args.strategy)
-    net = build_net(
-        sk.coreset.representatives,
-        WitnessParams.defaults(params),
-        params.epsilon,
-        params.z,
-    )
+    net = build_net(sk.coreset.representatives)
     dio.write_sketch(sk.map, net.points, params, args.out)
     cert = sk.map.certificate or {}
     print(

@@ -4,13 +4,14 @@ The pipeline: collapse the input to its partition coreset, enumerate a
 witness net over the distinct representatives (hull covers of small
 subsets, orthonormal bases of their spans, the origin), derandomize a
 linear map that provably preserves all pairwise distances of the net, and
-sketch each point as (map(representative), extension).
+sketch each point as (map(representative), extension). The net depends on
+the representatives alone, not on eps or z.
 
-The budgets are module constants: the net enumerates at most MAX_SUBSETS
-subsets (BudgetError past it) with hull covers of at most MAX_COVER_STEPS
-barycentric steps; the map's target dimension starts at
-ceil(JL_C * eps^-2 * ln #pairs), and seed-scan tries MAX_SEEDS seeds per
-dimension.
+The budgets are module constants: the net takes subsets of up to
+NET_SUBSET_SIZE representatives, at most MAX_SUBSETS of them (BudgetError
+past it), and covers each at MAX_COVER_STEPS barycentric steps; the map's
+target dimension starts at ceil(JL_C * eps^-2 * ln #pairs), and seed-scan
+tries MAX_SEEDS seeds per dimension.
 """
 
 from __future__ import annotations
@@ -31,31 +32,10 @@ from .partition import PartitionCoresetResult, build
 JL_C = 4.0
 MAX_SEEDS = 256
 MAX_SUBSETS = 20_000
+NET_SUBSET_SIZE = 4
 MAX_COVER_STEPS = 3
 _BASIS_TOL = 1e-12  # relative residual norm that ends a Gram-Schmidt basis
 _NET_CHUNK = 1024  # net rows built and deduplicated per block, which bounds its temporaries
-
-
-@dataclass(frozen=True)
-class WitnessParams:
-    """Net enumeration knobs: subsets of up to R representatives, covers at
-    relative spacing eps / (4 D z)."""
-
-    D: float
-    R: int
-
-    def __post_init__(self):
-        if self.R < 2:
-            raise InputError("R must be at least 2")
-        if self.D <= 0:
-            raise InputError("D must be positive")
-
-    @classmethod
-    def defaults(cls, params: ClusteringParams):
-        return cls(
-            D=4.0 * params.z / params.epsilon,
-            R=min(math.ceil(4.0 / params.epsilon**2), 4),
-        )
 
 
 @dataclass(frozen=True)
@@ -88,24 +68,6 @@ def _pair_distances(S):
     return pair
 
 
-def hull_cover(S, spacing, max_steps=None):
-    """Points covering conv(S) to within `spacing`.
-
-    Barycentric grid with step 1/G, G = ceil((|S|-1) * diam(S) / spacing):
-    rounding each barycentric weight moves the combination by at most
-    (|S|-1) * diam / G. max_steps caps G (coarser than the guarantee; used
-    by the net builder to stay enumerable).
-    """
-    S = _as_points(S, "subset")
-    if S.shape[0] == 1:
-        return S.copy()
-    if spacing <= 0:
-        raise InputError("spacing must be positive")
-    diam = np.array([_pair_distances(S).max()])
-    G = _cover_steps(S.shape[0], diam, np.array([float(spacing)]), max_steps)
-    return _covers(S[None], int(G[0]))[0]
-
-
 def _pivoted_orthobases(V):
     """Orthonormal basis of the row span of every (j, d) slab of V,
     Gram-Schmidt with pivoting on the largest residual norm (ties to the
@@ -132,18 +94,6 @@ def _pivoted_orthobases(V):
     return bases, valid
 
 
-def _cover_steps(j, diams, spacings, max_steps):
-    """hull_cover's barycentric step count G of subsets of j points at the
-    given diameters and spacings, capped at max_steps unless it is None;
-    0 for a subset of diameter 0, whose cover is its first point."""
-    G = np.zeros(diams.shape)
-    wide = diams > 0.0
-    G[wide] = np.maximum(1.0, np.ceil((j - 1) * diams[wide] / spacings[wide]))
-    if max_steps is not None:
-        G = np.minimum(G, int(max_steps))
-    return G.astype(np.int64)
-
-
 def _covers(S, G):
     """(B, C, d) hull covers of the B subsets S (B, j, d) at G steps: one
     einsum over the cached barycentric table, each row rounded as the
@@ -154,14 +104,16 @@ def _covers(S, G):
     return np.einsum("ci,bij->bcj", _barycentric_steps(G, S.shape[1]), S, optimize=False)
 
 
-def build_net(representatives, witness: WitnessParams, eps, z):
+def build_net(representatives):
     """Witness net over coreset representatives.
 
-    Enumerates every subset of size <= R (lexicographic ids; BudgetError
-    past MAX_SUBSETS); for each, a hull cover at spacing eps' * diam (at
-    most MAX_COVER_STEPS steps) and an orthonormal basis of the span;
-    the origin is always included. Points are deduplicated at 1e-12
-    relative quantization, first source kept.
+    Enumerates every subset of size <= NET_SUBSET_SIZE (lexicographic ids;
+    BudgetError past MAX_SUBSETS); for each, a hull cover at
+    MAX_COVER_STEPS barycentric steps (a subset of diameter 0 is covered by
+    its first point), coarser than the paper's spacing eps^2 / (16 z^2) *
+    diam at every eps <= 1/3, and an orthonormal basis of the span; the
+    origin is always included. Points are deduplicated at 1e-12 relative
+    quantization, first source kept.
 
     Subsets of one size go in blocks of about _NET_CHUNK rows: one einsum
     builds a block's covers, one lockstep Gram-Schmidt its bases, and
@@ -173,24 +125,23 @@ def build_net(representatives, witness: WitnessParams, eps, z):
     if len(keys) != T:
         raise InputError("representatives must be distinct")
 
-    n_subsets = sum(math.comb(T, j) for j in range(1, min(witness.R, T) + 1))
+    n_subsets = sum(math.comb(T, j) for j in range(1, min(NET_SUBSET_SIZE, T) + 1))
     if n_subsets > MAX_SUBSETS:
         raise BudgetError(
             "witness net subset enumeration", required=n_subsets, allowed=MAX_SUBSETS
         )
 
-    eps_prime = eps / (4.0 * witness.D * z)
     pair = _pair_distances(reps)  # every subset's diameter is read from it
     net = _NetRows(1e-12 * max(1.0, float(np.abs(reps).max(initial=0.0))), reps.shape[1])
     sid = 0
-    for j in range(1, min(witness.R, T) + 1):
+    for j in range(1, min(NET_SUBSET_SIZE, T) + 1):
         combos = np.fromiter(
             itertools.chain.from_iterable(itertools.combinations(range(T), j)),
             dtype=np.int64,
             count=math.comb(T, j) * j,
         ).reshape(-1, j)
         diams = pair[combos[:, :, None], combos[:, None, :]].max(axis=(1, 2))
-        steps = _cover_steps(j, diams, eps_prime * diams, MAX_COVER_STEPS)
+        steps = np.where(diams > 0.0, MAX_COVER_STEPS, 0)
         lo = 0
         while lo < combos.shape[0]:  # blocks of subsets with one step count
             G = int(steps[lo])
@@ -380,17 +331,13 @@ class CostPreservingSketch:
 
 
 def cost_preserving_sketch(P, params: ClusteringParams, *, strategy="seed-scan"):
-    """Full sketch pipeline: the partition coreset of P, a witness net over
-    its representatives at WitnessParams.defaults, and a map preserving net
-    distances within (1 +- eps/z). Row i of sketched_points() is point i's
+    """Full sketch pipeline: the partition coreset of P, the witness net of
+    its representatives (build_net: subsets of up to NET_SUBSET_SIZE,
+    covers at MAX_COVER_STEPS steps), and a map preserving net distances
+    within (1 +- eps/z). Row i of sketched_points() is point i's
     sketch (map(representative), extension); a center embeds as
     (map(center), 0)."""
     coreset = build(P, params)
-    net = build_net(
-        coreset.representatives,
-        WitnessParams.defaults(params),
-        params.epsilon,
-        params.z,
-    )
+    net = build_net(coreset.representatives)
     lin = derandomized_jl(net.points, params.epsilon / params.z, strategy=strategy)
     return CostPreservingSketch(map=lin, coreset=coreset, target_dim=lin.m + 1)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import _CHUNK, _as_points, sq_dist_blocks, sq_dist_matrix
+from .geometry import _CHUNK, GRID_MARGIN, _as_points, sq_dist_blocks, sq_dist_matrix
 
 HALVING_MIN_SIZE = 8
 SAMPLE_C = 2.0
@@ -136,8 +136,7 @@ def ball_test_families(points, starts, k, max_ranges):
     of all grounds are whole-array passes. Returns one RangeTestFamily per
     ground; grounds with equal center counts share one cols array.
     """
-    # C order: sq_dist_blocks rounds by the layout of its operands
-    pts = np.ascontiguousarray(_as_points(points, "points"))
+    pts = _as_points(points, "points")  # C order: sq_dist_blocks rounds by layout
     n, d = pts.shape
     starts = np.asarray(starts, dtype=np.int64)
     if k < 1:
@@ -177,7 +176,7 @@ def _families(pts, starts, k, max_ranges, grid, cols):
         lo = np.minimum.reduceat(pts, starts)
         hi = np.maximum.reduceat(pts, starts)
         span = hi - lo
-        pad = 0.25 * np.where(span > 0, span, 1.0)
+        pad = GRID_MARGIN * np.where(span > 0, span, 1.0)
         axes = np.linspace(lo - pad, hi + pad, _GRID_PER_AXIS)  # (3, R, d)
         digits = np.indices((_GRID_PER_AXIS,) * d).reshape(d, -1).T
         centers = np.ascontiguousarray(  # C order, as for pts

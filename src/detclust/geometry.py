@@ -18,9 +18,12 @@ from .summation import canonical_order, tree_sum, tree_sum_rows
 
 _CHUNK = 1 << 22  # max temp elements for distance matrices
 DEFAULT_ALPHA = 50.0
+GRID_MARGIN = 0.25  # center_grid inflates the data box by this share of its extent
 
 
 def _as_points(arr, name="points"):
+    """arr as a validated (n, d) float64 array in C order (no copy if it is
+    one), so the distance tables built from it ignore the caller's layout."""
     pts = np.asarray(arr, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
@@ -28,7 +31,7 @@ def _as_points(arr, name="points"):
         raise InputError(f"{name} must be a nonempty (n, d) array, d >= 1")
     if not np.isfinite(pts).all():
         raise InputError(f"{name} contains NaN or Inf")
-    return pts
+    return np.ascontiguousarray(pts)
 
 
 @dataclass(frozen=True)
@@ -223,18 +226,18 @@ def sq_dist_matrix(X, C):
 
     With sq_dist_blocks, the package's only rows-by-centers distance
     tables. At d <= 2 each entry is the coordinate-order sum
-    (x0 - c0)^2 + (x1 - c1)^2, one rounded ufunc step at a time, so it
-    depends on the values alone, never on the memory layout; these are the
-    einsum's bits too (at most two terms, and adding two numbers is
+    (x0 - c0)^2 + (x1 - c1)^2, one rounded ufunc step at a time; these are
+    the einsum's bits too (at most two terms, and adding two numbers is
     commutative), without its (rows, m, d) temporary. At d >= 3 one einsum
-    fixes how every entry is rounded, and it rounds by the layout of its
-    operands. Distances from many rows to a single center stay
-    ((X - c) ** 2).sum(axis=1), which rounds differently in the last bit
-    at d >= 3, so the two forms are not interchangeable. X and C must
-    agree on d.
+    fixes how every entry is rounded; it rounds by the layout of its
+    operands, so X and C are read in C order (copied only when they are
+    not), and the table depends on the values alone at every d. Distances
+    from many rows to a single center stay ((X - c) ** 2).sum(axis=1),
+    which rounds differently in the last bit at d >= 3, so the two forms
+    are not interchangeable. X and C must agree on d.
     """
-    X = np.asarray(X, dtype=np.float64)
-    C = np.asarray(C, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    C = np.ascontiguousarray(C, dtype=np.float64)
     n, d = X.shape
     if C.ndim != 2 or C.shape[1] != d:
         raise InputError("points and centers disagree on dimension")
@@ -632,17 +635,17 @@ def power_triangle_bound(d_ab, d_ac, d_bc, z, eps):
     return sum_bound, diff_bound
 
 
-def center_grid(P, per_axis=4, margin=0.25, include_points=False):
+def center_grid(P, per_axis=4, include_points=False):
     """Deterministic axis-aligned lattice over the data bounding box.
 
     A small finite stand-in for "all center sets" in verification oracles:
-    per_axis values per coordinate, box inflated by margin * extent.
+    per_axis values per coordinate, box inflated by GRID_MARGIN * extent.
     """
     pts, _ = _coerce_pointset(P)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)
     span = hi - lo
-    pad = margin * np.where(span > 0, span, 1.0)
+    pad = GRID_MARGIN * np.where(span > 0, span, 1.0)
     axes = [np.linspace(lo[j] - pad[j], hi[j] + pad[j], per_axis) for j in range(pts.shape[1])]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.stack([m.ravel() for m in mesh], axis=1)

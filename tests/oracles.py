@@ -776,8 +776,10 @@ def sequential_orthobasis(V):
     return np.array(basis) if basis else np.empty((0, V.shape[1]))
 
 
-def flush_build_net(reps, witness, eps, z, chunk):
-    """dimreduce.build_net one subset at a time: per-composition covers,
+def flush_build_net(reps, D, R, eps, z, chunk):
+    """dimreduce.build_net one subset at a time, in the paper's terms:
+    subsets of up to R representatives, per-composition covers at spacing
+    eps' * diam with eps' = eps / (4 D z) (at most MAX_COVER_STEPS steps),
     sequential_orthobasis, and a dedup pass each time chunk rows are
     pending, which runs first_seen_rows over the whole kept net stacked on
     the pending rows. Returns (points, sources)."""
@@ -785,7 +787,7 @@ def flush_build_net(reps, witness, eps, z, chunk):
 
     reps = np.asarray(reps, dtype=np.float64)
     T = reps.shape[0]
-    eps_prime = eps / (4.0 * witness.D * z)
+    eps_prime = eps / (4.0 * D * z)
     quantum = 1e-12 * max(1.0, float(np.abs(reps).max(initial=0.0)))
     net = np.zeros((1, reps.shape[1]))
     sources = [(-1, "origin")]
@@ -801,7 +803,7 @@ def flush_build_net(reps, witness, eps, z, chunk):
         tags.clear()
 
     sid = 0
-    for j in range(1, min(witness.R, T) + 1):
+    for j in range(1, min(R, T) + 1):
         for combo in itertools.combinations(range(T), j):
             S = reps[list(combo)]
             diam = max(

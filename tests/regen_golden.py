@@ -29,7 +29,7 @@ import numpy as np
 
 from detclust.bicriteria import bicriteria, candidate_centers
 from detclust.datasets import far_point_instance, gaussian_blobs
-from detclust.dimreduce import WitnessParams, build_net, cost_preserving_sketch
+from detclust.dimreduce import build_net, cost_preserving_sketch
 from detclust.geometry import ClusteringParams, ExtendedPointSet, center_grid
 from detclust.partition import build
 from detclust.rings import (
@@ -125,7 +125,7 @@ def _witness_net():
     pts = _blobs(8, 30, 4)
     params = ClusteringParams(k=2, z=2, epsilon=0.3)
     reps = build(pts, params).representatives
-    net = build_net(reps, WitnessParams.defaults(params), params.epsilon, params.z)
+    net = build_net(reps)
     return digest(net.points, str(net.sources))
 
 

@@ -18,11 +18,7 @@ import pytest
 
 from detclust.cli import cli_dispatch
 from detclust.datasets import far_point_instance, gaussian_blobs
-from detclust.dimreduce import (
-    WitnessParams,
-    build_net,
-    cost_preserving_sketch,
-)
+from detclust.dimreduce import build_net, cost_preserving_sketch
 from detclust.epsapprox import ball_test_family, halving_approx, verify_set_approx
 from detclust.geometry import (
     ClusteringParams,
@@ -163,12 +159,7 @@ def test_criterion_4_cost_preserving_sketch():
             lbl = rng.integers(0, 2, n)
             pts = anchors[lbl].copy()  # exact duplicates collapse in the coreset
         sk = cost_preserving_sketch(pts, params)
-        net = build_net(
-            sk.coreset.representatives,
-            WitnessParams.defaults(params),
-            params.epsilon,
-            params.z,
-        )
+        net = build_net(sk.coreset.representatives)
         checked, dist = pair_distortions(sk.map, net.points)
         assert dist <= cert_bound  # independent re-verification
         if sk.map.certificate is not None and checked == sk.map.certificate.get(

@@ -164,6 +164,17 @@ def test_sketch_build_and_verify(tmp_path, capsys):
     assert cli_dispatch(["sketch", "verify", "--sketch", str(sk)]) == 4
 
 
+def test_sketch_of_points_whose_differences_overflow(tmp_path, capsys):
+    # the representatives' pair distances are inf; the net still builds
+    pts, sk = tmp_path / "huge.csv", tmp_path / "sk.json"
+    write_points(np.array([[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200]]), pts)
+    args = ["--in", str(pts), "--out", str(sk), "--k", "2", "--z", "2", "--eps", "0.3"]
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_dispatch(["sketch", "build"] + args) == 0
+        assert cli_dispatch(["sketch", "verify", "--sketch", str(sk)]) == 0
+    assert "verification passed" in capsys.readouterr().out
+
+
 def test_unchecked_sketch_bundle_passes_only_as_identity(tmp_path, capsys):
     # the net of six equal points is one row, so no pair can be rechecked;
     # the built bundle's exact identity map passes without one

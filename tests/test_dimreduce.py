@@ -14,11 +14,10 @@ from detclust.geometry import (
 )
 from detclust.dimreduce import (
     WitnessNet,
-    WitnessParams,
     build_net,
     cost_preserving_sketch,
     derandomized_jl,
-    hull_cover,
+    _covers,
     _pivoted_orthobases,
 )
 from detclust.linmap import pair_distortions
@@ -33,28 +32,28 @@ from oracles import (
 )
 
 
-def test_hull_cover_segment_example():
-    got = hull_cover(np.array([[0.0], [1.0]]), 0.25)
+def test_covers_segment_example():
+    got = _covers(np.array([[[0.0], [1.0]]]), 4)[0]
     assert sorted(got[:, 0].tolist()) == [0.0, 0.25, 0.5, 0.75, 1.0]
 
 
-def test_hull_cover_degenerate():
-    S = np.array([[2.0, 3.0]])
-    assert np.array_equal(hull_cover(S, 0.5), S)
-    dup = np.array([[1.0, 1.0], [1.0, 1.0]])
-    assert np.array_equal(hull_cover(dup, 0.5), dup[:1])
-    with pytest.raises(InputError):
-        hull_cover(np.array([[0.0], [1.0]]), 0.0)
+def test_covers_degenerate():
+    # 0 steps cover a subset of diameter 0 by its first point
+    S = np.array([[[2.0, 3.0]], [[1.0, 1.0]]])
+    assert np.array_equal(_covers(S, 0), S)
+    dup = np.array([[[1.0, 1.0], [1.0, 1.0]]])
+    assert np.array_equal(_covers(dup, 0), dup[:, :1])
 
 
-def test_hull_cover_triangle_sampled():
+def test_covers_triangle_sampled():
+    # G steps cover conv(S) to within (|S| - 1) diam / G
     rng = np.random.default_rng(31)
     S = rng.standard_normal((3, 3)) * 2.0
     diam = max(
         np.linalg.norm(S[a] - S[b]) for a, b in itertools.combinations(range(3), 2)
     )
     spacing = 0.3 * diam
-    cover = hull_cover(S, spacing)
+    cover = _covers(S[None], math.ceil(2 * diam / spacing))[0]
     for _ in range(1000):
         lam = rng.dirichlet([1.0, 1.0, 1.0])
         target = lam @ S
@@ -86,20 +85,8 @@ def test_pivoted_orthobasis():
     assert bases[0].tobytes() == Q.tobytes()
 
 
-def test_witness_params_defaults_and_validation():
-    params = ClusteringParams(k=2, z=2, epsilon=0.25)
-    w = WitnessParams.defaults(params)
-    assert w.D == 4.0 * 2 / 0.25
-    assert w.R == 4
-    with pytest.raises(InputError):
-        WitnessParams(D=0.0, R=3)
-    with pytest.raises(InputError):
-        WitnessParams(D=8.0, R=1)
-
-
 def test_build_net_single_representative():
-    w = WitnessParams(D=8.0, R=2)
-    net = build_net(np.array([[2.0, 0.0]]), w, eps=0.5, z=1)
+    net = build_net(np.array([[2.0, 0.0]]))
     rows = {tuple(r) for r in net.points}
     assert rows == {(0.0, 0.0), (2.0, 0.0), (1.0, 0.0)}
     kinds = {s[1] for s in net.sources}
@@ -107,8 +94,7 @@ def test_build_net_single_representative():
 
 
 def test_build_net_segment_cover_present():
-    w = WitnessParams(D=8.0, R=2)
-    net = build_net(np.array([[0.0], [4.0]]), w, eps=0.5, z=1)
+    net = build_net(np.array([[0.0], [4.0]]))
     rows = {tuple(r) for r in net.points}
     for x in (0.0, 4.0 / 3.0, 8.0 / 3.0, 4.0):
         assert any(abs(r[0] - x) < 1e-12 for r in rows)
@@ -118,8 +104,7 @@ def test_build_net_segment_cover_present():
 def test_build_net_contains_origin_and_reps():
     rng = np.random.default_rng(9)
     reps = rng.standard_normal((5, 3))
-    params = ClusteringParams(k=2, z=2, epsilon=0.3)
-    net = build_net(reps, WitnessParams.defaults(params), eps=0.3, z=2)
+    net = build_net(reps)
     rows = net.points
     assert (np.abs(rows).sum(axis=1) == 0.0).any()
     for p in reps:
@@ -127,29 +112,26 @@ def test_build_net_contains_origin_and_reps():
 
 
 def test_build_net_rejects_duplicates():
-    w = WitnessParams(D=8.0, R=2)
     with pytest.raises(InputError):
-        build_net(np.array([[1.0, 0.0], [1.0, 0.0]]), w, eps=0.5, z=1)
+        build_net(np.array([[1.0, 0.0], [1.0, 0.0]]))
 
 
 def test_build_net_budget_error_fields():
-    import math
-
     rng = np.random.default_rng(2)
     reps = rng.standard_normal((30, 2))
-    w = WitnessParams(D=8.0, R=4)
     with pytest.raises(BudgetError) as ei:
-        build_net(reps, w, eps=0.25, z=2)
+        build_net(reps)
     assert ei.value.required == sum(math.comb(30, j) for j in range(1, 5))  # 31930
     assert ei.value.allowed == 20_000
 
 
-def test_build_net_size_matches_recount_oracle():
+def test_build_net_size_matches_recount_oracle(monkeypatch):
+    monkeypatch.setattr(dimreduce, "NET_SUBSET_SIZE", 2)
     rng = np.random.default_rng(12)
     reps = rng.standard_normal((4, 2)) * 3.0
-    D, R, eps, z = 8.0, 2, 0.5, 1
-    net = build_net(reps, WitnessParams(D=D, R=R), eps=eps, z=z)
-    assert net.points.shape[0] == recount_witness_net(reps.tolist(), D, R, eps, z)
+    eps, z = 0.3, 1
+    net = build_net(reps)
+    assert net.points.shape[0] == recount_witness_net(reps.tolist(), 4 * z / eps, 2, eps, z)
 
 
 def test_jl_identity_fallback():
@@ -296,12 +278,7 @@ def test_sketch_operator_norm_on_bases():
     pts = rng.standard_normal((6, 2)) * 2.0
     params = ClusteringParams(k=2, z=2, epsilon=0.3)
     sk = cost_preserving_sketch(pts, params)
-    net = build_net(
-        sk.coreset.representatives,
-        WitnessParams.defaults(params),
-        params.epsilon,
-        params.z,
-    )
+    net = build_net(sk.coreset.representatives)
     bound = params.epsilon / params.z
     for row, (sid, kind) in zip(net.points, net.sources):
         if kind != "basis":
@@ -323,27 +300,30 @@ def test_sketch_rerun_bit_identical():
     )
 
 
-def test_hull_cover_matches_per_composition_einsum():
+def test_covers_match_per_composition_einsum():
+    # G = 0 covers only subsets of diameter 0, so it is checked on one
     rng = np.random.default_rng(21)
-    for trial in range(400):
-        j, d = int(rng.integers(2, 6)), int(rng.integers(1, 16))
-        S = rng.standard_normal((j, d)) * 10 ** rng.uniform(-3, 3)
-        diam = max(np.linalg.norm(a - b) for a, b in itertools.combinations(S, 2))
-        spacing = diam * float(rng.uniform(0.3, 2.0))
-        max_steps = (None, 3, 5)[trial % 3]
-        got = hull_cover(S, spacing, max_steps)
-        want = per_composition_cover(S, spacing, max_steps)
-        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for trial in range(240):
+        G, j, d = trial % 6, int(rng.integers(2, 6)), int(rng.integers(1, 16))
+        S = rng.standard_normal((3, j, d)) * 10 ** rng.uniform(-3, 3)
+        if G == 0:
+            S[:] = S[:, :1]
+        got = _covers(S, G)
+        for s, cover in zip(S, got):
+            diam = max(np.linalg.norm(a - b) for a, b in itertools.combinations(s, 2))
+            want = per_composition_cover(s, diam / 1e3, G)  # 1000 (j - 1) steps, capped at G
+            assert cover.shape == want.shape and cover.tobytes() == want.tobytes()
 
 
-def per_subset_net(reps, witness, eps, z):
-    """build_net one subset at a time: per-composition covers and a dict
-    dedup over every row in generation order."""
-    eps_prime = eps / (4.0 * witness.D * z)
+def per_subset_net(reps, D, eps, z):
+    """build_net one subset at a time: per-composition covers at spacing
+    eps' * diam, eps' = eps / (4 D z), and a dict dedup over every row in
+    generation order."""
+    eps_prime = eps / (4.0 * D * z)
     quantum = 1e-12 * max(1.0, float(np.abs(reps).max()))
     rows, sources = [np.zeros(reps.shape[1])], [(-1, "origin")]
     sid = 0
-    for j in range(1, min(witness.R, len(reps)) + 1):
+    for j in range(1, min(4, len(reps)) + 1):
         for combo in itertools.combinations(range(len(reps)), j):
             S = reps[list(combo)]
             pairs = itertools.combinations(S, 2)
@@ -363,36 +343,37 @@ def test_build_net_matches_per_subset_net(monkeypatch):
     for T, d in ((1, 3), (4, 2), (7, 5), (9, 30)):
         reps = rng.standard_normal((T, d)) * 10 ** rng.uniform(-2, 2)
         reps[: T // 2, 0] = 0.0
-        witness = WitnessParams(D=float(rng.uniform(1.0, 40.0)), R=4)
-        net = build_net(reps, witness, 0.3, 2)
-        points, sources = per_subset_net(reps, witness, 0.3, 2)
+        net = build_net(reps)
+        points, sources = per_subset_net(reps, 4 * 2 / 0.3, 0.3, 2)
         assert net.points.tobytes() == points.tobytes()
         assert net.sources == sources
 
 
 def _random_reps(rng, T, d):
-    """T distinct random rows in R^d; some trials make them collinear or
-    zero a column."""
+    """T distinct random rows in R^d; some trials make them collinear,
+    zero a column, or put two rows at a distance whose square is 0."""
     reps = rng.standard_normal((T, d)) * 10 ** rng.uniform(-2, 2)
-    kind = int(rng.integers(0, 3))
+    kind = int(rng.integers(0, 4))
     if kind == 1:  # collinear: every basis stops after one row
         reps = np.outer(rng.permutation(np.arange(1, T + 1)), reps[0])
     elif kind == 2 and d > 1:
         reps[:, int(rng.integers(0, d))] = 0.0
+    elif kind == 3 and T > 1:  # that pair's cover takes 0 steps
+        reps[1], reps[0, 0], reps[1, 0] = reps[0], 0.0, 5e-324
     return reps
 
 
 def test_build_net_matches_the_flush_based_net(monkeypatch):
+    # the net reads only the representatives: the paper's eps' spacing at
+    # D = 4 z / eps and R = 4, for every eps <= 1/3 and z, gives its bits
     rng = np.random.default_rng(23)
-    for trial in range(40):
+    cases = list(itertools.product((0.01, 0.1, 0.3, 1 / 3), (1, 2, 3, 4)))
+    for trial, (eps, z) in enumerate(cases * 3):
         T, d = int(rng.integers(1, 9)), int(rng.integers(1, 13))
         reps = _random_reps(rng, T, d)
-        witness = WitnessParams(D=float(rng.uniform(0.05, 40.0)), R=int(rng.integers(2, 5)))
-        eps, z = float(rng.choice([0.1, 0.3])), int(rng.integers(1, 4))
-        chunk = (1, 5, 64, 4096)[trial % 4]
-        monkeypatch.setattr(dimreduce, "_NET_CHUNK", chunk)
-        net = build_net(reps, witness, eps, z)
-        points, sources = flush_build_net(reps, witness, eps, z, 512)
+        monkeypatch.setattr(dimreduce, "_NET_CHUNK", (1, 5, 64, 4096)[trial % 4])
+        net = build_net(reps)
+        points, sources = flush_build_net(reps, 4 * z / eps, 4, eps, z, 512)
         assert net.points.tobytes() == points.tobytes()
         assert net.sources == sources
 
@@ -410,9 +391,8 @@ def test_net_dedup_never_sorts_the_kept_net(monkeypatch):
     monkeypatch.setattr(dimreduce, "first_seen_rows", recorded)
     monkeypatch.setattr(dimreduce, "_NET_CHUNK", 40)
     reps = np.random.default_rng(24).standard_normal((9, 6))
-    witness = WitnessParams(D=8.0, R=4)
-    net = build_net(reps, witness, 0.3, 2)
-    points, _ = flush_build_net(reps, witness, 0.3, 2, 512)
+    net = build_net(reps)
+    points, _ = flush_build_net(reps, 4 * 2 / 0.3, 4, 0.3, 2, 512)
     assert net.points.tobytes() == points.tobytes()
     covers = {j: dimreduce._barycentric_steps(3, j).shape[0] for j in (2, 3, 4)}
     generated = 9 * 2 + sum(math.comb(9, j) * (covers[j] + j) for j in (2, 3, 4))

@@ -17,6 +17,8 @@ from detclust import (
 from detclust import geometry
 from detclust.datasets import gaussian_blobs
 from detclust.geometry import center_grid, min_power_dists, solve_1centers
+from detclust.rings import ring_coreset
+from detclust.solve import exact_solve
 from detclust.summation import tree_sum_rows
 
 from oracles import dict_row_pool, grid_search_1center, naive_power_cost
@@ -408,12 +410,30 @@ def test_sq_dist_blocks_equals_the_table_per_block_at_low_dim():
 
 
 def test_power_cost_at_d2_does_not_depend_on_the_layout():
-    # at d >= 3 the einsum still rounds by its operands' layout
+    # d = 2..11: at d >= 3 the einsum rounds by its operands' layout, so
+    # points and centers are read in C order
     rng = np.random.default_rng(23)
-    for _ in range(200):
-        X = rng.standard_normal((50, 2)) * 10.0 ** rng.uniform(-3, 6)
-        S = rng.standard_normal((3, 2))
+    for trial in range(200):
+        d = 2 + trial % 10
+        X = rng.standard_normal((50, d)) * 10.0 ** rng.uniform(-3, 6)
+        S = rng.standard_normal((3, d))
         for z in (1, 2, 3):
             want = power_cost(X, S, z)
-            for Xl in _layouts(X)[1:]:
+            for Xl, Sl in zip(_layouts(X)[1:], _layouts(S)[:0:-1]):
                 assert power_cost(Xl, S, z) == want
+                assert power_cost(X, Sl, z) == want
+
+
+def test_coreset_and_exact_solve_do_not_depend_on_the_layout():
+    for d in (3, 4, 7):
+        X = gaussian_blobs(60, d, blobs=2, seed=d, separation=6)
+        params = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
+        want = ring_coreset(X, params)
+        best = exact_solve(X[::8], params)
+        for Xl in _layouts(X)[1:]:
+            got = ring_coreset(Xl, params)
+            assert got.points.tobytes() == want.points.tobytes()
+            assert got.offset == want.offset and got.provenance == want.provenance
+            res = exact_solve(Xl[::8], params)
+            assert res.cost == best.cost
+            assert res.centers.centers.tobytes() == best.centers.centers.tobytes()

@@ -15,7 +15,7 @@ from pathlib import Path
 import detclust
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "detclust"
-MAX_DEFAULTED = 55  # 42 function parameters + 13 record fields
+MAX_DEFAULTED = 53  # 40 function parameters + 13 record fields
 
 
 def _is_dataclass(decorator):
