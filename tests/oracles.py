@@ -3,9 +3,10 @@
 Deliberately naive: pure-python double loops, brute grid searches, and
 re-enumerations that share no code with the library paths they check.
 The sequential references at the end (sequential_polish,
-sequential_newton_centers, sequential_projection_scan, flush_build_net)
-are the exception: they pin bits, so they run the library's own kernels
-one init, one step size, one projection seed or one subset at a time.
+sequential_newton_centers, sequential_projection_scan, flush_build_net,
+galloping_spacing_exponents) are the exception: they pin bits, so they
+run the library's own kernels one init, one step size, one projection
+seed, one subset or one search order at a time.
 """
 
 import itertools
@@ -822,3 +823,47 @@ def flush_build_net(reps, D, R, eps, z, chunk):
                 flush()
     flush()
     return net, tuple(sources)
+
+
+def galloping_spacing_exponents(base, unit, eff):
+    """bicriteria._spacing_exponents by the search it first had: galloping
+    over e = 0, 1, 3, 7, ... (capped at 40), then bisecting, every set
+    from exponent 0 whatever its lattice, one _estimate_over call a round
+    for every set still searching. Returns the exponent per set."""
+    from detclust.bicriteria import _estimate_over
+
+    sets = unit.shape[0]
+    lo, hi, gallop = [0] * sets, [0] * sets, [True] * sets
+    while True:
+        act, probe = [], []
+        for s in range(sets):
+            gallop[s] = gallop[s] and hi[s] < 40
+            if gallop[s] or lo[s] < hi[s]:
+                act.append(s)
+                probe.append(hi[s] if gallop[s] else (lo[s] + hi[s]) // 2)
+        if not act:
+            return np.array(hi)
+        scale = np.ldexp(1.0, probe)[:, None]
+        over = _estimate_over(base[act], unit[act] * scale, eff[act])
+        for s, e, o in zip(act, probe, over.tolist()):
+            if gallop[s] and o:
+                lo[s], hi[s] = e + 1, min(2 * e + 1, 40)
+            elif gallop[s]:
+                gallop[s] = False
+            elif o:
+                lo[s] = e + 1
+            else:
+                hi[s] = e
+
+
+def json_load_sketch(path):
+    """(matrix, net) of a sketch bundle parsed the way io.read_sketch first
+    parsed them: json.load, then one float.fromhex per entry in list
+    comprehensions, shaped by np.array (an empty net is shape (0,))."""
+    import json
+
+    with open(path, "r", encoding="ascii") as fh:
+        doc = json.load(fh)
+    matrix = np.array([float.fromhex(v) for v in doc["matrix"]], dtype=np.float64)
+    net = np.array([[float.fromhex(v) for v in row] for row in doc["net"]], dtype=np.float64)
+    return matrix.reshape(int(doc["rows"]), int(doc["cols"])), net

@@ -100,6 +100,16 @@ def _sketch():
     return digest(sk.map.matrix, sk.sketched_points().as_rows())
 
 
+def _sketch_dup():
+    # 8 rows drawn from 2 anchors: the duplicate-heavy sketch of
+    # acceptance criterion 4, whose partition nodes below the root cost 0
+    rng = np.random.default_rng(4)
+    anchors = rng.standard_normal((2, 30)) * 8.0
+    pts = anchors[rng.integers(0, 2, 8)]
+    sk = cost_preserving_sketch(pts, ClusteringParams(k=2, z=2, epsilon=0.3))
+    return digest(sk.map.matrix, sk.sketched_points().as_rows())
+
+
 def _candidates():
     pts = _blobs(200, 2, 1)
     cc = candidate_centers(
@@ -182,6 +192,7 @@ CASES = {
     "verify_offset_coreset_sampled_n200_d2": lambda: _verify(sampled=True),
     "bicriteria_solve_z1_n8_d5": lambda: _solve(bicriteria_solve, z=1, d=5),
     "exact_solve_z1_n10_d3": lambda: _solve(exact_solve, z=1, n=10, d=3),
+    "cost_preserving_sketch_dup_n8_d30": _sketch_dup,
 }
 
 

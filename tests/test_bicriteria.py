@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from detclust.linmap import pair_distortions
 
 from oracles import (
     exact_kz_cost,
+    galloping_spacing_exponents,
     grid_search_1center,
     linear_spacing_scale,
     meshgrid_ball,
@@ -135,6 +137,34 @@ def test_ball_lattice_decode_matches_the_per_axis_loop():
     assert rows_seen > 1000
 
 
+def test_ball_lattice_one_cell_boxes_match_the_per_axis_loop():
+    # radii under half the spacing: every box holds at most one cell per
+    # axis, so at most one cell; half the centers sit near a lattice point
+    rng = np.random.default_rng(23)
+    kept = empty = 0
+    for d in (1, 2, 3, 5, 20, 30):
+        for trial in range(8):
+            m = int(rng.integers(1, 40))
+            spacing = rng.uniform(0.2, 1.0, m) if trial % 2 else float(rng.uniform(0.2, 1.0))
+            s = np.broadcast_to(spacing, (m,))
+            radii = rng.uniform(0.0, 0.5, m) * s
+            radii[0] = 0.0
+            centers = rng.standard_normal((m, d)) * 4.0
+            near = rng.random(m) < 0.5
+            jitter = rng.uniform(-1.0, 1.0, (m, d)) * (radii / np.sqrt(d))[:, None]
+            centers[near] = (np.round(centers / s[:, None]) * s[:, None] + jitter)[near]
+            got = ball_lattice(centers, radii, spacing)
+            want = per_axis_ball_lattice(centers, radii, spacing)
+            assert got[0].tobytes() == want[0].tobytes() and got[0].shape == want[0].shape
+            assert got[1].tobytes() == want[1].tobytes()
+            assert np.bincount(got[1], minlength=m).max() <= 1
+            kept += got[0].shape[0]
+            empty += m - got[0].shape[0]
+    assert kept > 50 and empty > 50
+    rows, owner = ball_lattice(np.empty((0, 3)), np.empty(0), 1.0)
+    assert rows.shape == (0, 3) and rows.dtype == np.float64 and owner.size == 0
+
+
 def test_candidate_centers_makes_one_lattice_pass(monkeypatch):
     calls = []
 
@@ -218,6 +248,43 @@ def test_spacing_scale_search_matches_linear_doubling(monkeypatch):
                       "cap" if scale == 1 << 40 else "between"))
     assert seen == {(s, kind) for s in (False, True)
                     for kind in ("one", "cap", "between")}
+
+
+def _spacing_search_cases():
+    """(base, unit, eff) of the spacing search, as _candidate_families
+    builds them, over sets of 9 points at d = 2 and 20: random points,
+    identical points, a tiny Delta, slice mode (some balls, or all, miss
+    the slice), and units that put the natural hint at 0 and at 40."""
+    rng = np.random.default_rng(33)
+    levels = np.arange(-6, 4)
+    for d, z in ((2, 1), (2, 2), (20, 2), (20, 3)):
+        for kind in ("plain", "identical", "tiny", "slice", "missed", "coarse", "fine"):
+            sets = 1 if kind == "plain" and z == 2 else 4
+            base = rng.standard_normal((sets, 9, d)) * 3.0
+            if kind == "identical":
+                base[:] = base[:, :1]
+            delta = rng.uniform(0.1, 10.0, sets) * (1e-290 if kind == "tiny" else 1.0)
+            radii = 2.0 ** (levels / z)[None, :] * delta[:, None] ** (1.0 / z)
+            unit = (0.3 / z) * radii / np.sqrt(d)
+            unit = unit * {"coarse": 1e3, "fine": 1e-13}.get(kind, 1.0)
+            ext = np.zeros((sets, 9))
+            if kind in ("slice", "missed"):
+                reach = radii.max(axis=1)[:, None] * (1.01 if kind == "missed" else 0.5)
+                ext = reach * (rng.uniform(0.0, 2.0, (sets, 9)) if kind == "slice" else 1.0)
+            eff = np.sqrt(np.maximum(0.0, radii[:, :, None] ** 2 - ext[:, None, :] ** 2))
+            yield base, unit, eff
+
+
+def test_spacing_exponents_match_the_galloping_search(monkeypatch):
+    seen = set()
+    for budget in (0, 40, 4096):
+        monkeypatch.setattr(bicriteria_mod, "MAX_CANDIDATES", budget)
+        for base, unit, eff in _spacing_search_cases():
+            got = bicriteria_mod._spacing_exponents(base, unit, eff)
+            want = galloping_spacing_exponents(base, unit, eff)
+            assert got.tolist() == want.tolist()
+            seen.update("cap" if e == 40 else "one" if e == 0 else "between" for e in want)
+    assert seen == {"one", "between", "cap"}
 
 
 def test_candidates_include_every_input_point():
@@ -541,6 +608,24 @@ def test_candidate_families_match_per_set_candidate_centers(monkeypatch):
             seen_cap += fam.spacing_scale == 1 << 40
         seen_zero += got[1].size == 2
     assert seen_cap and seen_zero
+
+
+def test_candidate_families_raise_no_warning():
+    # identical points at d = 30, anchored on themselves (cost 0, no
+    # search) and off them; a slice of zero extensions, and one whose
+    # extensions put some balls off the slice
+    rng = np.random.default_rng(41)
+    params = P(k=2, z=2, epsilon=0.3, alpha=2.0)
+    pts = np.tile(rng.standard_normal((1, 30)) * 3.0, (12, 1))
+    base = rng.standard_normal((12, 5)) * 3.0
+    on_slice = np.hstack([base[:2], np.zeros((2, 1))])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for anchor in (pts[:2], pts[:2] + 1.0):
+            bicriteria_mod._candidate_families([pts, pts], params, [anchor, anchor])
+        for ext in (np.zeros(12), np.abs(rng.standard_normal(12)) * 20.0):
+            E = ExtendedPointSet(base, ext)
+            bicriteria_mod._candidate_families([E, E], params, [on_slice, on_slice])
 
 
 def test_lockstep_lift_and_costs_match_one_labeling_at_a_time(monkeypatch):

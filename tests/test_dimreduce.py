@@ -111,6 +111,20 @@ def test_build_net_contains_origin_and_reps():
         assert np.sqrt(((rows - p) ** 2).sum(axis=1)).min() < 1e-12
 
 
+def test_build_net_covers_a_diameter_0_subset_by_its_first_point():
+    # distinct representatives whose differences square to 0 (they differ
+    # by under 1e-162), so every subset has diameter 0 and is covered by
+    # its first point. Covered at MAX_COVER_STEPS steps instead, the
+    # barycentric rows of v and 3v would round to another 1e-12 quantum
+    # than the point does and add a fourth row
+    v = (307 + 0.5) * 1e-12
+    assert v == 3.0749999999999997e-10
+    reps = np.array([[v, 3 * v, t * 1e-170] for t in range(4)])
+    net = build_net(reps)
+    assert net.sources == ((-1, "origin"), (0, "cover"), (0, "basis"))
+    assert net.points[1].tobytes() == reps[0].tobytes()
+
+
 def test_build_net_rejects_duplicates():
     with pytest.raises(InputError):
         build_net(np.array([[1.0, 0.0], [1.0, 0.0]]))

@@ -1,5 +1,6 @@
 """File formats: point CSV/binary, coreset CSV, sketch bundles."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -26,7 +27,7 @@ from detclust.io import (
 from detclust.linmap import LinearMap, pair_distortions
 from detclust.rings import OffsetCoreset, ring_coreset, verify_offset_coreset
 
-from oracles import json_dump_sketch, per_row_coreset_csv, per_row_points_csv
+from oracles import json_dump_sketch, json_load_sketch, per_row_coreset_csv, per_row_points_csv
 
 
 def test_header_line_round_trip():
@@ -313,3 +314,30 @@ def test_sketch_bundle_bytes_equal_json_dump(tmp_path):
             back, bnet, _ = read_sketch(tmp_path / "got.json")
             assert back.matrix.tobytes() == matrix.tobytes()
             assert bnet.tobytes() == net.tobytes()
+
+
+def test_read_sketch_matches_json_load(tmp_path):
+    rng = np.random.default_rng(29)
+    params = ClusteringParams(k=2, z=2, epsilon=0.3)
+    f = tmp_path / "sk.json"
+    for rows, d in ((0, 3), (1, 1), (2, 5), (7, 30), (300, 30)):
+        lin = LinearMap(rng.standard_normal((min(d, 4), d)), eps=0.15)
+        net = rng.standard_normal((rows, d)) * 10.0 ** rng.uniform(-300, 300, (rows, 1))
+        write_sketch(lin, net, params, f)
+        back, bnet, _ = read_sketch(f)
+        matrix, want = json_load_sketch(f)
+        assert back.matrix.tobytes() == matrix.tobytes() and back.matrix.shape == matrix.shape
+        assert bnet.dtype == want.dtype == np.float64
+        assert bnet.shape == want.shape and bnet.tobytes() == want.tobytes()
+    doc = json.loads(f.read_text())
+    for net in ([[], []], [["0x1p+0", "-0x0.0p+0"], ["0x1.8p-1074", "0x1p+1"]]):
+        doc["net"] = net
+        f.write_text(json.dumps(doc))
+        want = json_load_sketch(f)[1]
+        bnet = read_sketch(f)[1]
+        assert bnet.shape == want.shape and bnet.tobytes() == want.tobytes()
+    for net in ([["0x1p+0"], ["0x1p+0", "0x1p+0"]], [["0x1p+0", "zz"]], [[1.5]], [[["0x1p+0"]]], 7):
+        doc["net"] = net
+        f.write_text(json.dumps(doc))
+        with pytest.raises(InputError, match="malformed sketch bundle"):
+            read_sketch(f)
