@@ -10,6 +10,7 @@ All tie-breaks are index-lexicographic and every run is bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,6 +108,17 @@ def seeded_projection_family(d, m, seed):
     return LinearMap(matrix)
 
 
+@functools.lru_cache(maxsize=2 * DEFAULT_PROJECTION_SEEDS)
+def _scan_projection(d, m, seed):
+    """seeded_projection_family(d, m, seed) with a read-only matrix,
+    memoized: every d > DEFAULT_DIM_THRESHOLD bicriteria call projects by
+    the same seeds, so the plain and the slice-mode scan of one d fit the
+    cache, each matrix at most DEFAULT_DIM_THRESHOLD rows."""
+    lin = seeded_projection_family(d, m, seed)
+    lin.matrix.flags.writeable = False
+    return lin
+
+
 # ---------------- candidate family ----------------
 
 
@@ -137,15 +149,18 @@ def ball_lattice(centers, radii, spacing):
     counts = np.maximum(his - los + 1, 0)  # an empty axis empties the box
     sizes = counts.prod(axis=1)
     owner = np.repeat(np.arange(P.shape[0]), sizes)
-    # mixed-radix decode of each cell's rank inside its ball's box: digit j
-    # is rank // stride_j % counts_j, stride_j the product of the counts
-    # after axis j (the last axis runs fastest)
-    rank = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    stride = np.ones_like(counts)
-    stride[:, :-1] = np.cumprod(counts[:, :0:-1].T, axis=0)[::-1].T
-    cells = rank[:, None] // np.repeat(stride, sizes, axis=0)
-    cells %= np.repeat(counts, sizes, axis=0)
-    cells += np.repeat(los, sizes, axis=0)
+    if (sizes <= 1).all():  # each box is empty or its low corner alone
+        cells = los[owner]
+    else:
+        # mixed-radix decode of each cell's rank inside its ball's box:
+        # digit j is rank // stride_j % counts_j, stride_j the product of
+        # the counts after axis j (the last axis runs fastest)
+        rank = np.arange(owner.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        stride = np.ones_like(counts)
+        stride[:, :-1] = np.cumprod(counts[:, :0:-1].T, axis=0)[::-1].T
+        cells = rank[:, None] // np.repeat(stride, sizes, axis=0)
+        cells %= np.repeat(counts, sizes, axis=0)
+        cells += np.repeat(los, sizes, axis=0)
     cand = cells * s[owner, None]
     keep = ((cand - P[owner]) ** 2).sum(axis=1) <= (r * r * (1.0 + 1e-12))[owner]
     return cand[keep], owner[keep]
@@ -167,7 +182,8 @@ def candidate_centers(P, params, anchor):
     cost. Every input point is always a candidate. If the lattice estimate
     exceeds MAX_CANDIDATES the spacing is doubled (deterministically) until
     it fits, at most 40 times; the fitting power of two is found by a
-    galloping search on the exponent, and spacing_scale records it.
+    search on the exponent that starts at a closed-form guess, and
+    spacing_scale records it.
 
     Generation order: the n input points in index order, then the
     lattice rows of one ball_lattice pass over every (level, point) ball,
@@ -190,8 +206,8 @@ def _candidate_families(sets, params, anchors):
     """candidate_centers(sets[i], params, anchors[i]) of every i, bit for bit.
 
     The sets share n and the dimension, as the projected copies of one
-    point set do. One galloping search finds every set's spacing exponent
-    in lockstep: each round estimates the lattice of every set still
+    point set do. One search finds every set's spacing exponent in
+    lockstep: each round estimates the lattice of every set still
     searching, at that set's own next exponent, in (sets, levels, n, d)
     arrays of about _ESTIMATE_ELEMENTS elements per group of sets. Then
     ball_lattice and first_seen_rows run once per set.
@@ -256,35 +272,51 @@ def _spacing_exponents(base, unit, eff):
 
     The estimate never grows with the scale (the 2s-lattice is a
     sublattice of the s-lattice, and a power-of-two scale divides every
-    base / s and eff / s exactly in float), so galloping over e = 0, 1, 3,
-    7, ... and then bisecting finds the same first fit as doubling one
-    step at a time. Each set runs its own search; one _estimate_over call
-    a round probes every set still searching. Every e < lo overflows; hi
-    fits or is the cap.
+    base / s and eff / s exactly in float), so every search order finds
+    the same first fit as doubling one step at a time. Each set probes its
+    _spacing_hints exponent, then the one below it if that fits or the
+    one above it if not, then bisects what is left. One _estimate_over
+    call a round probes every set still searching. Every e < lo
+    overflows; hi fits or is the cap, which is never probed.
     """
     sets = unit.shape[0]
-    lo, hi, gallop = [0] * sets, [0] * sets, [True] * sets
+    lo, hi = [0] * sets, [40] * sets
+    guess = _spacing_hints(unit, eff, base.shape[2]).tolist()
+    first = True
     while True:
         act, probe = [], []
         for s in range(sets):
-            gallop[s] = gallop[s] and hi[s] < 40
-            if gallop[s] or lo[s] < hi[s]:
+            if lo[s] < hi[s]:
                 act.append(s)
-                probe.append(hi[s] if gallop[s] else (lo[s] + hi[s]) // 2)
+                g = guess[s]
+                probe.append((lo[s] + hi[s]) // 2 if g is None else g)
         if not act:
             return np.array(hi)
         pick = slice(None) if len(act) == sets else act  # no copies while all search
         scale = np.ldexp(1.0, probe)[:, None]
         over = _estimate_over(base[pick], unit[pick] * scale, eff[pick])
         for s, e, o in zip(act, probe, over.tolist()):
-            if gallop[s] and o:
-                lo[s], hi[s] = e + 1, min(2 * e + 1, 40)
-            elif gallop[s]:
-                gallop[s] = False
-            elif o:
+            if o:
                 lo[s] = e + 1
             else:
                 hi[s] = e
+            guess[s] = e + (1 if o else -1) if first else None
+        first = False
+
+
+def _spacing_hints(unit, eff, d):
+    """Per set, the exponent e at which the boxes of its balls, about
+    (2 eff / (unit 2^e))^d cells each, sum to MAX_CANDIDATES: e =
+    ceil((log2 sum (2 eff / unit)^d - log2 MAX_CANDIDATES) / d), taken in
+    log2 space so no power overflows, clamped to [0, 39] (below the cap
+    40), and 0 where it is not finite (every ball of radius 0, or no
+    budget)."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        logs = d * np.log2(2.0 * eff / unit[:, :, None])
+        top = logs.max(axis=(1, 2))
+        total = top + np.log2(np.exp2(logs - top[:, None, None]).sum(axis=(1, 2)))
+        e = np.ceil((total - np.log2(MAX_CANDIDATES)) / d)
+    return np.where(np.isfinite(e), np.clip(e, 0, 39), 0).astype(np.int64)
 
 
 def _estimate_over(base, spacing, eff):
@@ -591,7 +623,7 @@ def bicriteria(P, params):
     m = min(base_dim, DEFAULT_DIM_THRESHOLD - (pts.shape[1] - base_dim))
     subs = []
     for seed in range(DEFAULT_PROJECTION_SEEDS):
-        proj = seeded_projection_family(base_dim, m, seed).apply(base)
+        proj = _scan_projection(base_dim, m, seed).apply(base)
         subs.append(WeightedPointSet(proj, w) if ext is None else ExtendedPointSet(proj, ext, w))
     results = _bicriteria_lockstep(subs, params)
     labels = [

@@ -14,6 +14,7 @@ offset scalar, so verification replays bit-exactly. Sketch bundles are
 JSON with every float hex-encoded.
 """
 
+import itertools
 import json
 import struct
 from dataclasses import dataclass
@@ -366,9 +367,7 @@ def read_sketch(path):
         raise InputError("not a sketch bundle")
     try:
         m, d = int(doc["rows"]), int(doc["cols"])
-        matrix = np.array(
-            [float.fromhex(v) for v in doc["matrix"]], dtype=np.float64
-        ).reshape(m, d)
+        matrix = np.fromiter(map(float.fromhex, doc["matrix"]), dtype=np.float64).reshape(m, d)
         eps = float.fromhex(doc["eps"])
         params = ClusteringParams(k=int(doc["k"]), z=int(doc["z"]), epsilon=eps)
         map_eps = doc["map_eps"]
@@ -377,10 +376,13 @@ def read_sketch(path):
         cert = doc["certificate"]
         if cert is not None:
             cert = {k: _unhex_tree(v) for k, v in cert.items()}
-        net = np.array(
-            [[float.fromhex(v) for v in row] for row in doc["net"]],
-            dtype=np.float64,
-        )
+        rows = doc["net"]
+        widths = set(map(len, rows))
+        if len(widths) > 1:
+            raise ValueError("ragged net rows")
+        net = np.fromiter(map(float.fromhex, itertools.chain.from_iterable(rows)), dtype=np.float64)
+        if widths:  # an empty net stays shape (0,)
+            net = net.reshape(len(rows), widths.pop())
     except (KeyError, ValueError, TypeError):
         raise InputError("malformed sketch bundle") from None
     lin = LinearMap(matrix, eps=map_eps, certificate=cert)

@@ -70,17 +70,20 @@ def pair_distortions(map_or_matrix, vectors):
     if V.ndim != 2 or V.shape[0] < 2:
         return 0, 1.0
     Y = np.einsum("ij,kj->ik", V, Pi, optimize=False)
+    # a map that moves no vector gives every pair the ratio 1 (or NaN
+    # where a distance overflows, which the max below ignores)
+    moved = not np.array_equal(Y, V)
     n = V.shape[0]
     worst = 0.0
     checked = 0
     for i in range(n - 1):  # pairs (i, j) with j > i
         dv = V[i + 1 :] - V[i]
-        dy = Y[i + 1 :] - Y[i]
         nv2 = (dv**2).sum(axis=1)
-        ny2 = (dy**2).sum(axis=1)
         nz = nv2 > 0
         checked += int(nz.sum())
-        if nz.any():
+        if moved and nz.any():
+            dy = Y[i + 1 :] - Y[i]
+            ny2 = (dy**2).sum(axis=1)
             r = np.sqrt(ny2[nz] / nv2[nz])
             worst = max(worst, float(np.abs(r - 1.0).max()))
     return checked, 1.0 + worst

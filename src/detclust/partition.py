@@ -78,7 +78,8 @@ def build(P, params: ClusteringParams):
     Nodes are processed in (depth, parent, child) order so the trace and the
     representative numbering are deterministic. A node stops ("stable")
     when its bicriteria solution beats its one center by at most BETA of
-    its cost, and nodes at depth GAMMA stop anyway ("max-depth"). A node
+    its cost, which a node of cost 0 does without solving, and nodes at
+    depth GAMMA stop anyway ("max-depth"). A node
     spawning more than FANOUT_CAP_PER_K * k children keeps the most
     expensive ones and stops the cheapest in place (collapse onto their own
     center), flagged as truncated in the trace.
@@ -117,6 +118,10 @@ def build(P, params: ClusteringParams):
             emit(idx, pool_m, depth, "leaf", cost_m, parent)
             continue
 
+        if cost_m == 0.0:
+            # the stop test below reads -res.cost <= 0, true of every cost
+            emit(idx, m, depth, "stable", cost_m, parent)
+            continue
         res = bicriteria(C, node_params)
         if cost_m - res.cost <= BETA * cost_m:
             emit(idx, m, depth, "stable", cost_m, parent)

@@ -867,3 +867,20 @@ def json_load_sketch(path):
     matrix = np.array([float.fromhex(v) for v in doc["matrix"]], dtype=np.float64)
     net = np.array([[float.fromhex(v) for v in row] for row in doc["net"]], dtype=np.float64)
     return matrix.reshape(int(doc["rows"]), int(doc["cols"])), net
+
+
+def measured_pair_distortions(matrix, vectors):
+    """linmap.pair_distortions measuring every pair's mapped distance, as
+    it first did, also under a map that moves no vector: (checked, 1 +
+    max |ratio - 1|), a pair row whose maximum is NaN ignored."""
+    V = np.asarray(vectors, dtype=np.float64)
+    Y = np.einsum("ij,kj->ik", V, np.asarray(matrix), optimize=False)
+    worst, checked = 0.0, 0
+    for i in range(V.shape[0] - 1):
+        nv2 = ((V[i + 1 :] - V[i]) ** 2).sum(axis=1)
+        ny2 = ((Y[i + 1 :] - Y[i]) ** 2).sum(axis=1)
+        nz = nv2 > 0
+        checked += int(nz.sum())
+        if nz.any():
+            worst = max(worst, float(np.abs(np.sqrt(ny2[nz] / nv2[nz]) - 1.0).max()))
+    return checked, 1.0 + worst

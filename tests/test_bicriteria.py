@@ -254,7 +254,7 @@ def _spacing_search_cases():
     """(base, unit, eff) of the spacing search, as _candidate_families
     builds them, over sets of 9 points at d = 2 and 20: random points,
     identical points, a tiny Delta, slice mode (some balls, or all, miss
-    the slice), and units that put the natural hint at 0 and at 40."""
+    the slice), and units that put the hint at 0 and at its top, 39."""
     rng = np.random.default_rng(33)
     levels = np.arange(-6, 4)
     for d, z in ((2, 1), (2, 2), (20, 2), (20, 3)):
@@ -276,7 +276,7 @@ def _spacing_search_cases():
 
 
 def test_spacing_exponents_match_the_galloping_search(monkeypatch):
-    seen = set()
+    seen, hints = set(), set()
     for budget in (0, 40, 4096):
         monkeypatch.setattr(bicriteria_mod, "MAX_CANDIDATES", budget)
         for base, unit, eff in _spacing_search_cases():
@@ -284,7 +284,38 @@ def test_spacing_exponents_match_the_galloping_search(monkeypatch):
             want = galloping_spacing_exponents(base, unit, eff)
             assert got.tolist() == want.tolist()
             seen.update("cap" if e == 40 else "one" if e == 0 else "between" for e in want)
+            hints.update(bicriteria_mod._spacing_hints(unit, eff, base.shape[2]).tolist())
     assert seen == {"one", "between", "cap"}
+    assert {0, 39} <= hints and len(hints) > 4
+
+
+def test_spacing_exponents_do_not_depend_on_the_hint(monkeypatch):
+    # the estimate is monotone in the scale, so a search started anywhere
+    # stops at the same first fit: the hint and its neighbour, then at
+    # most 6 bisection rounds over the 40 exponents
+    rounds = []
+    estimate = bicriteria_mod._estimate_over
+
+    def counting(*args):
+        rounds[-1] += 1
+        return estimate(*args)
+
+    cases = list(_spacing_search_cases())
+    for hint in (0, 1, 5, 20, 38, 39):
+        monkeypatch.setattr(
+            bicriteria_mod, "_spacing_hints", lambda unit, eff, d: np.full(unit.shape[0], hint)
+        )
+        for base, unit, eff in cases[hint % 3 :: 3]:
+            want = galloping_spacing_exponents(base, unit, eff)
+            monkeypatch.setattr(bicriteria_mod, "_estimate_over", counting)
+            rounds.append(0)
+            got = bicriteria_mod._spacing_exponents(base, unit, eff)
+            monkeypatch.setattr(bicriteria_mod, "_estimate_over", estimate)
+            assert got.tolist() == want.tolist()
+            assert rounds[-1] <= 8
+            if (want == hint).all() and hint > 0:
+                assert rounds[-1] == 2  # the hint fits, the exponent below it does not
+    assert max(rounds) > 2
 
 
 def test_candidates_include_every_input_point():
@@ -480,6 +511,14 @@ def test_seeded_projection_deterministic():
     assert not np.array_equal(a.matrix, c.matrix)
     # entries are +-1/sqrt(m)
     assert np.allclose(np.abs(a.matrix), 1 / np.sqrt(12))
+
+
+def test_scan_projections_are_memoized_read_only():
+    a = bicriteria_mod._scan_projection(30, 20, 5)
+    assert bicriteria_mod._scan_projection(30, 20, 5) is a
+    assert a.matrix.tobytes() == seeded_projection_family(30, 20, 5).matrix.tobytes()
+    with pytest.raises(ValueError):
+        a.matrix[0, 0] = 0.0
 
 
 def test_seeded_projection_e1_image():

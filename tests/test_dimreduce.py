@@ -25,6 +25,7 @@ from detclust.linmap import pair_distortions
 from oracles import (
     dict_row_pool,
     flush_build_net,
+    measured_pair_distortions,
     per_composition_cover,
     recount_witness_net,
     sequential_orthobasis,
@@ -215,6 +216,25 @@ def test_jl_validates_args():
         derandomized_jl(V, 1.0)
     with pytest.raises(InputError):
         derandomized_jl(V, 0.3, strategy="magic")
+
+
+def test_pair_distortions_match_the_measuring_loop():
+    # maps that move no vector of V (the identity, and a projection that
+    # fixes V's subspace) skip the mapped distances; duplicate rows, a
+    # zero row and a row whose distances overflow keep their counts
+    rng = np.random.default_rng(43)
+    V = rng.standard_normal((30, 6)) * 3.0
+    V[5], V[7], V[9, 0] = V[2], 0.0, 1e200
+    flat = V.copy()
+    flat[:, 5] = 0.0
+    fix = np.diag([1.0, 1.0, 1.0, 1.0, 1.0, 0.0])
+    cases = [(np.eye(6), V), (fix, flat), (fix, V), (np.eye(6)[::-1], V),
+             (rng.standard_normal((4, 6)) / 2.0, V), (np.eye(6), V[:1]), (np.eye(6), V[:2])]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for matrix, vectors in cases:
+            got = pair_distortions(matrix, vectors)
+            assert got == measured_pair_distortions(matrix, vectors)
+        assert pair_distortions(np.eye(6), V) == (434, 1.0)
 
 
 def test_sketch_identical_points():

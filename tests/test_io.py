@@ -336,7 +336,8 @@ def test_read_sketch_matches_json_load(tmp_path):
         want = json_load_sketch(f)[1]
         bnet = read_sketch(f)[1]
         assert bnet.shape == want.shape and bnet.tobytes() == want.tobytes()
-    for net in ([["0x1p+0"], ["0x1p+0", "0x1p+0"]], [["0x1p+0", "zz"]], [[1.5]], [[["0x1p+0"]]], 7):
+    ragged = [["0x1p+0"], ["0x1p+0", "0x1p+0", "0x1p+0"]]  # 4 entries fill 2 rows of 2
+    for net in (ragged, ragged[::-1], [["0x1p+0", "zz"]], [[1.5]], [[["0x1p+0"]]], 7):
         doc["net"] = net
         f.write_text(json.dumps(doc))
         with pytest.raises(InputError, match="malformed sketch bundle"):

@@ -23,6 +23,56 @@ def test_build_identical_points_single_stable_node():
     assert (res.extensions == 0.0).all()
 
 
+def test_build_solves_no_node_of_cost_0(monkeypatch):
+    # a node of cost 0 passes the stop test whatever its bicriteria cost,
+    # so it stops unsolved; traces and outputs are those of solving it
+    calls = []
+    solve = partition.bicriteria
+
+    def counting(C, params):
+        calls.append(C.shape[0])
+        return solve(C, params)
+
+    monkeypatch.setattr(partition, "bicriteria", counting)
+    locs = np.array([[0.0, 0.0], [10.0, 0.0], [0.0, 40.0]])
+    cases = [
+        # (points, k, z, trace as (size, depth, reason, hex cost, parent), reps, rep_index)
+        (np.repeat(locs, [4, 3, 5], axis=0), 2, 2,
+         [(12, 0, "split", "0x1.31baaaaaaaaaap+12", -1), (5, 1, "stable", "0x0.0p+0", 0),
+          (3, 1, "stable", "0x0.0p+0", 0), (4, 1, "stable", "0x0.0p+0", 0)],
+         locs[[2, 1, 0]], [2, 2, 2, 2, 1, 1, 1, 0, 0, 0, 0, 0]),
+        (np.repeat(locs, [4, 3, 5], axis=0), 2, 1,
+         [(12, 0, "split", "0x1.c171b09bd3b2ap+7", -1), (4, 1, "stable", "0x0.0p+0", 0),
+          (5, 1, "stable", "0x0.0p+0", 0), (3, 1, "stable", "0x0.0p+0", 0)],
+         locs[[0, 2, 1]], [0, 0, 0, 0, 2, 2, 2, 1, 1, 1, 1, 1]),
+        (np.repeat(locs, [1, 2, 2], axis=0), 3, 2,
+         [(5, 0, "split", "0x1.fe00000000000p+10", -1), (1, 1, "leaf", "0x0.0p+0", 0),
+          (2, 1, "stable", "0x0.0p+0", 0), (2, 1, "stable", "0x0.0p+0", 0)],
+         locs[[0, 2, 1]], [0, 2, 2, 1, 1]),
+        (np.tile([[2.0, -1.0]], (6, 1)), 2, 2,
+         [(6, 0, "stable", "0x0.0p+0", -1)], [[2.0, -1.0]], [0] * 6),
+    ]
+    for pts, k, z, trace, reps, rep_index in cases:
+        calls.clear()
+        res = build(pts, ClusteringParams(k=k, z=z, epsilon=0.3))
+        got = [(t.size, t.depth, t.reason, t.cost_to_m.hex(), t.parent) for t in res.recursion_trace]
+        assert got == trace
+        assert not any(t.truncated for t in res.recursion_trace)
+        assert res.representatives.tobytes() == np.asarray(reps, dtype=np.float64).tobytes()
+        assert res.rep_index.tolist() == rep_index
+        assert (res.extensions == 0.0).all()
+        assert calls == [pts.shape[0]] * (trace[0][2] == "split")
+    # the duplicate-heavy d = 30 sketch input: one of its two children costs 0
+    rng = np.random.default_rng(4)
+    anchors = rng.standard_normal((2, 30)) * 8.0
+    calls.clear()
+    res = build(anchors[rng.integers(0, 2, 8)], ClusteringParams(k=2, z=2, epsilon=0.3))
+    got = [(t.size, t.reason, t.cost_to_m.hex()) for t in res.recursion_trace]
+    assert got == [(8, "split", "0x1.8f7b02ce3539ep+12"), (6, "stable", "0x1.5180000000000p-94"),
+                   (2, "stable", "0x0.0p+0")]
+    assert calls == [8, 6]
+
+
 def test_build_singletons_leaves():
     pts = np.array([[0.0, 0.0], [50.0, 0.0], [0.0, 50.0]])
     params = ClusteringParams(k=3, z=2, epsilon=0.25)
