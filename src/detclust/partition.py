@@ -79,10 +79,10 @@ def build(P, params: ClusteringParams):
     representative numbering are deterministic. A node stops ("stable")
     when its bicriteria solution beats its one center by at most BETA of
     its cost, which a node of cost 0 does without solving, and nodes at
-    depth GAMMA stop anyway ("max-depth"). A node
-    spawning more than FANOUT_CAP_PER_K * k children keeps the most
-    expensive ones and stops the cheapest in place (collapse onto their own
-    center), flagged as truncated in the trace.
+    depth GAMMA stop anyway ("max-depth"). A node spawning more than
+    FANOUT_CAP_PER_K * k children keeps the most expensive ones and stops
+    the cheapest in place (collapse onto their own center), flagged as
+    truncated in the trace.
     """
     pts, w = _coerce_pointset(P)
     n = pts.shape[0]
@@ -119,7 +119,7 @@ def build(P, params: ClusteringParams):
             continue
 
         if cost_m == 0.0:
-            # the stop test below reads -res.cost <= 0, true of every cost
+            # the stop test below reads -res.cost <= 0, true of any cost >= 0
             emit(idx, m, depth, "stable", cost_m, parent)
             continue
         res = bicriteria(C, node_params)
