@@ -59,7 +59,6 @@ from .solve import (
     SolveResult,
     approx_solve,
     bicriteria_solve,
-    enumerate_partitions,
     exact_solve,
     partition_count,
 )
@@ -93,7 +92,6 @@ __all__ = [
     "constant_factor_approx",
     "cost_preserving_sketch",
     "derandomized_jl",
-    "enumerate_partitions",
     "epsilon_prime",
     "euclidean_pipeline",
     "exact_solve",

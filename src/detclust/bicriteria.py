@@ -21,6 +21,7 @@ from .geometry import (
     CenterSet,
     _coerce_centers,
     _coerce_pointset,
+    _power_costs,
     _power_from_sq,
     _split_extended,
     min_power_dists,
@@ -32,7 +33,6 @@ from .geometry import (
     first_seen_rows,
 )
 from .linmap import LinearMap
-from .summation import canonical_order, tree_sum_rows
 
 _ESTIMATE_ELEMENTS = 1 << 15  # spacing-estimate entries per group of sets
 _LIFT_POINTS = 128  # points per lift_by_clusters solve call
@@ -57,7 +57,7 @@ class CandidateCenters:
     points: np.ndarray
     provenance_point: np.ndarray
     provenance_level: np.ndarray
-    spacing_scale: int = 1
+    spacing_scale: int
 
     LEVEL_INPUT = np.iinfo(np.int64).min
 
@@ -575,21 +575,6 @@ def _lift_all(P, labelings, z):
         sub_ext = None if ext is None else ext[cols]
         centers[key] = solve_1centers(base[cols], sub_ext, w[cols], np.vstack(members), z)[0]
     return [np.vstack([centers[key][a : a + m] for key, a, m in runs]) for runs in pieces]
-
-
-def _power_costs(P, center_sets, z):
-    """power_cost(P, C, z) of every C in center_sets, bit for bit: one
-    distance table against all of them; each set's nearest-center power,
-    times w, is summed in canonical order by tree_sum_rows."""
-    pts, ext, w = _split_extended(P)
-    C = np.vstack(center_sets)
-    if ext is not None:  # the extension as a last coordinate, 0 at the centers
-        pts = np.column_stack([pts, ext])
-        C = np.column_stack([C, np.zeros(C.shape[0])])
-    starts = np.cumsum([0] + [c.shape[0] for c in center_sets[:-1]])
-    best = np.minimum.reduceat(sq_dist_matrix(pts, C), starts, axis=1)
-    costs = w[:, None] * _power_from_sq(best, z)
-    return tree_sum_rows(costs[canonical_order(pts, w)].T)
 
 
 def bicriteria(P, params):

@@ -85,10 +85,6 @@ class SetApproximation:
         if idx.min() < 0 or idx.max() >= self.ground_size:
             raise InputError("approximation indices out of range")
 
-    @property
-    def weight(self):
-        return self.ground_size / self.indices.size
-
 
 def _check_dim(points, tests):
     if tests.centers.shape[1] != points.shape[1]:

@@ -54,18 +54,6 @@ class WeightedPointSet:
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def n(self):
-        return self.points.shape[0]
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
-    @property
-    def total_weight(self):
-        return tree_sum(self.weights)
-
 
 @dataclass(frozen=True)
 class ExtendedPointSet:
@@ -96,14 +84,6 @@ class ExtendedPointSet:
         object.__setattr__(self, "extensions", ext)
         object.__setattr__(self, "weights", w)
 
-    @property
-    def n(self):
-        return self.points.shape[0]
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
     def as_rows(self):
         """(n, d+1) array with the extension as the last coordinate."""
         return np.hstack([self.points, self.extensions[:, None]])
@@ -111,18 +91,12 @@ class ExtendedPointSet:
 
 @dataclass(frozen=True)
 class CenterSet:
-    """A finite set of centers, optionally with a declared size budget."""
+    """A finite set of centers."""
 
     centers: np.ndarray
-    budget: int = None
 
     def __post_init__(self):
-        c = _as_points(self.centers, "centers")
-        object.__setattr__(self, "centers", c)
-        if self.budget is not None and c.shape[0] > self.budget:
-            raise InputError(
-                f"center set has {c.shape[0]} centers, declared budget {self.budget}"
-            )
+        object.__setattr__(self, "centers", _as_points(self.centers, "centers"))
 
     @property
     def k(self):
@@ -147,17 +121,6 @@ class Partition:
         if (a < 0).any() or (a >= self.k).any():
             raise InputError("assignment labels must lie in [0, k)")
         object.__setattr__(self, "assignment", a)
-
-    @property
-    def n(self):
-        return self.assignment.size
-
-    def parts(self):
-        """Index arrays of the nonempty parts, in part order."""
-        for j in range(self.k):
-            idx = np.flatnonzero(self.assignment == j)
-            if idx.size:
-                yield j, idx
 
 
 @dataclass(frozen=True)
@@ -333,18 +296,28 @@ def power_cost(P, S, z):
     The centers of an ExtendedPointSet live in its base space, at extension
     0. The per-point costs are summed in canonical (lexicographically
     sorted) point order with a fixed-shape pairwise tree, so the result is
-    permutation-invariant at the bit level.
+    permutation-invariant at the bit level. The one-set case of
+    _power_costs.
     """
-    pts, ext, w = _split_extended(P)
     centers = _coerce_centers(S)
     if not (isinstance(z, (int, np.integer)) and z >= 1):
         raise InputError("z must be an integer >= 1")
+    return float(_power_costs(P, [centers], z)[0])
+
+
+def _power_costs(P, center_sets, z):
+    """power_cost(P, C, z) of every C in center_sets: one distance table
+    against all of them; each set's nearest-center power, times w, is
+    summed in canonical order by tree_sum_rows."""
+    pts, ext, w = _split_extended(P)
+    C = np.vstack(center_sets)
     if ext is not None:  # the extension as a last coordinate, 0 at the centers
         pts = np.column_stack([pts, ext])
-        centers = np.column_stack([centers, np.zeros(centers.shape[0])])
-    costs, _ = min_power_dists(pts, centers, z)
-    order = canonical_order(pts, w)
-    return tree_sum((w * costs)[order])
+        C = np.column_stack([C, np.zeros(C.shape[0])])
+    starts = np.cumsum([0] + [c.shape[0] for c in center_sets[:-1]])
+    best = np.minimum.reduceat(sq_dist_matrix(pts, C), starts, axis=1)
+    costs = w[:, None] * _power_from_sq(best, z)
+    return tree_sum_rows(costs[canonical_order(pts, w)].T)
 
 
 _WEISZFELD_ROUNDS = 20  # lockstep z = 1 warm-up rounds before the Newton
@@ -635,7 +608,7 @@ def power_triangle_bound(d_ab, d_ac, d_bc, z, eps):
     return sum_bound, diff_bound
 
 
-def center_grid(P, per_axis=4, include_points=False):
+def center_grid(P, per_axis=4):
     """Deterministic axis-aligned lattice over the data bounding box.
 
     A small finite stand-in for "all center sets" in verification oracles:
@@ -648,7 +621,4 @@ def center_grid(P, per_axis=4, include_points=False):
     pad = GRID_MARGIN * np.where(span > 0, span, 1.0)
     axes = [np.linspace(lo[j] - pad[j], hi[j] + pad[j], per_axis) for j in range(pts.shape[1])]
     mesh = np.meshgrid(*axes, indexing="ij")
-    grid = np.stack([m.ravel() for m in mesh], axis=1)
-    if include_points:
-        grid = np.vstack([grid, pts])
-    return grid
+    return np.stack([m.ravel() for m in mesh], axis=1)

@@ -54,8 +54,8 @@ class LinearMap:
         return Y[0] if one else Y
 
 
-def identity_map(d, eps=None):
-    cert = {"checked_pairs": 0, "max_distortion": 1.0, "epsilon_target": eps if eps is not None else 0.0}
+def identity_map(d, eps):
+    cert = {"checked_pairs": 0, "max_distortion": 1.0, "epsilon_target": eps}
     return LinearMap(np.eye(d), eps=eps, certificate=cert)
 
 

@@ -22,7 +22,6 @@ from .bicriteria import bicriteria
 from .errors import InputError
 from .geometry import (
     ClusteringParams,
-    ExtendedPointSet,
     _coerce_centers,
     _coerce_pointset,
     _power_from_sq,
@@ -63,13 +62,6 @@ class PartitionCoresetResult:
     @property
     def truncated(self):
         return any(t.truncated for t in self.recursion_trace)
-
-    def extended_points(self, weights=None):
-        return ExtendedPointSet(
-            self.representatives[self.rep_index],
-            extensions=self.extensions,
-            weights=weights,
-        )
 
 
 def build(P, params: ClusteringParams):
@@ -170,7 +162,7 @@ def build(P, params: ClusteringParams):
 class VerificationReport:
     max_relative_error: float
     checked: int
-    witness: tuple = None  # (partition labels, center tuple) of the worst case
+    witness: tuple  # (partition labels, center tuple) of the worst case, or None
 
 
 def _restricted_growth_strings(n, k):
@@ -210,7 +202,8 @@ def verify_partition_coreset(
     original clustering cost against the coreset cost with centers embedded
     at extension 0. all_partitions enumerates every partition (only
     feasible for |P| <= 12, k <= 3); otherwise `samples` random partitions
-    and tuples are drawn from a seeded generator.
+    and tuples are drawn from a seeded generator. A case whose cost
+    overflows (inf or NaN) on either side scores inf.
     """
     pts, w = _coerce_pointset(P)
     if (w != 1.0).any():
@@ -257,6 +250,7 @@ def verify_partition_coreset(
         with np.errstate(invalid="ignore", divide="ignore"):
             rel = np.abs(core - orig) / orig
         rel[orig == 0.0] = np.where(core[orig == 0.0] == 0.0, 0.0, np.inf)
+        rel[~(np.isfinite(orig) & np.isfinite(core))] = np.inf  # overflowed
         checked += len(idx_iter)
         t = int(np.argmax(rel))
         if rel[t] > worst:

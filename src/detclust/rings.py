@@ -49,6 +49,7 @@ from .summation import canonical_order, tree_sum, tree_sum_rows
 RING_ZERO = np.iinfo(np.int64).min  # bucket for zero-cost points
 PASSTHROUGH_DIM = 12
 SAMPLE_DELTA = 0.1  # failure probability of each randomized ring sample
+MAX_TUPLES = 200_000  # center tuples an exhaustive verification may check
 
 
 @dataclass(frozen=True)
@@ -257,32 +258,6 @@ def epsilon_prime(z, eps, *, clamp=True):
     return min(eps, raw) if clamp else raw
 
 
-def tiny_huge_masks(cost_to_solution, base, z, eps):
-    """Tiny/huge split of a ring against a fixed solution.
-
-    Groups have edges (1 + eps/10)^l * base with base the ring's lower
-    cost edge. Tiny groups end at or below eps * base (so their total cost
-    is at most eps times the ring's seeding cost); huge groups start at or
-    above 4 * (4z/eps)^z * base, far enough that every ring point costs
-    within (1 +- 2 eps) of any huge point.
-    """
-    c = np.asarray(cost_to_solution, dtype=np.float64)
-    if base <= 0:
-        raise InputError("ring base cost must be positive")
-    eps2 = eps / 10.0
-    step = math.log1p(eps2)
-    lt = math.floor(math.log(eps) / step)
-    while (1.0 + eps2) ** lt > eps:
-        lt -= 1
-    tiny_edge = (1.0 + eps2) ** lt * base
-    target = 4.0 * (4.0 * z / eps) ** z
-    lh = math.ceil(math.log(target) / step)
-    while (1.0 + eps2) ** lh < target:
-        lh += 1
-    huge_edge = (1.0 + eps2) ** lh * base
-    return c < tiny_edge, c >= huge_edge
-
-
 def ring_coreset(P, params, mode="deterministic", *, seed=0):
     """Full coreset-with-offset pipeline.
 
@@ -392,16 +367,16 @@ def verify_offset_coreset(
     exhaustive_tuples=True,
     samples=200,
     seed=0,
-    max_tuples=200_000,
 ):
     """Worst relative error of the offset-coreset contract over center
     tuples drawn from a grid.
 
     Exhaustive mode enumerates every k-subset of the grid (within
-    max_tuples). Otherwise `samples` distinct k-subsets are drawn from one
+    MAX_TUPLES). Otherwise `samples` distinct k-subsets are drawn from one
     seeded stream, a repeated draw skipped, and every k-subset is checked
-    once samples reaches their number. Tuples
-    with cost(P, S) = 0 are excluded. Both costs of every tuple equal
+    once samples reaches their number. Tuples with cost(P, S) = 0 are
+    excluded; a tuple whose cost overflows (inf or NaN) on either side
+    scores inf. Both costs of every tuple equal
     power_cost bit for bit, with P's weights. The tuples go in chunks of
     at most _CHUNK // n, so a chunk's (tuples, points) cost table holds at
     most geometry._CHUNK elements; the witness, reported only above eps,
@@ -413,8 +388,8 @@ def verify_offset_coreset(
     if grid.shape[0] < k:
         raise InputError("center grid smaller than k")
     total = math.comb(grid.shape[0], k)
-    if exhaustive_tuples and total > max_tuples:
-        raise InputError(f"{total} center tuples exceed the budget {max_tuples}")
+    if exhaustive_tuples and total > MAX_TUPLES:
+        raise InputError(f"{total} center tuples exceed the budget {MAX_TUPLES}")
     if exhaustive_tuples or samples >= total:
         combos = itertools.combinations(range(grid.shape[0]), k)
         tuples = np.fromiter(
@@ -438,7 +413,9 @@ def verify_offset_coreset(
         orig = _tuple_costs(full, chunk, params.z)
         live = np.flatnonzero(orig != 0.0)
         approx = _tuple_costs(coreset, chunk[live], params.z) + core.offset
-        rel = np.abs(approx - orig[live]) / orig[live]
+        with np.errstate(invalid="ignore"):  # inf - inf, scored inf below
+            rel = np.abs(approx - orig[live]) / orig[live]
+        rel[~(np.isfinite(approx) & np.isfinite(orig[live]))] = np.inf
         checked += live.size
         if live.size and rel.max() > worst:
             top = int(np.argmax(rel))  # the first maximum
@@ -463,10 +440,6 @@ class EuclideanPipelineResult:
     coreset: OffsetCoreset
     sketch: object
     passthrough: bool
-
-    @property
-    def ambient_dim(self):
-        return self.coreset.points.shape[1]
 
 
 def euclidean_pipeline(P, params):

@@ -70,28 +70,6 @@ def partition_count(n, k):
     return sum(S[1:])
 
 
-def enumerate_partitions(n, k):
-    """All partitions of n items into at most k nonempty parts.
-
-    Yields Partition objects in lexicographic restricted-growth-string
-    order, each exactly once. Hard budget n <= 14, k <= 4; past it the
-    error carries the requested and allowed partition counts.
-    """
-    if n < 1 or k < 1:
-        raise InputError("need n >= 1 items and k >= 1 parts")
-    if n > ENUM_MAX_N or k > ENUM_MAX_K:
-        raise BudgetError(
-            f"partition enumeration capped at n <= {ENUM_MAX_N}, "
-            f"k <= {ENUM_MAX_K}",
-            required=partition_count(n, min(k, n)),
-            allowed=partition_count(ENUM_MAX_N, ENUM_MAX_K),
-        )
-    return (
-        Partition(np.array(a, dtype=np.int64), k)
-        for a in _restricted_growth_strings(n, k)
-    )
-
-
 _MASK_CHUNK = 2048
 
 
@@ -124,9 +102,18 @@ def _best_partition(n, k, base, ext, w, z):
     the entries are >= 0 and adding them never lowers a float sum, so it
     cannot win. Every partition still counts as examined. The winner's
     centers are the table's. At k = 1 the whole set is the winner and one
-    1-center solve replaces the table.
+    1-center solve replaces the table. Past the budget n <= ENUM_MAX_N,
+    k <= ENUM_MAX_K it raises before building the table, the error carrying
+    the requested and allowed partition counts; when every total overflows
+    (inf or NaN) there is no winner and it raises InputError.
     """
-    enumerate_partitions(n, k)  # raises past the budget, before the table
+    if n > ENUM_MAX_N or k > ENUM_MAX_K:
+        raise BudgetError(
+            f"partition enumeration capped at n <= {ENUM_MAX_N}, "
+            f"k <= {ENUM_MAX_K}",
+            required=partition_count(n, min(k, n)),
+            allowed=partition_count(ENUM_MAX_N, ENUM_MAX_K),
+        )
     if k == 1:  # the whole set is the only partition: no table to build
         best, examined = (0,) * n, 1
         centers = solve_1centers(base, ext, w, np.ones((1, n), dtype=bool), z)[0]
@@ -148,6 +135,8 @@ def _best_partition(n, k, base, ext, w, z):
                     break
             if total < best_total:
                 best, best_masks, best_total = rgs, masks, total
+        if best is None:
+            raise InputError("every clustering cost overflows float64; rescale the input")
         # restricted growth: the nonempty parts are labels 0 .. p-1
         centers = mask_centers[[m for m in best_masks if m]]
     return centers, Partition(np.array(best, dtype=np.int64), k), examined

@@ -1,14 +1,15 @@
 """Reproducible floating-point reductions.
 
 tree_sum is a fixed-shape pairwise reduction whose association order
-depends only on the length of the input, never on threading or chunking.
-It sums power_cost, partition_cost, the ring deltas and the offset F.
-tree_sum_rows sums the member weights behind every 1-center centroid (one
-row per set in geometry.solve_1centers), the costs of every center tuple
-in rings.verify_offset_coreset, of every init in solve._polish_all and
-of every projection seed's lifted centers in bicriteria._power_costs
-(one row per tuple, init or seed, equal to its power_cost). power_cost and
-partition_cost also sort the summands canonically, so they are
+depends only on the length of the input, never on threading or chunking;
+it is the one-row case of tree_sum_rows. tree_sum sums partition_cost,
+the ring deltas and the offset F. tree_sum_rows sums the member weights
+behind every 1-center centroid (one row per set in
+geometry.solve_1centers) and the costs of every center set in
+geometry._power_costs (power_cost is its one-set case), every center
+tuple in rings.verify_offset_coreset and every init in solve._polish_all
+(one row per set, tuple or init, equal to its power_cost). power_cost
+and partition_cost also sort the summands canonically, so they are
 bit-identical across permutations too.
 Other sums (.sum, einsum) round in numpy's own order; those that drive
 decisions (the swap and greedy scores, and the subset-cost table that
@@ -24,37 +25,31 @@ def tree_sum(values):
 
     Equivalent to a balanced binary reduction: adjacent pairs are added,
     an odd trailing element is carried, repeat. O(n) work, O(log n) passes.
+    The one-row case of tree_sum_rows.
     """
-    a = np.asarray(values, dtype=np.float64).ravel()
-    if a.size == 0:
-        return 0.0
-    while a.size > 1:
-        half = a.size // 2
-        s = a[0 : 2 * half : 2] + a[1 : 2 * half : 2]
-        if a.size % 2:
-            s = np.append(s, a[-1])
-        a = s
-    return float(a[0])
+    return float(tree_sum_rows(np.ravel(values)[None, :])[0])
 
 
 def tree_sum_rows(rows):
     """tree_sum of every row of a 2-d array, one pass per tree level.
 
-    Trailing zeros leave a row's sum bit-identical (an odd element paired
-    with 0 is the carried element), so the rows are zero-padded to a
-    power-of-two width, and rows of different lengths can be summed
-    together, each padded on the right."""
+    Rows are padded with -0.0 on the right to a power-of-two width: for
+    every x, x + -0.0 is x bit for bit, so an odd element paired with the
+    padding is the carried element, and rows of different lengths can be
+    summed together. The empty sum is +0.0."""
     a = np.asarray(rows, dtype=np.float64)
     m, n = a.shape
-    width = 1 << max(n - 1, 0).bit_length()
+    if n == 0:
+        return np.zeros(m)
+    width = 1 << (n - 1).bit_length()
     if width > n:
-        a = np.hstack([a, np.zeros((m, width - n))])
+        a = np.concatenate([a, np.full((m, width - n), -0.0)], axis=1)
     while a.shape[1] > 1:
         a = a[:, 0::2] + a[:, 1::2]
     return a[:, 0]
 
 
-def canonical_order(points, weights=None):
+def canonical_order(points, weights):
     """Permutation sorting rows lexicographically (last column is the
     primary key for np.lexsort, so feed columns reversed), with the weight
     as the final tie-break. Duplicate (point, weight) rows may land in any
@@ -64,6 +59,5 @@ def canonical_order(points, weights=None):
     if pts.ndim == 1:
         pts = pts[:, None]
     keys = [pts[:, j] for j in range(pts.shape[1] - 1, -1, -1)]
-    if weights is not None:
-        keys.insert(0, np.asarray(weights, dtype=np.float64))
+    keys.insert(0, np.asarray(weights, dtype=np.float64))
     return np.lexsort(keys)

@@ -6,7 +6,10 @@ The sequential references at the end (sequential_polish,
 sequential_newton_centers, sequential_projection_scan, flush_build_net,
 galloping_spacing_exponents) are the exception: they pin bits, so they
 run the library's own kernels one init, one step size, one projection
-seed, one subset or one search order at a time.
+seed, one subset or one search order at a time. So are
+carried_tree_sum and argmin_power_cost, the one-sum bodies that
+tree_sum and power_cost had before they became the one-row and one-set
+cases of their batched forms.
 """
 
 import itertools
@@ -884,3 +887,32 @@ def measured_pair_distortions(matrix, vectors):
         if nz.any():
             worst = max(worst, float(np.abs(np.sqrt(ny2[nz] / nv2[nz]) - 1.0).max()))
     return checked, 1.0 + worst
+
+
+def carried_tree_sum(values):
+    """Pairwise sum whose odd trailing element is carried to the next
+    level, not paired with padding: the bits summation.tree_sum keeps."""
+    a = np.asarray(values, dtype=np.float64).ravel()
+    if a.size == 0:
+        return 0.0
+    while a.size > 1:
+        half = a.size // 2
+        s = a[0 : 2 * half : 2] + a[1 : 2 * half : 2]
+        if a.size % 2:
+            s = np.append(s, a[-1])
+        a = s
+    return float(a[0])
+
+
+def argmin_power_cost(P, S, z):
+    """power_cost of one center set from its own argmin labels, summed in
+    canonical order by carried_tree_sum: the bits geometry.power_cost keeps."""
+    from detclust.summation import canonical_order
+
+    pts, ext, w = geometry._split_extended(P)
+    centers = geometry._coerce_centers(S)
+    if ext is not None:
+        pts = np.column_stack([pts, ext])
+        centers = np.column_stack([centers, np.zeros(centers.shape[0])])
+    costs, _ = min_power_dists(pts, centers, z)
+    return carried_tree_sum((w * costs)[canonical_order(pts, w)])

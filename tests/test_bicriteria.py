@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from detclust import InputError
+from detclust import InputError, geometry
 from detclust.geometry import (
     DEFAULT_ALPHA,
     ClusteringParams,
@@ -29,6 +29,7 @@ from detclust.bicriteria import (
 from detclust.linmap import pair_distortions
 
 from oracles import (
+    argmin_power_cost,
     exact_kz_cost,
     galloping_spacing_exponents,
     grid_search_1center,
@@ -679,11 +680,11 @@ def test_lockstep_lift_and_costs_match_one_labeling_at_a_time(monkeypatch):
         P_in = (pts, w) if trial % 2 else ExtendedPointSet(pts, rng.random(n), w)
         labelings = [rng.integers(0, int(rng.integers(1, 9)), n) for _ in range(5)]
         lifted = bicriteria_mod._lift_all(P_in, labelings, z)
-        costs = bicriteria_mod._power_costs(P_in, lifted, z)
+        costs = geometry._power_costs(P_in, lifted, z)
         for labels, got, cost in zip(labelings, lifted, costs):
             want = sequential_lift(P_in, labels, z)
             assert got.tobytes() == want.tobytes()
-            assert cost == power_cost(P_in, want, z)
+            assert cost.tobytes() == np.float64(argmin_power_cost(P_in, want, z)).tobytes()
 
 
 def _assert_scan_matches_sequential(P_in, params):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from detclust.cli import _build_parser, _parse_thread_cap, cli_dispatch
+from detclust.datasets import gaussian_blobs
 from detclust.errors import InputError
 from detclust.geometry import ClusteringParams
 from detclust.io import read_coreset, read_points, write_points, write_sketch
@@ -210,6 +211,37 @@ def test_corrupted_coreset_fails_verification(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 4
     assert "FAILED" in err
+
+
+def _overflowing_points(path, n):
+    # coordinates near 2^603: every squared distance, so every cost, is inf
+    pts = gaussian_blobs(200, 2, blobs=2, seed=1, separation=6)[:n] * 2.0**600
+    write_points(pts, path)
+
+
+def test_coreset_of_overflowing_costs_fails_verification(tmp_path, capsys):
+    pts, core = tmp_path / "p.csv", tmp_path / "core.csv"
+    _overflowing_points(pts, 200)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli_dispatch(
+            ["coreset", "build", "--in", str(pts), "--out", str(core),
+             "--k", "2", "--z", "2", "--eps", "0.3", "--alpha", "2.0"]
+        ) == 0
+        capsys.readouterr()
+        code = cli_dispatch(["coreset", "verify", "--points", str(pts), "--coreset", str(core)])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert "checked 120 center tuples: max_relative_error=inf" in out
+    assert "FAILED" in err
+
+
+def test_solve_exact_of_overflowing_costs_exits_2(tmp_path, capsys):
+    pts = tmp_path / "p.csv"
+    _overflowing_points(pts, 9)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = cli_dispatch(["solve", "exact", "--in", str(pts), "--k", "2", "--z", "2", "--eps", "0.3"])
+    assert code == 2
+    assert "overflow" in capsys.readouterr().err
 
 
 def test_usage_errors_exit_2(capsys):

@@ -149,7 +149,6 @@ def test_halving_tiny_eps_returns_ground():
     A = halving_approx(pts, 1e-6, fam)
     assert A.indices.size == 64
     assert verify_set_approx(pts, A, fam) == 0.0
-    assert A.weight == 1.0
 
 
 def test_halving_deterministic():

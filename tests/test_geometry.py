@@ -21,7 +21,13 @@ from detclust.rings import ring_coreset
 from detclust.solve import exact_solve
 from detclust.summation import tree_sum_rows
 
-from oracles import dict_row_pool, grid_search_1center, naive_power_cost
+from oracles import (
+    argmin_power_cost,
+    carried_tree_sum,
+    dict_row_pool,
+    grid_search_1center,
+    naive_power_cost,
+)
 
 
 def test_tree_sum_matches_math_fsum():
@@ -48,6 +54,42 @@ def test_tree_sum_rows_is_tree_sum_of_each_zero_padded_row():
             assert got[r].tobytes() == np.float64(tree_sum(rows[r, :length])).tobytes()
 
 
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+def test_tree_sum_is_the_carried_tree_bit_for_bit():
+    # -0.0 padding: x + -0.0 is x for every x, the signed zeros included,
+    # so the one-row tree_sum_rows is the tree that carries an odd element
+    rng = np.random.default_rng(2)
+    assert _bits(tree_sum([])) == _bits(0.0) == _bits(carried_tree_sum([]))
+    for n in range(1, 300):
+        a = rng.normal(size=n) * 10.0 ** rng.integers(-8, 8, size=n)
+        a[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+        cases = [a, -np.abs(a), np.full(n, -0.0), np.where(rng.random(n) < 0.5, 0.0, -0.0)]
+        for x in cases:
+            assert _bits(tree_sum(x)) == _bits(carried_tree_sum(x)), n
+    assert _bits(tree_sum([-0.0] * 3)) == _bits(-0.0)
+    assert _bits(tree_sum_rows(np.empty((2, 0)))[1]) == _bits(0.0)
+
+
+def test_power_cost_is_the_argmin_body_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for trial in range(300):
+        n, d, m = int(rng.integers(1, 40)), int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        z = int(rng.integers(1, 4))
+        pts = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-3, 3, (n, 1))
+        pts[rng.random(n) < 0.2] = pts[0]  # repeated rows: canonical order ties
+        S = rng.standard_normal((m, d)) * 10.0 ** rng.uniform(-3, 3)
+        if trial % 10 == 0:
+            S[0] = pts[0]  # a cost-0 point
+        w = rng.random(n) * rng.choice([1.0, 1e6])
+        w[rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+        P = [pts, (pts, w), ExtendedPointSet(pts, rng.random(n), w)][trial % 3]
+        assert _bits(power_cost(P, S, z)) == _bits(argmin_power_cost(P, S, z)), trial
+        assert type(power_cost(P, CenterSet(S), z)) is float
+
+
 def test_types_validate():
     with pytest.raises(InputError):
         WeightedPointSet(np.empty((0, 2)))
@@ -60,7 +102,7 @@ def test_types_validate():
     with pytest.raises(InputError):
         WeightedPointSet(np.empty((3, 0)))
     with pytest.raises(InputError):
-        CenterSet([[0.0], [1.0]], budget=1)
+        CenterSet([[0.0], [np.inf]])
     with pytest.raises(InputError):
         Partition(np.array([0, 2]), k=2)
     with pytest.raises(InputError):
@@ -338,8 +380,6 @@ def test_center_grid_shape_and_determinism():
     g2 = center_grid(pts, per_axis=4)
     assert g1.shape == (16, 2)
     assert (g1 == g2).all()
-    g3 = center_grid(pts, per_axis=3, include_points=True)
-    assert g3.shape == (9 + 20, 2)
 
 
 def test_first_seen_rows_matches_dict_pool():

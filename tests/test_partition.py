@@ -5,6 +5,7 @@ import pytest
 
 import detclust.partition as partition
 from detclust import InputError
+from detclust.datasets import gaussian_blobs
 from detclust.geometry import ClusteringParams, center_grid, power_cost
 from detclust.partition import build, verify_partition_coreset
 
@@ -332,3 +333,20 @@ def test_build_rerun_bit_identical():
     assert np.array_equal(a.rep_index, b.rep_index)
     assert np.array_equal(a.extensions, b.extensions)
     assert a.recursion_trace == b.recursion_trace
+
+
+def test_verifier_scores_an_overflowing_cost_inf():
+    # inf on both sides gives inf - inf = NaN, which argmax would pick and
+    # the > test would then skip
+    pts = gaussian_blobs(200, 2, blobs=2, seed=1, separation=6)[:8] * 2.0**600
+    params = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
+    grid = center_grid(pts, per_axis=3)
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = build(pts, params)
+        rep = verify_partition_coreset(pts, res, params, grid)
+        sampled = verify_partition_coreset(
+            pts, res, params, grid, all_partitions=False, samples=10
+        )
+    assert rep.max_relative_error == np.inf
+    assert rep.witness == ((0,) * 8, (0,))
+    assert sampled.max_relative_error == np.inf and sampled.witness is not None

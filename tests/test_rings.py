@@ -7,6 +7,7 @@ import pytest
 
 from detclust import rings as rings_mod
 from detclust.bicriteria import candidate_centers, greedy_augment
+from detclust.datasets import gaussian_blobs
 from detclust.epsapprox import ball_test_families, ball_test_family, halving_approx
 from detclust.errors import InputError
 from detclust.geometry import (
@@ -28,7 +29,6 @@ from detclust.rings import (
     ring_coreset,
     ring_decompose,
     ring_thresholds,
-    tiny_huge_masks,
     verify_offset_coreset,
 )
 from detclust.summation import tree_sum
@@ -402,13 +402,15 @@ def test_verifier_on_exact_copy_reports_zero():
     assert rep.witness is None
 
 
-def test_verifier_budgets_and_sampling():
+def test_verifier_budgets_and_sampling(monkeypatch):
     pts, params = two_blob_instance()
     core = ring_coreset(pts, params)
     with pytest.raises(InputError):
         verify_offset_coreset(pts, core, params, pts[:1])
-    with pytest.raises(InputError):
-        verify_offset_coreset(pts, core, params, pts[:30], max_tuples=100)
+    monkeypatch.setattr(rings_mod, "MAX_TUPLES", 100)
+    with pytest.raises(InputError, match="exceed the budget 100"):
+        verify_offset_coreset(pts, core, params, pts[:30])
+    monkeypatch.undo()
     a = verify_offset_coreset(
         pts, core, params, center_grid(pts, per_axis=5),
         exhaustive_tuples=False, samples=40, seed=9,
@@ -535,37 +537,28 @@ def test_verifier_reads_the_weights_of_P():
     assert rep.checked == math.comb(5, 2)
 
 
+def test_verifier_scores_an_overflowing_cost_inf():
+    # every cost is inf on both sides, and inf - inf is NaN: the first
+    # tuple scores inf and is the witness, not a NaN that max() skips
+    pts = gaussian_blobs(200, 2, blobs=2, seed=1, separation=6) * 2.0**600
+    params = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        core = ring_coreset(pts, params)
+        rep = verify_offset_coreset(pts, core, params, center_grid(pts, per_axis=4))
+        sampled = verify_offset_coreset(
+            pts, core, params, center_grid(pts, per_axis=5),
+            exhaustive_tuples=False, samples=30, seed=2,
+        )
+    assert core.size == 2
+    assert (rep.max_relative_error, rep.checked, rep.witness) == (np.inf, 120, ((0, 1), np.inf))
+    assert sampled.max_relative_error == np.inf and sampled.witness is not None
+
+
 def main_ring_with_at_least(pts, params, rings, size):
     for (i, j), idx in sorted(rings.buckets.items()):
         if rings.classes[(i, j)] == "main" and idx.size >= size:
             return (i, j), idx
     raise AssertionError("no main ring large enough")
-
-
-def test_tiny_group_mass_bounded():
-    pts, params = two_blob_instance()
-    seeding = greedy_seeding(pts, params)
-    rings = ring_decompose(pts, seeding, params)
-    (i, j), idx = main_ring_with_at_least(pts, params, rings, 12)
-    ring_pts = pts[idx]
-    base = 2.0**j * rings.deltas[i]
-    ring_cost_G = float(tree_sum(rings.costs[idx]))
-    # solution containing a ring point: that point's cost is 0, so the
-    # tiny class is nonempty
-    S = np.vstack([ring_pts[0], [50.0, 50.0]])
-    cost_S = sq_dist_matrix(ring_pts, S).min(axis=1) ** (params.z / 2.0)
-    tiny, huge = tiny_huge_masks(cost_S, base, params.z, params.epsilon)
-    assert tiny.any()
-    assert float(tree_sum(cost_S[tiny])) <= params.epsilon * ring_cost_G
-    # weighted variant over the halving subset obeys the same budget
-    fam = ball_test_family(ring_pts, params.k)
-    eps_p = epsilon_prime(params.z, params.epsilon)
-    approx = halving_approx(ring_pts, eps_p, fam)
-    scale = idx.size / approx.indices.size
-    kept = cost_S[approx.indices]
-    kept_tiny = tiny[approx.indices]
-    assert float(tree_sum(kept[kept_tiny]) * scale if kept_tiny.any() else 0.0) \
-        <= params.epsilon * ring_cost_G
 
 
 def test_huge_group_estimate_within_3eps():
@@ -575,10 +568,11 @@ def test_huge_group_estimate_within_3eps():
     (i, j), idx = main_ring_with_at_least(pts, params, rings, 12)
     ring_pts = pts[idx]
     base = 2.0**j * rings.deltas[i]
+    # a center so far that every ring point is in a huge group: at or
+    # above 4 (4z/eps)^z times the ring's lower cost edge
     S = np.array([[100.0, 100.0]])
     cost_S = sq_dist_matrix(ring_pts, S).min(axis=1) ** (params.z / 2.0)
-    tiny, huge = tiny_huge_masks(cost_S, base, params.z, params.epsilon)
-    assert huge.all()
+    assert (cost_S >= 4.0 * (4.0 * params.z / params.epsilon) ** params.z * base).all()
     fam = ball_test_family(ring_pts, params.k)
     eps_p = epsilon_prime(params.z, params.epsilon)
     approx = halving_approx(ring_pts, eps_p, fam)
@@ -587,16 +581,11 @@ def test_huge_group_estimate_within_3eps():
     assert abs(est - full) <= 3.0 * params.epsilon * full
 
 
-def test_tiny_huge_masks_validation():
-    with pytest.raises(InputError):
-        tiny_huge_masks(np.array([1.0]), 0.0, 1, 0.3)
-
-
 def test_pipeline_passthrough_low_dim():
     pts, params = two_blob_instance()
     out = euclidean_pipeline(pts, params)
     assert out.passthrough and out.sketch is None
-    assert out.ambient_dim == 3
+    assert out.coreset.points.shape[1] == 3
     assert (out.coreset.points[:, -1] == 0.0).all()
     assert out.coreset.total_weight == Fraction(200)
 
@@ -622,7 +611,7 @@ def test_pipeline_high_dim_rerun_identical():
     a = euclidean_pipeline(pts, params)
     b = euclidean_pipeline(pts, params)
     assert not a.passthrough
-    assert a.ambient_dim == a.sketch.map.m + 1
+    assert a.coreset.points.shape[1] == a.sketch.map.m + 1
     assert a.coreset.total_weight == Fraction(16)
     assert np.array_equal(a.coreset.points, b.coreset.points)
     assert a.coreset.offset == b.coreset.offset

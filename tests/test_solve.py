@@ -21,12 +21,12 @@ from detclust.geometry import (
     WeightedPointSet,
     power_cost,
 )
+from detclust.partition import _restricted_growth_strings
 from detclust.solve import (
     ENUM_MAX_K,
     ENUM_MAX_N,
     approx_solve,
     bicriteria_solve,
-    enumerate_partitions,
     exact_solve,
     partition_count,
 )
@@ -74,33 +74,50 @@ def test_partition_count_matches_stirling_oracle():
             assert partition_count(n, k) == stirling_partial_sum(n, k)
 
 
-def test_enumerate_partitions_canonical_order():
+def test_restricted_growth_strings_canonical_order():
     seen = []
-    for part in enumerate_partitions(6, 3):
-        a = part.assignment.tolist()
+    for a in _restricted_growth_strings(6, 3):
         assert a[0] == 0
         for i in range(1, 6):
             assert a[i] <= max(a[:i]) + 1  # restricted growth
         assert max(a) <= 2
-        seen.append(tuple(a))
+        seen.append(a)
     assert len(seen) == partition_count(6, 3)
     assert len(set(seen)) == len(seen)
     assert seen == sorted(seen)
 
 
-def test_enumerate_partitions_budget_raises_on_call():
+class _TableBuilt(Exception):
+    pass
+
+
+def test_exact_solve_budget_raises_before_the_table(monkeypatch):
+    def no_table(*args):
+        raise _TableBuilt
+
+    monkeypatch.setattr(solve, "_all_subset_costs", no_table)
+    rng = np.random.default_rng(4)
     with pytest.raises(BudgetError) as ei:
-        enumerate_partitions(15, 2)
+        exact_solve(rng.standard_normal((15, 2)), ClusteringParams(k=2, z=2, epsilon=0.3))
     assert ei.value.required == partition_count(15, 2)
     assert ei.value.allowed == partition_count(ENUM_MAX_N, ENUM_MAX_K)
-    with pytest.raises(BudgetError):
-        enumerate_partitions(8, 5)
-    with pytest.raises(InputError):
-        enumerate_partitions(0, 2)
-    # the full budget itself is fine
-    gen = enumerate_partitions(ENUM_MAX_N, ENUM_MAX_K)
-    first = next(gen)
-    assert first.assignment.tolist() == [0] * ENUM_MAX_N
+    with pytest.raises(BudgetError) as ei:
+        exact_solve(rng.standard_normal((8, 2)), ClusteringParams(k=5, z=2, epsilon=0.3))
+    assert ei.value.required == partition_count(8, 5)
+    # the full budget itself goes on to build the table
+    with pytest.raises(_TableBuilt):
+        exact_solve(
+            rng.standard_normal((ENUM_MAX_N, 2)),
+            ClusteringParams(k=ENUM_MAX_K, z=2, epsilon=0.3),
+        )
+
+
+def test_exact_solve_names_an_overflowing_cost():
+    # every clustering of these points costs inf, so none can win
+    pts = gaussian_blobs(200, 2, blobs=2, seed=1, separation=6)[:9] * 2.0**600
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(InputError, match="overflow"):
+            exact_solve(pts, ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0))
 
 
 def test_exact_trivial_when_k_covers_points():
