@@ -25,7 +25,14 @@ import numpy as np
 
 from .bicriteria import seeded_projection_family
 from .errors import BudgetError, InputError
-from .geometry import ClusteringParams, ExtendedPointSet, _as_points, first_seen_rows
+from .geometry import (
+    ClusteringParams,
+    ExtendedPointSet,
+    _as_points,
+    _row_keys,
+    first_seen_rows,
+    sq_dist_matrix,
+)
 from .linmap import LinearMap, identity_map, pair_distortions
 from .partition import PartitionCoresetResult, build
 
@@ -57,15 +64,6 @@ def _barycentric_steps(G, parts):
     lam = np.array(comps, dtype=np.float64) / G
     lam.flags.writeable = False
     return lam
-
-
-def _pair_distances(S):
-    """(m, m) table of the distances between the rows of S: entry [a, b],
-    a < b, is |S[b] - S[a]|; the diagonal and lower triangle are 0."""
-    pair = np.zeros((S.shape[0], S.shape[0]))
-    for a in range(S.shape[0] - 1):
-        pair[a, a + 1 :] = np.sqrt(((S[a + 1 :] - S[a]) ** 2).sum(axis=1))
-    return pair
 
 
 def _pivoted_orthobases(V):
@@ -131,7 +129,7 @@ def build_net(representatives):
             "witness net subset enumeration", required=n_subsets, allowed=MAX_SUBSETS
         )
 
-    pair = _pair_distances(reps)  # every subset's diameter is read from it
+    apart = sq_dist_matrix(reps, reps) > 0.0  # a subset's diameter is > 0 iff a pair is apart
     net = _NetRows(1e-12 * max(1.0, float(np.abs(reps).max(initial=0.0))), reps.shape[1])
     sid = 0
     for j in range(1, min(NET_SUBSET_SIZE, T) + 1):
@@ -140,8 +138,7 @@ def build_net(representatives):
             dtype=np.int64,
             count=math.comb(T, j) * j,
         ).reshape(-1, j)
-        diams = pair[combos[:, :, None], combos[:, None, :]].max(axis=(1, 2))
-        steps = np.where(diams > 0.0, MAX_COVER_STEPS, 0)
+        steps = MAX_COVER_STEPS * apart[combos[:, :, None], combos[:, None, :]].any(axis=(1, 2))
         lo = 0
         while lo < combos.shape[0]:  # blocks of subsets with one step count
             G = int(steps[lo])
@@ -168,23 +165,19 @@ class _NetRows:
 
     A block is deduplicated by first_seen_rows on its own rows. Its
     distinct rows are then looked up by binary search among the kept rows'
-    quantized keys, each key one opaque byte string, kept sorted; the new
-    keys are inserted in order, so the kept net is never sorted again.
+    _row_keys, kept sorted; the new keys are inserted in order, so the
+    kept net is never sorted again.
     """
 
     def __init__(self, quantum, d):
         self.quantum = quantum
         self.points = [np.zeros((1, d))]  # the origin, then each block's new rows
         self.sources = [(-1, "origin")]
-        self.keys = self._keys(self.points[0])  # sorted
-
-    def _keys(self, rows):
-        keys = np.round(rows / self.quantum).astype(np.int64)
-        return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+        self.keys = _row_keys(self.points[0], quantum)  # sorted
 
     def add(self, rows, sids, is_basis):
         first, _ = first_seen_rows(rows, self.quantum)
-        keys = self._keys(rows[first])
+        keys = _row_keys(rows[first], self.quantum)
         seen = self.keys[np.minimum(np.searchsorted(self.keys, keys), self.keys.size - 1)] == keys
         new = first[~seen]
         fresh = np.sort(keys[~seen])

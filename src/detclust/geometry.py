@@ -34,6 +34,14 @@ def _as_points(arr, name="points"):
     return np.ascontiguousarray(pts)
 
 
+def _as_weights(w, n):
+    """w as n validated float64 weights, all 1 when w is None."""
+    w = np.ones(n) if w is None else np.asarray(w, dtype=np.float64)
+    if w.shape != (n,) or not np.isfinite(w).all() or (w < 0).any():
+        raise InputError("weights must be finite, >= 0, one per point")
+    return w
+
+
 @dataclass(frozen=True)
 class WeightedPointSet:
     """Multiset of points in R^d with nonnegative real weights."""
@@ -43,16 +51,8 @@ class WeightedPointSet:
 
     def __post_init__(self):
         pts = _as_points(self.points)
-        w = self.weights
-        if w is None:
-            w = np.ones(pts.shape[0])
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (pts.shape[0],):
-            raise InputError("weights shape must match number of points")
-        if not np.isfinite(w).all() or (w < 0).any():
-            raise InputError("weights must be finite and >= 0")
         object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _as_weights(self.weights, pts.shape[0]))
 
 
 @dataclass(frozen=True)
@@ -74,15 +74,9 @@ class ExtendedPointSet:
             raise InputError("extensions shape must match number of points")
         if not np.isfinite(ext).all() or (ext < 0).any():
             raise InputError("extensions must be finite and >= 0")
-        w = self.weights
-        if w is None:
-            w = np.ones(pts.shape[0])
-        w = np.asarray(w, dtype=np.float64)
-        if w.shape != (pts.shape[0],) or not np.isfinite(w).all() or (w < 0).any():
-            raise InputError("weights must be finite, >= 0, one per point")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "extensions", ext)
-        object.__setattr__(self, "weights", w)
+        object.__setattr__(self, "weights", _as_weights(self.weights, pts.shape[0]))
 
     def as_rows(self):
         """(n, d+1) array with the extension as the last coordinate."""
@@ -248,26 +242,27 @@ def sq_dist_blocks(X, C, owner):
     return out
 
 
+def _row_keys(rows, quantum):
+    """One opaque byte key per row of rows: its coordinates rounded to
+    multiples of quantum, as int64, read as one np.void. Two keys are equal
+    exactly when the rows round alike in every coordinate."""
+    keys = np.round(rows / quantum).astype(np.int64, order="C")
+    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[1]))).ravel()
+
+
 def first_seen_rows(rows, quantum):
     """(keep, index) of the (r, d) array rows deduplicated up to coordinate
     quantization, the first occurrence kept.
 
-    Two rows are one when they round to the same multiple of quantum in
-    every coordinate. keep lists the first occurrence of each distinct row
-    in ascending order; index[i] is the position in keep of row i's first
-    occurrence. One stable lexsort over the quantized int64 keys.
+    Two rows are one when their _row_keys are equal. keep lists the first
+    occurrence of each distinct row in ascending order; index[i] is the
+    position in keep of row i's first occurrence. One np.unique over the
+    byte keys, which sorts stably when asked for indices.
     """
-    keys = np.round(rows / quantum).astype(np.int64)
-    order = np.lexsort(keys.T[::-1])
-    keys = keys[order]
-    new = np.ones(order.size, dtype=bool)
-    new[1:] = (keys[1:] != keys[:-1]).any(axis=1)
-    first = order[new]  # stable: the lowest row of each run of equal keys
+    _, first, inverse = np.unique(_row_keys(rows, quantum), return_index=True, return_inverse=True)
     rank = np.empty(first.size, dtype=np.int64)
     rank[np.argsort(first)] = np.arange(first.size)
-    index = np.empty(order.size, dtype=np.int64)
-    index[order] = rank[np.cumsum(new) - 1]
-    return np.sort(first), index
+    return np.sort(first), rank[inverse]
 
 
 def min_power_dists(X, C, z):

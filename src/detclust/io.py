@@ -35,6 +35,23 @@ MAGIC = b"DCLUS1"
 _BIN_HEADER = struct.Struct("<IQBB")
 
 
+def _header_fields(line, what, keys):
+    """The fields of a '# key=value ...' first line that defines each of
+    keys once and nothing else; what names the header in messages."""
+    parts = line.split()
+    if not parts or parts[0] != "#":
+        raise InputError(f"line 1: malformed {what}, expected '# {'=... '.join(keys)}=...'")
+    fields = {}
+    for tok in parts[1:]:
+        key, _, val = tok.partition("=")
+        if not val or key in fields:
+            raise InputError(f"line 1: malformed header field {tok!r}")
+        fields[key] = val
+    if set(fields) != set(keys):
+        raise InputError(f"line 1: {what} must define exactly {', '.join(keys)}")
+    return fields
+
+
 @dataclass(frozen=True)
 class PointFileHeader:
     """Shared header for both point formats. count is -1 when the format
@@ -54,21 +71,9 @@ class PointFileHeader:
 
     @classmethod
     def from_line(cls, line):
-        parts = line.strip().split()
-        fields = {}
-        if not parts or parts[0] != "#":
-            raise InputError("line 1: malformed header, expected '# dim=... weighted=... ext=...'")
-        for tok in parts[1:]:
-            key, _, val = tok.partition("=")
-            if not val or key in fields:
-                raise InputError(f"line 1: malformed header field {tok!r}")
-            fields[key] = val
-        if set(fields) != {"dim", "weighted", "ext"}:
-            raise InputError("line 1: header must define exactly dim, weighted, ext")
+        fields = _header_fields(line, "header", ("dim", "weighted", "ext"))
         try:
-            dim = int(fields["dim"])
-            weighted = int(fields["weighted"])
-            ext = int(fields["ext"])
+            dim, weighted, ext = (int(fields[key]) for key in ("dim", "weighted", "ext"))
         except ValueError:
             raise InputError("line 1: header fields must be integers") from None
         if weighted not in (0, 1) or ext not in (0, 1):
@@ -241,17 +246,7 @@ def read_coreset(path):
         lines = fh.read().splitlines()
     if not lines:
         raise InputError("line 1: empty file")
-    parts = lines[0].split()
-    if not parts or parts[0] != "#":
-        raise InputError("line 1: malformed coreset header")
-    fields = {}
-    for tok in parts[1:]:
-        key, _, val = tok.partition("=")
-        if not val or key in fields:
-            raise InputError(f"line 1: malformed header field {tok!r}")
-        fields[key] = val
-    if set(fields) != {"dim", "F", "k", "z", "eps"}:
-        raise InputError("line 1: coreset header must define dim, F, k, z, eps")
+    fields = _header_fields(lines[0], "coreset header", ("dim", "F", "k", "z", "eps"))
     try:
         dim = int(fields["dim"])
         offset = float.fromhex(fields["F"])
@@ -291,9 +286,7 @@ def read_coreset(path):
 
 
 def _hex_tree(value):
-    if isinstance(value, float):
-        return float(value).hex()
-    if isinstance(value, (np.floating,)):
+    if isinstance(value, (float, np.floating)):
         return float(value).hex()
     if isinstance(value, (int, np.integer)):
         return int(value)

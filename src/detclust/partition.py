@@ -98,11 +98,10 @@ def build(P, params: ClusteringParams):
         trace.append(NodeTrace(len(idx), depth, reason, cost_m, parent, truncated))
 
     root_m = solve_1center(pts, z)
-    queue = [(np.arange(n), root_m, 0, -1)]
+    queue = [(np.arange(n), root_m, power_cost(pts, root_m[None, :], z), 0, -1)]
     while queue:
-        idx, m, depth, parent = queue.pop(0)
+        idx, m, cost_m, depth, parent = queue.pop(0)
         C = pts[idx]
-        cost_m = power_cost(C, m[None, :], z)
 
         if len(idx) == 1 and depth < GAMMA:
             # a singleton collapses onto itself exactly
@@ -141,8 +140,8 @@ def build(P, params: ClusteringParams):
             for c_cost, lbl, sub in stopped:
                 emit(sub, centers[lbl], depth + 1, "stable", c_cost, me, truncated=True)
             children = kept
-        for _, lbl, sub in children:
-            queue.append((sub, centers[lbl], depth + 1, me))
+        for c_cost, lbl, sub in children:
+            queue.append((sub, centers[lbl], c_cost, depth + 1, me))
 
     reps = np.array([m for _, m in emitted])
     quantum = 1e-12 * max(1.0, float(np.abs(pts).max(initial=0.0)))

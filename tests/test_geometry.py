@@ -385,10 +385,14 @@ def test_center_grid_shape_and_determinism():
 def test_first_seen_rows_matches_dict_pool():
     rng = np.random.default_rng(7)
     for trial in range(500):
-        r, d = int(rng.integers(1, 40)), int(rng.integers(1, 5))
+        r, d = int(rng.integers(1, 40)), int(rng.integers(1, 31))
         # few distinct lattice values, nudged below and around the quantum
         rows = rng.integers(-2, 3, size=(r, d)) * rng.choice([1.0, 1e-9, 1e6])
         rows = rows + rng.standard_normal((r, d)) * rng.choice([0.0, 1e-13, 1e-10])
+        if trial % 5 == 0:  # every row one row
+            rows = np.repeat(rows[:1], r, axis=0)
+        # -0.0 and 0.0, and values rounding to -0.0, share one key
+        rows[rng.random((r, d)) < 0.2] = rng.choice([0.0, -0.0, -1e-15])
         quantum = float(rng.choice([1e-12, 1e-9, 0.5]))
         keep, index = geometry.first_seen_rows(rows, quantum)
         want_keep, want_index = dict_row_pool(rows, quantum)

@@ -74,6 +74,33 @@ def test_build_solves_no_node_of_cost_0(monkeypatch):
     assert calls == [8, 6]
 
 
+def test_build_costs_each_node_once(monkeypatch):
+    # a child's cost_to_m is computed by its parent and carried to it, so
+    # each traced node (truncated stops too) costs one power_cost call
+    calls = []
+    cost = partition.power_cost
+
+    def counting(C, centers, z):
+        calls.append(C.shape[0])
+        return cost(C, centers, z)
+
+    monkeypatch.setattr(partition, "power_cost", counting)
+    rng = np.random.default_rng(6)
+    cases = [
+        (gaussian_blobs(40, 2, blobs=3, seed=2, separation=6), 3, 2, 64),
+        (rng.standard_normal((30, 2)) * 5.0, 2, 1, 64),
+        (gaussian_blobs(24, 30, blobs=2, seed=1, separation=6), 2, 2, 64),
+        (rng.standard_normal((20, 2)), 2, 2, 1),  # the fanout cap stops children
+    ]
+    for pts, k, z, cap in cases:
+        monkeypatch.setattr(partition, "FANOUT_CAP_PER_K", cap)
+        calls.clear()
+        res = build(pts, ClusteringParams(k=k, z=z, epsilon=0.3))
+        assert any(t.depth >= 1 for t in res.recursion_trace)
+        assert len(calls) == len(res.recursion_trace)
+    assert any(t.truncated for t in res.recursion_trace)
+
+
 def test_build_singletons_leaves():
     pts = np.array([[0.0, 0.0], [50.0, 0.0], [0.0, 50.0]])
     params = ClusteringParams(k=3, z=2, epsilon=0.25)
