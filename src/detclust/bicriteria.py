@@ -21,6 +21,7 @@ from .geometry import (
     CenterSet,
     _coerce_centers,
     _coerce_pointset,
+    _own_center_costs,
     _power_costs,
     _power_from_sq,
     _split_extended,
@@ -206,21 +207,20 @@ def _candidate_families(sets, params, anchors):
     """candidate_centers(sets[i], params, anchors[i]) of every i, bit for bit.
 
     The sets share n and the dimension, as the projected copies of one
-    point set do. One search finds every set's spacing exponent in
-    lockstep: each round estimates the lattice of every set still
-    searching, at that set's own next exponent, in (sets, levels, n, d)
-    arrays of about _ESTIMATE_ELEMENTS elements per group of sets. Then
-    ball_lattice and first_seen_rows run once per set.
+    point set do, and the anchors share their size. One
+    geometry._own_center_costs call costs every anchor. One search finds
+    every set's spacing exponent in lockstep: each round estimates the
+    lattice of every set still searching, at that set's own next exponent,
+    in (sets, levels, n, d) arrays of about _ESTIMATE_ELEMENTS elements per
+    group of sets. Then ball_lattice and first_seen_rows run once per set.
     """
     z, eps, alpha = params.z, params.epsilon, params.alpha
     rows = [_coerce_pointset(P) for P in sets]
     split = [_split_extended(P) for P in sets]
     n, lat_dim = split[0][0].shape
-    deltas = []
-    for (pts, w), anchor in zip(rows, anchors):
-        total_w = float(w.sum())
-        cost = power_cost((pts, w), _coerce_centers(anchor), z)
-        deltas.append(cost / total_w if total_w > 0 else 0.0)
+    X, W = (np.array(a) for a in zip(*rows))
+    costs = _own_center_costs(X, W, np.array([_coerce_centers(a) for a in anchors]), z)
+    deltas = [c / t if t > 0 else 0.0 for c, t in zip(costs.tolist(), map(float, map(np.sum, W)))]
     live = [i for i, delta in enumerate(deltas) if delta > 0]
     scales = np.ones(len(sets), dtype=np.int64)
     if live:
@@ -444,11 +444,24 @@ def greedy_augment(P, S0, candidates, params, *, full_output=False):
     falls to (eps/alpha) * cost(S0), alpha = params.alpha. Candidate ties
     break to the lowest index. Those tests read a cost tracked
     incrementally, which drifts from the true cost by rounding; the
-    result's cost is the power_cost of its centers.
+    result's cost is the power_cost of its centers. The projection scan
+    runs the loop alone (_augment) and never computes that cost.
 
     full_output also returns the incrementally tracked cost history,
     cost(S0) first.
     """
+    centers, reason, history = _augment(P, S0, candidates, params)
+    res = BicriteriaResult(
+        centers=CenterSet(centers),
+        cost=power_cost(_coerce_pointset(P), centers, params.z),
+        stopped_reason=reason,
+        baseline_size=_coerce_centers(S0).shape[0],
+    )
+    return (res, history) if full_output else res
+
+
+def _augment(P, S0, candidates, params):
+    """greedy_augment's loop: (centers, stopped reason, cost history)."""
     pts, w = _coerce_pointset(P)
     k, z, eps, alpha = params.k, params.z, params.epsilon, params.alpha
     S0c = _coerce_centers(S0)
@@ -494,13 +507,7 @@ def greedy_augment(P, S0, candidates, params, *, full_output=False):
         history.append(cost)
 
     centers = np.vstack([S0c, cand[chosen]]) if chosen else S0c.copy()
-    res = BicriteriaResult(
-        centers=CenterSet(centers),
-        cost=power_cost((pts, w), centers, z),
-        stopped_reason=reason,
-        baseline_size=S0c.shape[0],
-    )
-    return (res, history) if full_output else res
+    return centers, reason, history
 
 
 # ---------------- full bicriteria ----------------
@@ -518,8 +525,9 @@ def _bicriteria_lowdim(P, params):
 
 def _bicriteria_lockstep(sets, params):
     """_bicriteria_lowdim of every set (sets of one n and dimension), bit
-    for bit: both candidate families of all sets come from one
-    _candidate_families call each; seeding, swap search and greedy
+    for bit, without the final cost: one (centers, stopped reason,
+    baseline size) per set. Both candidate families of all sets come from
+    one _candidate_families call each; seeding, swap search and greedy
     augmentation run per set."""
     seeds = [_seed_centers(S, params) for S in sets]
     if seeds[0].shape[0] < params.k:
@@ -528,7 +536,7 @@ def _bicriteria_lockstep(sets, params):
         families = _candidate_families(sets, params, seeds)
         S0 = [_swap_search(S, params, c, f) for S, c, f in zip(sets, seeds, families)]
     families = _candidate_families(sets, params, S0)
-    return [greedy_augment(S, s0, f, params) for S, s0, f in zip(sets, S0, families)]
+    return [_augment(S, s0, f, params)[:2] + (s0.k,) for S, s0, f in zip(sets, S0, families)]
 
 
 def lift_by_clusters(P, labels, z):
@@ -590,13 +598,17 @@ def bicriteria(P, params):
     coordinates (one fewer of them) and keeps every center at extension 0,
     a trailing 0 on its row.
 
-    The seeds run in lockstep: one spacing search per candidate family
-    covers every seed, one solve_1centers call lifts the clusters of all
-    seeds (up to _LIFT_POINTS points), and one distance table gives every
-    seed its lifted cost. Per seed stay the projection, the Gonzalez
-    seeding, ball_lattice and the dedup of each family, the swap search,
-    the greedy augmentation and the projected labels. The results are
-    those of solving one seed at a time, bit for bit.
+    Seed 0 runs first. A lifted cost of exactly 0 is the least a seed can
+    reach, so then seed 0 wins and no other seed is projected or solved.
+    Otherwise the other seeds run in lockstep: one spacing search per
+    candidate family covers them all, one solve_1centers call lifts the
+    clusters of all of them (up to _LIFT_POINTS points), and one distance
+    table gives each its lifted cost. Per seed stay the projection, the
+    Gonzalez seeding, ball_lattice and the dedup of each family, the swap
+    search, the greedy augmentation and the projected labels. A seed
+    replaces the best one only at a strictly lower cost, so a NaN cost
+    never wins over an earlier seed. The results are those of solving one
+    seed at a time, bit for bit.
     """
     pts, w = _coerce_pointset(P)
     if pts.shape[1] <= DEFAULT_DIM_THRESHOLD:
@@ -606,23 +618,32 @@ def bicriteria(P, params):
     base_dim = base.shape[1]
     # projected rows, the extension column included, fit the threshold
     m = min(base_dim, DEFAULT_DIM_THRESHOLD - (pts.shape[1] - base_dim))
-    subs = []
-    for seed in range(DEFAULT_PROJECTION_SEEDS):
-        proj = _scan_projection(base_dim, m, seed).apply(base)
-        subs.append(WeightedPointSet(proj, w) if ext is None else ExtendedPointSet(proj, ext, w))
-    results = _bicriteria_lockstep(subs, params)
-    labels = [
-        min_power_dists(_coerce_pointset(sub)[0], res.centers.centers, params.z)[1]
-        for sub, res in zip(subs, results)
-    ]
-    lifted = _lift_all(P, labels, params.z)
-    costs = _power_costs(P, lifted, params.z)
-    seed = int(np.argmin(costs))  # first minimum = lowest seed
-    res = results[seed]
+
+    def solve(seeds):  # (results, lifted centers, lifted costs) of the seeds
+        projs = [_scan_projection(base_dim, m, seed).apply(base) for seed in seeds]
+        subs = [
+            WeightedPointSet(x, w) if ext is None else ExtendedPointSet(x, ext, w) for x in projs
+        ]
+        res = _bicriteria_lockstep(subs, params)
+        labels = [
+            min_power_dists(_coerce_pointset(S)[0], r[0], params.z)[1] for S, r in zip(subs, res)
+        ]
+        lifted = _lift_all(P, labels, params.z)
+        return res, lifted, _power_costs(P, lifted, params.z).tolist()
+
+    results, lifted, costs = solve([0])
+    if costs[0] != 0.0:  # a cost of 0 is the least: nothing beats seed 0
+        more = solve(range(1, DEFAULT_PROJECTION_SEEDS))
+        results, lifted, costs = results + more[0], lifted + more[1], costs + more[2]
+    seed = 0
+    for s, cost in enumerate(costs):
+        if cost < costs[seed]:
+            seed = s
+    _, reason, baseline = results[seed]
     return BicriteriaResult(
         centers=CenterSet(_on_slice(lifted[seed], ext)),
-        cost=float(costs[seed]),
-        stopped_reason=res.stopped_reason,
+        cost=costs[seed],
+        stopped_reason=reason,
         projection_seed=seed,
-        baseline_size=res.baseline_size,
+        baseline_size=baseline,
     )

@@ -265,8 +265,9 @@ def halving_approx(ground, eps_prime, tests: RangeTestFamily):
     level is accepted only if the verified deviation against the original
     ground stays within eps_prime. Halving stops at HALVING_MIN_SIZE, except
     that zero-deviation halvings (duplicate-heavy grounds) remain free below
-    the floor. If even the first halving overshoots, the full ground comes
-    back (deviation 0).
+    the floor; a level there is not even tried when no kept size below the
+    current one can have deviation 0. If even the first halving
+    overshoots, the full ground comes back (deviation 0).
     """
     pts = _as_points(ground, "ground")
     n = pts.shape[0]
@@ -276,11 +277,17 @@ def halving_approx(ground, eps_prime, tests: RangeTestFamily):
         _check_dim(pts, tests)
         return SetApproximation(indices=np.zeros(1, dtype=np.int64), ground_size=1)
     M = _membership_matrix(pts, tests)
-    gfrac = M.sum(axis=1) / n
+    counts = M.sum(axis=1)
+    gfrac = counts / n
     M_est = np.vstack([M, np.ones((1, n), dtype=bool)])
+    # deviation 0 needs kept count / c == counts / n in every range (equal
+    # floats of such small counts are equal fractions): c a multiple of step
+    step = n // math.gcd(n, *counts.tolist())
 
     current = np.arange(n, dtype=np.int64)
     while current.size > 1:
+        if current.size <= HALVING_MIN_SIZE and step >= current.size:
+            break  # no smaller kept size can reach deviation 0
         lam = math.sqrt(2.0 * math.log(2.0 * len(tests)) / current.size)
         cand = _halve(current, M_est[:, current], lam)
         if cand.size == 0 or cand.size == current.size:

@@ -315,6 +315,20 @@ def _power_costs(P, center_sets, z):
     return tree_sum_rows(costs[canonical_order(pts, w)].T)
 
 
+def _own_center_costs(X, w, C, z):
+    """power_cost((X[s], w[s]), C[s], z) of every set s, bit for bit: X
+    (sets, n, d) rows, w (sets, n), C (sets, m, d). One sq_dist_blocks
+    table over the stacked rows, one lexsort by set and then by
+    canonical_order's keys (both stable, so each set keeps its own order),
+    one tree_sum_rows."""
+    sets, n, d = X.shape
+    rows, w = X.reshape(sets * n, d), w.ravel()
+    owner = np.repeat(np.arange(sets), n)
+    costs = w * _power_from_sq(sq_dist_blocks(rows, C, owner).min(axis=1), z)
+    order = np.lexsort([w] + [rows[:, j] for j in range(d - 1, -1, -1)] + [owner])
+    return tree_sum_rows(costs[order].reshape(sets, n))
+
+
 _WEISZFELD_ROUNDS = 20  # lockstep z = 1 warm-up rounds before the Newton
 _NEWTON_ROUNDS = 50
 # members nearest the z = 1 iterate scored as centers; at least the

@@ -6,9 +6,11 @@ it is the one-row case of tree_sum_rows. tree_sum sums partition_cost,
 the ring deltas and the offset F. tree_sum_rows sums the member weights
 behind every 1-center centroid (one row per set in
 geometry.solve_1centers) and the costs of every center set in
-geometry._power_costs (power_cost is its one-set case), every center
-tuple in rings.verify_offset_coreset and every init in solve._polish_all
-(one row per set, tuple or init, equal to its power_cost). power_cost
+geometry._power_costs (power_cost is its one-set case), every point set
+against its own centers in geometry._own_center_costs (the candidate
+families' anchors), every center tuple in rings.verify_offset_coreset
+and every init in solve._polish_all (one row per set, tuple or init,
+equal to its power_cost). power_cost
 and partition_cost also sort the summands canonically, so they are
 bit-identical across permutations too.
 Other sums (.sum, einsum) round in numpy's own order; those that drive

@@ -9,7 +9,9 @@ run the library's own kernels one init, one step size, one projection
 seed, one subset or one search order at a time. So are
 carried_tree_sum and argmin_power_cost, the one-sum bodies that
 tree_sum and power_cost had before they became the one-row and one-set
-cases of their batched forms.
+cases of their batched forms, and every_level_halving, the halving loop
+that tried each level below the floor before checking whether any could
+be accepted.
 """
 
 import itertools
@@ -916,3 +918,33 @@ def argmin_power_cost(P, S, z):
         centers = np.column_stack([centers, np.zeros(centers.shape[0])])
     costs, _ = min_power_dists(pts, centers, z)
     return carried_tree_sum((w * costs)[canonical_order(pts, w)])
+
+
+def every_level_halving(ground, eps_prime, tests):
+    """epsapprox.halving_approx's loop as it was: every level is halved and
+    then tested, also below HALVING_MIN_SIZE where only deviation 0 can be
+    accepted. Returns (kept indices, number of _halve runs)."""
+    from detclust import epsapprox
+
+    pts = np.asarray(ground, dtype=np.float64)
+    n = pts.shape[0]
+    if n == 1:
+        return np.zeros(1, dtype=np.int64), 0
+    M = epsapprox._membership_matrix(pts, tests)
+    gfrac = M.sum(axis=1) / n
+    M_est = np.vstack([M, np.ones((1, n), dtype=bool)])
+    current = np.arange(n, dtype=np.int64)
+    runs = 0
+    while current.size > 1:
+        lam = math.sqrt(2.0 * math.log(2.0 * len(tests)) / current.size)
+        cand = epsapprox._halve(current, M_est[:, current], lam)
+        runs += 1
+        if cand.size == 0 or cand.size == current.size:
+            break
+        dev = epsapprox._deviation(M, gfrac, cand)
+        if dev > eps_prime:
+            break
+        if current.size <= epsapprox.HALVING_MIN_SIZE and dev > 0.0:
+            break
+        current = cand
+    return current, runs

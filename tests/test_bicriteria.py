@@ -721,3 +721,67 @@ def test_projection_scan_matches_the_sequential_scan(monkeypatch):
     # no lattice fits: every spacing search runs to the 2^40 cap
     monkeypatch.setattr(bicriteria_mod, "MAX_CANDIDATES", 0)
     _assert_scan_matches_sequential(pts, params)
+
+
+def _record_lockstep_sizes(monkeypatch):
+    sizes = []
+    lockstep = bicriteria_mod._bicriteria_lockstep
+
+    def recorded(sets, params):
+        sizes.append(len(sets))
+        return lockstep(sets, params)
+
+    monkeypatch.setattr(bicriteria_mod, "_bicriteria_lockstep", recorded)
+    return sizes
+
+
+def test_projection_scan_stops_at_a_zero_cost_seed_0(monkeypatch):
+    from detclust.datasets import gaussian_blobs
+
+    sizes = _record_lockstep_sizes(monkeypatch)
+    # 8 distinct points at alpha = 50: every point becomes a center, so
+    # seed 0's lifted cost is 0 and no other seed is solved
+    pts = np.random.default_rng(43).standard_normal((8, 30)) * 2.0
+    res = _assert_scan_matches_sequential(pts, ClusteringParams(k=2, z=2, epsilon=0.3))
+    assert sizes == [1] and res.cost == 0.0 and res.projection_seed == 0
+    sizes.clear()
+    pts = gaussian_blobs(24, 30, blobs=2, seed=3, separation=6)
+    res = _assert_scan_matches_sequential(pts, ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0))
+    assert sizes == [1, 15] and res.cost > 0.0
+
+
+def test_projection_scan_picks_its_winner_as_the_sequential_scan_on_nan(monkeypatch):
+    # a NaN lifted cost never replaces an earlier seed, and at seed 0 no
+    # later cost is strictly lower, as in the sequential scan
+    import oracles
+    from detclust.datasets import gaussian_blobs
+
+    pts = gaussian_blobs(24, 30, blobs=2, seed=3, separation=6)
+    params = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
+    winner = bicriteria(pts, params).projection_seed
+    power_costs, one_cost = bicriteria_mod._power_costs, oracles.power_cost
+    for nan_seed in sorted({0, winner, 7}):
+        seen = []
+
+        def patched(P, center_sets, z):
+            costs = power_costs(P, center_sets, z)
+            if 0 <= nan_seed - len(seen) < costs.size:
+                costs[nan_seed - len(seen)] = np.nan
+            seen.extend(costs.tolist())
+            return costs
+
+        def patched_one(P, S, z):
+            seen.append(None)
+            return np.nan if len(seen) - 1 == nan_seed else one_cost(P, S, z)
+
+        monkeypatch.setattr(bicriteria_mod, "_power_costs", patched)
+        res = bicriteria(pts, params)
+        assert len(seen) == 16 and np.isnan(seen[nan_seed])
+        seen.clear()
+        monkeypatch.setattr(oracles, "power_cost", patched_one)
+        centers, cost, reason, seed, baseline = sequential_projection_scan(pts, params)
+        monkeypatch.setattr(oracles, "power_cost", one_cost)
+        assert res.centers.centers.tobytes() == centers.tobytes()
+        assert np.float64(res.cost).tobytes() == np.float64(cost).tobytes()
+        assert (res.stopped_reason, res.projection_seed, res.baseline_size) == (reason, seed, baseline)
+        assert (seed == 0) if nan_seed == 0 else (seed != nan_seed)

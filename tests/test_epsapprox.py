@@ -17,7 +17,12 @@ from detclust.epsapprox import (
     verify_set_approx,
 )
 
-from oracles import naive_far_membership, per_range_ball_family, recount_deviation
+from oracles import (
+    every_level_halving,
+    naive_far_membership,
+    per_range_ball_family,
+    recount_deviation,
+)
 
 
 def circle(n):
@@ -149,6 +154,59 @@ def test_halving_tiny_eps_returns_ground():
     A = halving_approx(pts, 1e-6, fam)
     assert A.indices.size == 64
     assert verify_set_approx(pts, A, fam) == 0.0
+
+
+def _counting_halve(monkeypatch):
+    runs = []
+
+    def counted(*args):
+        runs.append(1)
+        return _halve(*args)
+
+    monkeypatch.setattr(epsapprox, "_halve", counted)
+    return runs
+
+
+def test_halving_matches_the_every_level_loop(monkeypatch):
+    # plain and duplicate-heavy grounds: below the floor a level is tried
+    # only when some smaller kept size can reach deviation 0
+    rng = np.random.default_rng(61)
+    runs = _counting_halve(monkeypatch)
+    skipped = floor_accepts = 0
+    for trial in range(300):
+        n, d = int(rng.integers(2, 41)), int(rng.integers(1, 4))
+        if trial % 2:
+            spots = rng.standard_normal((int(rng.integers(1, 5)), d))
+            pts = spots[rng.integers(0, spots.shape[0], n)]
+        else:
+            pts = rng.standard_normal((n, d))
+        fam = (
+            ball_test_family(pts, int(rng.integers(1, 4)))
+            if trial % 3
+            else random_family(rng, 2, 10, d=d)
+        )
+        eps_p = float(rng.uniform(0.05, 1.0))
+        want, old_runs = every_level_halving(pts, eps_p, fam)
+        runs.clear()
+        got = halving_approx(pts, eps_p, fam)
+        assert got.indices.tolist() == want.tolist()
+        assert len(runs) <= old_runs
+        skipped += len(runs) < old_runs
+        floor_accepts += want.size < min(n, epsapprox.HALVING_MIN_SIZE)
+    assert skipped and floor_accepts
+
+
+def test_halving_skips_levels_no_kept_size_can_match(monkeypatch):
+    # 5 points whose range counts are coprime with 5: no kept size below 5
+    # has the ground's shares, so no level is halved
+    pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 2.0], [3.0, 1.0], [4.0, 4.0]])
+    fam = family_of([(np.array([[0.0, 0.0]]), 1.5), (np.array([[4.0, 4.0]]), 1.0)])
+    counts = _membership_matrix(pts, fam).sum(axis=1)
+    assert math.gcd(5, *counts.tolist()) == 1
+    runs = _counting_halve(monkeypatch)
+    A = halving_approx(pts, 1.0, fam)
+    assert runs == [] and A.indices.tolist() == list(range(5))
+    assert every_level_halving(pts, 1.0, fam)[0].tolist() == list(range(5))
 
 
 def test_halving_deterministic():

@@ -90,6 +90,30 @@ def test_power_cost_is_the_argmin_body_bit_for_bit():
         assert type(power_cost(P, CenterSet(S), z)) is float
 
 
+def test_own_center_costs_are_power_cost_of_each_set_bit_for_bit():
+    rng = np.random.default_rng(29)
+    for trial in range(144):
+        d, z, kind = (1, 2, 3, 20)[trial % 4], 1 + trial // 4 % 3, trial // 12 % 3
+        sets, n, m = int(rng.integers(1, 6)), int(rng.integers(1, 30)), int(rng.integers(1, 5))
+        X = rng.standard_normal((sets, n, d)) * 10.0 ** rng.uniform(-3, 3, (sets, n, 1))
+        X[:, rng.random(n) < 0.2] = X[:, :1]  # repeated rows: canonical order ties
+        w = np.ones((sets, n))
+        if kind:  # weighted, some weights 0 or -0
+            w = rng.random((sets, n)) * rng.choice([1.0, 1e6])
+            w[:, rng.random(n) < 0.2] = rng.choice([0.0, -0.0])
+        C = rng.standard_normal((sets, m, d)) * 10.0 ** rng.uniform(-3, 3)
+        C[:, 0] = X[:, 0]  # a cost-0 point
+        if kind == 2:  # slice sets: the extension as a last coordinate, 0 at the centers
+            ext = rng.random((sets, n))
+            want = [power_cost(ExtendedPointSet(*a), c, z) for a, c in zip(zip(X, ext, w), C)]
+            X = np.concatenate([X, ext[:, :, None]], axis=2)
+            C = np.concatenate([C, np.zeros((sets, m, 1))], axis=2)
+        else:
+            want = [power_cost((x, ws), c, z) for x, ws, c in zip(X, w, C)]
+        got = geometry._own_center_costs(X, w, C, z)
+        assert [_bits(g) for g in got] == [_bits(v) for v in want], trial
+
+
 def test_types_validate():
     with pytest.raises(InputError):
         WeightedPointSet(np.empty((0, 2)))
