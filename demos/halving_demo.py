@@ -14,14 +14,14 @@ eps' grows. The verifier replays the definition directly.
 import numpy as np
 
 from detclust import (
-    ball_test_family,
+    ball_test_families,
     gaussian_blobs,
     halving_approx,
     verify_set_approx,
 )
 
 pts = gaussian_blobs(512, 2, blobs=3, seed=5, separation=8.0)
-tests = ball_test_family(pts, 2, max_ranges=50)
+tests = ball_test_families(pts, [0], 2, 50)[0]  # 50 ranges over one ground
 print(f"ground set: {pts.shape[0]} points, {len(tests)} ball tests")
 print()
 print("eps'    |S|   max deviation")

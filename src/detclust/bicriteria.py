@@ -72,8 +72,8 @@ class BicriteriaResult:
     centers: CenterSet
     cost: float
     stopped_reason: str  # "no-improving-center" | "low-cost"
+    baseline_size: int  # |S0| the augmentation started from
     projection_seed: int = None
-    baseline_size: int = 0  # |S0| the augmentation started from
 
 
 def _splitmix64(x):
@@ -435,7 +435,7 @@ def _swap_search(P, params, centers, family):
 # ---------------- greedy augmentation ----------------
 
 
-def greedy_augment(P, S0, candidates, params, *, full_output=False):
+def greedy_augment(P, S0, candidates, params):
     """Greedily add candidate centers while each helps enough.
 
     Repeatedly adds the candidate with the largest cost decrease as long as
@@ -445,19 +445,16 @@ def greedy_augment(P, S0, candidates, params, *, full_output=False):
     break to the lowest index. Those tests read a cost tracked
     incrementally, which drifts from the true cost by rounding; the
     result's cost is the power_cost of its centers. The projection scan
-    runs the loop alone (_augment) and never computes that cost.
-
-    full_output also returns the incrementally tracked cost history,
-    cost(S0) first.
+    runs the loop alone (_augment), which also returns the tracked cost
+    history, and never computes that cost.
     """
-    centers, reason, history = _augment(P, S0, candidates, params)
-    res = BicriteriaResult(
+    centers, reason, _ = _augment(P, S0, candidates, params)
+    return BicriteriaResult(
         centers=CenterSet(centers),
         cost=power_cost(_coerce_pointset(P), centers, params.z),
         stopped_reason=reason,
         baseline_size=_coerce_centers(S0).shape[0],
     )
-    return (res, history) if full_output else res
 
 
 def _augment(P, S0, candidates, params):

@@ -30,7 +30,7 @@ from .geometry import (
     center_grid,
 )
 from .linmap import pair_distortions
-from .rings import ring_coreset, verify_offset_coreset
+from .rings import check_tuple_budget, ring_coreset, verify_offset_coreset
 from .solve import approx_solve, bicriteria_solve, exact_solve
 
 _MODES = {"det": "deterministic", "rand": "randomized"}
@@ -100,7 +100,9 @@ def _cmd_coreset_build(args):
 def _cmd_coreset_verify(args):
     pts = _plain_points(dio.read_points(args.points), "coreset verify")
     core, params = dio.read_coreset(args.coreset)
-    grid = center_grid(pts, per_axis=args.per_axis)
+    # the grid has per_axis ** d rows; center_grid refuses per_axis < 1
+    check_tuple_budget(max(args.per_axis, 0) ** pts.shape[1], params.k)
+    grid = center_grid(pts, args.per_axis)
     rep = verify_offset_coreset(pts, core, params, grid)
     err = rep.max_relative_error
     print(
@@ -117,7 +119,7 @@ def _cmd_coreset_verify(args):
 def _cmd_sketch_build(args):
     params = ClusteringParams(k=args.k, z=args.z, epsilon=args.eps)
     pts = _plain_points(dio.read_points(getattr(args, "in")), "sketch build")
-    sk = cost_preserving_sketch(pts, params, strategy=args.strategy)
+    sk = cost_preserving_sketch(pts, params)
     net = build_net(sk.coreset.representatives)
     dio.write_sketch(sk.map, net.points, params, args.out)
     cert = sk.map.certificate or {}
@@ -183,7 +185,7 @@ def _cmd_bench_compare(args):
     worst = 0.0
     for i in range(args.instances):
         pts = gaussian_blobs(args.n, args.d, blobs=args.k, seed=args.seed + i)
-        grid = center_grid(pts, per_axis=3)
+        grid = center_grid(pts, 3)
         exhaustive = grid.shape[0] <= 200
         for mode in ("deterministic", "randomized"):
             t0 = time.perf_counter()
@@ -258,7 +260,6 @@ def _build_parser():
     sb.add_argument("--in", required=True)
     sb.add_argument("--out", required=True)
     _add_clustering_args(sb)
-    sb.add_argument("--strategy", choices=("seed-scan", "conditional"), default="seed-scan")
     sb.set_defaults(func=_cmd_sketch_build)
     sv = ssub.add_parser("verify", help="recheck the distortion certificate")
     sv.add_argument("--sketch", required=True, help="sketch bundle file")

@@ -314,23 +314,19 @@ class CostPreservingSketch:
     coreset: PartitionCoresetResult
     target_dim: int
 
-    def sketched_points(self, weights=None):
+    def sketched_points(self):
         mapped = self.map.apply(self.coreset.representatives)
-        return ExtendedPointSet(
-            mapped[self.coreset.rep_index],
-            extensions=self.coreset.extensions,
-            weights=weights,
-        )
+        return ExtendedPointSet(mapped[self.coreset.rep_index], extensions=self.coreset.extensions)
 
 
-def cost_preserving_sketch(P, params: ClusteringParams, *, strategy="seed-scan"):
+def cost_preserving_sketch(P, params: ClusteringParams):
     """Full sketch pipeline: the partition coreset of P, the witness net of
     its representatives (build_net: subsets of up to NET_SUBSET_SIZE,
     covers at MAX_COVER_STEPS steps), and a map preserving net distances
-    within (1 +- eps/z). Row i of sketched_points() is point i's
-    sketch (map(representative), extension); a center embeds as
-    (map(center), 0)."""
+    within (1 +- eps/z), found by derandomized_jl's seed scan. Row i of
+    sketched_points() is point i's sketch (map(representative),
+    extension), at unit weight; a center embeds as (map(center), 0)."""
     coreset = build(P, params)
     net = build_net(coreset.representatives)
-    lin = derandomized_jl(net.points, params.epsilon / params.z, strategy=strategy)
+    lin = derandomized_jl(net.points, params.epsilon / params.z)
     return CostPreservingSketch(map=lin, coreset=coreset, target_dim=lin.m + 1)

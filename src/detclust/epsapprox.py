@@ -107,7 +107,7 @@ def _deviation(M, gfrac, keep):
     return float(np.abs(gfrac - M[:, keep].sum(axis=1) / keep.size).max())
 
 
-def ball_test_family(points, k, *, max_ranges=DEFAULT_MAX_RANGES):
+def ball_test_family(points, k):
     """Finite surrogate for the continuous far-ball range space.
 
     Centers come from the 3-per-axis grid over the data box (center_grid);
@@ -115,11 +115,12 @@ def ball_test_family(points, k, *, max_ranges=DEFAULT_MAX_RANGES):
     rows (canonical order). Range t uses size = min(1 + (t mod k), g)
     consecutive centers starting at t * size (mod g, wrapping), so cols has
     s = min(k, g) columns and shorter ranges repeat their last index. The
-    radii are max_ranges evenly ranked values of the distinct point-to-center
-    distances. Deterministic given the inputs; the one-ground case of
-    ball_test_families.
+    radii are DEFAULT_MAX_RANGES evenly ranked values of the distinct
+    point-to-center distances. Deterministic given the inputs; the
+    one-ground case of ball_test_families, which takes any other number of
+    ranges R as ball_test_families(points, [0], k, R)[0].
     """
-    return ball_test_families(points, [0], k, max_ranges)[0]
+    return ball_test_families(points, [0], k, DEFAULT_MAX_RANGES)[0]
 
 
 def ball_test_families(points, starts, k, max_ranges):

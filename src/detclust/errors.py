@@ -17,7 +17,7 @@ class BudgetError(RuntimeError):
     "required vs allowed" without string parsing.
     """
 
-    def __init__(self, message, required=None, allowed=None):
+    def __init__(self, message, required, allowed):
         super().__init__(message)
         self.required = required
         self.allowed = allowed

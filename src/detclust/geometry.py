@@ -543,28 +543,25 @@ def _step_costs(W, c, step, s2, base, z, rows, t):
     return f
 
 
-def solve_1center(P, z, full_output=False):
+def solve_1center(P, z):
     """Optimal single center of a weighted point set under the z-th power cost.
 
-    The one-set case of solve_1centers. P is a WeightedPointSet or an array
-    (weights default to 1), or an ExtendedPointSet, whose center sits at
-    extension 0: it minimizes sum_i w_i (||b_i - c||^2 + e_i^2)^(z/2) over
-    c in R^d. full_output also returns an info dict whose "converged" is
-    the solver's certificate.
+    The one-set case of solve_1centers, whose third column certifies the
+    center. P is a WeightedPointSet or an array (weights default to 1), or
+    an ExtendedPointSet, whose center sits at extension 0: it minimizes
+    sum_i w_i (||b_i - c||^2 + e_i^2)^(z/2) over c in R^d.
     """
     base, ext, w = _split_extended(P)
     members = np.ones((1, base.shape[0]), dtype=bool)
-    c, _, ok = solve_1centers(base, ext, w, members, int(z))
-    return (c[0], {"converged": bool(ok[0])}) if full_output else c[0]
+    return solve_1centers(base, ext, w, members, int(z))[0][0]
 
 
-def partition_cost(P, partition, z, full_output=False):
+def partition_cost(P, partition, z):
     """Cost of a partition: each part pays its optimal 1-center cost.
 
     Accepts WeightedPointSet or ExtendedPointSet; extended parts use the
     extension-0 center, as solve_1center does. One solve_1centers call
-    covers every part. full_output also returns {"converged": every part
-    certified, "part_costs": per nonempty part, in label order}.
+    covers every part (its third column says which parts are certified).
     """
     pts, ext, w = _split_extended(P)
     if ext is None:
@@ -576,7 +573,7 @@ def partition_cost(P, partition, z, full_output=False):
     if a.shape != (pts.shape[0],):
         raise InputError("assignment length must match number of points")
     members = a[None, :] == np.unique(a)[:, None]
-    centers, _, ok = solve_1centers(pts, ext, w, members, int(z))
+    centers = solve_1centers(pts, ext, w, members, int(z))[0]
     per_part = []
     for c, row in zip(centers, members):
         idx = np.flatnonzero(row)
@@ -584,10 +581,7 @@ def partition_cost(P, partition, z, full_output=False):
         costs = w[idx] * _power_from_sq(sq, z)
         order = canonical_order(pts[idx], w[idx])
         per_part.append(tree_sum(costs[order]))
-    total = tree_sum(per_part)
-    if not full_output:
-        return total
-    return total, {"converged": bool(ok.all()), "part_costs": per_part}
+    return tree_sum(per_part)
 
 
 def power_triangle_bound(d_ab, d_ac, d_bc, z, eps):
@@ -617,12 +611,15 @@ def power_triangle_bound(d_ab, d_ac, d_bc, z, eps):
     return sum_bound, diff_bound
 
 
-def center_grid(P, per_axis=4):
+def center_grid(P, per_axis):
     """Deterministic axis-aligned lattice over the data bounding box.
 
     A small finite stand-in for "all center sets" in verification oracles:
-    per_axis values per coordinate, box inflated by GRID_MARGIN * extent.
+    per_axis >= 1 values per coordinate, so per_axis ** d rows, box
+    inflated by GRID_MARGIN * extent.
     """
+    if per_axis < 1:
+        raise InputError("per_axis must be at least 1")
     pts, _ = _coerce_pointset(P)
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)

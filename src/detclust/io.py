@@ -253,7 +253,7 @@ def read_coreset(path):
         params = ClusteringParams(
             k=int(fields["k"]), z=int(fields["z"]), epsilon=float(fields["eps"])
         )
-    except ValueError:
+    except (ValueError, OverflowError):  # float.fromhex past the float range
         raise InputError("line 1: malformed coreset header value") from None
     vals, nums, dens, rows, fault = [], [], [], [], None
     for ln, line in enumerate(lines[1:], start=2):
@@ -370,13 +370,14 @@ def read_sketch(path):
         if cert is not None:
             cert = {k: _unhex_tree(v) for k, v in cert.items()}
         rows = doc["net"]
-        widths = set(map(len, rows))
-        if len(widths) > 1:
-            raise ValueError("ragged net rows")
+        if set(map(len, rows)) - {d}:
+            raise ValueError("net rows are not cols wide")
         net = np.fromiter(map(float.fromhex, itertools.chain.from_iterable(rows)), dtype=np.float64)
-        if widths:  # an empty net stays shape (0,)
-            net = net.reshape(len(rows), widths.pop())
-    except (KeyError, ValueError, TypeError):
+        if not np.isfinite(net).all():  # float.fromhex reads "nan" and "inf"
+            raise ValueError("net holds NaN or Inf")
+        if rows:  # an empty net stays shape (0,)
+            net = net.reshape(len(rows), d)
+    except (KeyError, ValueError, TypeError, OverflowError):
         raise InputError("malformed sketch bundle") from None
     lin = LinearMap(matrix, eps=map_eps, certificate=cert)
     return lin, net, params

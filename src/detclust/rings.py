@@ -237,25 +237,23 @@ def build_instance_IG(P, rings: RingDecomposition, seeding: SeedingResult):
     return WeightedPointSet(rows, weights), F
 
 
-def epsilon_prime(z, eps, *, clamp=True):
-    """Per-ring approximation budget 20 * 8^z * eps^2 / ln(4z/eps).
+def epsilon_prime(z, eps):
+    """Per-ring approximation budget min(eps, 20 * 8^z * eps^2 / ln(4z/eps)).
 
-    The raw value over eps grows with eps and passes 1 at eps = 0.0305
+    The raw formula over eps grows with eps and passes 1 at eps = 0.0305
     (z = 1), 0.00567 (z = 2), 0.000925 (z = 3) and 0.000142 (z = 4); above
-    that the raw value exceeds eps and the default clamp returns eps
-    itself, so at every practical eps the budget is eps (raw 35.1 at
-    z = 2, eps = 0.3). clamp=False reports the raw formula value. Where the
-    formula comes from is not in this repository (PAPER.md holds only the
-    abstract); ROADMAP item 2(c) asks for its source, since a per-ring
-    budget above the overall eps suggests a constant on the wrong side of
-    a fraction.
+    that the raw value exceeds eps and the budget is eps itself, so at
+    every practical eps the budget is eps (raw 35.1 at z = 2, eps = 0.3).
+    Where the formula comes from is not in this repository (PAPER.md
+    holds only the abstract); ROADMAP item 2(c) asks for its source, since
+    a per-ring budget above the overall eps suggests a constant on the
+    wrong side of a fraction.
     """
     if z < 1:
         raise InputError("z must be at least 1")
     if not (0.0 < eps <= 1.0 / 3.0):
         raise InputError("eps must lie in (0, 1/3]")
-    raw = 20.0 * 8.0**z * eps * eps / math.log(4.0 * z / eps)
-    return min(eps, raw) if clamp else raw
+    return min(eps, 20.0 * 8.0**z * eps * eps / math.log(4.0 * z / eps))
 
 
 def ring_coreset(P, params, mode="deterministic", *, seed=0):
@@ -358,6 +356,20 @@ def _tuple_costs(table, tuples, z):
     return tree_sum_rows(w * _power_from_sq(near, z))
 
 
+def check_tuple_budget(grid_rows, k):
+    """Raise InputError when the k-subsets of grid_rows centers, the tuples
+    an exhaustive verification checks, outnumber MAX_TUPLES; callers that
+    know the grid's size check it before they build the grid. C(rows, i)
+    grows with i up to min(k, rows - k), and the count stops once it
+    passes the budget, so a huge grid or k costs a few steps and the
+    message holds no number too long to print."""
+    count = 1
+    for i in range(min(k, grid_rows - k)):
+        count = count * (grid_rows - i) // (i + 1)  # C(rows, i + 1), exact
+        if count > MAX_TUPLES:
+            raise InputError(f"more than {MAX_TUPLES} center tuples exceed the budget {MAX_TUPLES}")
+
+
 def verify_offset_coreset(
     P,
     core: OffsetCoreset,
@@ -372,9 +384,9 @@ def verify_offset_coreset(
     tuples drawn from a grid.
 
     Exhaustive mode enumerates every k-subset of the grid (within
-    MAX_TUPLES). Otherwise `samples` distinct k-subsets are drawn from one
-    seeded stream, a repeated draw skipped, and every k-subset is checked
-    once samples reaches their number. Tuples with cost(P, S) = 0 are
+    check_tuple_budget). Otherwise `samples` distinct k-subsets are drawn
+    from one seeded stream, a repeated draw skipped, and every k-subset is
+    checked once samples reaches their number. Tuples with cost(P, S) = 0 are
     excluded; a tuple whose cost overflows (inf or NaN) on either side
     scores inf. Both costs of every tuple equal
     power_cost bit for bit, with P's weights. The tuples go in chunks of
@@ -387,9 +399,9 @@ def verify_offset_coreset(
     k = params.k
     if grid.shape[0] < k:
         raise InputError("center grid smaller than k")
+    if exhaustive_tuples:
+        check_tuple_budget(grid.shape[0], k)
     total = math.comb(grid.shape[0], k)
-    if exhaustive_tuples and total > MAX_TUPLES:
-        raise InputError(f"{total} center tuples exceed the budget {MAX_TUPLES}")
     if exhaustive_tuples or samples >= total:
         combos = itertools.combinations(range(grid.shape[0]), k)
         tuples = np.fromiter(

@@ -22,7 +22,6 @@ from .geometry import (
     _CHUNK,
     CenterSet,
     ExtendedPointSet,
-    Partition,
     _coerce_pointset,
     _power_from_sq,
     _split_extended,
@@ -93,7 +92,8 @@ def _all_subset_costs(base, ext, w, z):
 
 
 def _best_partition(n, k, base, ext, w, z):
-    """Scan all partitions against the subset-cost table.
+    """Scan all partitions against the subset-cost table; returns the
+    winner's centers and the number of partitions examined.
 
     A partition's total is the left-to-right sum of its parts' table
     entries. The winner has the smallest total, ties going to the lowest
@@ -115,13 +115,13 @@ def _best_partition(n, k, base, ext, w, z):
             allowed=partition_count(ENUM_MAX_N, ENUM_MAX_K),
         )
     if k == 1:  # the whole set is the only partition: no table to build
-        best, examined = (0,) * n, 1
+        examined = 1
         centers = solve_1centers(base, ext, w, np.ones((1, n), dtype=bool), z)[0]
     else:
         table, mask_centers = _all_subset_costs(base, ext, w, z)
         table = table.tolist()
         bit = [1 << i for i in range(n)]
-        best, best_masks, best_total = None, None, math.inf
+        best_masks, best_total = None, math.inf
         examined = 0
         for rgs in _restricted_growth_strings(n, k):
             examined += 1
@@ -134,12 +134,12 @@ def _best_partition(n, k, base, ext, w, z):
                 if total >= best_total:  # entries are >= 0: it cannot win
                     break
             if total < best_total:
-                best, best_masks, best_total = rgs, masks, total
-        if best is None:
+                best_masks, best_total = masks, total
+        if best_masks is None:
             raise InputError("every clustering cost overflows float64; rescale the input")
         # restricted growth: the nonempty parts are labels 0 .. p-1
         centers = mask_centers[[m for m in best_masks if m]]
-    return centers, Partition(np.array(best, dtype=np.int64), k), examined
+    return centers, examined
 
 
 def exact_solve(P, params):
@@ -161,9 +161,7 @@ def exact_solve(P, params):
             method="exact",
             enumeration_stats=0,
         )
-    centers, _, examined = _best_partition(
-        n, params.k, base, ext, w, params.z
-    )
+    centers, examined = _best_partition(n, params.k, base, ext, w, params.z)
     C = CenterSet(centers)
     return SolveResult(
         centers=C,
@@ -262,17 +260,14 @@ def bicriteria_solve(P, params):
     )
 
 
-def approx_solve(P, params, *, full_output=False):
+def approx_solve(P, params):
     """Near-optimal solve via the coreset pipeline.
 
     Builds the deterministic offset coreset with euclidean_pipeline,
-    enumerates its clusterings with extension-0 centers, assigns the
-    original points by the winning sketched centers, and re-solves each
-    induced cluster in the original space. A coreset too large for the
-    enumeration budget downgrades to bicriteria_solve.
-
-    full_output also returns a dict with the pipeline result, the winning
-    partition, the sketched-space centers, and the induced labels.
+    enumerates its clusterings with extension-0 centers (_best_partition),
+    assigns the original points by the winning sketched centers, and
+    re-solves each induced cluster in the original space. A coreset too
+    large for the enumeration budget downgrades to bicriteria_solve.
 
     P may be an array, a (points, weights) pair or a WeightedPointSet, but
     every weight must be 1: the ring coreset counts points.
@@ -284,24 +279,18 @@ def approx_solve(P, params, *, full_output=False):
     core = pipe.coreset
     if core.size > ENUM_MAX_N or params.k > ENUM_MAX_K:
         fb = bicriteria_solve(pts, params)
-        res = SolveResult(
+        return SolveResult(
             centers=fb.centers,
             cost=fb.cost,
             method="bicriteria",
             enumeration_stats=fb.enumeration_stats,
             downgraded=True,
         )
-        if full_output:
-            return res, {"pipeline": pipe, "partition": None,
-                         "centers_sketch": None, "labels": None}
-        return res
 
     rows = core.points
     base, ext = rows[:, :-1], rows[:, -1]
     w = core.weights
-    centers_sk, part, examined = _best_partition(
-        core.size, params.k, base, ext, w, params.z
-    )
+    centers_sk, examined = _best_partition(core.size, params.k, base, ext, w, params.z)
 
     # induced assignment: each original point follows its sketched row
     if pipe.passthrough:
@@ -311,17 +300,9 @@ def approx_solve(P, params, *, full_output=False):
     _, labels = min_power_dists(all_base, centers_sk, params.z)
 
     C = CenterSet(lift_by_clusters(pts, labels, params.z))
-    res = SolveResult(
+    return SolveResult(
         centers=C,
         cost=power_cost(pts, C, params.z),
         method="ptas",
         enumeration_stats=examined,
     )
-    if full_output:
-        return res, {
-            "pipeline": pipe,
-            "partition": part,
-            "centers_sketch": centers_sk,
-            "labels": labels,
-        }
-    return res

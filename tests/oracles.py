@@ -313,6 +313,13 @@ def stirling_partial_sum(n, k):
             S[i][j] = j * S[i - 1][j] + S[i - 1][j - 1]
     return sum(S[n][j] for j in range(1, k + 1))
 
+
+def raw_epsilon_prime(z, eps):
+    """The per-ring budget formula 20 * 8^z * eps^2 / ln(4z/eps) before
+    rings.epsilon_prime clamps it to eps."""
+    return 20.0 * 8.0**z * eps * eps / math.log(4.0 * z / eps)
+
+
 def naive_far_membership(p, centers, radius):
     """Plain-python recomputation of far-range membership: true iff every
     listed center is at distance >= radius from p."""

@@ -19,7 +19,7 @@ import pytest
 from detclust.cli import cli_dispatch
 from detclust.datasets import far_point_instance, gaussian_blobs
 from detclust.dimreduce import build_net, cost_preserving_sketch
-from detclust.epsapprox import ball_test_family, halving_approx, verify_set_approx
+from detclust.epsapprox import ball_test_families, halving_approx, verify_set_approx
 from detclust.geometry import (
     ClusteringParams,
     ExtendedPointSet,
@@ -353,7 +353,7 @@ def test_criterion_9_set_approximation_halving():
         else:
             pts = rng.standard_normal((256, 2)) * (1.0 + s % 3)
         eps_p = (0.1, 0.2, 0.25, 0.3)[s % 4]
-        tests = ball_test_family(pts, 2, max_ranges=50)
+        tests = ball_test_families(pts, [0], 2, 50)[0]
         assert len(tests) == 50
         approx = halving_approx(pts, eps_p, tests)
         dev = verify_set_approx(pts, approx, tests)

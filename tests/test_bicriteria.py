@@ -24,6 +24,7 @@ from detclust.bicriteria import (
     greedy_augment,
     lift_by_clusters,
     seeded_projection_family,
+    _augment,
     _gonzalez_seeds,
 )
 from detclust.linmap import pair_distortions
@@ -427,7 +428,9 @@ def test_greedy_augment_two_blobs_reaches_near_opt():
     alpha = min(DEFAULT_ALPHA, max(1.0, cost0 / opt))
     params = ClusteringParams(k=2, z=2, epsilon=0.25, alpha=alpha)
     cc = candidate_centers(pts, params, S0)
-    res, history = greedy_augment(pts, S0, cc, params, full_output=True)
+    res = greedy_augment(pts, S0, cc, params)
+    centers, _, history = _augment(pts, S0, cc, params)
+    assert centers.tobytes() == res.centers.centers.tobytes()
 
     assert res.cost <= (1 + params.epsilon) * opt + 1e-9
     # accepted steps each cut cost by the required factor

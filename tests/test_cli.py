@@ -1,5 +1,6 @@
 """CLI dispatch: exit codes, reports, byte-reproducible outputs."""
 
+import json
 import re
 import subprocess
 import sys
@@ -250,7 +251,10 @@ def test_usage_errors_exit_2(capsys):
     assert cli_dispatch(["--help"]) == 0
     assert cli_dispatch(["solve", "exact", "--in", "/nonexistent/x.csv",
                          "--k", "2", "--z", "2", "--eps", "0.3"]) == 2
-    capsys.readouterr()
+    # the sketch map is always the seed scan: there is no --strategy
+    assert cli_dispatch(["sketch", "build", "--in", "x.csv", "--out", "x.json", "--k", "2",
+                         "--z", "2", "--eps", "0.3", "--strategy", "seed-scan"]) == 2
+    assert "unrecognized arguments: --strategy" in capsys.readouterr().err
 
 
 def test_reused_parser_matches_fresh_parsers(tmp_path, capsys):
@@ -324,3 +328,60 @@ def test_binary_input_feeds_coreset_build(tmp_path):
     back, params = read_coreset(core)
     assert params.k == 2
     assert back.size >= 2
+
+
+def _verify_sketch_with_net(tmp_path, edit):
+    """sketch verify argv for a 6-point d=5 bundle whose net edit() rewrites."""
+    pts, sk = tmp_path / "p.csv", tmp_path / "sk.json"
+    write_points(np.random.default_rng(5).standard_normal((6, 5)), pts)
+    assert cli_dispatch(["sketch", "build", "--in", str(pts), "--out", str(sk),
+                         "--k", "2", "--z", "2", "--eps", "0.3"]) == 0
+    doc = json.loads(sk.read_text())
+    doc["net"] = edit(doc["net"])
+    sk.write_text(json.dumps(doc))
+    return ["sketch", "verify", "--sketch", str(sk)]
+
+
+def _verify_coreset_on_grid(tmp_path, d, per_axis, k=2):
+    """coreset verify argv for a det coreset of 24 points in d dims, built
+    at k = 2, its header then claiming k."""
+    pts, core = tmp_path / "p.csv", tmp_path / "core.csv"
+    write_points(gaussian_blobs(24, d, blobs=2, seed=3, separation=6), pts)
+    assert cli_dispatch(["coreset", "build", "--in", str(pts), "--out", str(core),
+                         "--k", "2", "--z", "2", "--eps", "0.3", "--alpha", "2.0"]) == 0
+    core.write_text(core.read_text().replace(" k=2 ", f" k={k} ", 1))
+    return ["coreset", "verify", "--points", str(pts), "--coreset", str(core),
+            "--per-axis", str(per_axis)]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        pytest.param(
+            lambda t: _verify_sketch_with_net(t, lambda net: [r[:3] for r in net]),
+            "malformed sketch bundle", id="narrow-net",
+        ),
+        pytest.param(
+            lambda t: _verify_sketch_with_net(t, lambda net: [["nan"] * 5] + net[1:]),
+            "malformed sketch bundle", id="nan-net",
+        ),
+        pytest.param(lambda t: _verify_coreset_on_grid(t, 2, -1), "per_axis", id="per-axis-negative"),
+        pytest.param(lambda t: _verify_coreset_on_grid(t, 2, 0), "per_axis", id="per-axis-zero"),
+        # 4^30 grid rows: refused before center_grid would build them
+        pytest.param(
+            lambda t: _verify_coreset_on_grid(t, 30, 4), "center tuples exceed the budget",
+            id="d30-grid",
+        ),
+        # C(4^30, 50000) has about a million digits: too long to print
+        pytest.param(
+            lambda t: _verify_coreset_on_grid(t, 30, 4, k=50000), "center tuples exceed the budget",
+            id="d30-grid-huge-k",
+        ),
+    ],
+)
+def test_verify_refuses_bad_inputs_with_exit_2(argv, message, tmp_path, capsys):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert cli_dispatch(args) == 2  # an escaping exception would fail here
+    out, err = capsys.readouterr()
+    assert message in err and "verification" not in out

@@ -338,8 +338,8 @@ def test_vc_dim_hint_values():
 
 def test_family_deterministic_and_shaped():
     pts = np.random.default_rng(18).standard_normal((60, 2))
-    f1 = ball_test_family(pts, 3, max_ranges=40)
-    f2 = ball_test_family(pts, 3, max_ranges=40)
+    f1 = ball_test_families(pts, [0], 3, 40)[0]
+    f2 = ball_test_families(pts, [0], 3, 40)[0]
     assert len(f1) == 40
     assert f1.centers.shape == (9, 2) and f1.cols.shape == (40, 3)
     for a, b in ((f1.centers, f2.centers), (f1.cols, f2.cols), (f1.radii, f2.radii)):
@@ -377,7 +377,7 @@ def test_family_validates():
     with pytest.raises(InputError):
         ball_test_family(pts, 0)
     with pytest.raises(InputError):
-        ball_test_family(pts, 2, max_ranges=0)
+        ball_test_families(pts, [0], 2, 0)
 
 
 def _stress_grounds(rng, d):
@@ -419,7 +419,7 @@ def test_batched_families_equal_per_ground_families(d):
             fams = ball_test_families(pts, starts, k, max_ranges)
             assert len(fams) == len(grounds)
             for ground, fam in zip(grounds, fams):
-                _assert_same_family(fam, ball_test_family(ground, k, max_ranges=max_ranges))
+                _assert_same_family(fam, ball_test_families(ground, [0], k, max_ranges)[0])
     for ground, fam in zip(grounds, ball_test_families(pts, starts, 2, 64)):
         for t, (centers, radius) in enumerate(per_range_ball_family(ground, 2)):
             assert range_centers(fam, t).tobytes() == centers.tobytes()

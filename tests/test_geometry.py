@@ -203,11 +203,20 @@ def test_solve_1center_mean_for_z2():
         assert np.allclose(c, want, rtol=0, atol=1e-12 * (1 + np.abs(want).max()))
 
 
+def certified_center(P, z):
+    """solve_1center's center and the certified column of its
+    solve_1centers row."""
+    base, ext, w = geometry._split_extended(P)
+    c, _, ok = solve_1centers(base, ext, w, np.ones((1, base.shape[0]), dtype=bool), z)
+    assert c[0].tobytes() == solve_1center(P, z).tobytes()
+    return c[0], bool(ok[0])
+
+
 def test_solve_1center_median_majority_point():
     # Weight-2 point at the origin dominates: the geometric median is there.
     pts = np.array([[0.0, 0.0], [0.0, 0.0], [10.0, 0.0]])
-    c, info = solve_1center(pts, 1, full_output=True)
-    assert info["converged"]
+    c, converged = certified_center(pts, 1)
+    assert converged
     assert np.allclose(c, [0.0, 0.0], atol=1e-9)
 
 
@@ -215,8 +224,8 @@ def test_solve_1center_median_vs_grid_oracle():
     rng = np.random.default_rng(4)
     for _ in range(10):
         pts = rng.uniform(-1, 1, size=(6, 2))
-        c, info = solve_1center(pts, 1, full_output=True)
-        assert info["converged"]
+        c, converged = certified_center(pts, 1)
+        assert converged
         got = naive_power_cost(pts, [c], 1)
         _, ref = grid_search_1center(pts, 1)
         assert got <= ref * (1 + 1e-6)
@@ -237,8 +246,8 @@ def test_solve_1center_high_z_descends():
 def test_solve_1center_high_z_converges_near_optimum():
     # the solver certifies its center, and no grid center costs less
     pts = gaussian_blobs(8, 2, blobs=2, seed=3, separation=6)[[0, 1, 2, 6]]
-    c, info = solve_1center(pts, 3, full_output=True)
-    assert info["converged"]
+    c, converged = certified_center(pts, 3)
+    assert converged
     _, ref = grid_search_1center(pts, 3)
     assert naive_power_cost(pts, [c], 3) <= ref * (1 + 1e-12)
 
@@ -268,12 +277,12 @@ def test_solve_1center_keeps_extended_centers_at_extension_zero():
     assert solve_1center(E, 2).tobytes() == np.array([1.0]).tobytes()
     grid = np.linspace(-1.0, 3.0, 4001)
     for z in (1, 3):
-        c, info = solve_1center(E, z, full_output=True)
+        c, converged = certified_center(E, z)
 
         def cost(x):
             return (((base - x) ** 2 + ext**2) ** (z / 2)).sum()
 
-        assert c.shape == (1,) and info["converged"]
+        assert c.shape == (1,) and converged
         assert cost(c[0]) <= min(cost(x) for x in grid) + 1e-9
         # power_cost reads the same center space, extensions included
         assert power_cost(E, c[None, :], z) == pytest.approx(cost(c[0]), rel=1e-12)
@@ -312,16 +321,25 @@ def test_partition_cost_weighted_equals_duplicated():
         assert got == pytest.approx(want, rel=1e-9)
 
 
-def test_partition_cost_full_output_flags(monkeypatch):
+def test_partition_cost_certified_flags(monkeypatch):
+    # partition_cost sums the parts that solve_1centers solves and certifies
     pts = np.random.default_rng(8).normal(size=(6, 2))
-    total, info = partition_cost(pts, np.zeros(6, dtype=int), 1, full_output=True)
-    assert info["converged"]
-    assert total == pytest.approx(sum(info["part_costs"]))
-    # a solver stopped at the centroid flags the uncertified part, no raise
+    labels = np.array([0, 0, 0, 1, 1, 1])
+    members = labels[None, :] == np.arange(2)[:, None]
+
+    def both():
+        _, costs, ok = solve_1centers(pts, None, np.ones(6), members, 1)
+        return partition_cost(pts, labels, 1), costs, ok
+
+    total, costs, ok = both()
+    assert ok.all()
+    assert total == pytest.approx(costs.sum(), rel=1e-12)
+    # a solver stopped at the centroid flags the uncertified parts, no raise
     monkeypatch.setattr(geometry, "_WEISZFELD_ROUNDS", 0)
     monkeypatch.setattr(geometry, "_NEWTON_ROUNDS", 0)
-    total2, info2 = partition_cost(pts, np.zeros(6, dtype=int), 1, full_output=True)
-    assert not info2["converged"]
+    total2, costs2, ok2 = both()
+    assert not ok2.any()
+    assert total2 == pytest.approx(costs2.sum(), rel=1e-12)
     assert total2 > total
 
 
@@ -404,6 +422,10 @@ def test_center_grid_shape_and_determinism():
     g2 = center_grid(pts, per_axis=4)
     assert g1.shape == (16, 2)
     assert (g1 == g2).all()
+    assert center_grid(pts, per_axis=1).shape == (1, 2)
+    for bad in (0, -1):
+        with pytest.raises(InputError, match="per_axis"):
+            center_grid(pts, per_axis=bad)
 
 
 def test_first_seen_rows_matches_dict_pool():

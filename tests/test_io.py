@@ -260,6 +260,9 @@ def test_coreset_file_errors(tmp_path):
     f.write_text("# dim=2 F=0x0.0p+0 k=2 z=2 eps=0.3\n")
     with pytest.raises(InputError, match="no rows"):
         read_coreset(f)
+    f.write_text("# dim=2 F=0x1p+1024 k=2 z=2 eps=0.3\n1.0,2.0,1\n")  # past float range
+    with pytest.raises(InputError, match="malformed coreset header value"):
+        read_coreset(f)
 
 
 def test_sketch_bundle_round_trip(tmp_path):
@@ -329,15 +332,19 @@ def test_read_sketch_matches_json_load(tmp_path):
         assert back.matrix.tobytes() == matrix.tobytes() and back.matrix.shape == matrix.shape
         assert bnet.dtype == want.dtype == np.float64
         assert bnet.shape == want.shape and bnet.tobytes() == want.tobytes()
+    write_sketch(LinearMap(np.eye(2)), np.zeros((0, 2)), params, f)  # cols = 2
     doc = json.loads(f.read_text())
-    for net in ([[], []], [["0x1p+0", "-0x0.0p+0"], ["0x1.8p-1074", "0x1p+1"]]):
+    for net in ([], [["0x1p+0", "-0x0.0p+0"], ["0x1.8p-1074", "0x1p+1"]]):
         doc["net"] = net
         f.write_text(json.dumps(doc))
         want = json_load_sketch(f)[1]
         bnet = read_sketch(f)[1]
         assert bnet.shape == want.shape and bnet.tobytes() == want.tobytes()
     ragged = [["0x1p+0"], ["0x1p+0", "0x1p+0", "0x1p+0"]]  # 4 entries fill 2 rows of 2
-    for net in (ragged, ragged[::-1], [["0x1p+0", "zz"]], [[1.5]], [[["0x1p+0"]]], 7):
+    narrow = [["0x1p+0"], ["0x1p+1"]]  # 2 rows of 1, not cols = 2 wide
+    nonfinite = [[["0x1p+0", v]] for v in ("nan", "inf", "-inf", "0x1p+1024")]
+    for net in (ragged, ragged[::-1], narrow, [[], []], [["0x1p+0", "zz"]], [[1.5]],
+                [[["0x1p+0"]]], 7, *nonfinite):
         doc["net"] = net
         f.write_text(json.dumps(doc))
         with pytest.raises(InputError, match="malformed sketch bundle"):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from detclust import rings as rings_mod
-from detclust.bicriteria import candidate_centers, greedy_augment
+from detclust.bicriteria import _augment, candidate_centers, greedy_augment
 from detclust.datasets import gaussian_blobs
 from detclust.epsapprox import ball_test_families, ball_test_family, halving_approx
 from detclust.errors import InputError
@@ -33,7 +33,7 @@ from detclust.rings import (
 )
 from detclust.summation import tree_sum
 
-from oracles import naive_power_cost
+from oracles import naive_power_cost, raw_epsilon_prime
 
 
 def two_blob_instance():
@@ -64,7 +64,7 @@ def outlier_column_instance():
 
 
 def test_epsilon_prime_clamps_at_practical_eps():
-    raw = epsilon_prime(1, 0.3, clamp=False)
+    raw = raw_epsilon_prime(1, 0.3)
     assert abs(raw - 20.0 * 8.0 * 0.09 / math.log(4.0 / 0.3)) <= 1e-12
     assert 5.55 < raw < 5.57
     assert epsilon_prime(1, 0.3) == 0.3
@@ -74,21 +74,24 @@ def test_epsilon_prime_unclamped_small_eps():
     val = epsilon_prime(1, 0.001)
     assert abs(val - 1.6e-4 / math.log(4000.0)) <= 1e-18
     assert 1.92e-5 < val < 1.94e-5
-    assert val == epsilon_prime(1, 0.001, clamp=False)
+    assert val == raw_epsilon_prime(1, 0.001)
 
 
 def test_epsilon_prime_clamp_thresholds():
     # the docstring's crossings: raw < eps just below, clamped just above
     for z, edge in ((1, 0.0305), (2, 0.00567), (3, 0.000925), (4, 0.000142)):
         below, above = edge * 0.99, edge * 1.01
-        assert epsilon_prime(z, below) == epsilon_prime(z, below, clamp=False) < below
-        assert epsilon_prime(z, above) == above < epsilon_prime(z, above, clamp=False)
+        assert epsilon_prime(z, below) == raw_epsilon_prime(z, below) < below
+        assert epsilon_prime(z, above) == above < raw_epsilon_prime(z, above)
 
 
 def test_epsilon_prime_monotone_below_clamp():
+    # the grid crosses the z = 2 clamp at 0.00567: min(eps, raw) of two
+    # increasing functions still increases, and the raw formula does too
     grid = np.linspace(1e-4, 1e-2, 40)
-    vals = [epsilon_prime(2, e, clamp=False) for e in grid]
-    assert all(b > a for a, b in zip(vals, vals[1:]))
+    for f in (epsilon_prime, raw_epsilon_prime):
+        vals = [f(2, e) for e in grid]
+        assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_epsilon_prime_validation():
@@ -262,7 +265,9 @@ def test_greedy_cost_sequence_contracts():
     pts, params = two_blob_instance()
     A = np.array([[0.0, 0.0], [6.0, 0.0]])
     cands = candidate_centers(pts, params, A)
-    res, history = greedy_augment(pts, A, cands, params, full_output=True)
+    res = greedy_augment(pts, A, cands, params)
+    centers, reason, history = _augment(pts, A, cands, params)
+    assert (centers.tobytes(), reason) == (res.centers.centers.tobytes(), res.stopped_reason)
     assert len(history) >= 2
     f = params.epsilon / (params.alpha * params.k)
     for prev, cur in zip(history, history[1:]):

@@ -13,15 +13,18 @@ import pytest
 
 from detclust.errors import BudgetError, InputError
 from detclust import geometry, solve
+from detclust.bicriteria import lift_by_clusters
 from detclust.datasets import gaussian_blobs
 from detclust.geometry import (
     CenterSet,
     ClusteringParams,
     ExtendedPointSet,
     WeightedPointSet,
+    min_power_dists,
     power_cost,
 )
 from detclust.partition import _restricted_growth_strings
+from detclust.rings import euclidean_pipeline
 from detclust.solve import (
     ENUM_MAX_K,
     ENUM_MAX_N,
@@ -480,13 +483,10 @@ def test_approx_downgrades_past_enumeration_budget():
         [rng.standard_normal((100, 2)), rng.standard_normal((100, 2)) + [6.0, 0.0]]
     )
     p = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
-    res, extra = approx_solve(pts, p, full_output=True)
+    res = approx_solve(pts, p)
     assert res.method == "bicriteria"
     assert res.downgraded
-    assert extra["partition"] is None
-    assert extra["centers_sketch"] is None
-    assert extra["labels"] is None
-    assert extra["pipeline"].coreset.size > ENUM_MAX_N
+    assert euclidean_pipeline(pts, p).coreset.size > ENUM_MAX_N
     direct = bicriteria_solve(pts, p)
     assert res.cost == direct.cost
     assert np.array_equal(res.centers.centers, direct.centers.centers)
@@ -527,13 +527,31 @@ def test_bicriteria_solves_each_distinct_cluster_once(monkeypatch):
         assert res.enumeration_stats == 1 + math.comb(8, k)
 
 
+def ptas_steps(pts, p, res):
+    """approx_solve's pipeline, winning sketched centers and induced
+    labels, replayed from euclidean_pipeline and solve._best_partition;
+    lifting the labels gives res's centers, bit for bit."""
+    pipe = euclidean_pipeline(pts, p)
+    core = pipe.coreset
+    rows = core.points
+    centers_sk = solve._best_partition(
+        core.size, p.k, rows[:, :-1], rows[:, -1], core.weights, p.z
+    )[0]
+    base = pts if pipe.passthrough else pipe.sketch.sketched_points().points
+    labels = min_power_dists(base, centers_sk, p.z)[1]
+    lifted = lift_by_clusters(pts, labels, p.z)
+    assert res.method == "ptas" and lifted.tobytes() == res.centers.centers.tobytes()
+    return pipe, centers_sk, labels
+
+
 def test_lift_never_costs_more_than_sketched_centers():
     pts = two_blob_points()
     for z in (1, 2):
         p = ClusteringParams(k=2, z=z, epsilon=0.3)
-        res, extra = approx_solve(pts, p, full_output=True)
-        assert extra["pipeline"].passthrough
-        direct = power_cost(pts, CenterSet(extra["centers_sketch"]), z)
+        res = approx_solve(pts, p)
+        pipe, centers_sk, _ = ptas_steps(pts, p, res)
+        assert pipe.passthrough
+        direct = power_cost(pts, CenterSet(centers_sk), z)
         assert res.cost <= direct + 1e-9
 
 
@@ -566,11 +584,10 @@ def test_all_methods_agree_on_separated_blobs():
 def test_approx_is_deterministic_across_reruns():
     pts = clique_points()
     p = ClusteringParams(k=2, z=2, epsilon=0.3)
-    r1, e1 = approx_solve(pts, p, full_output=True)
-    r2, e2 = approx_solve(pts, p, full_output=True)
+    r1, r2 = approx_solve(pts, p), approx_solve(pts, p)
     assert r1.cost == r2.cost
     assert r1.centers.centers.tobytes() == r2.centers.centers.tobytes()
-    assert np.array_equal(e1["labels"], e2["labels"])
+    assert np.array_equal(ptas_steps(pts, p, r1)[2], ptas_steps(pts, p, r2)[2])
 
 
 def test_high_dim_duplicates_track_weighted_exact():
@@ -581,8 +598,8 @@ def test_high_dim_duplicates_track_weighted_exact():
     dup = np.repeat(locs, 6, axis=0)
     eps = 0.3
     p = ClusteringParams(k=2, z=2, epsilon=eps)
-    res, extra = approx_solve(dup, p, full_output=True)
-    assert not extra["pipeline"].passthrough
+    res = approx_solve(dup, p)
+    assert not ptas_steps(dup, p, res)[0].passthrough
     exw = exact_solve((locs, np.full(10, 6.0)), p)
     assert res.cost >= exw.cost - 1e-9
     assert res.cost <= (1 + 5 * eps) * exw.cost + 1e-9

@@ -18,7 +18,7 @@ from pathlib import Path
 import detclust
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "detclust"
-MAX_DEFAULTED = 45  # 35 function parameters + 10 record fields
+MAX_DEFAULTED = 33  # 24 function parameters + 9 record fields
 
 
 def _is_dataclass(decorator):
