@@ -12,7 +12,6 @@ from .dimreduce import (
 from .epsapprox import (
     SetApproximation,
     ball_test_families,
-    ball_test_family,
     halving_approx,
     uniform_sample_approx,
     verify_set_approx,
@@ -22,10 +21,8 @@ from .geometry import (
     CenterSet,
     ClusteringParams,
     ExtendedPointSet,
-    Partition,
     WeightedPointSet,
     center_grid,
-    partition_cost,
     power_cost,
     power_triangle_bound,
     solve_1center,
@@ -74,7 +71,6 @@ __all__ = [
     "InputError",
     "LinearMap",
     "OffsetCoreset",
-    "Partition",
     "PartitionCoresetResult",
     "PointFileHeader",
     "RingDecomposition",
@@ -83,7 +79,6 @@ __all__ = [
     "WeightedPointSet",
     "approx_solve",
     "ball_test_families",
-    "ball_test_family",
     "bicriteria",
     "bicriteria_solve",
     "build",
@@ -100,7 +95,6 @@ __all__ = [
     "greedy_seeding",
     "halving_approx",
     "pair_distortions",
-    "partition_cost",
     "partition_count",
     "power_cost",
     "power_triangle_bound",

@@ -124,7 +124,7 @@ def _cmd_sketch_build(args):
     dio.write_sketch(sk.map, net.points, params, args.out)
     cert = sk.map.certificate or {}
     print(
-        f"sketch: {pts.shape[1]} -> {sk.target_dim} dims"
+        f"sketch: {pts.shape[1]} -> {sk.map.m + 1} dims"
         f" (map {sk.map.m}x{sk.map.d}), net size {net.points.shape[0]},"
         f" certified max_distortion={cert.get('max_distortion')!r}"
     )

@@ -9,6 +9,7 @@ platform.
 import numpy as np
 
 from .errors import InputError
+from .geometry import _seeded_rng
 
 
 def gaussian_blobs(n, d, blobs=3, seed=0, spread=1.0, separation=8.0):
@@ -21,7 +22,7 @@ def gaussian_blobs(n, d, blobs=3, seed=0, spread=1.0, separation=8.0):
         raise InputError("n, d, blobs must be positive")
     if n < blobs:
         raise InputError("need at least one point per blob")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     centers = rng.standard_normal((blobs, d)) * separation
     sizes = np.full(blobs, n // blobs, dtype=int)
     sizes[: n % blobs] += 1
@@ -41,7 +42,7 @@ def ring_mixture(n, d, rings=2, seed=0, radius=4.0, thickness=0.1):
         raise InputError("ring instances need d >= 2")
     if n < rings:
         raise InputError("need at least one point per ring")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     sizes = np.full(rings, n // rings, dtype=int)
     sizes[: n % rings] += 1
     parts = []
@@ -66,7 +67,7 @@ def far_point_instance(n, d, seed=0, distance=1e6):
         raise InputError("need n >= 2 and d >= 1")
     if distance <= 0:
         raise InputError("distance must be positive")
-    rng = np.random.default_rng(seed)
+    rng = _seeded_rng(seed)
     pts = rng.standard_normal((n - 1, d))
     far = np.zeros((1, d))
     far[0, 0] = distance

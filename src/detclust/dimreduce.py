@@ -308,11 +308,10 @@ def derandomized_jl(vectors, eps, strategy="seed-scan"):
 @dataclass(frozen=True)
 class CostPreservingSketch:
     """f(p) = (map(representative of p), extension of p); centers embed at
-    extension 0. target_dim counts the extension coordinate."""
+    extension 0, so a sketched row has map.m + 1 coordinates."""
 
     map: LinearMap
     coreset: PartitionCoresetResult
-    target_dim: int
 
     def sketched_points(self):
         mapped = self.map.apply(self.coreset.representatives)
@@ -329,4 +328,4 @@ def cost_preserving_sketch(P, params: ClusteringParams):
     coreset = build(P, params)
     net = build_net(coreset.representatives)
     lin = derandomized_jl(net.points, params.epsilon / params.z)
-    return CostPreservingSketch(map=lin, coreset=coreset, target_dim=lin.m + 1)
+    return CostPreservingSketch(map=lin, coreset=coreset)

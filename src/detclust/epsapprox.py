@@ -9,10 +9,10 @@ sample sized by the usual VC bound. Both are checked by an explicit
 verifier against the finite family; the gap to the continuous range space
 is a documented limitation, not a silent assumption.
 
-A family (RangeTestFamily) is three arrays: the shared centers (g, d), one
-row of center indices per range (R, s), and the radii (R,). A range with
-fewer than s centers repeats its last index in its row; the minimum over
-the row ignores the repeats.
+A family (RangeTestFamily, built by ball_test_families) is three arrays:
+the shared centers (g, d), one row of center indices per range (R, s),
+and the radii (R,). A range with fewer than s centers repeats its last
+index in its row; the minimum over the row ignores the repeats.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .geometry import _CHUNK, GRID_MARGIN, _as_points, sq_dist_blocks, sq_dist_matrix
+from .geometry import _CHUNK, _as_points, _box_grids, _seeded_rng, sq_dist_blocks, sq_dist_matrix
 
 HALVING_MIN_SIZE = 8
 SAMPLE_C = 2.0
@@ -107,31 +107,26 @@ def _deviation(M, gfrac, keep):
     return float(np.abs(gfrac - M[:, keep].sum(axis=1) / keep.size).max())
 
 
-def ball_test_family(points, k):
-    """Finite surrogate for the continuous far-ball range space.
-
-    Centers come from the 3-per-axis grid over the data box (center_grid);
-    once 3**d exceeds 4096 they fall back to at most 64 evenly spaced data
-    rows (canonical order). Range t uses size = min(1 + (t mod k), g)
-    consecutive centers starting at t * size (mod g, wrapping), so cols has
-    s = min(k, g) columns and shorter ranges repeat their last index. The
-    radii are DEFAULT_MAX_RANGES evenly ranked values of the distinct
-    point-to-center distances. Deterministic given the inputs; the
-    one-ground case of ball_test_families, which takes any other number of
-    ranges R as ball_test_families(points, [0], k, R)[0].
-    """
-    return ball_test_families(points, [0], k, DEFAULT_MAX_RANGES)[0]
-
-
 def ball_test_families(points, starts, k, max_ranges):
-    """ball_test_family of every ground in one pass, bit for bit.
+    """Finite surrogates for the continuous far-ball range space, one
+    RangeTestFamily per ground, all built in one pass.
 
     The grounds are consecutive row blocks of points: block r starts at
-    row starts[r] and ends where the next one starts. Blocks are processed
-    in groups of about _CHUNK // (g d) points, g the centers per ground;
-    within a group the boxes, grids, distances and distinct-distance ranks
-    of all grounds are whole-array passes. Returns one RangeTestFamily per
-    ground; grounds with equal center counts share one cols array.
+    row starts[r] and ends where the next one starts. A ground's centers
+    come from the 3-per-axis grid over its data box (center_grid); once
+    3**d exceeds 4096 they fall back to at most 64 evenly spaced rows of
+    the ground. Range t uses size = min(1 + (t mod k), g) consecutive
+    centers starting at t * size (mod g, wrapping), so cols has
+    s = min(k, g) columns and shorter ranges repeat their last index. The
+    radii are max_ranges evenly ranked values of the distinct
+    point-to-center distances. A family depends on its own ground alone,
+    so ball_test_families(ground, [0], k, R)[0] is one ground's family;
+    the ring coreset asks for R = DEFAULT_MAX_RANGES.
+
+    Blocks are processed in groups of about _CHUNK // (g d) points, g the
+    centers per ground; within a group the boxes, grids, distances and
+    distinct-distance ranks of all grounds are whole-array passes. Grounds
+    with equal center counts share one cols array.
     """
     pts = _as_points(points, "points")  # C order: sq_dist_blocks rounds by layout
     n, d = pts.shape
@@ -166,20 +161,12 @@ def ball_test_families(points, starts, k, max_ranges):
 
 def _families(pts, starts, k, max_ranges, grid, cols):
     """ball_test_families of one group of grounds (see there)."""
-    n, d = pts.shape
+    n = pts.shape[0]
     sizes = np.diff(np.append(starts, n))
     owner = np.repeat(np.arange(starts.size), sizes)
-    if grid:  # center_grid(ground, per_axis=3) per ground
-        lo = np.minimum.reduceat(pts, starts)
-        hi = np.maximum.reduceat(pts, starts)
-        span = hi - lo
-        pad = GRID_MARGIN * np.where(span > 0, span, 1.0)
-        axes = np.linspace(lo - pad, hi + pad, _GRID_PER_AXIS)  # (3, R, d)
-        digits = np.indices((_GRID_PER_AXIS,) * d).reshape(d, -1).T
-        centers = np.ascontiguousarray(  # C order, as for pts
-            axes[digits, np.arange(starts.size)[:, None, None], np.arange(d)]
-        )
-        g = np.full(starts.size, digits.shape[0])
+    if grid:  # center_grid(ground, 3) per ground, C-ordered as pts is
+        centers = _box_grids(pts, starts, _GRID_PER_AXIS)
+        g = np.full(starts.size, centers.shape[1])
     else:  # round(linspace(0, size - 1, g)) per ground; no two rows coincide
         g = np.minimum(sizes, _MAX_DATA_CENTERS)
         slot = np.minimum(np.arange(g.max()), (g - 1)[:, None])
@@ -220,7 +207,8 @@ def _linspace_ranks(top, num):
 
 
 def _range_cols(k, g, max_ranges):
-    """The (max_ranges, min(k, g)) center indices of ball_test_family."""
+    """The (max_ranges, min(k, g)) center indices of a family over g
+    centers (see ball_test_families)."""
     t = np.arange(max_ranges)
     size = np.minimum(1 + t % k, g)
     step = np.minimum(np.arange(min(k, g)), size[:, None] - 1)
@@ -315,7 +303,8 @@ def uniform_sample_approx(ground, eps_prime, delta, vc_dim_hint, seed):
 
     c = SAMPLE_C.
 
-    Randomized: the seed is recorded on the result for replay.
+    Randomized: the seed, an integer >= 0, is recorded on the result for
+    replay; it is checked even when the sample is the whole ground.
     """
     pts = _as_points(ground, "ground")
     n = pts.shape[0]
@@ -325,6 +314,7 @@ def uniform_sample_approx(ground, eps_prime, delta, vc_dim_hint, seed):
         raise InputError("delta must lie in (0, 1)")
     if vc_dim_hint < 1:
         raise InputError("vc_dim_hint must be at least 1")
+    rng = _seeded_rng(seed)
     size = math.ceil(
         SAMPLE_C
         * eps_prime**-2
@@ -334,6 +324,5 @@ def uniform_sample_approx(ground, eps_prime, delta, vc_dim_hint, seed):
     if size == n:
         idx = np.arange(n, dtype=np.int64)
     else:
-        rng = np.random.default_rng(seed)
         idx = np.sort(rng.choice(n, size=size, replace=False)).astype(np.int64)
     return SetApproximation(indices=idx, ground_size=n, seed=seed)

@@ -1,10 +1,10 @@
 """Core geometric types and primitives for (k, z)-clustering.
 
 Costs are powers of Euclidean distances: serving point p from center s costs
-w(p) * ||p - s||^z. Everything here is deterministic. power_cost and
-partition_cost sum in a canonical point order with fixed-shape pairwise
-summation (see summation.py), so permuting the rows of an input leaves
-those two costs bit-identical.
+w(p) * ||p - s||^z. Everything here is deterministic. power_cost sums in
+a canonical point order with fixed-shape pairwise summation (see
+summation.py), so permuting the rows of an input leaves the cost
+bit-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InputError
-from .summation import canonical_order, tree_sum, tree_sum_rows
+from .summation import canonical_keys, canonical_order, tree_sum_rows
 
 _CHUNK = 1 << 22  # max temp elements for distance matrices
 DEFAULT_ALPHA = 50.0
@@ -40,6 +40,14 @@ def _as_weights(w, n):
     if w.shape != (n,) or not np.isfinite(w).all() or (w < 0).any():
         raise InputError("weights must be finite, >= 0, one per point")
     return w
+
+
+def _seeded_rng(seed):
+    """np.random.default_rng(seed) for an integer seed >= 0, the package's
+    one way to open a seeded stream; any other seed raises InputError."""
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise InputError(f"seed must be an integer >= 0, got {seed!r}")
+    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -95,26 +103,6 @@ class CenterSet:
     @property
     def k(self):
         return self.centers.shape[0]
-
-    @property
-    def dim(self):
-        return self.centers.shape[1]
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Assignment of n items to parts 0..k-1 (parts may be empty)."""
-
-    assignment: np.ndarray
-    k: int
-
-    def __post_init__(self):
-        a = np.asarray(self.assignment, dtype=np.int64)
-        if a.ndim != 1 or a.size == 0:
-            raise InputError("assignment must be a nonempty 1-d integer array")
-        if (a < 0).any() or (a >= self.k).any():
-            raise InputError("assignment labels must lie in [0, k)")
-        object.__setattr__(self, "assignment", a)
 
 
 @dataclass(frozen=True)
@@ -325,7 +313,7 @@ def _own_center_costs(X, w, C, z):
     rows, w = X.reshape(sets * n, d), w.ravel()
     owner = np.repeat(np.arange(sets), n)
     costs = w * _power_from_sq(sq_dist_blocks(rows, C, owner).min(axis=1), z)
-    order = np.lexsort([w] + [rows[:, j] for j in range(d - 1, -1, -1)] + [owner])
+    order = np.lexsort(canonical_keys(rows, w) + [owner])
     return tree_sum_rows(costs[order].reshape(sets, n))
 
 
@@ -556,34 +544,6 @@ def solve_1center(P, z):
     return solve_1centers(base, ext, w, members, int(z))[0][0]
 
 
-def partition_cost(P, partition, z):
-    """Cost of a partition: each part pays its optimal 1-center cost.
-
-    Accepts WeightedPointSet or ExtendedPointSet; extended parts use the
-    extension-0 center, as solve_1center does. One solve_1centers call
-    covers every part (its third column says which parts are certified).
-    """
-    pts, ext, w = _split_extended(P)
-    if ext is None:
-        ext = np.zeros(pts.shape[0])
-    if isinstance(partition, Partition):
-        a = partition.assignment
-    else:
-        a = np.asarray(partition, dtype=np.int64)
-    if a.shape != (pts.shape[0],):
-        raise InputError("assignment length must match number of points")
-    members = a[None, :] == np.unique(a)[:, None]
-    centers = solve_1centers(pts, ext, w, members, int(z))[0]
-    per_part = []
-    for c, row in zip(centers, members):
-        idx = np.flatnonzero(row)
-        sq = ((pts[idx] - c) ** 2).sum(axis=1) + ext[idx] ** 2
-        costs = w[idx] * _power_from_sq(sq, z)
-        order = canonical_order(pts[idx], w[idx])
-        per_part.append(tree_sum(costs[order]))
-    return tree_sum(per_part)
-
-
 def power_triangle_bound(d_ab, d_ac, d_bc, z, eps):
     """Relaxed triangle inequality bounds for z-th powers of distances.
 
@@ -616,15 +576,26 @@ def center_grid(P, per_axis):
 
     A small finite stand-in for "all center sets" in verification oracles:
     per_axis >= 1 values per coordinate, so per_axis ** d rows, box
-    inflated by GRID_MARGIN * extent.
+    inflated by GRID_MARGIN * extent. The one-ground case of _box_grids.
     """
     if per_axis < 1:
         raise InputError("per_axis must be at least 1")
     pts, _ = _coerce_pointset(P)
-    lo = pts.min(axis=0)
-    hi = pts.max(axis=0)
+    return _box_grids(pts, [0], per_axis)[0]
+
+
+def _box_grids(pts, starts, per_axis):
+    """center_grid of every ground, as one C-ordered (grounds, per_axis ** d,
+    d) array: the grounds are consecutive row blocks of the (n, d) array
+    pts, block r starting at row starts[r]. Row i of a grid reads its axis
+    values in the digits of i, base per_axis, the first axis the slowest
+    (np.meshgrid's "ij" order)."""
+    d = pts.shape[1]
+    lo = np.minimum.reduceat(pts, starts)
+    hi = np.maximum.reduceat(pts, starts)
     span = hi - lo
     pad = GRID_MARGIN * np.where(span > 0, span, 1.0)
-    axes = [np.linspace(lo[j] - pad[j], hi[j] + pad[j], per_axis) for j in range(pts.shape[1])]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1)
+    axes = np.linspace(lo - pad, hi + pad, per_axis)  # (per_axis, grounds, d)
+    digits = np.indices((per_axis,) * d).reshape(d, -1).T
+    grounds = np.arange(len(starts))[:, None, None]
+    return np.ascontiguousarray(axes[digits, grounds, np.arange(d)])

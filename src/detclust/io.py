@@ -190,7 +190,10 @@ def read_points(path):
         head = fh.read(len(MAGIC))
     if head == MAGIC:
         return _read_binary_points(path)
-    return _read_csv_points(path)
+    try:
+        return _read_csv_points(path)
+    except UnicodeDecodeError:
+        raise InputError("point file is neither binary nor ASCII text") from None
 
 
 def write_points(data, path, *, binary=False):
@@ -242,8 +245,11 @@ def read_coreset(path):
     """Inverse of write_coreset. Returns (OffsetCoreset, ClusteringParams);
     the file stores no alpha, so the params carry the default. Row
     provenance is rebuilt as ("file", i)."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError:
+        raise InputError("coreset file is not ASCII text") from None
     if not lines:
         raise InputError("line 1: empty file")
     fields = _header_fields(lines[0], "coreset header", ("dim", "F", "k", "z", "eps"))
@@ -354,9 +360,12 @@ def _json_list(items, depth):
 def read_sketch(path):
     """Inverse of write_sketch: (LinearMap, net array, ClusteringParams),
     the params at the default alpha, which the bundle does not store."""
-    with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
-    if doc.get("format") != "dclus-sketch-1":
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            doc = json.load(fh)
+    except (ValueError, RecursionError):  # ValueError: JSON and decode errors
+        raise InputError("sketch bundle is not ASCII JSON") from None
+    if not isinstance(doc, dict) or doc.get("format") != "dclus-sketch-1":
         raise InputError("not a sketch bundle")
     try:
         m, d = int(doc["rows"]), int(doc["cols"])
@@ -367,8 +376,10 @@ def read_sketch(path):
         if map_eps is not None:
             map_eps = float.fromhex(map_eps)
         cert = doc["certificate"]
-        if cert is not None:
+        if isinstance(cert, dict):
             cert = {k: _unhex_tree(v) for k, v in cert.items()}
+        elif cert is not None:
+            raise ValueError("certificate is not an object")
         rows = doc["net"]
         if set(map(len, rows)) - {d}:
             raise ValueError("net rows are not cols wide")

@@ -25,6 +25,7 @@ from .geometry import (
     _coerce_centers,
     _coerce_pointset,
     _power_from_sq,
+    _seeded_rng,
     first_seen_rows,
     min_power_dists,
     power_cost,
@@ -224,7 +225,7 @@ def verify_partition_coreset(
             raise InputError("exhaustive verification needs |P| <= 12 and k <= 3")
         partitions = _restricted_growth_strings(n, k)
     else:
-        rng = np.random.default_rng(seed)
+        rng = _seeded_rng(seed)
         partitions = [tuple(rng.integers(0, k, size=n)) for _ in range(samples)]
 
     worst = 0.0
@@ -240,7 +241,7 @@ def verify_partition_coreset(
         if all_partitions:
             idx_iter = np.indices((g,) * j).reshape(j, -1).T
         else:
-            idx_iter = np.random.default_rng(seed + checked + 1).integers(
+            idx_iter = _seeded_rng(seed + checked + 1).integers(
                 0, g, size=(min(samples, g**j), j)
             )
         rows = np.arange(j)

@@ -40,6 +40,7 @@ from .geometry import (
     _coerce_pointset,
     _CHUNK,
     _power_from_sq,
+    _seeded_rng,
     min_power_dists,
     sq_dist_matrix,
 )
@@ -261,11 +262,12 @@ def ring_coreset(P, params, mode="deterministic", *, seed=0):
 
     Low-cost seedings return the centers weighted by served-point counts
     with F = 0. Otherwise each main ring is replaced by a set
-    approximation at epsilon_prime(z, eps): halving against the default
-    ball_test_family (deterministic mode; one ball_test_families pass
-    builds every main ring's family) or a seeded uniform sample at
-    failure probability SAMPLE_DELTA (randomized mode, one derived seed per
-    ring), each kept point weighted |ring| / |kept|.
+    approximation at epsilon_prime(z, eps): halving against the ring's
+    far-ball family (deterministic mode; one ball_test_families pass at
+    DEFAULT_MAX_RANGES builds every main ring's family) or a seeded uniform
+    sample at failure probability SAMPLE_DELTA (randomized mode, seed an
+    integer >= 0, seed + t the seed of main ring t), each kept point
+    weighted |ring| / |kept|.
 
     Slice mode, P an ExtendedPointSet, keeps the seeding centers at
     extension 0; the coreset rows then carry each point's extension as
@@ -273,6 +275,8 @@ def ring_coreset(P, params, mode="deterministic", *, seed=0):
     """
     if mode not in ("deterministic", "randomized"):
         raise InputError(f"unknown mode {mode!r}")
+    if mode == "randomized":
+        _seeded_rng(seed)  # a bad seed fails here, not at the first large ring
     pts, w = _coerce_pointset(P)
     if (w != 1.0).any():
         raise InputError("ring coreset expects unit weights")
@@ -408,7 +412,7 @@ def verify_offset_coreset(
             itertools.chain.from_iterable(combos), dtype=np.int64, count=total * k
         ).reshape(total, k)
     else:
-        rng = np.random.default_rng(seed)
+        rng = _seeded_rng(seed)
         draws = {}  # distinct tuples in first-drawn order
         while len(draws) < samples:
             draw = tuple(np.sort(rng.choice(grid.shape[0], size=k, replace=False)).tolist())
@@ -451,7 +455,6 @@ class EuclideanPipelineResult:
 
     coreset: OffsetCoreset
     sketch: object
-    passthrough: bool
 
 
 def euclidean_pipeline(P, params):
@@ -472,4 +475,4 @@ def euclidean_pipeline(P, params):
         sk = cost_preserving_sketch(pts, params)
         E = sk.sketched_points()
     core = ring_coreset(E, params)
-    return EuclideanPipelineResult(coreset=core, sketch=sk, passthrough=sk is None)
+    return EuclideanPipelineResult(coreset=core, sketch=sk)

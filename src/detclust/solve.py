@@ -293,7 +293,7 @@ def approx_solve(P, params):
     centers_sk, examined = _best_partition(core.size, params.k, base, ext, w, params.z)
 
     # induced assignment: each original point follows its sketched row
-    if pipe.passthrough:
+    if pipe.sketch is None:
         all_base = pts
     else:
         all_base = pipe.sketch.sketched_points().points

@@ -2,17 +2,16 @@
 
 tree_sum is a fixed-shape pairwise reduction whose association order
 depends only on the length of the input, never on threading or chunking;
-it is the one-row case of tree_sum_rows. tree_sum sums partition_cost,
-the ring deltas and the offset F. tree_sum_rows sums the member weights
-behind every 1-center centroid (one row per set in
-geometry.solve_1centers) and the costs of every center set in
-geometry._power_costs (power_cost is its one-set case), every point set
-against its own centers in geometry._own_center_costs (the candidate
-families' anchors), every center tuple in rings.verify_offset_coreset
-and every init in solve._polish_all (one row per set, tuple or init,
-equal to its power_cost). power_cost
-and partition_cost also sort the summands canonically, so they are
-bit-identical across permutations too.
+it is the one-row case of tree_sum_rows. tree_sum sums the ring deltas
+and the offset F. tree_sum_rows sums the member weights behind every
+1-center centroid (one row per set in geometry.solve_1centers) and the
+costs of every center set in geometry._power_costs (power_cost is its
+one-set case), every point set against its own centers in
+geometry._own_center_costs (the candidate families' anchors), every
+center tuple in rings.verify_offset_coreset and every init in
+solve._polish_all (one row per set, tuple or init, equal to its
+power_cost). Each row's summands are put in canonical_order first, so
+power_cost is bit-identical across permutations of the points too.
 Other sums (.sum, einsum) round in numpy's own order; those that drive
 decisions (the swap and greedy scores, and the subset-cost table that
 solve._all_subset_costs fills through solve_1centers) are pinned by the
@@ -51,15 +50,23 @@ def tree_sum_rows(rows):
     return a[:, 0]
 
 
-def canonical_order(points, weights):
-    """Permutation sorting rows lexicographically (last column is the
-    primary key for np.lexsort, so feed columns reversed), with the weight
-    as the final tie-break. Duplicate (point, weight) rows may land in any
-    relative order; their summands are identical so sums are unaffected.
-    """
+def canonical_keys(points, weights):
+    """The np.lexsort keys of canonical_order: the weight, then the columns
+    from last to first. np.lexsort's primary key is its last one, so rows
+    sort by their first column, ties by the next, and the weight breaks
+    the ties that remain; a caller may append keys that take precedence."""
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim == 1:
         pts = pts[:, None]
     keys = [pts[:, j] for j in range(pts.shape[1] - 1, -1, -1)]
     keys.insert(0, np.asarray(weights, dtype=np.float64))
-    return np.lexsort(keys)
+    return keys
+
+
+def canonical_order(points, weights):
+    """Permutation sorting rows lexicographically, the weight as the final
+    tie-break (see canonical_keys). Duplicate (point, weight) rows may land
+    in any relative order; their summands are identical so sums are
+    unaffected.
+    """
+    return np.lexsort(canonical_keys(points, weights))

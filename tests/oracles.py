@@ -9,9 +9,10 @@ run the library's own kernels one init, one step size, one projection
 seed, one subset or one search order at a time. So are
 carried_tree_sum and argmin_power_cost, the one-sum bodies that
 tree_sum and power_cost had before they became the one-row and one-set
-cases of their batched forms, and every_level_halving, the halving loop
-that tried each level below the floor before checking whether any could
-be accepted.
+cases of their batched forms, meshgrid_center_grid, the per-axis
+center_grid that the batched box grid replaced, and every_level_halving,
+the halving loop that tried each level below the floor before checking
+whether any could be accepted.
 """
 
 import itertools
@@ -955,3 +956,15 @@ def every_level_halving(ground, eps_prime, tests):
             break
         current = cand
     return current, runs
+
+
+def meshgrid_center_grid(P, per_axis):
+    """geometry.center_grid as it was: one np.linspace per axis over the
+    data box inflated by GRID_MARGIN of its extent, then np.meshgrid."""
+    pts, _ = geometry._coerce_pointset(P)
+    lo, hi = pts.min(axis=0), pts.max(axis=0)
+    span = hi - lo
+    pad = geometry.GRID_MARGIN * np.where(span > 0, span, 1.0)
+    axes = [np.linspace(lo[j] - pad[j], hi[j] + pad[j], per_axis) for j in range(pts.shape[1])]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=1)

@@ -385,3 +385,98 @@ def test_verify_refuses_bad_inputs_with_exit_2(argv, message, tmp_path, capsys):
     assert cli_dispatch(args) == 2  # an escaping exception would fail here
     out, err = capsys.readouterr()
     assert message in err and "verification" not in out
+
+
+def _points_file(path, tail=b""):
+    """A 20-point d=2 CSV point file, tail appended to its bytes."""
+    write_points(gaussian_blobs(20, 2, blobs=2, seed=4), path)
+    path.write_bytes(path.read_bytes() + tail)
+    return str(path)
+
+
+def _coreset_verify_argv(t, points_tail=b"", coreset_tail=b""):
+    """coreset verify argv for a det coreset of a _points_file, built
+    before points_tail and coreset_tail are appended to the two files."""
+    pts, core = t / "p.csv", t / "core.csv"
+    _points_file(pts)
+    assert cli_dispatch(["coreset", "build", "--in", str(pts), "--out", str(core),
+                         "--k", "2", "--z", "2", "--eps", "0.3"]) == 0
+    pts.write_bytes(pts.read_bytes() + points_tail)
+    core.write_bytes(core.read_bytes() + coreset_tail)
+    return ["coreset", "verify", "--points", str(pts), "--coreset", str(core)]
+
+
+def _sketch_file(path, text):
+    path.write_text(text)
+    return ["sketch", "verify", "--sketch", str(path)]
+
+
+def _sketch_with_list_certificate(t):
+    _verify_sketch_with_net(t, lambda net: net)
+    doc = json.loads((t / "sk.json").read_text())
+    return _sketch_file(t / "sk.json", json.dumps({**doc, "certificate": [1]}))
+
+
+_NON_ASCII = b"0.5,\xc3\xa9\n"
+_CLUSTERING = ["--k", "2", "--z", "2", "--eps", "0.3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(
+            lambda t: ["gen", "--blobs", "2", "--n", "10", "--d", "2", "--seed", "-1",
+                       "--out", str(t / "q.csv")],
+            id="gen-blobs-negative-seed",
+        ),
+        pytest.param(
+            lambda t: ["gen", "--rings", "2", "--n", "10", "--d", "2", "--seed", "-1",
+                       "--out", str(t / "q.csv")],
+            id="gen-rings-negative-seed",
+        ),
+        pytest.param(
+            lambda t: ["gen", "--far", "--n", "10", "--d", "2", "--seed", "-1",
+                       "--out", str(t / "q.csv")],
+            id="gen-far-negative-seed",
+        ),
+        pytest.param(
+            lambda t: ["bench", "compare", *_CLUSTERING, "--n", "50", "--instances", "1",
+                       "--seed", "-1"],
+            id="bench-compare-negative-seed",
+        ),
+        # no main ring outgrows its sample here, so no sample is ever drawn
+        pytest.param(
+            lambda t: ["coreset", "build", "--in", _points_file(t / "p.csv"),
+                       "--out", str(t / "c.csv"), *_CLUSTERING, "--mode", "rand", "--seed", "-1"],
+            id="coreset-build-rand-negative-seed",
+        ),
+        pytest.param(
+            lambda t: ["coreset", "build", "--in", _points_file(t / "p.csv", _NON_ASCII),
+                       "--out", str(t / "c.csv"), *_CLUSTERING],
+            id="coreset-build-non-ascii-points",
+        ),
+        pytest.param(
+            lambda t: ["solve", "exact", "--in", _points_file(t / "p.csv", _NON_ASCII),
+                       *_CLUSTERING],
+            id="solve-exact-non-ascii-points",
+        ),
+        pytest.param(
+            lambda t: _coreset_verify_argv(t, points_tail=_NON_ASCII),
+            id="coreset-verify-non-ascii-points",
+        ),
+        pytest.param(
+            lambda t: _coreset_verify_argv(t, coreset_tail=_NON_ASCII),
+            id="coreset-verify-non-ascii-coreset",
+        ),
+        pytest.param(lambda t: _sketch_file(t / "s.json", "not json"), id="sketch-not-json"),
+        pytest.param(lambda t: _sketch_file(t / "s.json", "[1, 2]"), id="sketch-json-array"),
+        # nested past the interpreter's recursion limit
+        pytest.param(lambda t: _sketch_file(t / "s.json", "[" * 200_000), id="sketch-deep-json"),
+        pytest.param(_sketch_with_list_certificate, id="sketch-certificate-not-an-object"),
+    ],
+)
+def test_bad_seeds_and_unreadable_files_exit_2(argv, tmp_path, capsys):
+    args = argv(tmp_path)
+    capsys.readouterr()
+    assert cli_dispatch(args) == 2  # an escaping exception would fail here
+    assert "input error" in capsys.readouterr().err

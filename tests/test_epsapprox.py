@@ -5,12 +5,12 @@ import pytest
 
 from detclust import InputError, epsapprox, geometry
 from detclust.epsapprox import (
+    DEFAULT_MAX_RANGES,
     RangeTestFamily,
     SetApproximation,
     _halve,
     _membership_matrix,
     ball_test_families,
-    ball_test_family,
     halving_approx,
     uniform_sample_approx,
     vc_dim_hint_euclidean,
@@ -181,7 +181,7 @@ def test_halving_matches_the_every_level_loop(monkeypatch):
         else:
             pts = rng.standard_normal((n, d))
         fam = (
-            ball_test_family(pts, int(rng.integers(1, 4)))
+            ball_test_families(pts, [0], int(rng.integers(1, 4)), DEFAULT_MAX_RANGES)[0]
             if trial % 3
             else random_family(rng, 2, 10, d=d)
         )
@@ -364,7 +364,7 @@ def _family_grounds():
 def test_family_matches_per_range_oracle():
     for pts in _family_grounds():
         for k in (1, 2, 3, 4):
-            fam = ball_test_family(pts, k)
+            fam = ball_test_families(pts, [0], k, DEFAULT_MAX_RANGES)[0]
             want = per_range_ball_family(pts, k)
             assert len(fam) == len(want)
             for t, (centers, radius) in enumerate(want):
@@ -375,7 +375,7 @@ def test_family_matches_per_range_oracle():
 def test_family_validates():
     pts = np.zeros((4, 2))
     with pytest.raises(InputError):
-        ball_test_family(pts, 0)
+        ball_test_families(pts, [0], 0, DEFAULT_MAX_RANGES)
     with pytest.raises(InputError):
         ball_test_families(pts, [0], 2, 0)
 

@@ -6,9 +6,7 @@ from detclust import (
     ClusteringParams,
     ExtendedPointSet,
     InputError,
-    Partition,
     WeightedPointSet,
-    partition_cost,
     power_cost,
     power_triangle_bound,
     solve_1center,
@@ -16,6 +14,7 @@ from detclust import (
 )
 from detclust import geometry
 from detclust.datasets import gaussian_blobs
+from detclust.epsapprox import DEFAULT_MAX_RANGES, ball_test_families
 from detclust.geometry import center_grid, min_power_dists, solve_1centers
 from detclust.rings import ring_coreset
 from detclust.solve import exact_solve
@@ -26,6 +25,7 @@ from oracles import (
     carried_tree_sum,
     dict_row_pool,
     grid_search_1center,
+    meshgrid_center_grid,
     naive_power_cost,
 )
 
@@ -127,8 +127,6 @@ def test_types_validate():
         WeightedPointSet(np.empty((3, 0)))
     with pytest.raises(InputError):
         CenterSet([[0.0], [np.inf]])
-    with pytest.raises(InputError):
-        Partition(np.array([0, 2]), k=2)
     with pytest.raises(InputError):
         ClusteringParams(k=1, z=1, epsilon=0.5)
     with pytest.raises(InputError):
@@ -308,39 +306,16 @@ def test_constrained_reduces_to_plain_when_ext_zero():
         assert np.allclose(c1, c2, atol=1e-9)
 
 
-def test_partition_cost_weighted_equals_duplicated():
-    # integer weights = duplicated points, exactly
-    pts = np.array([[0.0, 0.0], [2.0, 0.0], [5.0, 1.0]])
-    w = np.array([3.0, 1.0, 2.0])
-    dup = np.repeat(pts, [3, 1, 2], axis=0)
-    a_w = np.array([0, 0, 1])
-    a_dup = np.array([0, 0, 0, 0, 1, 1])
-    for z in (1, 2):
-        got = partition_cost(WeightedPointSet(pts, w), Partition(a_w, 2), z)
-        want = partition_cost(dup, Partition(a_dup, 2), z)
-        assert got == pytest.approx(want, rel=1e-9)
-
-
-def test_partition_cost_certified_flags(monkeypatch):
-    # partition_cost sums the parts that solve_1centers solves and certifies
+def test_solve_1centers_flags_rows_it_leaves_uncertified(monkeypatch):
+    # a solver stopped at the centroid clears the flags, with no raise
     pts = np.random.default_rng(8).normal(size=(6, 2))
-    labels = np.array([0, 0, 0, 1, 1, 1])
-    members = labels[None, :] == np.arange(2)[:, None]
-
-    def both():
-        _, costs, ok = solve_1centers(pts, None, np.ones(6), members, 1)
-        return partition_cost(pts, labels, 1), costs, ok
-
-    total, costs, ok = both()
+    members = np.arange(6)[None, :] // 3 == np.arange(2)[:, None]
+    _, costs, ok = solve_1centers(pts, None, np.ones(6), members, 1)
     assert ok.all()
-    assert total == pytest.approx(costs.sum(), rel=1e-12)
-    # a solver stopped at the centroid flags the uncertified parts, no raise
     monkeypatch.setattr(geometry, "_WEISZFELD_ROUNDS", 0)
     monkeypatch.setattr(geometry, "_NEWTON_ROUNDS", 0)
-    total2, costs2, ok2 = both()
-    assert not ok2.any()
-    assert total2 == pytest.approx(costs2.sum(), rel=1e-12)
-    assert total2 > total
+    _, stopped, ok = solve_1centers(pts, None, np.ones(6), members, 1)
+    assert not ok.any() and (stopped > costs).all()
 
 
 def _random_batch(seed, m=40, n=9, d=3):
@@ -426,6 +401,28 @@ def test_center_grid_shape_and_determinism():
     for bad in (0, -1):
         with pytest.raises(InputError, match="per_axis"):
             center_grid(pts, per_axis=bad)
+
+
+def test_center_grid_matches_the_per_axis_meshgrid():
+    # one batched box grid serves center_grid and the far-ball families;
+    # it keeps the bits of one np.linspace per axis and np.meshgrid
+    rng = np.random.default_rng(12)
+    for trial in range(240):
+        d = 1 + trial % 4
+        pts = rng.standard_normal((int(rng.integers(1, 25)), d)) * 10.0 ** rng.uniform(-8, 8)
+        if trial % 3 == 0:  # a zero-span axis
+            pts[:, int(rng.integers(0, d))] = rng.standard_normal()
+        P = pts
+        if trial % 5 == 0:  # the extension is one more axis of the box
+            P = ExtendedPointSet(pts, np.abs(rng.standard_normal(pts.shape[0])))
+        for per_axis in range(1, 7):
+            got, want = center_grid(P, per_axis), meshgrid_center_grid(P, per_axis)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for d in range(1, 8):  # 3**d <= 4096: the families' centers are the grid
+        pts = rng.standard_normal((20, d)) * 10.0 ** rng.uniform(-4, 4)
+        pts[:, 0] = 1.5
+        fam = ball_test_families(pts, [0], 2, DEFAULT_MAX_RANGES)[0]
+        assert fam.centers.tobytes() == center_grid(pts, 3).tobytes()
 
 
 def test_first_seen_rows_matches_dict_pool():

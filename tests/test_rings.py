@@ -7,17 +7,24 @@ import pytest
 
 from detclust import rings as rings_mod
 from detclust.bicriteria import _augment, candidate_centers, greedy_augment
-from detclust.datasets import gaussian_blobs
-from detclust.epsapprox import ball_test_families, ball_test_family, halving_approx
+from detclust.datasets import far_point_instance, gaussian_blobs, ring_mixture
+from detclust.epsapprox import (
+    DEFAULT_MAX_RANGES,
+    ball_test_families,
+    halving_approx,
+    uniform_sample_approx,
+)
 from detclust.errors import InputError
 from detclust.geometry import (
     CenterSet,
     ClusteringParams,
     WeightedPointSet,
+    _seeded_rng,
     center_grid,
     power_cost,
     sq_dist_matrix,
 )
+from detclust.partition import build, verify_partition_coreset
 from detclust.rings import (
     RING_ZERO,
     OffsetCoreset,
@@ -578,7 +585,7 @@ def test_huge_group_estimate_within_3eps():
     S = np.array([[100.0, 100.0]])
     cost_S = sq_dist_matrix(ring_pts, S).min(axis=1) ** (params.z / 2.0)
     assert (cost_S >= 4.0 * (4.0 * params.z / params.epsilon) ** params.z * base).all()
-    fam = ball_test_family(ring_pts, params.k)
+    fam = ball_test_families(ring_pts, [0], params.k, DEFAULT_MAX_RANGES)[0]
     eps_p = epsilon_prime(params.z, params.epsilon)
     approx = halving_approx(ring_pts, eps_p, fam)
     est = float(tree_sum(cost_S[approx.indices])) * idx.size / approx.indices.size
@@ -589,7 +596,7 @@ def test_huge_group_estimate_within_3eps():
 def test_pipeline_passthrough_low_dim():
     pts, params = two_blob_instance()
     out = euclidean_pipeline(pts, params)
-    assert out.passthrough and out.sketch is None
+    assert out.sketch is None
     assert out.coreset.points.shape[1] == 3
     assert (out.coreset.points[:, -1] == 0.0).all()
     assert out.coreset.total_weight == Fraction(200)
@@ -600,7 +607,7 @@ def test_pipeline_identical_points_high_dim():
     pts = np.tile(rng.standard_normal(30), (9, 1))
     params = ClusteringParams(k=2, z=2, epsilon=0.25)
     out = euclidean_pipeline(pts, params)
-    assert not out.passthrough
+    assert out.sketch is not None
     assert out.coreset.size == 1
     assert out.coreset.offset == 0.0
     assert out.coreset.weight_num.tolist() == [9]
@@ -615,7 +622,7 @@ def test_pipeline_high_dim_rerun_identical():
     params = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=3.0)
     a = euclidean_pipeline(pts, params)
     b = euclidean_pipeline(pts, params)
-    assert not a.passthrough
+    assert a.sketch is not None
     assert a.coreset.points.shape[1] == a.sketch.map.m + 1
     assert a.coreset.total_weight == Fraction(16)
     assert np.array_equal(a.coreset.points, b.coreset.points)
@@ -644,3 +651,34 @@ def test_det_coreset_builds_every_ring_family_in_one_call(monkeypatch):
     assert calls["halving"] == [idx.size for _, idx in main]
     ring_coreset(pts, params, mode="randomized")
     assert calls["families"] == 1
+
+
+def test_every_seeded_stream_refuses_a_bad_seed():
+    pts, params = two_blob_instance()
+    grid = center_grid(pts, per_axis=3)
+    core = ring_coreset(pts, params)
+    small = pts[:6]
+    refused = [
+        lambda s: gaussian_blobs(10, 2, blobs=2, seed=s),
+        lambda s: ring_mixture(10, 2, seed=s),
+        lambda s: far_point_instance(10, 2, seed=s),
+        # 5000 points outgrow the sample, so one is drawn; 3 points do not
+        lambda s: uniform_sample_approx(np.zeros((5000, 2)), 0.3, 0.1, 20, s),
+        lambda s: uniform_sample_approx(np.zeros((3, 2)), 0.3, 0.1, 20, s),
+        lambda s: ring_coreset(pts, params, mode="randomized", seed=s),
+        lambda s: verify_offset_coreset(
+            pts, core, params, grid, exhaustive_tuples=False, samples=5, seed=s
+        ),
+        lambda s: verify_partition_coreset(
+            small, build(small, params), params, grid, all_partitions=False, samples=5, seed=s
+        ),
+    ]
+    for call in refused:
+        for bad in (-1, 1.5, "1"):
+            with pytest.raises(InputError, match="seed must be an integer >= 0"):
+                call(bad)
+        call(0)
+    # a valid seed opens numpy's own stream
+    for seed in (0, 7, np.int64(2**40)):
+        want = np.random.default_rng(seed).integers(0, 1 << 62, 8)
+        assert (_seeded_rng(seed).integers(0, 1 << 62, 8) == want).all()

@@ -186,7 +186,7 @@ def test_exact_solves_extended_input_at_extension_zero():
     base, ext = rng.standard_normal((7, 2)), rng.uniform(0.0, 1.0, 7)
     for k in (1, 2, 3):
         res = exact_solve(ExtendedPointSet(base, ext), ClusteringParams(k=k, z=2, epsilon=0.3))
-        assert res.centers.dim == 2
+        assert res.centers.centers.shape[1] == 2
         assert res.cost == pytest.approx(exact_kz_cost(base, k, 2) + (ext**2).sum(), rel=1e-9)
     res = exact_solve(ExtendedPointSet(base[:2], ext[:2]), ClusteringParams(k=2, z=2, epsilon=0.3))
     assert res.centers.centers.tolist() == base[:2].tolist()
@@ -537,7 +537,7 @@ def ptas_steps(pts, p, res):
     centers_sk = solve._best_partition(
         core.size, p.k, rows[:, :-1], rows[:, -1], core.weights, p.z
     )[0]
-    base = pts if pipe.passthrough else pipe.sketch.sketched_points().points
+    base = pts if pipe.sketch is None else pipe.sketch.sketched_points().points
     labels = min_power_dists(base, centers_sk, p.z)[1]
     lifted = lift_by_clusters(pts, labels, p.z)
     assert res.method == "ptas" and lifted.tobytes() == res.centers.centers.tobytes()
@@ -550,7 +550,7 @@ def test_lift_never_costs_more_than_sketched_centers():
         p = ClusteringParams(k=2, z=z, epsilon=0.3)
         res = approx_solve(pts, p)
         pipe, centers_sk, _ = ptas_steps(pts, p, res)
-        assert pipe.passthrough
+        assert pipe.sketch is None
         direct = power_cost(pts, CenterSet(centers_sk), z)
         assert res.cost <= direct + 1e-9
 
@@ -599,7 +599,7 @@ def test_high_dim_duplicates_track_weighted_exact():
     eps = 0.3
     p = ClusteringParams(k=2, z=2, epsilon=eps)
     res = approx_solve(dup, p)
-    assert not ptas_steps(dup, p, res)[0].passthrough
+    assert ptas_steps(dup, p, res)[0].sketch is not None
     exw = exact_solve((locs, np.full(10, 6.0)), p)
     assert res.cost >= exw.cost - 1e-9
     assert res.cost <= (1 + 5 * eps) * exw.cost + 1e-9

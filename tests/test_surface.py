@@ -8,7 +8,9 @@ src/detclust/*.py, and every field with a default value of every
 A change that adds one raises MAX_DEFAULTED and says why in CHANGES.md; a
 change that removes some lowers it. Nor does the package keep code that
 nothing reaches: every public top-level function and class is exported
-or named by other code in src/detclust.
+or named by other code in src/detclust, and every exported name is read
+by the package itself, a demo or the acceptance tests, not by unit
+tests alone.
 """
 
 import ast
@@ -17,7 +19,8 @@ from pathlib import Path
 
 import detclust
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "detclust"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "detclust"
 MAX_DEFAULTED = 33  # 24 function parameters + 9 record fields
 
 
@@ -98,3 +101,33 @@ def test_orphan_guard_sees_an_unreached_function():
         "b": "from .a import used\n\nX = used()\n",
     }
     assert orphans(sources) == ["a.lonely"]
+
+
+def unread_exports(sources, readers):
+    """The detclust.__all__ names that no code reads: sources maps the
+    package's modules but __init__ to their source, where reads inside the
+    name's own top-level definition do not count; readers are the sources
+    of the other callers that count (demos, acceptance tests)."""
+    read = Counter()
+    for src in readers:
+        read.update(_names(ast.parse(src)))
+    for src in sources.values():
+        tree = ast.parse(src)
+        read.update(_names(tree))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                read.subtract({node.name: _names(node)[node.name]})
+    return [name for name in detclust.__all__ if read[name] <= 0]
+
+
+def test_every_export_has_a_reader_besides_unit_tests():
+    sources = {
+        p.stem: p.read_text(encoding="utf-8")
+        for p in sorted(SRC.glob("*.py"))
+        if p.name != "__init__.py"
+    }
+    readers = [
+        p.read_text(encoding="utf-8")
+        for p in sorted((ROOT / "demos").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
+    ]
+    assert unread_exports(sources, readers) == []
