@@ -10,8 +10,10 @@ the representatives alone, not on eps or z.
 The budgets are module constants: the net takes subsets of up to
 NET_SUBSET_SIZE representatives, at most MAX_SUBSETS of them (BudgetError
 past it), and covers each at MAX_COVER_STEPS barycentric steps; the map's
-target dimension starts at ceil(JL_C * eps^-2 * ln #pairs), and seed-scan
-tries MAX_SEEDS seeds per dimension.
+target dimension starts at ceil(JL_C * eps^-2 * ln #pairs) and doubles
+while it is below the input dimension, each try one sign matrix built by
+the method of conditional expectations (Engebretsen, Indyk and O'Donnell,
+SODA 2002) and certified on every pair.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bicriteria import seeded_projection_family
 from .errors import BudgetError, InputError
 from .geometry import (
     ClusteringParams,
@@ -33,11 +34,10 @@ from .geometry import (
     first_seen_rows,
     sq_dist_matrix,
 )
-from .linmap import LinearMap, identity_map, pair_distortions
+from .linmap import LinearMap, pair_distortions
 from .partition import PartitionCoresetResult, build
 
 JL_C = 4.0
-MAX_SEEDS = 256
 MAX_SUBSETS = 20_000
 NET_SUBSET_SIZE = 4
 MAX_COVER_STEPS = 3
@@ -195,44 +195,42 @@ class _NetRows:
 # ---------------- derandomized distance preservation ----------------
 
 
-def _pair_directions(V):
-    """Unit difference vectors for all pairs at nonzero distance."""
-    n = V.shape[0]
-    rows = []
-    for i in range(n - 1):
-        dv = V[i + 1 :] - V[i]
-        nv = np.sqrt((dv**2).sum(axis=1))
-        nz = nv > 0
-        if nz.any():
-            rows.append(dv[nz] / nv[nz, None])
-    if not rows:
-        return np.empty((0, V.shape[1]))
-    return np.vstack(rows)
-
-
-def _conditional_sign_matrix(W, m, eps):
+def _conditional_sign_matrix(V, m, eps):
     """Sign matrix chosen bit by bit against a pessimistic estimator.
 
-    W holds unit pair directions. While filling row r coordinate by
+    The estimator runs over the unit directions w of V's pairs (i, j),
+    i < j, at nonzero distance. While filling row r coordinate by
     coordinate, each candidate sign is scored by
     sum_pairs cosh(lam * (E[|Pi w|^2 | choices so far] - 1)) and the smaller
     score wins (ties keep +1). The conditional expectation over unset signs
     of (row . w)^2 is (partial dot)^2 + remaining squared mass.
+
+    Coordinate j of every w is recomputed at each choice as
+    (V[hi, j] - V[lo, j]) / |V[hi] - V[lo]|, so only a few arrays of one
+    entry per pair are held, never a (pairs, d) table. Each score still
+    sums over all pairs at once: a chunked sum rounds differently and can
+    flip a sign.
     """
-    P, d = W.shape
+    n, d = V.shape
     signs = np.ones((m, d))
+    lo, hi = np.triu_indices(n, 1)
+    # pair norms row by row, so no temporary exceeds (n, d)
+    rows = [np.sqrt(((V[i + 1 :] - V[i]) ** 2).sum(axis=1)) for i in range(n - 1)]
+    norm = np.concatenate([np.empty(0), *rows])
+    nz = norm > 0
+    lo, hi, norm = lo[nz], hi[nz], norm[nz]
+    P = norm.size
     if P == 0:
         return signs
     lam = max(1.0, m * eps / 4.0)
     done = np.zeros(P)  # sum over completed rows of (row . w)^2 / m
-    Wsq = W**2
     for r in range(m):
         pd = np.zeros(P)
-        rem = np.ones(P)  # rows of W are unit vectors
+        rem = np.ones(P)  # each w is a unit vector
         tail = (m - r - 1) / m
         for jcol in range(d):
-            wj = W[:, jcol]
-            rem_next = rem - Wsq[:, jcol]
+            wj = (V[hi, jcol] - V[lo, jcol]) / norm
+            rem_next = rem - wj**2
             base = done + tail - 1.0
             plus = np.cosh(lam * (base + ((pd + wj) ** 2 + rem_next) / m))
             minus = np.cosh(lam * (base + ((pd - wj) ** 2 + rem_next) / m))
@@ -246,60 +244,42 @@ def _conditional_sign_matrix(W, m, eps):
     return signs
 
 
-def derandomized_jl(vectors, eps, strategy="seed-scan"):
+def derandomized_jl(vectors, eps):
     """A linear map certified to preserve all pairwise distances of
     `vectors` within (1 +- eps).
 
     Target dimension starts at ceil(JL_C * eps^-2 * ln(#pairs)) and doubles
-    until a map passes exhaustive certification; past d the exact identity
-    is returned instead. seed-scan tries the first MAX_SEEDS seeds of the
-    seeded sign-matrix family in seed order; conditional builds one sign
-    matrix by derandomized bit choices. Either way the certificate records
-    what was actually checked.
+    while it is below d. At each m, one sign matrix is built by conditional
+    expectations (_conditional_sign_matrix) and certified on every pair by
+    pair_distortions; once m reaches d the exact identity is returned
+    instead, and no pair is walked. The estimator's lam = max(1, m*eps/4)
+    and its cosh sum are not derived in this repository: the exhaustive
+    certificate, not the estimator, is what makes a returned map valid.
+    The certificate records what was actually checked.
     """
     V = _as_points(vectors, "vectors")
     if not (0.0 < eps < 1.0):
         raise InputError("eps must lie in (0, 1)")
-    if strategy not in ("seed-scan", "conditional"):
-        raise InputError(f"unknown strategy {strategy!r}")
     n, d = V.shape
     n_pairs = n * (n - 1) // 2
 
     m = max(1, math.ceil(JL_C * eps**-2 * math.log(max(n_pairs, 2))))
-    while m <= d:
-        if strategy == "seed-scan":
-            for seed in range(MAX_SEEDS):
-                cand = seeded_projection_family(d, m, seed)
-                checked, dist = pair_distortions(cand, V)
-                if dist <= 1.0 + eps:
-                    cert = {
-                        "checked_pairs": checked,
-                        "max_distortion": dist,
-                        "epsilon_target": eps,
-                        "strategy": strategy,
-                        "seed": seed,
-                    }
-                    return LinearMap(cand.matrix, eps=eps, certificate=cert)
-        else:
-            W = _pair_directions(V)
-            signs = _conditional_sign_matrix(W, m, eps)
-            cand = LinearMap(signs / np.sqrt(m))
-            checked, dist = pair_distortions(cand, V)
-            if dist <= 1.0 + eps:
-                cert = {
-                    "checked_pairs": checked,
-                    "max_distortion": dist,
-                    "epsilon_target": eps,
-                    "strategy": strategy,
-                }
-                return LinearMap(cand.matrix, eps=eps, certificate=cert)
+    while m < d:
+        matrix = _conditional_sign_matrix(V, m, eps) / np.sqrt(m)
+        checked, dist = pair_distortions(matrix, V)
+        if dist <= 1.0 + eps:
+            strategy = "conditional"
+            break
         m *= 2
-
-    out = identity_map(d, eps=eps)
-    cert = dict(out.certificate)
-    cert["checked_pairs"] = n_pairs
-    cert["strategy"] = "identity-fallback"
-    return LinearMap(out.matrix, eps=eps, certificate=cert)
+    else:
+        matrix, checked, dist, strategy = np.eye(d), n_pairs, 1.0, "identity-fallback"
+    cert = {
+        "checked_pairs": checked,
+        "max_distortion": dist,
+        "epsilon_target": eps,
+        "strategy": strategy,
+    }
+    return LinearMap(matrix, eps=eps, certificate=cert)
 
 
 # ---------------- sketch assembly ----------------
@@ -322,7 +302,8 @@ def cost_preserving_sketch(P, params: ClusteringParams):
     """Full sketch pipeline: the partition coreset of P, the witness net of
     its representatives (build_net: subsets of up to NET_SUBSET_SIZE,
     covers at MAX_COVER_STEPS steps), and a map preserving net distances
-    within (1 +- eps/z), found by derandomized_jl's seed scan. Row i of
+    within (1 +- eps/z), built by derandomized_jl by conditional
+    expectations (the identity when no m below d certifies). Row i of
     sketched_points() is point i's sketch (map(representative),
     extension), at unit weight; a center embeds as (map(center), 0)."""
     coreset = build(P, params)

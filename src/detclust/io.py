@@ -369,6 +369,8 @@ def read_sketch(path):
         raise InputError("not a sketch bundle")
     try:
         m, d = int(doc["rows"]), int(doc["cols"])
+        if min(m, d) < 1:  # reshape would infer a -1 size
+            raise ValueError("rows and cols must be at least 1")
         matrix = np.fromiter(map(float.fromhex, doc["matrix"]), dtype=np.float64).reshape(m, d)
         eps = float.fromhex(doc["eps"])
         params = ClusteringParams(k=int(doc["k"]), z=int(doc["z"]), epsilon=eps)

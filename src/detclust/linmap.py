@@ -54,11 +54,6 @@ class LinearMap:
         return Y[0] if one else Y
 
 
-def identity_map(d, eps):
-    cert = {"checked_pairs": 0, "max_distortion": 1.0, "epsilon_target": eps}
-    return LinearMap(np.eye(d), eps=eps, certificate=cert)
-
-
 def pair_distortions(map_or_matrix, vectors):
     """Max |ratio - 1| over all pairs of distinct vectors, ratio being
     mapped distance over original distance (zero distances skipped).

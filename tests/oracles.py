@@ -10,9 +10,12 @@ seed, one subset or one search order at a time. So are
 carried_tree_sum and argmin_power_cost, the one-sum bodies that
 tree_sum and power_cost had before they became the one-row and one-set
 cases of their batched forms, meshgrid_center_grid, the per-axis
-center_grid that the batched box grid replaced, and every_level_halving,
+center_grid that the batched box grid replaced, every_level_halving,
 the halving loop that tried each level below the floor before checking
-whether any could be accepted.
+whether any could be accepted, and pair_directions with
+materialized_conditional_signs, the conditional-expectation sign choice
+over a stored (pairs, d) table of unit pair directions that the streamed
+one replaced.
 """
 
 import itertools
@@ -968,3 +971,50 @@ def meshgrid_center_grid(P, per_axis):
     axes = [np.linspace(lo[j] - pad[j], hi[j] + pad[j], per_axis) for j in range(pts.shape[1])]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def pair_directions(V):
+    """(pairs, d) unit difference vectors V[j] - V[i] of all pairs i < j at
+    nonzero distance, walked row by row."""
+    n = V.shape[0]
+    rows = []
+    for i in range(n - 1):
+        dv = V[i + 1 :] - V[i]
+        nv = np.sqrt((dv**2).sum(axis=1))
+        nz = nv > 0
+        if nz.any():
+            rows.append(dv[nz] / nv[nz, None])
+    if not rows:
+        return np.empty((0, V.shape[1]))
+    return np.vstack(rows)
+
+
+def materialized_conditional_signs(W, m, eps):
+    """dimreduce._conditional_sign_matrix as it was, reading the stored
+    table W of unit pair directions and its square: the bits the streamed
+    form keeps."""
+    P, d = W.shape
+    signs = np.ones((m, d))
+    if P == 0:
+        return signs
+    lam = max(1.0, m * eps / 4.0)
+    done = np.zeros(P)
+    Wsq = W**2
+    for r in range(m):
+        pd = np.zeros(P)
+        rem = np.ones(P)
+        tail = (m - r - 1) / m
+        for jcol in range(d):
+            wj = W[:, jcol]
+            rem_next = rem - Wsq[:, jcol]
+            base = done + tail - 1.0
+            plus = np.cosh(lam * (base + ((pd + wj) ** 2 + rem_next) / m))
+            minus = np.cosh(lam * (base + ((pd - wj) ** 2 + rem_next) / m))
+            if float(minus.sum()) < float(plus.sum()):
+                signs[r, jcol] = -1.0
+                pd = pd - wj
+            else:
+                pd = pd + wj
+            rem = rem_next
+        done = done + pd**2 / m
+    return signs

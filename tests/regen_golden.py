@@ -29,7 +29,7 @@ import numpy as np
 
 from detclust.bicriteria import bicriteria, candidate_centers
 from detclust.datasets import far_point_instance, gaussian_blobs
-from detclust.dimreduce import build_net, cost_preserving_sketch
+from detclust.dimreduce import _conditional_sign_matrix, build_net, cost_preserving_sketch
 from detclust.geometry import ClusteringParams, ExtendedPointSet, center_grid
 from detclust.partition import build
 from detclust.rings import (
@@ -139,6 +139,13 @@ def _witness_net():
     return digest(net.points, str(net.sources))
 
 
+def _conditional_signs():
+    # the JL loop's sign matrix at an m below d, which no sketch case
+    # reaches while its first m exceeds d
+    V = np.random.default_rng(0).standard_normal((10, 30))
+    return digest(_conditional_sign_matrix(V, 24, 0.4))
+
+
 def _verify(z=2, sampled=False):
     pts = _blobs(200, 2, 1)
     params = ClusteringParams(k=2, z=z, epsilon=0.3, alpha=2.0)
@@ -193,6 +200,7 @@ CASES = {
     "bicriteria_solve_z1_n8_d5": lambda: _solve(bicriteria_solve, z=1, d=5),
     "exact_solve_z1_n10_d3": lambda: _solve(exact_solve, z=1, n=10, d=3),
     "cost_preserving_sketch_dup_n8_d30": _sketch_dup,
+    "conditional_sign_matrix_n10_d30_m24": _conditional_signs,
 }
 
 

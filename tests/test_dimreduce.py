@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from detclust.linmap import pair_distortions
 from oracles import (
     dict_row_pool,
     flush_build_net,
+    materialized_conditional_signs,
     measured_pair_distortions,
+    pair_directions,
     per_composition_cover,
     recount_witness_net,
     sequential_orthobasis,
@@ -149,7 +152,7 @@ def test_build_net_size_matches_recount_oracle(monkeypatch):
     assert net.points.shape[0] == recount_witness_net(reps.tolist(), 4 * z / eps, 2, eps, z)
 
 
-def test_jl_identity_fallback():
+def test_jl_identity_fallback(monkeypatch):
     rng = np.random.default_rng(7)
     V = rng.standard_normal((6, 5))
     lin = derandomized_jl(V, 0.2)  # target m far above d=5
@@ -157,6 +160,14 @@ def test_jl_identity_fallback():
     assert lin.certificate["max_distortion"] == 1.0
     assert lin.certificate["strategy"] == "identity-fallback"
     assert lin.certified
+    # a first m equal to d: an m x d map at m = d reduces nothing
+    V = rng.standard_normal((10, 20))
+    monkeypatch.setattr(dimreduce, "JL_C", 19.5 / (0.4**-2 * math.log(45)))
+    assert math.ceil(dimreduce.JL_C * 0.4**-2 * math.log(45)) == 20
+    lin = derandomized_jl(V, 0.4)
+    assert np.array_equal(lin.matrix, np.eye(20))
+    assert lin.certificate["strategy"] == "identity-fallback"
+    assert lin.certificate["max_distortion"] == 1.0
 
 
 @pytest.fixture
@@ -165,10 +176,12 @@ def jl_c_one(monkeypatch):
     monkeypatch.setattr(dimreduce, "JL_C", 1.0)
 
 
-def test_jl_seed_scan_certifies(jl_c_one):
+def test_jl_certifies(jl_c_one):
     rng = np.random.default_rng(15)
     V = rng.standard_normal((20, 40))
     lin = derandomized_jl(V, 0.4)
+    assert lin.certificate["strategy"] == "conditional"
+    assert "seed" not in lin.certificate
     assert lin.m < 40
     assert lin.certified
     assert lin.certificate["max_distortion"] <= 1.4
@@ -177,16 +190,38 @@ def test_jl_seed_scan_certifies(jl_c_one):
     checked, dist = pair_distortions(lin, V)
     assert checked == 190
     assert dist == pytest.approx(lin.certificate["max_distortion"], abs=1e-12)
-
-
-def test_jl_conditional_certifies(jl_c_one):
-    rng = np.random.default_rng(0)
-    V = rng.standard_normal((10, 30))
-    lin = derandomized_jl(V, 0.4, strategy="conditional")
+    V = np.random.default_rng(0).standard_normal((10, 30))
+    lin = derandomized_jl(V, 0.4)
     assert lin.certificate["strategy"] == "conditional"
     assert lin.m == 24
     assert lin.certified
     assert np.allclose(np.abs(lin.matrix), 1 / np.sqrt(24))
+
+
+def test_streamed_signs_match_the_materialized_table():
+    rng = np.random.default_rng(21)
+    V = rng.standard_normal((12, 9)) * 2.0
+    V[4], V[7] = V[1], 0.0  # a duplicate row and a zero row
+    nets = [V, V[:2], V[[1, 4]], rng.standard_normal((6, 3)) * 1e-3]
+    for net in nets:
+        for m, eps in ((1, 0.5), (4, 0.15), (7, 0.4), (12, 0.9)):
+            got = dimreduce._conditional_sign_matrix(net, m, eps)
+            want = materialized_conditional_signs(pair_directions(net), m, eps)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_streamed_signs_hold_no_pair_table():
+    V = np.random.default_rng(5).standard_normal((200, 130))
+    want = materialized_conditional_signs(pair_directions(V), 4, 0.15)
+    table = 200 * 199 // 2 * 130 * 8  # one (pairs, d) float64 table, 20.7 MB
+    tracemalloc.start()
+    try:
+        got = dimreduce._conditional_sign_matrix(V, 4, 0.15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < table
+    assert got.tobytes() == want.tobytes()
 
 
 def test_jl_duplicate_vectors_exact(jl_c_one):
@@ -214,8 +249,6 @@ def test_jl_validates_args():
         derandomized_jl(V, 0.0)
     with pytest.raises(InputError):
         derandomized_jl(V, 1.0)
-    with pytest.raises(InputError):
-        derandomized_jl(V, 0.3, strategy="magic")
 
 
 def test_pair_distortions_match_the_measuring_loop():

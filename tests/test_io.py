@@ -349,3 +349,14 @@ def test_read_sketch_matches_json_load(tmp_path):
         f.write_text(json.dumps(doc))
         with pytest.raises(InputError, match="malformed sketch bundle"):
             read_sketch(f)
+
+
+def test_read_sketch_rejects_sizes_below_one(tmp_path):
+    # numpy's reshape would infer a -1 size and read a 3 x 3 map back
+    f = tmp_path / "sk.json"
+    write_sketch(LinearMap(np.eye(3)), np.zeros((0, 3)), ClusteringParams(k=2, z=2, epsilon=0.3), f)
+    doc = json.loads(f.read_text())
+    for key, value in (("rows", -1), ("cols", -1), ("rows", 0), ("cols", 0), ("rows", -3)):
+        f.write_text(json.dumps({**doc, key: value}))
+        with pytest.raises(InputError, match="malformed sketch bundle"):
+            read_sketch(f)
