@@ -176,7 +176,9 @@ def jl_c_one(monkeypatch):
     monkeypatch.setattr(dimreduce, "JL_C", 1.0)
 
 
-def test_jl_certifies(jl_c_one):
+def test_jl_seed_scan_certifies(jl_c_one):
+    """The (20, 40) net the removed seed scan was checked on certifies on
+    the one conditional path, and the certificate carries no seed."""
     rng = np.random.default_rng(15)
     V = rng.standard_normal((20, 40))
     lin = derandomized_jl(V, 0.4)
@@ -190,7 +192,11 @@ def test_jl_certifies(jl_c_one):
     checked, dist = pair_distortions(lin, V)
     assert checked == 190
     assert dist == pytest.approx(lin.certificate["max_distortion"], abs=1e-12)
-    V = np.random.default_rng(0).standard_normal((10, 30))
+
+
+def test_jl_conditional_certifies(jl_c_one):
+    rng = np.random.default_rng(0)
+    V = rng.standard_normal((10, 30))
     lin = derandomized_jl(V, 0.4)
     assert lin.certificate["strategy"] == "conditional"
     assert lin.m == 24
