@@ -243,8 +243,8 @@ def _write_lines(path, lines):
 
 def read_coreset(path):
     """Inverse of write_coreset. Returns (OffsetCoreset, ClusteringParams);
-    the file stores no alpha, so the params carry the default. Row
-    provenance is rebuilt as ("file", i)."""
+    the file stores no alpha, so the params carry the default. A weight is
+    a/b or a bare a, read as a/1."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             lines = fh.read().splitlines()
@@ -271,8 +271,8 @@ def read_coreset(path):
             break
         try:
             coords = [float(t) for t in toks[:-1]]
-            num, _, den = toks[-1].partition("/")
-            w = (int(num), int(den) if den else 1)
+            num, slash, den = toks[-1].partition("/")
+            w = (int(num), int(den) if slash else 1)
         except ValueError:
             fault = f"line {ln}: unparseable value"
             break
@@ -286,7 +286,6 @@ def read_coreset(path):
         weight_num=np.array(nums, dtype=np.int64),
         weight_den=np.array(dens, dtype=np.int64),
         offset=offset,
-        provenance=tuple(("file", i) for i in range(len(rows))),
     )
     return core, params
 

@@ -201,8 +201,8 @@ def verify_partition_coreset(
     drawn from the center grid (the tuple member serving each part), the
     original clustering cost against the coreset cost with centers embedded
     at extension 0. all_partitions enumerates every partition (only
-    feasible for |P| <= 12, k <= 3); otherwise `samples` random partitions
-    and tuples are drawn from a seeded generator. A case whose cost
+    feasible for |P| <= 12, k <= 3); otherwise `samples` >= 1 random
+    partitions and tuples are drawn from a seeded generator. A case whose cost
     overflows (inf or NaN) on either side scores inf.
     """
     pts, w = _coerce_pointset(P)
@@ -225,6 +225,8 @@ def verify_partition_coreset(
             raise InputError("exhaustive verification needs |P| <= 12 and k <= 3")
         partitions = _restricted_growth_strings(n, k)
     else:
+        if samples < 1:
+            raise InputError("sampled verification needs samples >= 1")
         rng = _seeded_rng(seed)
         partitions = [tuple(rng.integers(0, k, size=n)) for _ in range(samples)]
 

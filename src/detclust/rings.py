@@ -2,10 +2,13 @@
 
 The construction: grow a center set greedily until it is either low-cost
 (then the weighted centers themselves are the coreset) or locally stable;
-split each cluster into cost rings around its average; drop the inner
-rings into their center's weight and the outer rings into a scalar offset
-F; replace every surviving main ring by a set approximation with uniform
-rational weights. The verifier checks the offset-coreset contract
+split each cluster into cost rings around its average, one ring index and
+one kind (inner, main, outer) per point; drop the inner rings into their
+center's weight and the outer rings into a scalar offset F; replace every
+surviving main ring by a set approximation with uniform rational weights.
+A low-cost seeding is the case where every point collapses onto its
+center, so both outcomes share one assembly of the rows. The verifier
+checks the offset-coreset contract
 |cost(core, S) + F - cost(P, S)| <= eps * cost(P, S) against explicit
 center tuples.
 """
@@ -35,7 +38,6 @@ from .errors import InputError
 from .geometry import (
     CenterSet,
     ExtendedPointSet,
-    WeightedPointSet,
     _as_points,
     _coerce_pointset,
     _CHUNK,
@@ -47,7 +49,7 @@ from .geometry import (
 from .partition import VerificationReport
 from .summation import canonical_order, tree_sum, tree_sum_rows
 
-RING_ZERO = np.iinfo(np.int64).min  # bucket for zero-cost points
+RING_ZERO = np.iinfo(np.int64).min  # ring of zero-cost points and clusters
 PASSTHROUGH_DIM = 12
 SAMPLE_DELTA = 0.1  # failure probability of each randomized ring sample
 MAX_TUPLES = 200_000  # center tuples an exhaustive verification may check
@@ -59,36 +61,40 @@ class SeedingResult:
 
     centers: CenterSet
     status: str  # "low-cost" | "locally-stable"
-    cost_G: float
-    baseline_size: int  # |A| the greedy phase started from
 
 
 @dataclass(frozen=True)
 class RingDecomposition:
-    """Per-cluster cost rings around the average cost Delta_i.
+    """Per-point cost rings around each cluster's average cost Delta_i.
 
-    buckets maps (cluster index, ring index) to ascending point indices;
-    ring index j holds points with 2^j Delta_i <= cost(p, G) < 2^{j+1}
-    Delta_i, and RING_ZERO holds zero-cost points. classes tags each
-    bucket inner, main, or outer.
+    rings[p] is the j with 2^j Delta_i <= cost(p, G) < 2^{j+1} Delta_i for
+    p's cluster i = labels[p], or RING_ZERO for a zero-cost point or a
+    point of a zero-cost cluster; kinds[p] tags p's ring "inner", "main"
+    or "outer".
     """
 
     deltas: np.ndarray
     labels: np.ndarray
     costs: np.ndarray
-    buckets: dict
-    classes: dict
+    rings: np.ndarray
+    kinds: np.ndarray
 
     def indices_of(self, kind):
-        out = [idx for key, idx in self.buckets.items() if self.classes[key] == kind]
-        if not out:
-            return np.empty(0, dtype=np.int64)
-        return np.sort(np.concatenate(out))
+        return np.flatnonzero(self.kinds == kind)
 
     def main_rings(self):
-        """Main buckets in canonical (cluster, ring) order."""
-        keys = sorted(k for k, c in self.classes.items() if c == "main")
-        return [(k, self.buckets[k]) for k in keys]
+        """((cluster, ring), ascending point indices) of every main ring,
+        in canonical (cluster, ring) order."""
+        main = self.indices_of("main")
+        order = main[np.lexsort((self.rings[main], self.labels[main]))]  # stable
+        lab, ring = self.labels[order], self.rings[order]
+        first = np.ones(order.size, dtype=bool)  # the first point of each ring
+        first[1:] = (lab[1:] != lab[:-1]) | (ring[1:] != ring[:-1])
+        starts = np.flatnonzero(first)
+        return [
+            ((int(lab[s]), int(ring[s])), idx)
+            for s, idx in zip(starts, np.split(order, starts[1:]))
+        ]
 
 
 @dataclass(frozen=True)
@@ -97,15 +103,14 @@ class OffsetCoreset:
 
     Weights are exact count ratios |ring| / |kept|, stored as integer
     numerator/denominator arrays so the total weight equals the input size
-    without rounding. provenance tags each row ("center", i) or
-    ("ring", i, j).
+    without rounding. The center rows come first, then the kept points of
+    each main ring in canonical (cluster, ring) order.
     """
 
     points: np.ndarray
     weight_num: np.ndarray
     weight_den: np.ndarray
     offset: float
-    provenance: tuple
 
     def __post_init__(self):
         if self.offset < 0:
@@ -139,12 +144,7 @@ def greedy_seeding(P, params):
     """
     res = bicriteria(P, params)
     status = "low-cost" if res.stopped_reason == "low-cost" else "locally-stable"
-    return SeedingResult(
-        centers=res.centers,
-        status=status,
-        cost_G=res.cost,
-        baseline_size=res.baseline_size,
-    )
+    return SeedingResult(centers=res.centers, status=status)
 
 
 def ring_thresholds(z, eps):
@@ -152,7 +152,7 @@ def ring_thresholds(z, eps):
     return (eps / z) ** z, (z / eps) ** (2 * z)
 
 
-def _bucket_indices(ratio):
+def _ring_indices(ratio):
     """j with 2^j <= ratio < 2^{j+1}, elementwise; log edges corrected."""
     j = np.floor(np.log2(ratio)).astype(np.int64)
     j[np.exp2(j.astype(np.float64)) > ratio] -= 1
@@ -163,11 +163,11 @@ def _bucket_indices(ratio):
 def ring_decompose(P, seeding: SeedingResult, params):
     """Split each cluster of the seeding solution into cost rings.
 
-    A bucket is inner when its whole cost interval sits at or below
+    A ring is inner when its whole cost interval sits at or below
     (eps/z)^z Delta_i (so every inner point individually satisfies the
     threshold), outer when its lower edge exceeds (z/eps)^{2z} Delta_i,
     main otherwise. Zero-cost clusters and zero-cost points are inner by
-    convention.
+    convention. Delta_i is one tree_sum per nonempty cluster.
     """
     pts, w = _coerce_pointset(P)
     if (w != 1.0).any():
@@ -182,60 +182,23 @@ def ring_decompose(P, seeding: SeedingResult, params):
     costs = _power_from_sq(sq, params.z)
     t_in, t_out = ring_thresholds(params.z, params.epsilon)
 
+    counts = np.bincount(labels, minlength=G.shape[0])
     deltas = np.zeros(G.shape[0])
-    buckets = {}
-    classes = {}
-    for i in range(G.shape[0]):
-        idx = np.flatnonzero(labels == i)
-        if idx.size == 0:
-            continue
-        delta = tree_sum(costs[idx]) / idx.size
-        deltas[i] = delta
-        if delta == 0.0:
-            buckets[(i, RING_ZERO)] = idx
-            classes[(i, RING_ZERO)] = "inner"
-            continue
-        zero = idx[costs[idx] == 0.0]
-        if zero.size:
-            buckets[(i, RING_ZERO)] = zero
-            classes[(i, RING_ZERO)] = "inner"
-        live = idx[costs[idx] > 0.0]
-        if live.size == 0:
-            continue
-        ring = _bucket_indices(costs[live] / delta)
-        for j in np.unique(ring):
-            sel = live[ring == j]
-            buckets[(i, int(j))] = sel
-            if 2.0 ** (int(j) + 1) <= t_in:
-                classes[(i, int(j))] = "inner"
-            elif 2.0 ** int(j) > t_out:
-                classes[(i, int(j))] = "outer"
-            else:
-                classes[(i, int(j))] = "main"
-    return RingDecomposition(
-        deltas=deltas, labels=labels, costs=costs, buckets=buckets, classes=classes
+    for i in np.flatnonzero(counts):
+        deltas[i] = tree_sum(costs[labels == i]) / counts[i]
+    live = (costs > 0.0) & (deltas[labels] != 0.0)
+    rings = np.full(pts.shape[0], RING_ZERO)
+    rings[live] = _ring_indices(costs[live] / deltas[labels[live]])
+    j = rings[live]
+    kinds = np.full(pts.shape[0], "inner")
+    kinds[live] = np.where(
+        np.ldexp(1.0, j + 1) <= t_in,
+        "inner",
+        np.where(np.ldexp(1.0, j) > t_out, "outer", "main"),
     )
-
-
-def build_instance_IG(P, rings: RingDecomposition, seeding: SeedingResult):
-    """Collapse inner and outer rings onto their centers.
-
-    Returns the reduced weighted instance (centers first, carrying the
-    removed-point counts, then the main-ring points at weight one) and the
-    offset F = cost of the outer points against the seeding solution.
-    """
-    pts, _ = _coerce_pointset(P)
-    G = seeding.centers.centers
-    removed = np.zeros(G.shape[0])
-    for (i, j), idx in rings.buckets.items():
-        if rings.classes[(i, j)] != "main":
-            removed[i] += idx.size
-    outer = rings.indices_of("outer")
-    F = float(tree_sum(rings.costs[outer])) if outer.size else 0.0
-    main = rings.indices_of("main")
-    rows = np.vstack([G, pts[main]]) if main.size else G.copy()
-    weights = np.concatenate([removed, np.ones(main.size)])
-    return WeightedPointSet(rows, weights), F
+    return RingDecomposition(
+        deltas=deltas, labels=labels, costs=costs, rings=rings, kinds=kinds
+    )
 
 
 def epsilon_prime(z, eps):
@@ -260,14 +223,15 @@ def epsilon_prime(z, eps):
 def ring_coreset(P, params, mode="deterministic", *, seed=0):
     """Full coreset-with-offset pipeline.
 
-    Low-cost seedings return the centers weighted by served-point counts
-    with F = 0. Otherwise each main ring is replaced by a set
-    approximation at epsilon_prime(z, eps): halving against the ring's
-    far-ball family (deterministic mode; one ball_test_families pass at
-    DEFAULT_MAX_RANGES builds every main ring's family) or a seeded uniform
-    sample at failure probability SAMPLE_DELTA (randomized mode, seed an
-    integer >= 0, seed + t the seed of main ring t), each kept point
-    weighted |ring| / |kept|.
+    Every point outside a main ring collapses onto its center, which then
+    weighs the count of such points, and F is the outer points' cost; a
+    low-cost seeding collapses every point, with F = 0. Each main ring is
+    replaced by a set approximation at epsilon_prime(z, eps): halving
+    against the ring's far-ball family (deterministic mode; one
+    ball_test_families pass at DEFAULT_MAX_RANGES builds every main ring's
+    family) or a seeded uniform sample at failure probability SAMPLE_DELTA
+    (randomized mode, seed an integer >= 0, seed + t the seed of main ring
+    t), each kept point weighted |ring| / |kept|.
 
     Slice mode, P an ExtendedPointSet, keeps the seeding centers at
     extension 0; the coreset rows then carry each point's extension as
@@ -283,62 +247,49 @@ def ring_coreset(P, params, mode="deterministic", *, seed=0):
 
     seeding = greedy_seeding(P, params)
     G = seeding.centers.centers
-
     if seeding.status == "low-cost":
-        _, labels = min_power_dists(pts, G, params.z)
-        counts = np.bincount(labels, minlength=G.shape[0])
-        kept = np.flatnonzero(counts > 0)
-        return OffsetCoreset(
-            points=G[kept].copy(),
-            weight_num=counts[kept].astype(np.int64),
-            weight_den=np.ones(kept.size, dtype=np.int64),
-            offset=0.0,
-            provenance=tuple(("center", int(i)) for i in kept),
-        )
-
-    rings = ring_decompose(P, seeding, params)
-    IG, F = build_instance_IG(P, rings, seeding)
-    removed = IG.weights[: G.shape[0]]  # points collapsed onto each center
+        _, collapsed = min_power_dists(pts, G, params.z)
+        offset, main = 0.0, []
+    else:
+        rings = ring_decompose(P, seeding, params)
+        collapsed = rings.labels[rings.kinds != "main"]
+        outer = rings.indices_of("outer")
+        offset = tree_sum(rings.costs[outer]) if outer.size else 0.0
+        main = [idx for _, idx in rings.main_rings()]
 
     eps_p = epsilon_prime(params.z, params.epsilon)
-    rows = [G[i] for i in np.flatnonzero(removed > 0)]
-    nums = [int(removed[i]) for i in np.flatnonzero(removed > 0)]
-    dens = [1] * len(rows)
-    prov = [("center", int(i)) for i in np.flatnonzero(removed > 0)]
-
-    main = rings.main_rings()
     if mode == "deterministic" and main:
-        sizes = [idx.size for _, idx in main]
         families = ball_test_families(
-            pts[np.concatenate([idx for _, idx in main])],
-            np.cumsum([0] + sizes[:-1]),
+            pts[np.concatenate(main)],
+            np.cumsum([0] + [idx.size for idx in main[:-1]]),
             params.k,
             DEFAULT_MAX_RANGES,
         )
-    for t, ((i, j), idx) in enumerate(main):
-        ground = pts[idx]
+    kept = []
+    for t, idx in enumerate(main):
         if mode == "deterministic":
-            approx = halving_approx(ground, eps_p, families[t])
+            approx = halving_approx(pts[idx], eps_p, families[t])
         else:
             approx = uniform_sample_approx(
-                ground,
+                pts[idx],
                 eps_p,
                 SAMPLE_DELTA,
                 vc_dim_hint_euclidean(params.k, pts.shape[1]),
                 seed + t,
             )
-        kept = idx[approx.indices]
-        rows.extend(pts[kept])
-        nums.extend([int(idx.size)] * kept.size)
-        dens.extend([int(approx.indices.size)] * kept.size)
-        prov.extend([("ring", int(i), int(j))] * kept.size)
+        kept.append(idx[approx.indices])
 
+    removed = np.bincount(collapsed, minlength=G.shape[0])
+    centers = np.flatnonzero(removed)
     return OffsetCoreset(
-        points=np.array(rows),
-        weight_num=np.asarray(nums, dtype=np.int64),
-        weight_den=np.asarray(dens, dtype=np.int64),
-        offset=F,
-        provenance=tuple(prov),
+        points=np.vstack([G[centers]] + [pts[s] for s in kept]),
+        weight_num=np.concatenate(
+            [removed[centers]] + [np.full(s.size, idx.size) for s, idx in zip(kept, main)]
+        ),
+        weight_den=np.concatenate(
+            [np.ones(centers.size, dtype=np.int64)] + [np.full(s.size, s.size) for s in kept]
+        ),
+        offset=offset,
     )
 
 
@@ -388,12 +339,12 @@ def verify_offset_coreset(
     tuples drawn from a grid.
 
     Exhaustive mode enumerates every k-subset of the grid (within
-    check_tuple_budget). Otherwise `samples` distinct k-subsets are drawn
-    from one seeded stream, a repeated draw skipped, and every k-subset is
-    checked once samples reaches their number. Tuples with cost(P, S) = 0 are
-    excluded; a tuple whose cost overflows (inf or NaN) on either side
-    scores inf. Both costs of every tuple equal
-    power_cost bit for bit, with P's weights. The tuples go in chunks of
+    check_tuple_budget). Otherwise `samples` >= 1 distinct k-subsets are
+    drawn from one seeded stream, a repeated draw skipped, and every
+    k-subset is checked once samples reaches their number. Tuples with
+    cost(P, S) = 0 are excluded; a tuple whose cost overflows (inf or NaN)
+    on either side scores inf. Both costs of every tuple equal power_cost
+    bit for bit, with P's weights. The tuples go in chunks of
     at most _CHUNK // n, so a chunk's (tuples, points) cost table holds at
     most geometry._CHUNK elements; the witness, reported only above eps,
     is the first tuple that reaches the maximum.
@@ -405,6 +356,8 @@ def verify_offset_coreset(
         raise InputError("center grid smaller than k")
     if exhaustive_tuples:
         check_tuple_budget(grid.shape[0], k)
+    elif samples < 1:
+        raise InputError("sampled verification needs samples >= 1")
     total = math.comb(grid.shape[0], k)
     if exhaustive_tuples or samples >= total:
         combos = itertools.combinations(range(grid.shape[0]), k)

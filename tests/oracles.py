@@ -15,7 +15,9 @@ the halving loop that tried each level below the floor before checking
 whether any could be accepted, and pair_directions with
 materialized_conditional_signs, the conditional-expectation sign choice
 over a stored (pairs, d) table of unit pair directions that the streamed
-one replaced.
+one replaced, and dict_ring_decompose with dict_collapsed_instance, the
+ring stage's (cluster, ring) bucket dicts and the collapsed instance
+built from them, which the per-point ring arrays replaced.
 """
 
 import itertools
@@ -25,6 +27,8 @@ import numpy as np
 
 from detclust import geometry
 from detclust.geometry import min_power_dists, power_cost, solve_1centers
+from detclust.rings import RING_ZERO, ring_thresholds
+from detclust.summation import tree_sum
 
 
 def naive_power_cost(points, centers, z, weights=None):
@@ -1018,3 +1022,88 @@ def materialized_conditional_signs(W, m, eps):
             rem = rem_next
         done = done + pd**2 / m
     return signs
+
+
+class DictRings:
+    """The ring decomposition in its bucket-dict form: buckets maps
+    (cluster, ring) to ascending point indices, classes tags each bucket
+    inner, main or outer."""
+
+    def __init__(self, deltas, labels, costs, buckets, classes):
+        self.deltas, self.labels, self.costs = deltas, labels, costs
+        self.buckets, self.classes = buckets, classes
+
+    def indices_of(self, kind):
+        out = [idx for key, idx in self.buckets.items() if self.classes[key] == kind]
+        if not out:
+            return np.empty(0, dtype=np.int64)
+        return np.sort(np.concatenate(out))
+
+    def main_rings(self):
+        keys = sorted(k for k, c in self.classes.items() if c == "main")
+        return [(k, self.buckets[k]) for k in keys]
+
+
+def dict_ring_decompose(P, seeding, params):
+    """rings.ring_decompose as it was, one cluster and one ring at a time
+    into (cluster, ring) dicts: the bits the per-point arrays keep."""
+    pts, _ = geometry._coerce_pointset(P)
+    G = seeding.centers.centers
+    _, labels = min_power_dists(pts, G, params.z)
+    sq = ((pts - G[labels]) ** 2).sum(axis=1)
+    costs = geometry._power_from_sq(sq, params.z)
+    t_in, t_out = ring_thresholds(params.z, params.epsilon)
+
+    deltas = np.zeros(G.shape[0])
+    buckets = {}
+    classes = {}
+    for i in range(G.shape[0]):
+        idx = np.flatnonzero(labels == i)
+        if idx.size == 0:
+            continue
+        delta = tree_sum(costs[idx]) / idx.size
+        deltas[i] = delta
+        if delta == 0.0:
+            buckets[(i, RING_ZERO)] = idx
+            classes[(i, RING_ZERO)] = "inner"
+            continue
+        zero = idx[costs[idx] == 0.0]
+        if zero.size:
+            buckets[(i, RING_ZERO)] = zero
+            classes[(i, RING_ZERO)] = "inner"
+        live = idx[costs[idx] > 0.0]
+        if live.size == 0:
+            continue
+        ratio = costs[live] / delta
+        ring = np.floor(np.log2(ratio)).astype(np.int64)
+        ring[np.exp2(ring.astype(np.float64)) > ratio] -= 1
+        ring[np.exp2((ring + 1).astype(np.float64)) <= ratio] += 1
+        for j in np.unique(ring):
+            sel = live[ring == j]
+            buckets[(i, int(j))] = sel
+            if 2.0 ** (int(j) + 1) <= t_in:
+                classes[(i, int(j))] = "inner"
+            elif 2.0 ** int(j) > t_out:
+                classes[(i, int(j))] = "outer"
+            else:
+                classes[(i, int(j))] = "main"
+    return DictRings(deltas, labels, costs, buckets, classes)
+
+
+def dict_collapsed_instance(P, rings, seeding):
+    """The collapsed instance I_G of a DictRings: (rows, weights, F), the
+    centers first, carrying the counts of the removed inner and outer
+    points, then the main-ring points at weight one; F is the outer
+    points' cost against the seeding solution."""
+    pts, _ = geometry._coerce_pointset(P)
+    G = seeding.centers.centers
+    removed = np.zeros(G.shape[0])
+    for (i, j), idx in rings.buckets.items():
+        if rings.classes[(i, j)] != "main":
+            removed[i] += idx.size
+    outer = rings.indices_of("outer")
+    F = float(tree_sum(rings.costs[outer])) if outer.size else 0.0
+    main = rings.indices_of("main")
+    rows = np.vstack([G, pts[main]]) if main.size else G.copy()
+    weights = np.concatenate([removed, np.ones(main.size)])
+    return rows, weights, F

@@ -172,6 +172,14 @@ def _ring_decompose():
     return digest(rings.costs, rings.labels, rings.deltas)
 
 
+def _ring_kinds():
+    pts = far_point_instance(150, 4, seed=4, distance=50)
+    params = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
+    rings = ring_decompose(pts, greedy_seeding(pts, params), params)
+    keys = np.array([key for key, _ in rings.main_rings()], dtype=np.int64)
+    return digest(rings.rings, "".join(kind[0] for kind in rings.kinds.tolist()), keys)
+
+
 CASES = {
     "ring_coreset_det_n200_d2": lambda: _coreset("deterministic"),
     "ring_coreset_rand_n200_d2": lambda: _coreset("randomized"),
@@ -201,6 +209,7 @@ CASES = {
     "exact_solve_z1_n10_d3": lambda: _solve(exact_solve, z=1, n=10, d=3),
     "cost_preserving_sketch_dup_n8_d30": _sketch_dup,
     "conditional_sign_matrix_n10_d30_m24": _conditional_signs,
+    "ring_kinds_far_n150_d4": _ring_kinds,
 }
 
 

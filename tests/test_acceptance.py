@@ -31,7 +31,6 @@ from detclust.geometry import (
 from detclust.linmap import pair_distortions
 from detclust.partition import build, verify_partition_coreset
 from detclust.rings import (
-    build_instance_IG,
     greedy_seeding,
     ring_coreset,
     ring_decompose,
@@ -242,7 +241,7 @@ def test_criterion_6_ring_structure_invariants():
             ci = int((rings.labels == i).sum())
             oi = int((rings.labels[outer] == i).sum()) if outer.size else 0
             assert oi <= ci / t_out
-        _, F = build_instance_IG(pts, rings, seeding)
+        # the offset the coreset ships is the outer points' cost
         recount = (
             naive_power_cost(
                 pts[outer].tolist(), seeding.centers.centers.tolist(), z
@@ -250,7 +249,7 @@ def test_criterion_6_ring_structure_invariants():
             if outer.size
             else 0.0
         )
-        assert abs(F - recount) <= 1e-12 * max(1.0, recount)
+        assert abs(core.offset - recount) <= 1e-12 * max(1.0, recount)
     took = time.perf_counter() - t0
     assert ringed >= 7  # most seeded instances must reach the ring stage
     _report(

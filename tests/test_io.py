@@ -190,8 +190,7 @@ def test_written_files_equal_the_per_row_writer(tmp_path):
     params = ClusteringParams(k=2, z=1, epsilon=0.25)
     nums = rng.integers(1, 1 << 40, size=40)
     dens = rng.integers(1, 1 << 20, size=40)
-    core = OffsetCoreset(points=pts, weight_num=nums, weight_den=dens, offset=1e-300,
-                         provenance=tuple(("file", i) for i in range(40)))
+    core = OffsetCoreset(points=pts, weight_num=nums, weight_den=dens, offset=1e-300)
     write_coreset(core, params, f)
     text = f.read_text()
     assert text == per_row_coreset_csv(text.splitlines()[0], pts, nums, dens)
@@ -263,6 +262,10 @@ def test_coreset_file_errors(tmp_path):
     f.write_text("# dim=2 F=0x1p+1024 k=2 z=2 eps=0.3\n1.0,2.0,1\n")  # past float range
     with pytest.raises(InputError, match="malformed coreset header value"):
         read_coreset(f)
+    for weight in ("5/", "/5", "/"):  # a/b or a bare a, nothing in between
+        f.write_text(f"# dim=2 F=0x0.0p+0 k=2 z=2 eps=0.3\n1.0,2.0,1\n1.0,2.0,{weight}\n")
+        with pytest.raises(InputError, match="line 3: unparseable value"):
+            read_coreset(f)
 
 
 def test_sketch_bundle_round_trip(tmp_path):

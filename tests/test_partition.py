@@ -330,6 +330,18 @@ def test_verify_sampled_mode_runs():
     assert rep.max_relative_error == again.max_relative_error
 
 
+def test_sampled_verify_refuses_fewer_than_one_sample():
+    pts = np.random.default_rng(4).standard_normal((20, 2))
+    params = ClusteringParams(k=2, z=1, epsilon=0.25)
+    res = build(pts, params)
+    grid = center_grid(pts, per_axis=2)
+    for samples in (0, -2):
+        with pytest.raises(InputError, match="samples >= 1"):
+            verify_partition_coreset(
+                pts, res, params, grid, all_partitions=False, samples=samples
+            )
+
+
 def test_practical_mode_error_within_eps_when_all_stable():
     # random instances; keep those whose every node stopped stable or leaf
     # (no truncation, no max-depth): the verifier must stay within eps

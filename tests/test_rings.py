@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from detclust import rings as rings_mod
-from detclust.bicriteria import _augment, candidate_centers, greedy_augment
+from detclust.bicriteria import _augment, bicriteria, candidate_centers, greedy_augment
 from detclust.datasets import far_point_instance, gaussian_blobs, ring_mixture
 from detclust.epsapprox import (
     DEFAULT_MAX_RANGES,
@@ -18,6 +18,7 @@ from detclust.errors import InputError
 from detclust.geometry import (
     CenterSet,
     ClusteringParams,
+    ExtendedPointSet,
     WeightedPointSet,
     _seeded_rng,
     center_grid,
@@ -29,7 +30,6 @@ from detclust.rings import (
     RING_ZERO,
     OffsetCoreset,
     SeedingResult,
-    build_instance_IG,
     epsilon_prime,
     euclidean_pipeline,
     greedy_seeding,
@@ -40,7 +40,12 @@ from detclust.rings import (
 )
 from detclust.summation import tree_sum
 
-from oracles import naive_power_cost, raw_epsilon_prime
+from oracles import (
+    dict_collapsed_instance,
+    dict_ring_decompose,
+    naive_power_cost,
+    raw_epsilon_prime,
+)
 
 
 def two_blob_instance():
@@ -50,14 +55,20 @@ def two_blob_instance():
     return np.vstack([a, b]), ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
 
 
-def hand_seeding(centers, cost_G, status="locally-stable"):
-    C = np.asarray(centers, dtype=np.float64)
-    return SeedingResult(
-        centers=CenterSet(C),
-        status=status,
-        cost_G=cost_G,
-        baseline_size=C.shape[0],
-    )
+def hand_seeding(centers, status="locally-stable"):
+    return SeedingResult(centers=CenterSet(np.asarray(centers, dtype=np.float64)), status=status)
+
+
+def with_seeding(monkeypatch, seeding):
+    """Make ring_coreset grow the given seeding in place of greedy_seeding's."""
+    monkeypatch.setattr(rings_mod, "greedy_seeding", lambda P, params: seeding)
+
+
+def center_rows_only(core, pts, params):
+    """Every coreset row is a center of the seeding with den 1."""
+    G = greedy_seeding(pts, params).centers.centers
+    return bool((sq_dist_matrix(core.points, G).min(axis=1) == 0.0).all()
+                and (core.weight_den == 1).all())
 
 
 def outlier_column_instance():
@@ -66,7 +77,7 @@ def outlier_column_instance():
     pts = np.concatenate([np.full(5, 0.02), np.full(100, 1.0), [25.0]])
     pts = pts[:, None]
     params = ClusteringParams(k=1, z=1, epsilon=1.0 / 3.0)
-    seeding = hand_seeding([[0.0]], cost_G=float(pts.sum()))
+    seeding = hand_seeding([[0.0]])
     return pts, params, seeding
 
 
@@ -121,12 +132,14 @@ def test_bucket_of_five_delta_point():
     # point sits at exactly 5*Delta and must land in ring j=2 (4 <= 5 < 8)
     pts = np.concatenate([np.ones(9), [9.0]])[:, None]
     params = ClusteringParams(k=1, z=1, epsilon=1.0 / 3.0)
-    seeding = hand_seeding([[0.0]], cost_G=float(pts.sum()))
+    seeding = hand_seeding([[0.0]])
     rings = ring_decompose(pts, seeding, params)
     assert abs(rings.deltas[0] - 1.8) <= 1e-15
-    assert rings.classes[(0, 2)] == "main"
-    assert rings.buckets[(0, 2)].tolist() == [9]
-    assert rings.buckets[(0, -1)].tolist() == list(range(9))
+    assert rings.rings.tolist() == [-1] * 9 + [2]
+    assert [(key, idx.tolist()) for key, idx in rings.main_rings()] == [
+        ((0, -1), list(range(9))),
+        ((0, 2), [9]),
+    ]
 
 
 def test_bucket_membership_half_open():
@@ -134,18 +147,15 @@ def test_bucket_membership_half_open():
     seeding = greedy_seeding(pts, params)
     assert seeding.status == "locally-stable"
     rings = ring_decompose(pts, seeding, params)
-    seen = []
-    for (i, j), idx in rings.buckets.items():
-        seen.extend(idx.tolist())
-        c = rings.costs[idx]
-        if j == RING_ZERO:
-            assert (c == 0.0).all()
-            continue
-        lo = 2.0**j * rings.deltas[i]
-        hi = 2.0 ** (j + 1) * rings.deltas[i]
-        assert (c >= lo).all() and (c < hi).all()
-        assert (rings.labels[idx] == i).all()
-    assert sorted(seen) == list(range(pts.shape[0]))
+    zero = rings.rings == RING_ZERO
+    assert (rings.costs[zero] == 0.0).all()
+    j = rings.rings[~zero].astype(np.float64)
+    delta = rings.deltas[rings.labels[~zero]]
+    c = rings.costs[~zero]
+    assert (c >= 2.0**j * delta).all() and (c < 2.0 ** (j + 1) * delta).all()
+    assert sorted(np.concatenate([idx for _, idx in rings.main_rings()]).tolist()) == (
+        rings.indices_of("main").tolist()
+    )
 
 
 def test_inner_outer_point_level_thresholds():
@@ -165,11 +175,82 @@ def test_inner_outer_point_level_thresholds():
 def test_zero_cost_cluster_is_inner():
     pts = np.vstack([np.zeros((5, 2)), np.array([[4.0, 1.0]] * 3)])
     params = ClusteringParams(k=2, z=2, epsilon=0.3)
-    seeding = hand_seeding([[0.0, 0.0], [4.0, 1.0]], cost_G=0.0)
+    seeding = hand_seeding([[0.0, 0.0], [4.0, 1.0]])
     rings = ring_decompose(pts, seeding, params)
-    assert rings.classes[(0, RING_ZERO)] == "inner"
-    assert rings.buckets[(0, RING_ZERO)].tolist() == [0, 1, 2, 3, 4]
-    assert rings.classes[(1, RING_ZERO)] == "inner"
+    assert rings.labels.tolist() == [0] * 5 + [1] * 3
+    assert (rings.rings == RING_ZERO).all()
+    assert rings.indices_of("inner").tolist() == list(range(8))
+    assert rings.main_rings() == []
+
+
+def assert_rings_match_the_dict_form(P, seeding, params, monkeypatch):
+    """ring_decompose's arrays against oracles.dict_ring_decompose, bit for
+    bit, and ring_coreset's collapsed center rows and F against the dict
+    form's collapsed instance."""
+    got = ring_decompose(P, seeding, params)
+    want = dict_ring_decompose(P, seeding, params)
+    for name in ("deltas", "labels", "costs"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    buckets, classes = {}, {}
+    for p, key in enumerate(zip(got.labels.tolist(), got.rings.tolist())):
+        buckets.setdefault(key, []).append(p)
+        assert classes.setdefault(key, str(got.kinds[p])) == got.kinds[p]
+    assert buckets == {key: idx.tolist() for key, idx in want.buckets.items()}
+    assert classes == want.classes
+    assert [(key, idx.tolist()) for key, idx in got.main_rings()] == [
+        (key, idx.tolist()) for key, idx in want.main_rings()
+    ]
+    for kind in ("inner", "main", "outer"):
+        assert got.indices_of(kind).tolist() == want.indices_of(kind).tolist()
+
+    G = seeding.centers.centers
+    _, weights, F = dict_collapsed_instance(P, want, seeding)
+    centers = np.flatnonzero(weights[: G.shape[0]])
+    with monkeypatch.context() as m:
+        with_seeding(m, seeding)
+        core = ring_coreset(P, params, mode="randomized")
+    assert core.points[: centers.size].tobytes() == G[centers].tobytes()
+    assert core.weight_num[: centers.size].tolist() == weights[centers].tolist()
+    assert (core.weight_den[: centers.size] == 1).all()
+    assert core.offset.hex() == F.hex()
+    return got
+
+
+def test_ring_arrays_match_the_dict_form(monkeypatch):
+    kinds_seen = set()
+    for d in (2, 3, 5, 30):
+        n = 60 if d == 30 else 90
+        for z in (1, 2, 3):
+            params = ClusteringParams(k=2, z=z, epsilon=0.3, alpha=2.0)
+            for pts in (
+                gaussian_blobs(n, d, blobs=2, seed=d + z, separation=6),
+                ring_mixture(n, d, seed=d + z),
+                far_point_instance(n, d, seed=d + z, distance=50.0),
+            ):
+                ext = ExtendedPointSet(pts[:, :-1], np.abs(pts[:, -1]))
+                # the hand seeding's centers are data points (zero-cost
+                # points inside live clusters) away from the far point
+                for P, hand in (
+                    (pts, pts[:2]),
+                    (ext, np.hstack([ext.points[:2], np.zeros((2, 1))])),
+                ):
+                    for seeding in (greedy_seeding(P, params), hand_seeding(hand)):
+                        if seeding.status == "locally-stable":
+                            got = assert_rings_match_the_dict_form(
+                                P, seeding, params, monkeypatch
+                            )
+                            kinds_seen |= set(got.kinds.tolist())
+    assert kinds_seen == {"inner", "main", "outer"}
+    pts, params, seeding = outlier_column_instance()
+    assert_rings_match_the_dict_form(pts, seeding, params, monkeypatch)
+    # a zero-cost cluster of duplicates, and a center no point is nearest
+    pts = np.vstack([gaussian_blobs(40, 3, blobs=1, seed=2), np.full((4, 3), 30.0)])
+    seeding = hand_seeding([pts[0], [30.0] * 3, [1e6] * 3])
+    got = assert_rings_match_the_dict_form(
+        pts, seeding, ClusteringParams(k=3, z=2, epsilon=0.3), monkeypatch
+    )
+    assert got.deltas[1:].tolist() == [0.0, 0.0]
+    assert (got.rings[40:] == RING_ZERO).all()
 
 
 def test_ring_decompose_validation():
@@ -177,7 +258,7 @@ def test_ring_decompose_validation():
     seeding = greedy_seeding(pts, params)
     with pytest.raises(InputError):
         ring_decompose((pts, np.full(pts.shape[0], 2.0)), seeding, params)
-    low = hand_seeding([[0.0, 0.0]], cost_G=0.0, status="low-cost")
+    low = hand_seeding([[0.0, 0.0]], status="low-cost")
     with pytest.raises(InputError):
         ring_decompose(pts, low, params)
 
@@ -200,29 +281,27 @@ def test_markov_bound_across_instances():
         stable += 1
         rings = ring_decompose(pts, seeding, params)
         bound = (params.epsilon / z) ** (2 * z)
-        for i in range(seeding.centers.centers.shape[0]):
-            ci = int((rings.labels == i).sum())
-            ro = sum(
-                idx.size
-                for (ii, j), idx in rings.buckets.items()
-                if ii == i and rings.classes[(ii, j)] == "outer"
-            )
-            assert ro <= bound * ci
+        k_G = seeding.centers.k
+        ro = np.bincount(rings.labels[rings.indices_of("outer")], minlength=k_G)
+        assert (ro <= bound * np.bincount(rings.labels, minlength=k_G)).all()
     assert stable >= 5
 
 
-def test_instance_weight_conservation_and_offset():
+def test_instance_weight_conservation_and_offset(monkeypatch):
     pts, params, seeding = outlier_column_instance()
     rings = ring_decompose(pts, seeding, params)
-    inst, F = build_instance_IG(pts, rings, seeding)
-    assert abs(float(inst.weights.sum()) - pts.shape[0]) == 0.0
+    with_seeding(monkeypatch, seeding)
+    core = ring_coreset(pts, params)
+    assert core.total_weight == Fraction(pts.shape[0])
     outer = rings.indices_of("outer")
     recount = naive_power_cost(pts[outer], seeding.centers.centers, params.z)
-    assert F > 0.0
-    assert abs(F - recount) <= 1e-12 * recount
-    # removed inner and outer counts land on the cluster center
-    assert inst.weights[0] == 6.0
-    assert inst.points.shape[0] == 1 + 100
+    assert core.offset > 0.0
+    assert abs(core.offset - recount) <= 1e-12 * recount
+    # removed inner and outer counts land on the cluster center, the first
+    # row; the rest come from the one main ring of 100 points
+    assert core.points[0].tolist() == [0.0]
+    assert (core.weight_num[0], core.weight_den[0]) == (6, 1)
+    assert (core.weight_num[1:] == 100).all() and (core.weight_den[1:] == core.size - 1).all()
 
 
 def test_no_outer_points_means_zero_offset():
@@ -230,19 +309,17 @@ def test_no_outer_points_means_zero_offset():
     seeding = greedy_seeding(pts, params)
     rings = ring_decompose(pts, seeding, params)
     assert rings.indices_of("outer").size == 0
-    _, F = build_instance_IG(pts, rings, seeding)
-    assert F == 0.0
+    assert ring_coreset(pts, params).offset == 0.0
 
 
-def test_identical_blobs_collapse_to_weighted_centers():
+def test_identical_blobs_collapse_to_weighted_centers(monkeypatch):
     pts = np.vstack([np.tile([1.0, 2.0], (5, 1)), np.tile([8.0, -1.0], (7, 1))])
     params = ClusteringParams(k=2, z=2, epsilon=0.3)
-    seeding = hand_seeding([[1.0, 2.0], [8.0, -1.0]], cost_G=0.0)
-    rings = ring_decompose(pts, seeding, params)
-    inst, F = build_instance_IG(pts, rings, seeding)
-    assert F == 0.0
-    assert inst.points.shape[0] == 2
-    assert sorted(inst.weights.tolist()) == [5.0, 7.0]
+    with_seeding(monkeypatch, hand_seeding([[1.0, 2.0], [8.0, -1.0]]))
+    core = ring_coreset(pts, params)
+    assert core.offset == 0.0
+    assert core.points.tolist() == [[1.0, 2.0], [8.0, -1.0]]
+    assert core.weight_num.tolist() == [5, 7] and core.weight_den.tolist() == [1, 1]
 
 
 def test_greedy_seeding_low_cost_on_identical_blobs():
@@ -250,7 +327,7 @@ def test_greedy_seeding_low_cost_on_identical_blobs():
     params = ClusteringParams(k=2, z=2, epsilon=0.3)
     seeding = greedy_seeding(pts, params)
     assert seeding.status == "low-cost"
-    assert seeding.cost_G == 0.0
+    assert power_cost(pts, seeding.centers, params.z) == 0.0
 
 
 def test_greedy_center_count_bound():
@@ -262,10 +339,10 @@ def test_greedy_center_count_bound():
         eps = (0.2, 1.0 / 3.0)[trial % 2]
         pts = rng.uniform(-3, 3, size=(40, 2))
         params = ClusteringParams(k=k, z=z, epsilon=eps, alpha=(2.0, 4.0)[trial % 2])
-        res = greedy_seeding(pts, params)
+        res = bicriteria(pts, params)  # the result greedy_seeding grows
+        assert res.centers.centers.tobytes() == greedy_seeding(pts, params).centers.centers.tobytes()
         cap = math.ceil(params.alpha * k * math.log(1.0 / eps) / eps)
-        size = res.centers.centers.shape[0]
-        assert size <= res.baseline_size + cap
+        assert res.centers.k <= res.baseline_size + cap
 
 
 def test_greedy_cost_sequence_contracts():
@@ -307,8 +384,7 @@ def test_ring_coreset_low_cost_branch_exact():
     assert core.offset == 0.0
     assert core.size == 2
     assert sorted(core.weight_num.tolist()) == [5, 7]
-    assert (core.weight_den == 1).all()
-    assert all(tag[0] == "center" for tag in core.provenance)
+    assert center_rows_only(core, pts, params)
     rep = verify_offset_coreset(pts, core, params, center_grid(pts, per_axis=3))
     assert rep.max_relative_error == 0.0
 
@@ -330,7 +406,7 @@ def test_ring_coreset_low_cost_default_alpha_meets_eps():
     params = ClusteringParams(k=2, z=2, epsilon=0.3)
     core = ring_coreset(pts, params)
     assert core.offset == 0.0
-    assert all(tag[0] == "center" for tag in core.provenance)
+    assert center_rows_only(core, pts, params)
     assert core.total_weight == Fraction(200)
     rep = verify_offset_coreset(pts, core, params, center_grid(pts, per_axis=3))
     assert rep.max_relative_error <= params.epsilon
@@ -344,7 +420,6 @@ def test_ring_coreset_deterministic_rerun_identical():
     assert np.array_equal(a.weight_num, b.weight_num)
     assert np.array_equal(a.weight_den, b.weight_den)
     assert a.offset == b.offset
-    assert a.provenance == b.provenance
 
 
 def test_ring_coreset_randomized_seed_replay():
@@ -375,7 +450,6 @@ def test_offset_coreset_type_validation():
             weight_num=np.array([1]),
             weight_den=np.array([1]),
             offset=-0.5,
-            provenance=(("center", 0),),
         )
     with pytest.raises(InputError):
         OffsetCoreset(
@@ -383,7 +457,6 @@ def test_offset_coreset_type_validation():
             weight_num=np.array([0]),
             weight_den=np.array([1]),
             offset=0.0,
-            provenance=(("center", 0),),
         )
 
 
@@ -394,7 +467,7 @@ def test_total_weight_equals_the_per_row_fraction_sum():
         nums = rng.integers(1, int(rng.choice([3, 1000, 1 << 40])), size=r)
         dens = rng.integers(1, int(rng.choice([2, 7, 1 << 30])), size=r)
         core = OffsetCoreset(points=np.zeros((r, 2)), weight_num=nums, weight_den=dens,
-                             offset=0.0, provenance=())
+                             offset=0.0)
         want = sum(Fraction(int(a), int(b)) for a, b in zip(nums, dens))
         assert core.total_weight == want
         assert str(core.total_weight) == str(want)
@@ -407,7 +480,6 @@ def test_verifier_on_exact_copy_reports_zero():
         weight_num=np.ones(pts.shape[0], dtype=np.int64),
         weight_den=np.ones(pts.shape[0], dtype=np.int64),
         offset=0.0,
-        provenance=tuple(("center", i) for i in range(pts.shape[0])),
     )
     rep = verify_offset_coreset(pts, core, params, center_grid(pts, per_axis=3))
     assert rep.max_relative_error == 0.0
@@ -434,6 +506,19 @@ def test_verifier_budgets_and_sampling(monkeypatch):
     assert a.max_relative_error == b.max_relative_error
     assert a.checked == b.checked <= 40
     assert a.max_relative_error <= params.epsilon
+
+
+def test_sampled_verifier_refuses_fewer_than_one_sample():
+    pts, params = two_blob_instance()
+    core = ring_coreset(pts, params)
+    grid = center_grid(pts, per_axis=3)
+    for samples in (0, -2):
+        with pytest.raises(InputError, match="samples >= 1"):
+            verify_offset_coreset(
+                pts, core, params, grid, exhaustive_tuples=False, samples=samples
+            )
+    # exhaustive mode reads no sample count
+    assert verify_offset_coreset(pts, core, params, grid, samples=0).checked == 36
 
 
 def per_tuple_report(P, core, params, grid, tuples):
@@ -541,7 +626,6 @@ def test_verifier_reads_the_weights_of_P():
         weight_num=np.array([3, 1, 1, 3]),
         weight_den=np.ones(4, dtype=np.int64),
         offset=0.0,
-        provenance=tuple(("center", i) for i in range(4)),
     )
     params = ClusteringParams(k=2, z=2, epsilon=0.3)
     rep = verify_offset_coreset(P, exact, params, center_grid(P.points, per_axis=5))
@@ -567,8 +651,8 @@ def test_verifier_scores_an_overflowing_cost_inf():
 
 
 def main_ring_with_at_least(pts, params, rings, size):
-    for (i, j), idx in sorted(rings.buckets.items()):
-        if rings.classes[(i, j)] == "main" and idx.size >= size:
+    for (i, j), idx in rings.main_rings():
+        if idx.size >= size:
             return (i, j), idx
     raise AssertionError("no main ring large enough")
 
