@@ -1,9 +1,11 @@
 """Deterministic bicriteria solver for (k, z)-clustering.
 
-Low dimension: farthest-point seeding, single-swap local search over a
-lattice candidate family, then greedy center augmentation (more than k
-centers are allowed; the payoff is near-optimal cost). High dimension:
-solve inside seeded sign-matrix projections and lift the best solution back.
+One path of stages, run on a batch of point sets of one n and dimension:
+farthest-point seeding, single-swap local search over a lattice candidate
+family, then greedy center augmentation over a second family (more than k
+centers are allowed; the payoff is near-optimal cost). Low dimension runs
+it on the input alone; high dimension on seeded sign-matrix projections of
+the input, and lifts the best solution back.
 
 All tie-breaks are index-lexicographic and every run is bit-reproducible.
 """
@@ -24,6 +26,7 @@ from .geometry import (
     _own_center_costs,
     _power_costs,
     _power_from_sq,
+    _refuse_overflow,
     _split_extended,
     min_power_dists,
     power_cost,
@@ -73,7 +76,7 @@ class BicriteriaResult:
     cost: float
     stopped_reason: str  # "no-improving-center" | "low-cost"
     baseline_size: int  # |S0| the augmentation started from
-    projection_seed: int = None
+    projection_seed: int  # the winning seed above DEFAULT_DIM_THRESHOLD, else None
 
 
 def _splitmix64(x):
@@ -363,11 +366,13 @@ def _scores_all(PC, cur):
 
 def _gonzalez_seeds(pts, k):
     """Farthest-point traversal from index 0, ties to the lowest index;
-    returns a copy of the chosen rows."""
-    n = pts.shape[0]
+    returns a copy of the chosen rows (of every row when there are fewer
+    than k)."""
+    if pts.shape[0] < k:
+        return pts.copy()
     seeds = [0]
     d2 = ((pts - pts[0]) ** 2).sum(axis=1)
-    while len(seeds) < min(k, n):
+    while len(seeds) < k:
         nxt = int(np.argmax(d2))  # first occurrence = lowest index
         seeds.append(nxt)
         d2 = np.minimum(d2, ((pts - pts[nxt]) ** 2).sum(axis=1))
@@ -382,23 +387,24 @@ def constant_factor_approx(P, params):
     seeds, accepting swaps while they improve the cost by a factor
     (1 - 1/(100 k)). Returns the k centers; fewer than k input points means
     every point becomes a center. In slice mode the seeds are farthest
-    points by their extended rows and then move to extension 0.
+    points by their extended rows and then move to extension 0. The
+    one-set case of _constant_factors.
     """
-    centers = _seed_centers(P, params)
-    if centers.shape[0] < params.k:
-        return CenterSet(centers)
-    return _swap_search(P, params, centers, candidate_centers(P, params, centers))
+    return _constant_factors([P], params)[0]
 
 
-def _seed_centers(P, params):
-    """constant_factor_approx's starting centers: the Gonzalez seeds, or
-    every point when there are fewer than k, at extension 0 in slice mode."""
-    pts, _ = _coerce_pointset(P)
-    k = params.k
-    centers = pts.copy() if pts.shape[0] < k else _gonzalez_seeds(pts, k)
-    if _split_extended(P)[1] is not None:
-        centers[:, -1] = 0.0
-    return centers
+def _constant_factors(sets, params):
+    """constant_factor_approx of every set (sets of one n and dimension),
+    bit for bit: the Gonzalez seeds of each set, one _candidate_families
+    call around them, then _swap_search per set."""
+    seeds = [_gonzalez_seeds(_coerce_pointset(S)[0], params.k) for S in sets]
+    for S, c in zip(sets, seeds):
+        if isinstance(S, ExtendedPointSet):
+            c[:, -1] = 0.0  # slice mode: the seeds move to extension 0
+    if seeds[0].shape[0] < params.k:
+        return [CenterSet(c) for c in seeds]
+    families = _candidate_families(sets, params, seeds)
+    return [_swap_search(S, params, c, f) for S, c, f in zip(sets, seeds, families)]
 
 
 def _swap_search(P, params, centers, family):
@@ -435,34 +441,22 @@ def _swap_search(P, params, centers, family):
 # ---------------- greedy augmentation ----------------
 
 
-def greedy_augment(P, S0, candidates, params):
-    """Greedily add candidate centers while each helps enough.
+def _augment(P, S0, family, params):
+    """Greedily add centers of the candidate family while each helps enough.
 
     Repeatedly adds the candidate with the largest cost decrease as long as
     the new cost is at most (1 - eps/(alpha k)) times the current one; stops
     with "no-improving-center" otherwise, or with "low-cost" once the cost
     falls to (eps/alpha) * cost(S0), alpha = params.alpha. Candidate ties
     break to the lowest index. Those tests read a cost tracked
-    incrementally, which drifts from the true cost by rounding; the
-    result's cost is the power_cost of its centers. The projection scan
-    runs the loop alone (_augment), which also returns the tracked cost
-    history, and never computes that cost.
+    incrementally, which drifts from the true cost by rounding: returns
+    (centers, stopped reason, history of the tracked costs), and bicriteria
+    costs the centers with power_cost.
     """
-    centers, reason, _ = _augment(P, S0, candidates, params)
-    return BicriteriaResult(
-        centers=CenterSet(centers),
-        cost=power_cost(_coerce_pointset(P), centers, params.z),
-        stopped_reason=reason,
-        baseline_size=_coerce_centers(S0).shape[0],
-    )
-
-
-def _augment(P, S0, candidates, params):
-    """greedy_augment's loop: (centers, stopped reason, cost history)."""
     pts, w = _coerce_pointset(P)
     k, z, eps, alpha = params.k, params.z, params.epsilon, params.alpha
     S0c = _coerce_centers(S0)
-    cand = candidates.points if isinstance(candidates, CandidateCenters) else np.asarray(candidates)
+    cand = family.points
 
     cur = min_power_dists(pts, S0c, z)[0] * w
     cost0 = float(cur.sum())
@@ -510,28 +504,14 @@ def _augment(P, S0, candidates, params):
 # ---------------- full bicriteria ----------------
 
 
-def _bicriteria_lowdim(P, params):
-    S0 = constant_factor_approx(P, params)
-    # not the family constant_factor_approx already built: that one is
-    # anchored at the Gonzalez seeds, this one at the swapped S0. The
-    # families differ (422 vs 454, 283 vs 387 and 349 vs 449 candidates on
-    # the coreset-2d benchmark instances), so reusing the first would
-    # change the greedy output.
-    return greedy_augment(P, S0, candidate_centers(P, params, S0), params)
-
-
 def _bicriteria_lockstep(sets, params):
-    """_bicriteria_lowdim of every set (sets of one n and dimension), bit
-    for bit, without the final cost: one (centers, stopped reason,
-    baseline size) per set. Both candidate families of all sets come from
-    one _candidate_families call each; seeding, swap search and greedy
-    augmentation run per set."""
-    seeds = [_seed_centers(S, params) for S in sets]
-    if seeds[0].shape[0] < params.k:
-        S0 = [CenterSet(c) for c in seeds]
-    else:
-        families = _candidate_families(sets, params, seeds)
-        S0 = [_swap_search(S, params, c, f) for S, c, f in zip(sets, seeds, families)]
+    """The bicriteria stages of every set (sets of one n and dimension),
+    without the final cost: one (centers, stopped reason, baseline size)
+    per set. _constant_factors gives every set its baseline S0, and one
+    more _candidate_families call the augmentation's families, anchored at
+    S0: the swap search's families (around the Gonzalez seeds) differ, so
+    reusing them would change the greedy output."""
+    S0 = _constant_factors(sets, params)
     families = _candidate_families(sets, params, S0)
     return [_augment(S, s0, f, params)[:2] + (s0.k,) for S, s0, f in zip(sets, S0, families)]
 
@@ -585,31 +565,34 @@ def _lift_all(P, labelings, z):
 def bicriteria(P, params):
     """Bicriteria solution: more than k centers, near-optimal cost.
 
-    Dimension at most DEFAULT_DIM_THRESHOLD: constant-factor seeds, lattice
-    candidates, greedy augmentation. Above it: project onto the first
-    DEFAULT_PROJECTION_SEEDS sign-matrix projection seeds into
-    DEFAULT_DIM_THRESHOLD dimensions, solve in each projected space, lift
-    every solution back via per-cluster 1-centers, and keep the
-    (cost, seed)-lexicographic best. Slice mode, P an ExtendedPointSet,
-    counts the extension as a dimension, projects only the base
-    coordinates (one fewer of them) and keeps every center at extension 0,
-    a trailing 0 on its row.
+    Input whose costs may overflow float64 raises InputError first.
+    Dimension at most DEFAULT_DIM_THRESHOLD: _bicriteria_lockstep of P
+    alone. Above it: project onto the first DEFAULT_PROJECTION_SEEDS
+    sign-matrix projection seeds into DEFAULT_DIM_THRESHOLD dimensions,
+    run _bicriteria_lockstep on the projected sets, lift every solution
+    back via per-cluster 1-centers, and keep the (cost, seed)-lexicographic
+    best. Slice mode, P an ExtendedPointSet, counts the extension as a
+    dimension, projects only the base coordinates (one fewer of them) and
+    keeps every center at extension 0, a trailing 0 on its row.
 
-    Seed 0 runs first. A lifted cost of exactly 0 is the least a seed can
-    reach, so then seed 0 wins and no other seed is projected or solved.
-    Otherwise the other seeds run in lockstep: one spacing search per
-    candidate family covers them all, one solve_1centers call lifts the
-    clusters of all of them (up to _LIFT_POINTS points), and one distance
-    table gives each its lifted cost. Per seed stay the projection, the
-    Gonzalez seeding, ball_lattice and the dedup of each family, the swap
-    search, the greedy augmentation and the projected labels. A seed
-    replaces the best one only at a strictly lower cost, so a NaN cost
-    never wins over an earlier seed. The results are those of solving one
-    seed at a time, bit for bit.
+    The scan runs seed 0 first. A lifted cost of exactly 0 is the least a
+    seed can reach, so then seed 0 wins and no other seed is projected or
+    solved. Otherwise the other seeds run in lockstep: one spacing search
+    per candidate family covers them all, one solve_1centers call lifts
+    the clusters of all of them (up to _LIFT_POINTS points), and one
+    distance table gives each its lifted cost. Per seed stay the
+    projection, the Gonzalez seeding, ball_lattice and the dedup of each
+    family, the swap search, the greedy augmentation and the projected
+    labels. A seed replaces the best one only at a strictly lower cost, so
+    a NaN cost never wins over an earlier seed. The results are those of
+    solving one seed at a time, bit for bit.
     """
+    _refuse_overflow(P, params.z)
     pts, w = _coerce_pointset(P)
     if pts.shape[1] <= DEFAULT_DIM_THRESHOLD:
-        return _bicriteria_lowdim(P, params)
+        ((centers, reason, baseline),) = _bicriteria_lockstep([P], params)
+        cost = power_cost((pts, w), centers, params.z)
+        return BicriteriaResult(CenterSet(centers), cost, reason, baseline, projection_seed=None)
 
     base, ext, _ = _split_extended(P)
     base_dim = base.shape[1]

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import io as dio
 from .datasets import far_point_instance, gaussian_blobs, ring_mixture
-from .dimreduce import build_net, cost_preserving_sketch
+from .dimreduce import cost_preserving_sketch
 from .errors import BudgetError, InputError
 from .geometry import (
     DEFAULT_ALPHA,
@@ -120,12 +120,11 @@ def _cmd_sketch_build(args):
     params = ClusteringParams(k=args.k, z=args.z, epsilon=args.eps)
     pts = _plain_points(dio.read_points(getattr(args, "in")), "sketch build")
     sk = cost_preserving_sketch(pts, params)
-    net = build_net(sk.coreset.representatives)
-    dio.write_sketch(sk.map, net.points, params, args.out)
+    dio.write_sketch(sk.map, sk.net.points, params, args.out)
     cert = sk.map.certificate or {}
     print(
         f"sketch: {pts.shape[1]} -> {sk.map.m + 1} dims"
-        f" (map {sk.map.m}x{sk.map.d}), net size {net.points.shape[0]},"
+        f" (map {sk.map.m}x{sk.map.d}), net size {sk.net.points.shape[0]},"
         f" certified max_distortion={cert.get('max_distortion')!r}"
     )
     return 0

@@ -292,6 +292,7 @@ class CostPreservingSketch:
 
     map: LinearMap
     coreset: PartitionCoresetResult
+    net: WitnessNet  # of the representatives: the map's certificate holds on it
 
     def sketched_points(self):
         mapped = self.map.apply(self.coreset.representatives)
@@ -309,4 +310,4 @@ def cost_preserving_sketch(P, params: ClusteringParams):
     coreset = build(P, params)
     net = build_net(coreset.representatives)
     lin = derandomized_jl(net.points, params.epsilon / params.z)
-    return CostPreservingSketch(map=lin, coreset=coreset)
+    return CostPreservingSketch(map=lin, coreset=coreset, net=net)

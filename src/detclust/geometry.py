@@ -160,6 +160,20 @@ def _split_extended(P):
     return pts, None, w
 
 
+def _refuse_overflow(P, z):
+    """Raise InputError when sum w (d S^2)^(z/2), which bounds every
+    clustering cost of P, is not finite: S the largest coordinate span of
+    its rows (the extension spans from 0, where centers sit)."""
+    rows, w = _coerce_pointset(P)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = (rows.max(axis=0) - rows.min(axis=0)).max()
+        if isinstance(P, ExtendedPointSet):
+            span = max(span, P.extensions.max())
+        bound = w.sum() * (rows.shape[1] * span * span) ** (z / 2)
+    if not np.isfinite(bound):
+        raise InputError("clustering costs overflow float64; rescale the input")
+
+
 def _coerce_centers(S):
     if isinstance(S, CenterSet):
         return S.centers

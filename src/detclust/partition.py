@@ -25,6 +25,7 @@ from .geometry import (
     _coerce_centers,
     _coerce_pointset,
     _power_from_sq,
+    _refuse_overflow,
     _seeded_rng,
     first_seen_rows,
     min_power_dists,
@@ -84,6 +85,7 @@ def build(P, params: ClusteringParams):
     if (w != 1.0).any():
         raise InputError("partition coreset maps unweighted points")
     z = params.z
+    _refuse_overflow(pts, z)
     # built fresh, not replace(params, ...): node solves keep the default
     # alpha whatever the caller's
     node_params = ClusteringParams(k=params.k, z=z, epsilon=min(BETA, 1.0 / 3.0))

@@ -3,10 +3,11 @@
 Deliberately naive: pure-python double loops, brute grid searches, and
 re-enumerations that share no code with the library paths they check.
 The sequential references at the end (sequential_polish,
-sequential_newton_centers, sequential_projection_scan, flush_build_net,
+sequential_newton_centers, sequential_bicriteria,
+sequential_projection_scan, flush_build_net,
 galloping_spacing_exponents) are the exception: they pin bits, so they
-run the library's own kernels one init, one step size, one projection
-seed, one subset or one search order at a time. So are
+run the library's own kernels one init, one step size, one set, one
+projection seed, one subset or one search order at a time. So are
 carried_tree_sum and argmin_power_cost, the one-sum bodies that
 tree_sum and power_cost had before they became the one-row and one-set
 cases of their batched forms, meshgrid_center_grid, the per-axis
@@ -750,11 +751,40 @@ def sequential_lift(P, labels, z):
     return np.vstack(out)
 
 
+def sequential_bicriteria(P, params):
+    """The d <= DEFAULT_DIM_THRESHOLD branch of bicriteria, stage by stage
+    on one set: Gonzalez seeds (every point when there are fewer than k,
+    at extension 0 in slice mode), the swap search over candidate_centers
+    around them, the greedy augmentation over candidate_centers around the
+    swapped baseline, and power_cost of the result."""
+    import importlib
+
+    bic = importlib.import_module("detclust.bicriteria")  # not the function
+    pts, w = geometry._coerce_pointset(P)
+    seeds = bic._gonzalez_seeds(pts, params.k)
+    if isinstance(P, geometry.ExtendedPointSet):
+        seeds[:, -1] = 0.0
+    if seeds.shape[0] < params.k:
+        S0 = geometry.CenterSet(seeds)
+    else:
+        S0 = bic._swap_search(P, params, seeds, bic.candidate_centers(P, params, seeds))
+    centers, reason, _ = bic._augment(P, S0, bic.candidate_centers(P, params, S0), params)
+    return bic.BicriteriaResult(
+        centers=geometry.CenterSet(centers),
+        # geometry's, not this module's power_cost, which tests patch to
+        # count the scan's lifted costs
+        cost=geometry.power_cost((pts, w), centers, params.z),
+        stopped_reason=reason,
+        baseline_size=S0.k,
+        projection_seed=None,
+    )
+
+
 def sequential_projection_scan(P, params):
     """The d > DEFAULT_DIM_THRESHOLD branch of bicriteria, one projection
-    seed at a time: project, solve with _bicriteria_lowdim, label in the
-    projected space, lift with sequential_lift, cost with power_cost, and
-    keep the (cost, seed)-lexicographic best. Returns (centers, cost,
+    seed at a time: project, solve with sequential_bicriteria, label in
+    the projected space, lift with sequential_lift, cost with power_cost,
+    and keep the (cost, seed)-lexicographic best. Returns (centers, cost,
     stopped_reason, projection_seed, baseline_size)."""
     import importlib
 
@@ -767,7 +797,7 @@ def sequential_projection_scan(P, params):
     for seed in range(bic.DEFAULT_PROJECTION_SEEDS):
         proj = bic.seeded_projection_family(base_dim, m, seed).apply(base)
         sub = (proj, w) if ext is None else geometry.ExtendedPointSet(proj, ext, w)
-        res = bic._bicriteria_lowdim(sub, params)
+        res = sequential_bicriteria(sub, params)
         rows, _ = geometry._coerce_pointset(sub)
         _, labels = min_power_dists(rows, res.centers.centers, params.z)
         lifted = sequential_lift(P, labels, params.z)

@@ -131,6 +131,28 @@ def _candidates_slice():
     return digest(cc.points, cc.provenance_point, cc.provenance_level, str(cc.spacing_scale))
 
 
+def _bicriteria_case(pts, z, alpha):
+    res = bicriteria(pts, ClusteringParams(k=2, z=z, epsilon=0.3, alpha=alpha))
+    return digest(
+        res.centers.centers,
+        float(res.cost),
+        res.stopped_reason,
+        str(res.baseline_size),
+        str(res.projection_seed),
+    )
+
+
+def _bicriteria_plane():
+    return _bicriteria_case(_blobs(200, 2, 1), z=2, alpha=50.0)
+
+
+def _bicriteria_slice():
+    pts = _blobs(60, 3, 2)
+    return _bicriteria_case(
+        ExtendedPointSet(pts[:, :-1], extensions=np.abs(pts[:, -1])), z=1, alpha=2.0
+    )
+
+
 def _witness_net():
     pts = _blobs(8, 30, 4)
     params = ClusteringParams(k=2, z=2, epsilon=0.3)
@@ -210,6 +232,8 @@ CASES = {
     "cost_preserving_sketch_dup_n8_d30": _sketch_dup,
     "conditional_sign_matrix_n10_d30_m24": _conditional_signs,
     "ring_kinds_far_n150_d4": _ring_kinds,
+    "bicriteria_n200_d2": _bicriteria_plane,
+    "bicriteria_slice_n60_d3": _bicriteria_slice,
 }
 
 

@@ -21,7 +21,6 @@ from detclust.bicriteria import (
     bicriteria,
     candidate_centers,
     constant_factor_approx,
-    greedy_augment,
     lift_by_clusters,
     seeded_projection_family,
     _augment,
@@ -39,6 +38,7 @@ from oracles import (
     naive_power_cost,
     per_axis_ball_lattice,
     per_ball_candidates,
+    sequential_bicriteria,
     sequential_lift,
     sequential_projection_scan,
 )
@@ -411,10 +411,10 @@ def test_greedy_augment_zero_cost_s0_low_cost():
     pts = np.array([[0.0, 0.0], [5.0, 5.0]])
     params = ClusteringParams(k=2, z=2, epsilon=0.2)
     cc = candidate_centers(pts, params, pts)
-    res = greedy_augment(pts, pts, cc, params)
-    assert res.stopped_reason == "low-cost"
-    assert np.array_equal(res.centers.centers, pts)
-    assert res.cost == 0.0
+    centers, reason, _ = _augment(pts, pts, cc, params)
+    assert reason == "low-cost"
+    assert np.array_equal(centers, pts)
+    assert power_cost(pts, centers, 2) == 0.0
 
 
 def test_greedy_augment_two_blobs_reaches_near_opt():
@@ -428,11 +428,9 @@ def test_greedy_augment_two_blobs_reaches_near_opt():
     alpha = min(DEFAULT_ALPHA, max(1.0, cost0 / opt))
     params = ClusteringParams(k=2, z=2, epsilon=0.25, alpha=alpha)
     cc = candidate_centers(pts, params, S0)
-    res = greedy_augment(pts, S0, cc, params)
     centers, _, history = _augment(pts, S0, cc, params)
-    assert centers.tobytes() == res.centers.centers.tobytes()
 
-    assert res.cost <= (1 + params.epsilon) * opt + 1e-9
+    assert power_cost(pts, centers, 2) <= (1 + params.epsilon) * opt + 1e-9
     # accepted steps each cut cost by the required factor
     factor = 1.0 - params.epsilon / (alpha * params.k)
     for prev, cur in zip(history, history[1:]):
@@ -463,11 +461,46 @@ def test_bicriteria_matches_lowdim_composition():
     params = ClusteringParams(k=2, z=2, epsilon=0.25)
     S0 = constant_factor_approx(pts, params)
     cc = candidate_centers(pts, params, S0)
-    manual = greedy_augment(pts, S0, cc, params)
+    centers, reason, _ = _augment(pts, S0, cc, params)
     res = bicriteria(pts, params)
-    assert np.array_equal(res.centers.centers, manual.centers.centers)
-    assert res.cost == manual.cost
+    assert np.array_equal(res.centers.centers, centers)
+    assert res.cost == power_cost(pts, centers, params.z)
+    assert (res.stopped_reason, res.baseline_size) == (reason, S0.k)
     assert res.projection_seed is None
+
+
+def test_lowdim_bicriteria_matches_sequential_bicriteria():
+    from detclust.datasets import gaussian_blobs
+
+    def blobs(n, d, seed):
+        return gaussian_blobs(n, d, blobs=2, seed=seed, separation=6)
+
+    sl = blobs(60, 3, 2)
+    dup = np.repeat(blobs(2, 2, 5), [7, 5], axis=0)
+    cases = [
+        # the two golden instances
+        (blobs(200, 2, 1), ClusteringParams(k=2, z=2, epsilon=0.3, alpha=50.0)),
+        (
+            ExtendedPointSet(sl[:, :-1], extensions=np.abs(sl[:, -1])),
+            ClusteringParams(k=2, z=1, epsilon=0.3, alpha=2.0),
+        ),
+        (blobs(40, 1, 3), ClusteringParams(k=3, z=3, epsilon=0.3, alpha=2.0)),
+        (
+            (blobs(30, 20, 4), np.random.default_rng(4).random(30) + 0.5),
+            ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0),
+        ),
+        # fewer points than k: the seeds are all the points, no swap search
+        (blobs(3, 5, 6), ClusteringParams(k=5, z=2, epsilon=0.3)),
+        # two locations, k = 2: the baseline costs 0, so no lattice
+        (dup, ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)),
+    ]
+    for P_in, params in cases:
+        res = bicriteria(P_in, params)
+        want = sequential_bicriteria(P_in, params)
+        assert res.centers.centers.tobytes() == want.centers.centers.tobytes()
+        assert np.float64(res.cost).tobytes() == np.float64(want.cost).tobytes()
+        assert (res.stopped_reason, res.baseline_size) == (want.stopped_reason, want.baseline_size)
+        assert res.projection_seed is want.projection_seed is None
 
 
 def test_bicriteria_near_opt_when_exact_feasible():

@@ -1,9 +1,12 @@
 """CLI dispatch: exit codes, reports, byte-reproducible outputs."""
 
+import dataclasses
+import hashlib
 import json
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -11,10 +14,12 @@ import pytest
 
 from detclust.cli import _build_parser, _parse_thread_cap, cli_dispatch
 from detclust.datasets import gaussian_blobs
+from detclust.dimreduce import build_net, derandomized_jl
 from detclust.errors import InputError
 from detclust.geometry import ClusteringParams
-from detclust.io import read_coreset, read_points, write_points, write_sketch
+from detclust.io import read_coreset, read_points, write_coreset, write_points, write_sketch
 from detclust.linmap import LinearMap
+from detclust.rings import ring_coreset
 from detclust.solve import exact_solve
 
 COST_RE = re.compile(r"cost=([^ ]+) \(([^)]+)\)")
@@ -167,12 +172,18 @@ def test_sketch_build_and_verify(tmp_path, capsys):
 
 
 def test_sketch_of_points_whose_differences_overflow(tmp_path, capsys):
-    # the representatives' pair distances are inf; the net still builds
+    # the points' pair distances are inf: sketch build refuses them, but
+    # their witness net still builds and its bundle rechecks
+    huge = np.array([[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200]])
     pts, sk = tmp_path / "huge.csv", tmp_path / "sk.json"
-    write_points(np.array([[1e200, -1e200], [-1e200, 1e200], [1e200, 1e200]]), pts)
+    write_points(huge, pts)
     args = ["--in", str(pts), "--out", str(sk), "--k", "2", "--z", "2", "--eps", "0.3"]
+    assert cli_dispatch(["sketch", "build"] + args) == 2
+    assert "overflow" in capsys.readouterr().err
+    params = ClusteringParams(k=2, z=2, epsilon=0.3)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert cli_dispatch(["sketch", "build"] + args) == 0
+        net = build_net(huge)
+        write_sketch(derandomized_jl(net.points, 0.15), net.points, params, sk)
         assert cli_dispatch(["sketch", "verify", "--sketch", str(sk)]) == 0
     assert "verification passed" in capsys.readouterr().out
 
@@ -221,19 +232,50 @@ def _overflowing_points(path, n):
 
 
 def test_coreset_of_overflowing_costs_fails_verification(tmp_path, capsys):
+    # coreset build refuses such points, so the coreset is the unscaled
+    # points' one, scaled
     pts, core = tmp_path / "p.csv", tmp_path / "core.csv"
+    params = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
+    built = ring_coreset(gaussian_blobs(200, 2, blobs=2, seed=1, separation=6), params)
+    scale = 2.0**600
+    built = dataclasses.replace(
+        built, points=built.points * scale, offset=built.offset * scale * scale
+    )
+    write_coreset(built, params, core)
     _overflowing_points(pts, 200)
     with np.errstate(over="ignore", invalid="ignore"):
-        assert cli_dispatch(
-            ["coreset", "build", "--in", str(pts), "--out", str(core),
-             "--k", "2", "--z", "2", "--eps", "0.3", "--alpha", "2.0"]
-        ) == 0
-        capsys.readouterr()
         code = cli_dispatch(["coreset", "verify", "--points", str(pts), "--coreset", str(core)])
     out, err = capsys.readouterr()
     assert code == 4
     assert "checked 120 center tuples: max_relative_error=inf" in out
     assert "FAILED" in err
+
+
+# sha256 of the files the builders write at 2^300, pinned on this numpy
+# build and CPU class like the golden digests
+_BUILT_AT_2_300 = {
+    "coreset": "72cb791cd34bd0ddcaeb30507eb313dafeb6e4f49f6a62f0622381081adf00d7",
+    "sketch": "039fef240084329bda6d470e0ea6fd93a8bb8ebfcdc1a1f2eefe508202db67d4",
+}
+
+
+@pytest.mark.parametrize("what", sorted(_BUILT_AT_2_300))
+def test_builders_refuse_overflowing_costs(what, tmp_path, capsys):
+    # exit 2 before any arithmetic on the points, so numpy warns of nothing;
+    # half the exponent builds as it always did
+    if what == "coreset":
+        base, extra = gaussian_blobs(200, 2, blobs=2, seed=1, separation=6), ["--alpha", "2.0"]
+    else:
+        base, extra = gaussian_blobs(8, 30, blobs=2, seed=4, separation=6), []
+    pts, out = tmp_path / "p.csv", tmp_path / "out"
+    cmd = [what, "build", "--in", str(pts), "--out", str(out), "--k", "2", "--z", "2", "--eps", "0.3"]
+    for exponent, code in ((600, 2), (300, 0)):
+        write_points(base * 2.0**exponent, pts)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_dispatch(cmd + extra) == code
+    assert "overflow" in capsys.readouterr().err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == _BUILT_AT_2_300[what]
 
 
 def test_solve_exact_of_overflowing_costs_exits_2(tmp_path, capsys):

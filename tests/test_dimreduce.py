@@ -371,6 +371,9 @@ def test_sketch_rerun_bit_identical():
     assert np.array_equal(
         a.sketched_points().as_rows(), b.sketched_points().as_rows()
     )
+    # the sketch keeps the net its map was certified on
+    net = build_net(a.coreset.representatives)
+    assert (a.net.points.tobytes(), a.net.sources) == (net.points.tobytes(), net.sources)
 
 
 def test_covers_match_per_composition_einsum():

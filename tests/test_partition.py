@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -376,12 +377,20 @@ def test_build_rerun_bit_identical():
 
 def test_verifier_scores_an_overflowing_cost_inf():
     # inf on both sides gives inf - inf = NaN, which argmax would pick and
-    # the > test would then skip
-    pts = gaussian_blobs(200, 2, blobs=2, seed=1, separation=6)[:8] * 2.0**600
+    # the > test would then skip. build refuses such points, so the
+    # coreset is the unscaled points' one, scaled
+    pts = gaussian_blobs(200, 2, blobs=2, seed=1, separation=6)[:8]
     params = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
+    scale = 2.0**600
+    with pytest.raises(InputError, match="overflow"):
+        build(pts * scale, params)
+    res = build(pts, params)
+    res = dataclasses.replace(
+        res, representatives=res.representatives * scale, extensions=res.extensions * scale
+    )
+    pts = pts * scale
     grid = center_grid(pts, per_axis=3)
     with np.errstate(over="ignore", invalid="ignore"):
-        res = build(pts, params)
         rep = verify_partition_coreset(pts, res, params, grid)
         sampled = verify_partition_coreset(
             pts, res, params, grid, all_partitions=False, samples=10

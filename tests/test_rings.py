@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 from fractions import Fraction
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from detclust import rings as rings_mod
-from detclust.bicriteria import _augment, bicriteria, candidate_centers, greedy_augment
+from detclust.bicriteria import _augment, bicriteria, candidate_centers
 from detclust.datasets import far_point_instance, gaussian_blobs, ring_mixture
 from detclust.epsapprox import (
     DEFAULT_MAX_RANGES,
@@ -349,9 +350,7 @@ def test_greedy_cost_sequence_contracts():
     pts, params = two_blob_instance()
     A = np.array([[0.0, 0.0], [6.0, 0.0]])
     cands = candidate_centers(pts, params, A)
-    res = greedy_augment(pts, A, cands, params)
-    centers, reason, history = _augment(pts, A, cands, params)
-    assert (centers.tobytes(), reason) == (res.centers.centers.tobytes(), res.stopped_reason)
+    _, _, history = _augment(pts, A, cands, params)
     assert len(history) >= 2
     f = params.epsilon / (params.alpha * params.k)
     for prev, cur in zip(history, history[1:]):
@@ -363,9 +362,8 @@ def test_locally_stable_has_no_improving_candidate():
     pts, params = two_blob_instance()
     A = np.array([[0.0, 0.0], [6.0, 0.0]])
     family = candidate_centers(pts, params, A)
-    res = greedy_augment(pts, A, family, params)
-    assert res.stopped_reason == "no-improving-center"
-    G = res.centers.centers
+    G, reason, _ = _augment(pts, A, family, params)
+    assert reason == "no-improving-center"
     cost_G = power_cost(pts, G, params.z)
     f = params.epsilon / (params.alpha * params.k)
     cands = family.points
@@ -635,17 +633,23 @@ def test_verifier_reads_the_weights_of_P():
 
 def test_verifier_scores_an_overflowing_cost_inf():
     # every cost is inf on both sides, and inf - inf is NaN: the first
-    # tuple scores inf and is the witness, not a NaN that max() skips
-    pts = gaussian_blobs(200, 2, blobs=2, seed=1, separation=6) * 2.0**600
+    # tuple scores inf and is the witness, not a NaN that max() skips.
+    # ring_coreset refuses such points, so the coreset is the unscaled
+    # points' one, scaled
+    pts = gaussian_blobs(200, 2, blobs=2, seed=1, separation=6)
     params = ClusteringParams(k=2, z=2, epsilon=0.3, alpha=2.0)
+    scale = 2.0**600
+    with pytest.raises(InputError, match="overflow"):
+        ring_coreset(pts * scale, params)
+    core = ring_coreset(pts, params)
+    core = dataclasses.replace(core, points=core.points * scale, offset=core.offset * scale * scale)
+    pts = pts * scale
     with np.errstate(over="ignore", invalid="ignore"):
-        core = ring_coreset(pts, params)
         rep = verify_offset_coreset(pts, core, params, center_grid(pts, per_axis=4))
         sampled = verify_offset_coreset(
             pts, core, params, center_grid(pts, per_axis=5),
             exhaustive_tuples=False, samples=30, seed=2,
         )
-    assert core.size == 2
     assert (rep.max_relative_error, rep.checked, rep.witness) == (np.inf, 120, ((0, 1), np.inf))
     assert sampled.max_relative_error == np.inf and sampled.witness is not None
 

@@ -21,7 +21,7 @@ import detclust
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "detclust"
-MAX_DEFAULTED = 32  # 23 function parameters + 9 record fields
+MAX_DEFAULTED = 31  # 23 function parameters + 8 record fields
 
 
 def _is_dataclass(decorator):
